@@ -338,16 +338,11 @@ def step_response(config: ModelConfig, delta_before: float,
     y0 = state_from_populations(ss_before.aligned, seed)
     modulation = DriveModulation.constant(delta_after)
 
-    d_after = derive_constants(after)
-    gain0 = (d_after.gain_coupling
-             * ((ss_before.aligned.rho22 - ss_before.aligned.rho33)
-                + (ss_before.aligned.rho55 - ss_before.aligned.rho66))
-             - config.cavity.kappa)
-    tau_pop = _singlet_cycle_time(config)
-    if span > 0.0 and gain0 > 0.0:
-        horizon = math.log(n_f / seed) / gain0 + 10.0 * tau_pop
-    else:
-        horizon = 20.0 * tau_pop
+    # The start populations are the before-state's own, whose net gain is
+    # <= 0 (dark) or zero up to the root tolerance (lasing), so there is
+    # no growth rate to size the horizon from; the doubling loop below
+    # extends this one as far as needed.
+    horizon = 20.0 * _singlet_cycle_time(config)
 
     rising = span > 0.0
     target_63 = n_i + (1.0 - math.exp(-1.0)) * span

@@ -8,11 +8,26 @@ rates G*n.  The full steady state is therefore found in two stages:
    occupations plus Re/Im of the ground coherence) with the trace
    constraint replacing one redundant rate equation;
 2. ``solve_steady_state`` finds the photon number at which the net gain
-   crosses zero.  Net gain decreases monotonically with n (stimulated
-   emission burns the inversion), so a bracketed scalar root is enough.
+   crosses zero.  The stimulated exchange 2<->3 and 5<->6 is a rank-2
+   term, M(n) = M0 - s W W^T with s = G*n and W = [e2 - e3, e5 - e6], so
+   one factorization of the n = 0 matrix against the trace vector and
+   the two columns of W gives z0 = W^T M0^-1 e1 and C = W^T M0^-1 W.  By
+   the Sherman-Morrison-Woodbury identity each sub-ensemble's inversion
+   is then 1^T (I - s C)^-1 z0 = (a + b s) / (1 - tr(C) s + det(C) s^2),
+   and the root of the weighted sum of these ratios minus kappa is
+   bracketed and refined by ``brentq`` on that cheap rational function.
+   Net gain decreases monotonically with n (stimulated emission burns the
+   inversion), so a bracketed scalar root is enough.
 
 If the zero-photon gain is not positive there is no lasing solution and
-the n = 0 branch is returned.
+the n = 0 branch is returned, reusing the populations of that decision.
+Right at threshold (0 < g0 <= 1e-8 * kappa) the root is set by the
+rounding of kappa rather than by the model, so there the same bracket
+runs on the direct gain of full fixed-n solves instead.  On every call
+the populations are re-solved directly at the root: they pass the
+fixed-n residual check and the occupation bounds, and their net gain
+must lie within 1e-8 * kappa of zero, which checks the closed form
+independently of it.
 """
 
 from __future__ import annotations
@@ -179,25 +194,28 @@ def _max_rate(config: ModelConfig, gain_coupling: float, n: float) -> float:
     return max(rates)
 
 
-def _solve_linear(a: np.ndarray) -> np.ndarray:
-    """Solve A v = 0 with unit trace, replacing the first row by the
-    trace constraint.  One step of iterative refinement keeps the
+def _solve_linear(a: np.ndarray, rhs: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """Solve M v = rhs, where M is A with the first row replaced by the
+    trace constraint; ``rhs`` is (9,) or (9, k).  The default solves
+    A v = 0 with unit trace.  One step of iterative refinement keeps the
     residual near machine precision; rank-deficient systems (pump-free
     configurations) fall back to the least-squares minimum-norm solution.
     """
+    if rhs is None:
+        rhs = np.zeros(9)
+        rhs[0] = 1.0
     m = a.copy()
     m[0, :] = 0.0
     m[0, :7] = 1.0
-    b = np.zeros(9)
-    b[0] = 1.0
     try:
-        v = np.linalg.solve(m, b)
-        resid = b - m @ v
+        v = np.linalg.solve(m, rhs)
+        resid = rhs - m @ v
         v = v + np.linalg.solve(m, resid)
         if not np.all(np.isfinite(v)):
             raise np.linalg.LinAlgError("non-finite solution")
     except np.linalg.LinAlgError:
-        v = np.linalg.lstsq(m, b, rcond=None)[0]
+        v = np.linalg.lstsq(m, rhs, rcond=None)[0]
     return v
 
 
@@ -248,6 +266,18 @@ def _gain_of_state(state: PopulationState, gain_coupling: float) -> float:
                             + (state.rho55 - state.rho66))
 
 
+def _ensemble_states(config: ModelConfig, n: float, d: DerivedQuantities
+                     ) -> tuple[tuple[PopulationState, ...], float]:
+    """Direct fixed-n populations of every sub-ensemble and the net gain."""
+    states = []
+    total = 0.0
+    for weight, delta in _ensembles(config):
+        state = populations_at_fixed_n(config, n, delta=delta, derived=d)
+        states.append(state)
+        total += weight * _gain_of_state(state, d.gain_coupling)
+    return tuple(states), total - config.cavity.kappa
+
+
 def net_gain(config: ModelConfig, n: float,
              derived: DerivedQuantities | None = None) -> float:
     """Photon growth rate d(ln n)/dt at frozen photon number (rad/s).
@@ -256,34 +286,72 @@ def net_gain(config: ModelConfig, n: float,
     cavity loss.
     """
     d = derived if derived is not None else derive_constants(config)
-    total = 0.0
+    return _ensemble_states(config, n, d)[1]
+
+
+def _closed_form_gain(config: ModelConfig, d: DerivedQuantities):
+    """Net gain as a function of n from one n = 0 factorization per
+    sub-ensemble (see the module docstring)."""
+    g = d.gain_coupling
+    # Right-hand sides: the trace vector and the columns of W (the
+    # stimulated exchange 2<->3 and 5<->6 enters as -G*n * W W^T).
+    rhs = np.zeros((9, 3))
+    rhs[0, 0] = 1.0
+    rhs[[1, 4], [1, 2]] = 1.0
+    rhs[[2, 5], [1, 2]] = -1.0
+    terms = []
     for weight, delta in _ensembles(config):
-        state = populations_at_fixed_n(config, n, delta=delta, derived=d)
-        total += weight * _gain_of_state(state, d.gain_coupling)
-    return total - config.cavity.kappa
+        x = _solve_linear(rate_matrix(config, g, 0.0, delta), rhs)
+        # rows: W^T applied to M0^-1 [e1, W]
+        w = x[[1, 4]] - x[[2, 5]]
+        (z0, c00, c01), (z1, c10, c11) = w.tolist()
+        terms.append((weight * g, z0 + z1,
+                      (c10 - c11) * z0 + (c01 - c00) * z1,
+                      -(c00 + c11), c00 * c11 - c01 * c10))
+    kappa = config.cavity.kappa
+
+    def gain(n):
+        s = g * n
+        total = 0.0
+        for wg, a, b, p, q in terms:
+            total += wg * (a + b * s) / (1.0 + s * (p + q * s))
+        return total - kappa
+
+    return gain
+
+
+def _gain_root(gain) -> float:
+    """Photon number where ``gain`` (positive at n = 0, decreasing)
+    crosses zero: geometric bracket from 1e-6, then ``brentq``."""
+    hi = 1e-6
+    g_hi = gain(hi)
+    while g_hi > 0.0:
+        hi *= 4.0
+        if hi > _BRACKET_CAP:
+            raise ConvergenceError(
+                "gain stayed positive up to the photon-number cap",
+                detail={"last_bracket": (hi / 4.0, hi), "gain_at_cap": g_hi})
+        g_hi = gain(hi)
+    return brentq(gain, 0.0, hi, rtol=_N_ROOT_RTOL, xtol=1e-300, maxiter=200)
 
 
 def _steady_result(config: ModelConfig, d: DerivedQuantities, n: float,
-                   branch: str) -> SteadyStateResult:
-    pops = []
-    weights = []
-    deltas = []
-    gain = 0.0
-    for weight, delta in _ensembles(config):
-        state = populations_at_fixed_n(config, n, delta=delta, derived=d)
-        pops.append(state)
-        weights.append(weight)
-        deltas.append(delta)
-        gain += weight * _gain_of_state(state, d.gain_coupling)
-    gain -= config.cavity.kappa
+                   branch: str, states: tuple[PopulationState, ...],
+                   gain: float) -> SteadyStateResult:
+    if branch == LASING \
+            and abs(gain) > _GAIN_RESIDUAL_RTOL * config.cavity.kappa:
+        raise ConvergenceError(
+            "gain residual at the photon-number root above tolerance",
+            detail={"n": n, "gain_residual": gain})
+    weights, deltas = zip(*_ensembles(config))
     residual = 0.0
-    for state, delta in zip(pops, deltas):
+    for state, delta in zip(states, deltas):
         a = rate_matrix(config, d.gain_coupling, n, delta)
         r = float(np.max(np.abs(a @ state.as_array())))
         residual = max(residual, r / _max_rate(config, d.gain_coupling, n))
     return SteadyStateResult(n=n, branch=branch, net_gain=gain,
-                             residual=residual, populations=tuple(pops),
-                             weights=tuple(weights), detunings=tuple(deltas))
+                             residual=residual, populations=states,
+                             weights=weights, detunings=deltas)
 
 
 def solve_steady_state(config: ModelConfig,
@@ -294,34 +362,20 @@ def solve_steady_state(config: ModelConfig,
     Zero-photon net gain <= 0 selects the dark branch (exactly zero gain
     included, so marginal configurations report below_threshold).  Above
     threshold, the bracket [0, n_hi] is expanded geometrically and the
-    gain root located to relative precision 1e-12 in n; the residual gain
-    at the root must be below 1e-8 * kappa.
+    root of the closed-form gain located to relative precision 1e-12 in
+    n (on the direct gain when g0 <= 1e-8 * kappa); the direct gain at
+    the root must be below 1e-8 * kappa.
     """
     d = derived if derived is not None else derive_constants(config)
-    g0 = net_gain(config, 0.0, derived=d)
+    states, g0 = _ensemble_states(config, 0.0, d)
     if g0 <= 0.0:
-        return _steady_result(config, d, 0.0, BELOW_THRESHOLD)
-
-    def f(n):
-        return net_gain(config, n, derived=d)
-
-    hi = 1e-6
-    g_hi = f(hi)
-    while g_hi > 0.0:
-        hi *= 4.0
-        if hi > _BRACKET_CAP:
-            raise ConvergenceError(
-                "gain stayed positive up to the photon-number cap",
-                detail={"last_bracket": (hi / 4.0, hi), "gain_at_cap": g_hi})
-        g_hi = f(hi)
-    n_root = brentq(f, 0.0, hi, rtol=_N_ROOT_RTOL, xtol=1e-300, maxiter=200)
-    gain_res = f(n_root)
-    if abs(gain_res) > _GAIN_RESIDUAL_RTOL * config.cavity.kappa:
-        raise ConvergenceError(
-            "gain residual at the photon-number root above tolerance",
-            detail={"n": n_root, "gain_residual": gain_res,
-                    "last_bracket": (0.0, hi)})
-    return _steady_result(config, d, n_root, LASING)
+        return _steady_result(config, d, 0.0, BELOW_THRESHOLD, states, g0)
+    if g0 <= _GAIN_RESIDUAL_RTOL * config.cavity.kappa:
+        n_root = _gain_root(lambda n: net_gain(config, n, derived=d))
+    else:
+        n_root = _gain_root(_closed_form_gain(config, d))
+    states, gain = _ensemble_states(config, n_root, d)
+    return _steady_result(config, d, n_root, LASING, states, gain)
 
 
 def threshold_pump(config: ModelConfig, delta: float | None = None,

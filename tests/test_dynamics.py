@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -90,6 +91,19 @@ def test_step_response_frozen_values(baseline_config):
     assert res.settled
     assert res.t_63 < res.t_90
     assert res.series.t[-1] >= res.t_90
+
+
+def test_lasing_to_lasing_step_terminates(baseline_config):
+    # Both steady states lase, so the before-state gain under the new
+    # detuning is zero up to rounding; dividing by it once gave a horizon
+    # of ~6e7 s and the call never returned.  A spawned child with a
+    # timeout turns such a regression into a failure instead of a hang.
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        job = pool.apply_async(step_response, (baseline_config, 1e8, 1.2e8))
+        res = job.get(timeout=150)
+    assert res.settled
+    assert res.t_63 == pytest.approx(1.187e-5, rel=1e-3)
+    assert res.t_90 == pytest.approx(2.511e-5, rel=1e-3)
 
 
 def test_step_response_seed_floors_dark_start(baseline_config):
