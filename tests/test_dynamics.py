@@ -2,16 +2,21 @@
 
 import dataclasses
 import io
+import logging
+import math
 import multiprocessing
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from ltmag import (DegenerateStepError, DriveModulation, InvalidConfigError,
-                   NoSignalError, OrientationModel, ac_response,
-                   derive_constants, integrate, output_power,
+from ltmag import (ConvergenceError, DegenerateStepError, DriveModulation,
+                   InvalidConfigError, NoSignalError, OrientationModel,
+                   ac_response, derive_constants, integrate, output_power,
                    solve_steady_state, step_response, with_drive, with_pump)
-from ltmag.dynamics import (TIMESERIES_COLUMNS, jacobian, rhs,
+from ltmag import dynamics
+from ltmag.dynamics import (DEFAULT_SEED_N, TIMESERIES_COLUMNS, _BDF,
+                            _first_crossing, _solve, jacobian, rhs,
                             state_from_populations)
 
 
@@ -104,6 +109,113 @@ def test_lasing_to_lasing_step_terminates(baseline_config):
     assert res.settled
     assert res.t_63 == pytest.approx(1.187e-5, rel=1e-3)
     assert res.t_90 == pytest.approx(2.511e-5, rel=1e-3)
+
+
+def test_reverse_lasing_to_lasing_step_terminates(baseline_config):
+    # regression values, frozen from this implementation
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        job = pool.apply_async(step_response, (baseline_config, 1.2e8, 1e8))
+        res = job.get(timeout=60)
+    assert res.settled
+    assert res.t_63 == pytest.approx(1.1547e-5, rel=1e-3)
+    assert res.t_90 == pytest.approx(2.4356e-5, rel=1e-3)
+
+
+def _restart_oracle(config, delta_before, delta_after, horizon):
+    """The method ``step_response`` replaced: one integration from t = 0
+    over the whole final horizon, crossings read from its dense output."""
+    ss_before = solve_steady_state(with_drive(config, delta=delta_before))
+    after = with_drive(config, delta=delta_after)
+    n_f = solve_steady_state(after).n
+    seed = max(ss_before.n, DEFAULT_SEED_N)
+    span = n_f - seed
+    y0 = state_from_populations(ss_before.aligned, seed)
+    sol = _solve(after, y0, (0.0, horizon),
+                 DriveModulation.constant(delta_after), 1e-10, 1e-14,
+                 dense=True)
+    return [_first_crossing(sol.sol, 0.0, horizon, seed + frac * span,
+                            span > 0.0)
+            for frac in (1.0 - math.exp(-1.0), 0.9)]
+
+
+@pytest.mark.parametrize("delta_before, delta_after",
+                         [(0.0, 1e8), (1e8, 0.0)])
+def test_step_response_extensions_match_restart_oracle(
+        baseline_config, monkeypatch, delta_before, delta_after):
+    segments = []
+    stitched = []
+
+    def recording_solve(*args, **kwargs):
+        segments.append(_solve(*args, **kwargs))
+        return segments[-1]
+
+    def recording_crossing(dense_sol, *args, **kwargs):
+        stitched.append(dense_sol)
+        return _first_crossing(dense_sol, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_solve", recording_solve)
+    monkeypatch.setattr(dynamics, "_first_crossing", recording_crossing)
+    res = step_response(baseline_config, delta_before, delta_after)
+    assert len(segments) >= 2
+    horizon = segments[-1].t[-1]
+    assert res.series.t[-1] == horizon
+
+    dense = stitched[-1]
+    for left, right in zip(segments, segments[1:]):
+        seam = left.t[-1]
+        # each extension continues from the last state, not from t = 0
+        assert right.t[0] == seam
+        assert np.array_equal(right.y[:, 0], left.y[:, -1])
+        assert np.allclose(dense(seam), left.y[:, -1], rtol=1e-12,
+                           atol=1e-18)
+
+    t_63, t_90 = _restart_oracle(baseline_config, delta_before, delta_after,
+                                 horizon)
+    assert res.t_63 == pytest.approx(t_63, rel=1e-9)
+    assert res.t_90 == pytest.approx(t_90, rel=1e-9)
+
+
+def test_step_response_logs_extensions_and_reports_them(baseline_config,
+                                                         caplog):
+    # from a 1e-30 seed the turn-on is still far off after two horizons
+    with caplog.at_level(logging.DEBUG, logger="ltmag.dynamics"):
+        with pytest.raises(ConvergenceError) as err:
+            step_response(baseline_config, 0.0, 1e8, seed_n=1e-30,
+                          max_doublings=2, rtol=1e-6)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "ltmag.dynamics" and "horizon" in r.getMessage()]
+    assert len(lines) == 2
+    assert all("settled False" in line for line in lines)
+    detail = err.value.detail
+    assert detail["extensions"] == 1
+    assert detail["bdf_steps"] > 0
+    assert detail["n_end"] < 1e-6
+    with pytest.raises(InvalidConfigError):
+        step_response(baseline_config, 0.0, 1e8, max_doublings=0)
+
+
+def test_bdf_getrs_matches_stock_bdf(baseline_config):
+    cfg = with_drive(baseline_config, delta=1e8)
+    d = derive_constants(cfg)
+    mod = DriveModulation.constant(1e8)
+    y0 = _steady_state_vector(baseline_config, 0.0)
+    y0[9] = max(y0[9], DEFAULT_SEED_N)
+    kwargs = dict(args=(cfg, mod, d), rtol=1e-10, atol=1e-14,
+                  jac=lambda t, y, *args: jacobian(t, y, cfg, mod, d))
+    ours = solve_ivp(rhs, (0.0, 1e-6), y0, method=_BDF, **kwargs)
+    stock = solve_ivp(rhs, (0.0, 1e-6), y0, method="BDF", **kwargs)
+    assert ours.success and stock.success
+    assert stock.nlu > 10
+    assert np.array_equal(ours.t, stock.t)
+    assert np.array_equal(ours.y, stock.y)
+    assert (ours.nfev, ours.njev, ours.nlu) == (stock.nfev, stock.njev,
+                                                 stock.nlu)
+
+    solver = _BDF(lambda t, y: rhs(t, y, cfg, mod, d), 0.0, y0, 1e-6,
+                  jac=lambda t, y: jacobian(t, y, cfg, mod, d))
+    lu = solver.lu(solver.I - 1e-9 * jacobian(0.0, y0, cfg, mod, d))
+    with pytest.raises(ValueError):
+        solver.solve_lu(lu, np.full(10, np.nan))
 
 
 def test_step_response_seed_floors_dark_start(baseline_config):
