@@ -8,9 +8,10 @@ State vector layout (length 10):
 The occupation/coherence block is linear at fixed n (see
 ``steady.rate_matrix``); the photon equation dn/dt = g(y) * n makes the
 system bilinear.  The system is stiff (rates span up to six orders of
-magnitude), so integration uses BDF with the analytic Jacobian.  Its
-Newton back-substitution calls LAPACK ``getrs`` directly on each dense LU
-factorization instead of going through ``scipy.linalg.lu_solve``.
+magnitude), so integration uses LSODA (ODEPACK; Petzold, SIAM J. Sci.
+Stat. Comput. 4, 136, 1983) with the analytic Jacobian.  LSODA switches
+between Adams and BDF formulas on its own and takes BDF on nearly every
+step here; its step loop and linear algebra are compiled code.
 
 Time-domain operations are defined for single_orientation configurations;
 a four_orientation ensemble would need parallel copies of the level block.
@@ -23,8 +24,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import BDF, OdeSolution, solve_ivp
-from scipy.linalg.lapack import dgetrs
+from scipy.integrate import OdeSolution, solve_ivp
 
 from .errors import (ConvergenceError, DegenerateStepError,
                      InvalidConfigError, NoSignalError, StiffnessError)
@@ -259,41 +259,16 @@ def _sanitize(t: np.ndarray, states: np.ndarray, rtol: float,
     return series
 
 
-def _getrs_solve(lu_and_piv, b: np.ndarray) -> np.ndarray:
-    """``lu_solve(lu_and_piv, b, overwrite_b=True)`` for one real vector,
-    without its batch wrapper and per-call routine lookup."""
-    if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
-    lu, piv = lu_and_piv
-    x, info = dgetrs(lu, piv, b, overwrite_b=True)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of getrs")
-    return x
-
-
-class _BDF(BDF):
-    """scipy's BDF with ``_getrs_solve`` as its back-substitution.
-
-    The system is real and its Jacobian dense, so ``lu_solve`` always ends
-    in ``dgetrs``; calling it directly skips the batch wrapper and the
-    LAPACK routine lookup on every Newton iteration, which at this size
-    (10 x 10) cost more than the solve itself.  ``self.lu`` is
-    untouched, so ``nlu`` still counts the factorizations.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.solve_lu = _getrs_solve
-
-
 def _solve(config: ModelConfig, y0: np.ndarray, t_span: tuple[float, float],
            modulation: DriveModulation, rtol: float, atol: float,
            max_step: float = np.inf, dense: bool = False,
            t_eval=None):
+    """One LSODA integration of the full system with the analytic
+    Jacobian; raises ``StiffnessError`` when the integrator gives up."""
     d = derive_constants(config)
     sol = solve_ivp(
         rhs, t_span, np.asarray(y0, dtype=float),
-        method=_BDF, rtol=rtol, atol=atol, max_step=max_step,
+        method="LSODA", rtol=rtol, atol=atol, max_step=max_step,
         dense_output=dense, t_eval=t_eval,
         args=(config, modulation, d),
         jac=lambda t, y, *args: jacobian(t, y, config, modulation, d))
@@ -385,11 +360,13 @@ def step_response(config: ModelConfig, delta_before: float,
     t_start = 0.0
     knots = [np.zeros(1)]
     interpolants = []
-    bdf_steps = 0
+    work = dict.fromkeys(("steps", "nfev", "njev", "nlu"), 0)
     for extensions in range(max_doublings):
         sol = _solve(after, y, (t_start, horizon), modulation, rtol, atol,
                      dense=True)
-        bdf_steps += len(sol.t) - 1
+        steps = len(sol.t) - 1
+        for key, count in zip(work, (steps, sol.nfev, sol.njev, sol.nlu)):
+            work[key] += int(count)
         # each segment starts at the previous one's end time; keep it once
         knots.append(sol.sol.ts[1:])
         interpolants += sol.sol.interpolants
@@ -399,8 +376,8 @@ def step_response(config: ModelConfig, delta_before: float,
         t_90 = _first_crossing(dense, 0.0, horizon, target_90, rising)
         settled = abs(float(y[9]) - n_f) <= 1e-3 * abs(span)
         logger.debug("step response horizon %.6e s after %d extensions: "
-                     "n_end %.6e, settled %s", horizon, extensions,
-                     float(y[9]), settled)
+                     "%d steps, n_end %.6e, settled %s", horizon,
+                     extensions, steps, float(y[9]), settled)
         if t_63 is not None and t_90 is not None and settled:
             break
         t_start = horizon
@@ -410,7 +387,7 @@ def step_response(config: ModelConfig, delta_before: float,
             "photon number never covered the requested span",
             detail={"horizon": t_start, "n_final_target": n_f,
                     "n_end": float(y[9]), "extensions": extensions,
-                    "bdf_steps": bdf_steps})
+                    **work})
     ts = np.linspace(0.0, dense.ts[-1], output_points)
     series = _sanitize(ts, dense(ts).T, rtol, atol)
     return ResponseResult(t_63=t_63, t_90=t_90, n_initial=n_i, n_final=n_f,

@@ -5,6 +5,7 @@ import io
 import logging
 import math
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from ltmag import (ConvergenceError, DegenerateStepError, DriveModulation,
                    ac_response, derive_constants, integrate, output_power,
                    solve_steady_state, step_response, with_drive, with_pump)
 from ltmag import dynamics
-from ltmag.dynamics import (DEFAULT_SEED_N, TIMESERIES_COLUMNS, _BDF,
+from ltmag.dynamics import (DEFAULT_SEED_N, TIMESERIES_COLUMNS,
                             _first_crossing, _solve, jacobian, rhs,
                             state_from_populations)
 
@@ -188,34 +189,47 @@ def test_step_response_logs_extensions_and_reports_them(baseline_config,
     assert all("settled False" in line for line in lines)
     detail = err.value.detail
     assert detail["extensions"] == 1
-    assert detail["bdf_steps"] > 0
+    assert detail["steps"] > 0
+    # the detail sums the per-segment step counts of the debug lines
+    assert detail["steps"] == sum(
+        int(re.search(r"(\d+) steps", line).group(1)) for line in lines)
+    assert detail["nfev"] >= detail["steps"]
+    assert detail["njev"] > 0 and detail["nlu"] > 0
     assert detail["n_end"] < 1e-6
     with pytest.raises(InvalidConfigError):
         step_response(baseline_config, 0.0, 1e8, max_doublings=0)
 
 
-def test_bdf_getrs_matches_stock_bdf(baseline_config):
-    cfg = with_drive(baseline_config, delta=1e8)
-    d = derive_constants(cfg)
-    mod = DriveModulation.constant(1e8)
-    y0 = _steady_state_vector(baseline_config, 0.0)
-    y0[9] = max(y0[9], DEFAULT_SEED_N)
-    kwargs = dict(args=(cfg, mod, d), rtol=1e-10, atol=1e-14,
-                  jac=lambda t, y, *args: jacobian(t, y, cfg, mod, d))
-    ours = solve_ivp(rhs, (0.0, 1e-6), y0, method=_BDF, **kwargs)
-    stock = solve_ivp(rhs, (0.0, 1e-6), y0, method="BDF", **kwargs)
-    assert ours.success and stock.success
-    assert stock.nlu > 10
-    assert np.array_equal(ours.t, stock.t)
-    assert np.array_equal(ours.y, stock.y)
-    assert (ours.nfev, ours.njev, ours.nlu) == (stock.nfev, stock.njev,
-                                                 stock.nlu)
+def test_lsoda_matches_stock_bdf_oracle(baseline_config, high_sens_config,
+                                        monkeypatch):
+    # scipy's stock BDF is the oracle: the same calls with only the
+    # integration method swapped
+    def run_all():
+        steps = [step_response(baseline_config, before, after)
+                 for before, after in ((0.0, 1e8), (1e8, 0.0))]
+        acs = [ac_response(high_sens_config, bias_field=164e-6,
+                           amplitude_field=1e-9, omega_signal=omega)
+               for omega in (2e4, 2e6, 2e7)]
+        return steps, acs
 
-    solver = _BDF(lambda t, y: rhs(t, y, cfg, mod, d), 0.0, y0, 1e-6,
-                  jac=lambda t, y: jacobian(t, y, cfg, mod, d))
-    lu = solver.lu(solver.I - 1e-9 * jacobian(0.0, y0, cfg, mod, d))
-    with pytest.raises(ValueError):
-        solver.solve_lu(lu, np.full(10, np.nan))
+    methods = []
+
+    def stock_bdf_ivp(*args, **kwargs):
+        methods.append(kwargs["method"])
+        kwargs["method"] = "BDF"
+        return solve_ivp(*args, **kwargs)
+
+    steps, acs = run_all()
+    monkeypatch.setattr(dynamics, "solve_ivp", stock_bdf_ivp)
+    bdf_steps, bdf_acs = run_all()
+    assert methods and set(methods) == {"LSODA"}
+
+    for ours, oracle in zip(steps, bdf_steps):
+        assert ours.t_63 == pytest.approx(oracle.t_63, rel=1e-8)
+        assert ours.t_90 == pytest.approx(oracle.t_90, rel=1e-8)
+    for ours, oracle in zip(acs, bdf_acs):
+        assert ours.n_signal == pytest.approx(oracle.n_signal, rel=1e-3)
+        assert ours.n_mean == pytest.approx(oracle.n_mean, rel=1e-3)
 
 
 def test_step_response_seed_floors_dark_start(baseline_config):
