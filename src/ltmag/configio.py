@@ -66,6 +66,7 @@ _SCHEMA: dict[str, dict[str, str | None]] = {
     },
 }
 
+# Each section name is also the ModelConfig attribute that holds it.
 _SECTION_TYPES = {
     "rates": LevelRates,
     "cavity": CavityGeometry,
@@ -73,15 +74,6 @@ _SECTION_TYPES = {
     "orientation": OrientationModel,
     "constants": PhysicalConstants,
 }
-
-_SECTION_ATTR = {
-    "rates": "rates",
-    "cavity": "cavity",
-    "drive": "drive",
-    "orientation": "orientation",
-    "constants": "constants",
-}
-
 
 def config_to_dict(config: ModelConfig) -> dict:
     """JSON-ready nested dict with explicit units."""
@@ -93,7 +85,7 @@ def config_to_dict(config: ModelConfig) -> dict:
                 "coupling_override": None if override is None
                 else {"value": override, "unit": "rad/s"}}
             continue
-        part = getattr(config, _SECTION_ATTR[section])
+        part = getattr(config, section)
         sec: dict = {}
         for name, unit in fields.items():
             value = getattr(part, name)
@@ -155,7 +147,7 @@ def config_from_dict(data: dict) -> ModelConfig:
                 f"missing fields in [{section}]: {sorted(missing)}")
         kwargs = {name: _parse_value(section, name, sec[name])
                   for name in sec}
-        parts[_SECTION_ATTR[section]] = cls(**kwargs)
+        parts[section] = cls(**kwargs)
     override = None
     if "gain" in data:
         payload = data["gain"].get("coupling_override")
@@ -303,14 +295,13 @@ def _apply_one(config: ModelConfig, key: str, value) -> ModelConfig:
         return dataclasses.replace(config,
                                    gain_coupling_override=_as_float(key,
                                                                     value))
-    attr = _SECTION_ATTR[section]
-    part = getattr(config, attr)
+    part = getattr(config, section)
     if unit == "str":
         new_part = dataclasses.replace(part, **{name: str(value)})
     else:
         new_part = dataclasses.replace(part,
                                        **{name: _as_float(key, value)})
-    return dataclasses.replace(config, **{attr: new_part})
+    return dataclasses.replace(config, **{section: new_part})
 
 
 def _as_float(key: str, value) -> float:

@@ -12,6 +12,8 @@ magnitude), so integration uses LSODA (ODEPACK; Petzold, SIAM J. Sci.
 Stat. Comput. 4, 136, 1983) with the analytic Jacobian.  LSODA switches
 between Adams and BDF formulas on its own and takes BDF on nearly every
 step here; its step loop and linear algebra are compiled code.
+``scipy.integrate`` is imported on the first integration, not with the
+package, so the steady-state path loads no scipy module.
 
 Time-domain operations are defined for single_orientation configurations;
 a four_orientation ensemble would need parallel copies of the level block.
@@ -21,16 +23,16 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
 
 from .errors import (ConvergenceError, DegenerateStepError,
                      InvalidConfigError, NoSignalError, StiffnessError)
 from .model import (DerivedQuantities, ModelConfig, b_field_to_detuning,
-                    derive_constants, output_power, with_drive)
-from .steady import PopulationState, rate_matrix, solve_steady_state
+                    derive_constants, with_drive)
+from .steady import (PopulationState, _brent_root, rate_matrix,
+                     solve_steady_state)
 
 logger = logging.getLogger("ltmag.dynamics")
 
@@ -259,6 +261,16 @@ def _sanitize(t: np.ndarray, states: np.ndarray, rtol: float,
     return series
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, imported on the first call.
+
+    A module global that ``_solve`` looks up at call time, so a wrapper
+    or a test double put in its place sees every integration.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
+
+
 def _solve(config: ModelConfig, y0: np.ndarray, t_span: tuple[float, float],
            modulation: DriveModulation, rtol: float, atol: float,
            max_step: float = np.inf, dense: bool = False,
@@ -295,8 +307,6 @@ def integrate(config: ModelConfig, y0: np.ndarray,
 def _first_crossing(dense_sol, t_lo: float, t_hi: float, target: float,
                     rising: bool, samples: int = 4096) -> float | None:
     """Earliest time where the interpolated n(t) crosses ``target``."""
-    from scipy.optimize import brentq
-
     ts = np.linspace(t_lo, t_hi, samples)
     n = dense_sol(ts)[9]
     f = n - target if rising else target - n
@@ -306,8 +316,9 @@ def _first_crossing(dense_sol, t_lo: float, t_hi: float, target: float,
     if idx.size == 0:
         return None
     i = int(idx[0])
-    return float(brentq(lambda t: float(dense_sol(t)[9]) - target,
-                        ts[i - 1], ts[i], rtol=1e-13))
+    return _brent_root(lambda t: float(dense_sol(t)[9]) - target,
+                       ts[i - 1], ts[i], rtol=1e-13, xtol=2e-12,
+                       maxiter=100)
 
 
 def step_response(config: ModelConfig, delta_before: float,
@@ -326,6 +337,8 @@ def step_response(config: ModelConfig, delta_before: float,
     state at the end of the last one, and the segments' dense outputs are
     joined into one trajectory.
     """
+    from scipy.integrate import OdeSolution
+
     _require_single_orientation(config, "step_response")
     if delta_after == delta_before:
         raise DegenerateStepError(

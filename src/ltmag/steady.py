@@ -15,9 +15,18 @@ rates G*n.  The full steady state is therefore found in two stages:
    the Sherman-Morrison-Woodbury identity each sub-ensemble's inversion
    is then 1^T (I - s C)^-1 z0 = (a + b s) / (1 - tr(C) s + det(C) s^2),
    and the root of the weighted sum of these ratios minus kappa is
-   bracketed and refined by ``brentq`` on that cheap rational function.
-   Net gain decreases monotonically with n (stimulated emission burns the
-   inversion), so a bracketed scalar root is enough.
+   bracketed and refined on that cheap rational function by
+   ``_brent_root``, a line-for-line port of scipy's ``brentq`` (Brent's
+   method; R. P. Brent, *Algorithms for Minimization without
+   Derivatives*, 1973, ch. 4).  Net gain decreases monotonically with n
+   (stimulated emission burns the inversion), so a bracketed scalar root
+   is enough.  The port performs scipy's floating-point operations in
+   scipy's order, so every root is bit-identical to ``brentq``'s while
+   the steady-state path loads no scipy module.  It must stay bit-exact:
+   the lasing n seeds ``dynamics.step_response``, and LSODA follows the
+   last bits of its initial state.  A root one ulp away makes the
+   1e8 -> 1.2e8 step on ``baseline`` stall in Adams mode, with steps
+   near 1/L31.
 
 If the zero-photon gain is not positive there is no lasing solution and
 the n = 0 branch is returned, reusing the populations of that decision.
@@ -32,10 +41,10 @@ independently of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (ConvergenceError, DegenerateConfigError, NotLasableError)
 from .model import (DerivedQuantities, ModelConfig, derive_constants,
@@ -320,9 +329,107 @@ def _closed_form_gain(config: ModelConfig, d: DerivedQuantities):
     return gain
 
 
+def _root_error(message: str, iterations: int, bracket, x: float,
+                fx: float) -> ConvergenceError:
+    return ConvergenceError(message, detail={
+        "iterations": iterations, "bracket": tuple(sorted(bracket)),
+        "x": x, "f": fx})
+
+
+def _brent_root(f, a: float, b: float, *, rtol: float, xtol: float,
+                maxiter: int) -> float:
+    """Root of ``f`` in [a, b] by Brent's method.
+
+    A line-for-line port of scipy's ``brentq`` (``brentq.c``): the same
+    floating-point operations in the same order, with C's ``signbit``
+    mirrored by ``math.copysign``, so the root is bit-identical to
+    scipy's (see the module docstring for why that matters).  Returns an
+    endpoint at which f is exactly zero.  Raises ConvergenceError, with
+    ``iterations``, ``bracket``, ``x`` and ``f`` in its detail, when f
+    returns NaN, when f(a) and f(b) share a sign, or when ``maxiter``
+    iterations end unconverged.  ``bracket`` is [a, b] before the first
+    iteration and afterwards the interval that held the root before ``x``
+    was evaluated.
+    """
+    copysign = math.copysign
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = float(f(xpre))
+    if fpre != fpre:
+        raise _root_error("root function returned NaN", 0, (a, b), xpre,
+                          fpre)
+    fcur = float(f(xcur))
+    if fcur != fcur:
+        raise _root_error("root function returned NaN", 0, (a, b), xcur,
+                          fcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if copysign(1.0, fpre) == copysign(1.0, fcur):
+        raise _root_error("root function has the same sign at both ends",
+                          0, (a, b), xcur, fcur)
+    for iterations in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 \
+                and copysign(1.0, fpre) != copysign(1.0, fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # a product of small slopes can underflow to 0; C then
+                # gives inf or nan, and either fails the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise _root_error("root function returned NaN", iterations,
+                              (xpre, xblk), xcur, fcur)
+    raise _root_error(f"root not converged after {maxiter} iterations",
+                      maxiter, (xpre, xblk), xcur, fcur)
+
+
 def _gain_root(gain) -> float:
     """Photon number where ``gain`` (positive at n = 0, decreasing)
-    crosses zero: geometric bracket from 1e-6, then ``brentq``."""
+    crosses zero: geometric bracket from 1e-6, then ``_brent_root`` to
+    relative precision 1e-12.  The root is bit-identical to ``brentq``'s
+    with the same arguments, and must stay so: the time domain starts
+    from this n, and LSODA follows its last bits (see the module
+    docstring)."""
     hi = 1e-6
     g_hi = gain(hi)
     while g_hi > 0.0:
@@ -332,7 +439,8 @@ def _gain_root(gain) -> float:
                 "gain stayed positive up to the photon-number cap",
                 detail={"last_bracket": (hi / 4.0, hi), "gain_at_cap": g_hi})
         g_hi = gain(hi)
-    return brentq(gain, 0.0, hi, rtol=_N_ROOT_RTOL, xtol=1e-300, maxiter=200)
+    return _brent_root(gain, 0.0, hi, rtol=_N_ROOT_RTOL, xtol=1e-300,
+                       maxiter=200)
 
 
 def _steady_result(config: ModelConfig, d: DerivedQuantities, n: float,
@@ -418,7 +526,7 @@ def threshold_pump(config: ModelConfig, delta: float | None = None,
         raise ConvergenceError(
             "zero-photon gain is not monotone in the pump on the bracket",
             detail={"bracket": (lo, hi), "gain_samples": seq})
-    return brentq(g, lo, hi, rtol=1e-12, xtol=1e-300, maxiter=200)
+    return _brent_root(g, lo, hi, rtol=1e-12, xtol=1e-300, maxiter=200)
 
 
 def find_operating_point(config: ModelConfig,

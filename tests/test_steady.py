@@ -29,7 +29,8 @@ def _with_mode(config, mode):
 
 
 def _direct_root(config):
-    """Gain root by the bracket and brentq on full fixed-n solves."""
+    """Gain root by the bracket and the Brent root (bit-identical to
+    scipy's brentq, see test_brent_root.py) on full fixed-n solves."""
     d = derive_constants(config)
     return steady._gain_root(lambda n: net_gain(config, n, derived=d))
 
