@@ -18,18 +18,18 @@ import sys
 import numpy as np
 
 from . import __about__
-from .configio import config_digest, resolve_config, save_config
+from .configio import (config_digest, get_param, param_unit, resolve_config,
+                       save_config, set_param)
 from .dynamics import ac_response, step_response
 from .errors import (ConvergenceError, InvalidConfigError, LtmagError,
                      PhysicsDomainError)
 from .experiments import EXPERIMENT_NAMES, experiment
-from .model import (b_field_to_detuning, derive_constants,
-                    detuning_to_b_field, output_power, PRESET_NAMES)
+from .model import derive_constants, output_power, PRESET_NAMES
 from .sensitivity import (AcSignalModel, METHOD_AC_QUASISTATIC,
                           METHOD_AC_TIME, ac_sensitivity, dc_sensitivity,
                           dc_sensitivity_curve, optimize_sensitivity,
-                          _param_value)
-from .steady import find_operating_point, solve_steady_state
+                          _PARAM_PATHS)
+from .steady import POPULATION_NAMES, find_operating_point, solve_steady_state
 from .sweeps import SweepAxis, SweepSpec, run_sweep
 from .tables import Column, OutputTable
 
@@ -85,22 +85,17 @@ def _cmd_steady_state(args) -> int:
     if args.b_field is not None and args.delta is not None:
         raise InvalidConfigError("give either --delta or --b-field")
     if args.b_field is not None:
-        from .model import with_bias_field
-        config = with_bias_field(config, args.b_field)
+        config = set_param(config, "b_field", args.b_field)
     elif args.delta is not None:
-        from .model import with_drive
-        config = with_drive(config, delta=args.delta)
+        config = set_param(config, "drive.delta", args.delta)
     ss = solve_steady_state(config)
     d = derive_constants(config)
     cols = [Column("delta", "rad/s"), Column("b_field", "T"),
             Column("n", "1"), Column("P_out", "W"), Column("branch", ""),
             Column("net_gain", "rad/s"), Column("residual", "1")]
     pops = ss.aligned
-    cols += [Column(name, "1") for name in
-             ("rho11", "rho22", "rho33", "rho44", "rho55", "rho66",
-              "rho77", "rho14_re", "rho14_im")]
-    row = (config.drive.delta,
-           detuning_to_b_field(config.drive.delta, config.constants),
+    cols += [Column(name, "1") for name in POPULATION_NAMES]
+    row = (config.drive.delta, get_param(config, "b_field"),
            ss.n, output_power(ss.n, config, d), ss.branch, ss.net_gain,
            ss.residual, *pops.as_array().tolist())
     _emit(OutputTable(columns=tuple(cols), rows=[row],
@@ -248,8 +243,8 @@ def _cmd_optimize(args) -> int:
     row = [outcome.start_eta, outcome.eta, outcome.b_field,
            outcome.evaluations, "true" if outcome.converged else "false"]
     for name in outcome.varied:
-        cols.append(Column(f"best_{name}", "rad/s"))
-        row.append(_param_value(outcome.config, name))
+        cols.append(Column(f"best_{name}", param_unit(_PARAM_PATHS[name])))
+        row.append(get_param(outcome.config, _PARAM_PATHS[name]))
     table = OutputTable(columns=tuple(cols), rows=[tuple(row)],
                         provenance=_provenance(args, config))
     _emit(table, args)

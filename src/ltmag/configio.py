@@ -10,6 +10,9 @@ Two on-disk formats carry the same schema:
 Units are fixed per field and validated on read; a config written with
 the wrong unit string is rejected rather than converted.  Overrides use
 dotted paths matching the section names (``drive.omega=3.67e6``).
+
+These paths, plus the derived ``b_field`` and ``pump``, form the one
+parameter registry (``param_unit``, ``get_param``, ``set_param``).
 """
 
 from __future__ import annotations
@@ -23,15 +26,14 @@ import os
 
 from .constants import PhysicalConstants
 from .errors import InvalidConfigError
-from .model import (CavityGeometry, DriveSettings, LevelRates, ModelConfig,
-                    OrientationModel, preset)
+from .model import (RATE_FIELDS, CavityGeometry, DriveSettings, LevelRates,
+                    ModelConfig, OrientationModel, detuning_to_b_field,
+                    preset, with_bias_field, with_pump)
 
 # (section, field) -> unit string; None marks dimensionless numbers and
 # "str" marks plain tokens.
 _SCHEMA: dict[str, dict[str, str | None]] = {
-    "rates": {name: "rad/s" for name in
-              ("L21", "L23", "L31", "L54", "L56", "L64",
-               "L57", "L71", "L74", "L27", "gamma14")},
+    "rates": dict.fromkeys(RATE_FIELDS, "rad/s"),
     "cavity": {
         "kappa": "rad/s",
         "medium_volume": "m^3",
@@ -66,6 +68,13 @@ _SCHEMA: dict[str, dict[str, str | None]] = {
     },
 }
 
+# The parameter registry: every readable and settable path and its unit.
+# b_field (stored as drive.delta) and pump (both branch pumps) are
+# derived, so config files and overrides do not carry them.
+_UNITS = {f"{section}.{name}": unit for section, fields in _SCHEMA.items()
+          for name, unit in fields.items()}
+_UNITS.update(b_field="T", pump="rad/s")
+
 # Each section name is also the ModelConfig attribute that holds it.
 _SECTION_TYPES = {
     "rates": LevelRates,
@@ -75,26 +84,66 @@ _SECTION_TYPES = {
     "constants": PhysicalConstants,
 }
 
+
+def param_unit(path: str) -> str | None:
+    """Unit of a parameter path; None is dimensionless, "str" a token."""
+    if path not in _UNITS:
+        raise InvalidConfigError(f"unknown parameter path {path!r}")
+    return _UNITS[path]
+
+
+def get_param(config: ModelConfig, path: str):
+    """Value of a parameter path (``pump`` reads the m_s=0 branch)."""
+    param_unit(path)
+    if path == "b_field":
+        return detuning_to_b_field(config.drive.delta, config.constants)
+    if path == "pump":
+        return config.drive.pump12
+    if path == "gain.coupling_override":
+        return config.gain_coupling_override
+    section, _, name = path.partition(".")
+    return getattr(getattr(config, section), name)
+
+
+def set_param(config: ModelConfig, path: str, value) -> ModelConfig:
+    """Copy of config with one parameter path set.
+
+    Numbers may be given as strings; ``"none"`` clears the gain override.
+    """
+    unit = param_unit(path)
+    if unit == "str":
+        value = str(value)
+    elif (path == "gain.coupling_override" and isinstance(value, str)
+          and value.lower() == "none"):
+        value = None
+    else:
+        try:
+            value = float(value)
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfigError(
+                f"{path}: bad number {value!r}") from exc
+    if path == "b_field":
+        return with_bias_field(config, value)
+    if path == "pump":
+        return with_pump(config, value)
+    if path == "gain.coupling_override":
+        return dataclasses.replace(config, gain_coupling_override=value)
+    section, _, name = path.partition(".")
+    part = dataclasses.replace(getattr(config, section), **{name: value})
+    return dataclasses.replace(config, **{section: part})
+
+
 def config_to_dict(config: ModelConfig) -> dict:
     """JSON-ready nested dict with explicit units."""
     out: dict = {}
     for section, fields in _SCHEMA.items():
-        if section == "gain":
-            override = config.gain_coupling_override
-            out["gain"] = {
-                "coupling_override": None if override is None
-                else {"value": override, "unit": "rad/s"}}
-            continue
-        part = getattr(config, section)
         sec: dict = {}
         for name, unit in fields.items():
-            value = getattr(part, name)
-            if unit == "str":
+            value = get_param(config, f"{section}.{name}")
+            if unit == "str" or value is None:
                 sec[name] = value
-            elif unit is None:
-                sec[name] = {"value": float(value), "unit": "1"}
             else:
-                sec[name] = {"value": float(value), "unit": unit}
+                sec[name] = {"value": float(value), "unit": unit or "1"}
         out[section] = sec
     return out
 
@@ -131,6 +180,9 @@ def config_from_dict(data: dict) -> ModelConfig:
     for required in ("rates", "cavity", "drive"):
         if required not in data:
             raise InvalidConfigError(f"missing config section [{required}]")
+    for section, sec in data.items():
+        if not isinstance(sec, dict):
+            raise InvalidConfigError(f"[{section}] must be an object")
     parts = {}
     for section, cls in _SECTION_TYPES.items():
         if section not in data:
@@ -148,11 +200,9 @@ def config_from_dict(data: dict) -> ModelConfig:
         kwargs = {name: _parse_value(section, name, sec[name])
                   for name in sec}
         parts[section] = cls(**kwargs)
-    override = None
-    if "gain" in data:
-        payload = data["gain"].get("coupling_override")
-        if payload is not None:
-            override = _parse_value("gain", "coupling_override", payload)
+    payload = data.get("gain", {}).get("coupling_override")
+    override = (None if payload is None
+                else _parse_value("gain", "coupling_override", payload))
     return ModelConfig(gain_coupling_override=override, **parts)
 
 
@@ -190,10 +240,7 @@ def _ini_parse(text: str) -> ModelConfig:
             raise InvalidConfigError(f"unknown config section [{section}]")
         sec: dict = {}
         for name, raw in parser[section].items():
-            if name not in _SCHEMA[section]:
-                raise InvalidConfigError(
-                    f"unknown field {name!r} in [{section}]")
-            unit = _SCHEMA[section][name]
+            unit = param_unit(f"{section}.{name}")
             raw = raw.strip()
             if unit == "str":
                 sec[name] = raw
@@ -277,39 +324,12 @@ def apply_overrides(config: ModelConfig, overrides) -> ModelConfig:
             items.append((key.strip(), value.strip()))
     cfg = config
     for key, value in items:
-        cfg = _apply_one(cfg, key, value)
+        # the derived paths have no section and are not overridable
+        if "." not in key:
+            raise InvalidConfigError(
+                f"override path {key!r} must be section.field")
+        cfg = set_param(cfg, key, value)
     return cfg
-
-
-def _apply_one(config: ModelConfig, key: str, value) -> ModelConfig:
-    if "." not in key:
-        raise InvalidConfigError(
-            f"override path {key!r} must be section.field")
-    section, _, name = key.partition(".")
-    if section not in _SCHEMA or name not in _SCHEMA[section]:
-        raise InvalidConfigError(f"unknown override path {key!r}")
-    unit = _SCHEMA[section][name]
-    if section == "gain":
-        if isinstance(value, str) and value.lower() == "none":
-            return dataclasses.replace(config, gain_coupling_override=None)
-        return dataclasses.replace(config,
-                                   gain_coupling_override=_as_float(key,
-                                                                    value))
-    part = getattr(config, section)
-    if unit == "str":
-        new_part = dataclasses.replace(part, **{name: str(value)})
-    else:
-        new_part = dataclasses.replace(part,
-                                       **{name: _as_float(key, value)})
-    return dataclasses.replace(config, **{section: new_part})
-
-
-def _as_float(key: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigError(
-            f"override {key}: bad number {value!r}") from exc
 
 
 def config_digest(config: ModelConfig) -> str:

@@ -6,7 +6,10 @@ name or unit annotation says otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+
+from .errors import InvalidConfigError
 
 
 @dataclass(frozen=True)
@@ -23,10 +26,10 @@ class PhysicalConstants:
     carbon_site_density: float = 1.76e29  # 1 / m^3
 
     def __post_init__(self):
-        for name in ("hbar", "h", "c", "mu_bohr", "g_electron",
-                     "carbon_site_density"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"constant {name} must be positive")
+        for f in fields(self):
+            if not 0.0 < getattr(self, f.name) < math.inf:
+                raise InvalidConfigError(
+                    f"constant {f.name} must be finite and positive")
 
     @property
     def field_per_detuning(self) -> float:

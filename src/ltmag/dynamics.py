@@ -30,15 +30,13 @@ import numpy as np
 from .errors import (ConvergenceError, DegenerateStepError,
                      InvalidConfigError, NoSignalError, StiffnessError)
 from .model import (DerivedQuantities, ModelConfig, b_field_to_detuning,
-                    derive_constants, with_drive)
-from .steady import (PopulationState, _brent_root, rate_matrix,
-                     solve_steady_state)
+                    derive_constants, with_bias_field, with_drive)
+from .steady import (POPULATION_NAMES, PopulationState, _brent_root,
+                     rate_matrix, solve_steady_state)
 
 logger = logging.getLogger("ltmag.dynamics")
 
-TIMESERIES_COLUMNS = ("t", "rho11", "rho22", "rho33", "rho44", "rho55",
-                      "rho66", "rho77", "rho14_re", "rho14_im", "n",
-                      "P_out_W")
+TIMESERIES_COLUMNS = ("t", *POPULATION_NAMES, "n", "P_out_W")
 
 # Floor used to seed the photon number when starting from a dark state;
 # spontaneous emission into the mode is not modeled, so turn-on needs a
@@ -438,14 +436,11 @@ def ac_response(config: ModelConfig, bias_field: float,
     if omega_signal <= 0.0:
         raise InvalidConfigError("omega_signal must be > 0")
 
-    biased = with_drive(config, delta=b_field_to_detuning(
-        bias_field, config.constants))
+    biased = with_bias_field(config, bias_field)
     ss_bias = solve_steady_state(biased)
     edge_n = []
     for b in (bias_field - amplitude_field, bias_field + amplitude_field):
-        cfg = with_drive(config,
-                         delta=b_field_to_detuning(b, config.constants))
-        edge_n.append(solve_steady_state(cfg).n)
+        edge_n.append(solve_steady_state(with_bias_field(config, b)).n)
     if ss_bias.n == 0.0 and max(edge_n) == 0.0:
         raise NoSignalError(
             "below threshold across the whole modulation cycle")

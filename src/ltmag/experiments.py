@@ -22,8 +22,8 @@ import numpy as np
 from . import __about__
 from .configio import apply_overrides, config_digest
 from .errors import InvalidConfigError
-from .model import (ModelConfig, derive_constants, output_power, preset,
-                    with_bias_field, with_pump)
+from .model import (ModelConfig, derive_constants, detuning_to_b_field,
+                    output_power, preset, with_drive, with_pump)
 from .sensitivity import (AcSignalModel, METHOD_AC_QUASISTATIC,
                           ac_sensitivity, dc_sensitivity_curve,
                           l27_robustness)
@@ -46,7 +46,6 @@ def _pump_curve(config: ModelConfig, delta: float, pumps: np.ndarray,
                                  Column("P_out", "W")),
                         provenance=prov)
     d = derive_constants(config)
-    from .model import with_drive
     for pump in pumps:
         cfg = with_drive(with_pump(config, float(pump)), delta=delta)
         ss = solve_steady_state(cfg)
@@ -86,7 +85,6 @@ def _exp_fig2b(config: ModelConfig) -> dict[str, OutputTable]:
                                  Column("b_field", "T"),
                                  Column("n", "1"), Column("P_out", "W")),
                         provenance=prov)
-    from .model import detuning_to_b_field, with_drive
     for delta in np.linspace(-1.5e8, 1.5e8, 301):
         point = with_drive(cfg, delta=float(delta))
         ss = solve_steady_state(point)

@@ -82,15 +82,16 @@ class CavityGeometry:
             raise InvalidConfigError(f"kappa must be > 0, got {self.kappa!r}")
         for name in ("medium_volume", "cavity_volume", "vacuum_wavelength",
                      "emission_bandwidth"):
-            if getattr(self, name) <= 0.0:
-                raise InvalidConfigError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InvalidConfigError(f"{name} must be finite and > 0")
         if not 0.0 < self.nv_concentration <= 1.0:
             raise InvalidConfigError(
                 "nv_concentration is an atomic fraction in (0, 1]")
         if not 0.0 < self.nv_fraction <= 1.0:
             raise InvalidConfigError("nv_fraction must be in (0, 1]")
-        if self.refractive_index < 1.0:
-            raise InvalidConfigError("refractive_index must be >= 1")
+        if not 1.0 <= self.refractive_index < math.inf:
+            raise InvalidConfigError(
+                "refractive_index must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,8 @@ class DriveSettings:
 
     def __post_init__(self):
         for name in ("pump12", "pump45", "omega"):
-            if getattr(self, name) < 0.0:
-                raise InvalidConfigError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InvalidConfigError(f"{name} must be finite and >= 0")
         if not math.isfinite(self.delta):
             raise InvalidConfigError("delta must be finite")
 
@@ -134,6 +135,8 @@ class OrientationModel:
                 f"got {self.mode!r}")
         if not 0.0 < self.aligned_fraction <= 1.0:
             raise InvalidConfigError("aligned_fraction must be in (0, 1]")
+        if not math.isfinite(self.off_axis_detuning):
+            raise InvalidConfigError("off_axis_detuning must be finite")
 
 
 @dataclass(frozen=True)
@@ -151,8 +154,9 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.gain_coupling_override is not None:
-            if self.gain_coupling_override <= 0.0:
-                raise InvalidConfigError("gain_coupling_override must be > 0")
+            if not 0.0 < self.gain_coupling_override < math.inf:
+                raise InvalidConfigError(
+                    "gain_coupling_override must be finite and > 0")
 
 
 @dataclass(frozen=True)

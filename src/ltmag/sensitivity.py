@@ -27,11 +27,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .configio import get_param, set_param
 from .dynamics import ac_response
 from .errors import (BelowThresholdError, ConvergenceError,
                      InvalidConfigError, PhysicsDomainError)
-from .model import (ModelConfig, derive_constants, detuning_to_b_field,
-                    with_bias_field, with_drive, with_pump)
+from .model import ModelConfig, derive_constants, with_bias_field
 from .steady import solve_steady_state
 
 METHOD_DC = "dc_finite_difference"
@@ -325,38 +325,15 @@ def find_bias_point(config: ModelConfig, b_min: float, b_max: float, *,
     return dc_sensitivity(config, best_b)
 
 
-_PARAM_PATHS = {
-    "kappa": ("cavity", "kappa"),
-    "pump": ("drive", "pump"),
-    "omega": ("drive", "omega"),
-}
+# optimization parameter name -> parameter registry path
+_PARAM_PATHS = {"kappa": "cavity.kappa", "pump": "pump",
+                "omega": "drive.omega"}
 
 
 def _apply_params(config: ModelConfig, names, values) -> ModelConfig:
-    cfg = config
     for name, value in zip(names, values):
-        value = float(value)
-        if name == "kappa":
-            cfg = replace(cfg, cavity=replace(cfg.cavity, kappa=value))
-        elif name == "pump":
-            cfg = with_pump(cfg, value)
-        elif name == "omega":
-            cfg = with_drive(cfg, omega=value)
-        else:
-            raise InvalidConfigError(
-                f"unknown optimization parameter {name!r}; "
-                f"expected one of {sorted(_PARAM_PATHS)}")
-    return cfg
-
-
-def _param_value(config: ModelConfig, name: str) -> float:
-    if name == "kappa":
-        return config.cavity.kappa
-    if name == "pump":
-        return config.drive.pump12
-    if name == "omega":
-        return config.drive.omega
-    raise InvalidConfigError(f"unknown optimization parameter {name!r}")
+        config = set_param(config, _PARAM_PATHS[name], value)
+    return config
 
 
 def best_eta_over_field(config: ModelConfig, b_min: float, b_max: float, *,
@@ -430,9 +407,14 @@ def optimize_sensitivity(config: ModelConfig, *,
         if name not in _PARAM_PATHS:
             raise InvalidConfigError(
                 f"unknown optimization parameter {name!r}")
+        if not get_param(config, _PARAM_PATHS[name]) > 0.0:
+            raise InvalidConfigError(
+                f"optimization parameter {name} must start > 0 to be "
+                "varied on a log scale")
     from scipy.optimize import minimize
 
-    start = np.array([math.log10(_param_value(config, n)) for n in vary])
+    start = np.array([math.log10(get_param(config, _PARAM_PATHS[n]))
+                      for n in vary])
     lo = start - bounds_decades
     hi = start + bounds_decades
     start_eta, start_b = best_eta_over_field(
@@ -485,8 +467,7 @@ def l27_robustness(config: ModelConfig,
     b_grid = np.asarray(b_grid, dtype=float)
 
     def curve_for(ratio):
-        cfg = replace(config, rates=replace(
-            config.rates, L27=ratio * config.rates.L57))
+        cfg = set_param(config, "rates.L27", ratio * config.rates.L57)
         return dc_sensitivity_curve(cfg, b_grid)
 
     base = curve_for(0.0)

@@ -42,13 +42,13 @@ independently of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import (ConvergenceError, DegenerateConfigError, NotLasableError)
 from .model import (DerivedQuantities, ModelConfig, derive_constants,
-                    with_pump)
+                    with_drive, with_pump)
 
 BELOW_THRESHOLD = "below_threshold"
 LASING = "lasing"
@@ -113,6 +113,10 @@ class PopulationState:
         if v.shape != (9,):
             raise ValueError(f"expected 9 components, got shape {v.shape}")
         return cls(*(float(x) for x in v))
+
+
+# Column names of a population state, in the state-vector order.
+POPULATION_NAMES = tuple(f.name for f in fields(PopulationState))
 
 
 @dataclass(frozen=True)
@@ -496,8 +500,7 @@ def threshold_pump(config: ModelConfig, delta: float | None = None,
     pump below ``pump_ceiling`` reaches threshold.
     """
     if delta is not None:
-        config = replace(config,
-                         drive=replace(config.drive, delta=delta))
+        config = with_drive(config, delta=delta)
 
     def g(pump):
         cfg = with_pump(config, pump)
@@ -539,6 +542,5 @@ def find_operating_point(config: ModelConfig,
     the plain optical threshold.
     """
     if omega is not None:
-        config = replace(config,
-                         drive=replace(config.drive, omega=omega))
+        config = with_drive(config, omega=omega)
     return threshold_pump(config, delta=0.0)

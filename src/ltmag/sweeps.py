@@ -1,35 +1,31 @@
 """Parameter sweeps over one or two axes.
 
-An axis is a dotted config path (``drive.delta``, ``drive.pump12``,
-``cavity.kappa``, ...) or one of two pseudo-paths: ``b_field`` sets the
-detuning from a bias field in tesla, ``pump`` moves both branch pump
-rates together.  With two axes the second one
-varies fastest, and row order is fully deterministic regardless of the
-execution backend.  Points where a solver raises a physics-domain or
-convergence error keep their axis cells and leave the value cells
-absent.
+An axis is any numeric path of the parameter registry in ``configio``:
+a dotted config path (``drive.delta``, ``drive.pump12``, ``cavity.kappa``,
+...) or one of the derived paths defined there, ``b_field`` (the
+detuning from a bias field in tesla) and ``pump`` (both branch pump
+rates together).  With two axes the second one varies fastest, and row
+order is fully deterministic regardless of the execution backend.
+Points where a solver raises a physics-domain or convergence error keep
+their axis cells and leave the value cells absent.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __about__
-from .configio import _SCHEMA, _apply_one, config_digest
-from .errors import (ConvergenceError, InvalidConfigError,
-                     PhysicsDomainError)
-from .model import (ModelConfig, derive_constants, output_power,
-                    with_bias_field, with_pump)
+from .configio import config_digest, get_param, param_unit, set_param
+from .errors import (BelowThresholdError, ConvergenceError,
+                     InvalidConfigError, PhysicsDomainError)
+from .model import ModelConfig, derive_constants, output_power
 from .sensitivity import dc_sensitivity
-from .steady import solve_steady_state
+from .steady import POPULATION_NAMES, solve_steady_state
 from .tables import Column, OutputTable
-
-_POP_FIELDS = ("rho11", "rho22", "rho33", "rho44", "rho55", "rho66",
-               "rho77", "rho14_re", "rho14_im")
 
 # output name -> columns it contributes
 OUTPUTS: dict[str, tuple[Column, ...]] = {
@@ -37,7 +33,7 @@ OUTPUTS: dict[str, tuple[Column, ...]] = {
     "P_out": (Column("P_out", "W"),),
     "branch": (Column("branch", ""),),
     "net_gain": (Column("net_gain", "rad/s"),),
-    "populations": tuple(Column(name, "1") for name in _POP_FIELDS),
+    "populations": tuple(Column(name, "1") for name in POPULATION_NAMES),
     "eta_dc": (Column("eta_dc", "T/sqrt(Hz)"),),
 }
 
@@ -72,17 +68,10 @@ class SweepAxis:
 
 
 def _axis_unit(path: str) -> str:
-    if path in ("b_field",):
-        return "T"
-    if path == "pump":
-        return "rad/s"
-    if "." in path:
-        section, _, name = path.partition(".")
-        unit = _SCHEMA.get(section, {}).get(name, "missing")
-        if unit == "missing" or unit == "str":
-            raise InvalidConfigError(f"cannot sweep path {path!r}")
-        return unit if unit is not None else "1"
-    raise InvalidConfigError(f"cannot sweep path {path!r}")
+    unit = param_unit(path)
+    if unit == "str":
+        raise InvalidConfigError(f"cannot sweep path {path!r}")
+    return unit or "1"
 
 
 @dataclass(frozen=True)
@@ -101,14 +90,6 @@ class SweepSpec:
             raise InvalidConfigError("sweep needs at least one output")
 
 
-def _apply_axis(config: ModelConfig, path: str, value: float) -> ModelConfig:
-    if path == "b_field":
-        return with_bias_field(config, value)
-    if path == "pump":
-        return with_pump(config, value)
-    return _apply_one(config, path, value)
-
-
 def _eval_point(payload) -> tuple:
     """Evaluate all requested outputs at one grid point.
 
@@ -118,7 +99,7 @@ def _eval_point(payload) -> tuple:
     config, assignments, outputs = payload
     cells: list = [value for _, value in assignments]
     for path, value in assignments:
-        config = _apply_axis(config, path, float(value))
+        config = set_param(config, path, value)
     try:
         ss = solve_steady_state(config)
     except (PhysicsDomainError, ConvergenceError):
@@ -143,10 +124,7 @@ def _eval_point(payload) -> tuple:
 
 
 def _eta_cell(config: ModelConfig, derived) -> float | None:
-    from .errors import BelowThresholdError
-    from .model import detuning_to_b_field
-
-    b = detuning_to_b_field(config.drive.delta, config.constants)
+    b = get_param(config, "b_field")
     try:
         res = dc_sensitivity(config, b)
     except (BelowThresholdError, ConvergenceError):

@@ -56,6 +56,13 @@ def test_set_override_changes_result(capsys):
     assert n_hot > n_base
 
 
+def test_bad_set_values_are_config_errors(capsys):
+    for bad in ("drive.pump12=nan", "cavity.emission_bandwidth=inf",
+                "constants.c=-1"):
+        code, out, err = _run(capsys, "steady-state", "--set", bad)
+        assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_config_file_input(tmp_path, capsys):
     path = tmp_path / "cfg.ini"
     save_config(preset("high_sensitivity"), path)

@@ -2,12 +2,16 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
-from ltmag import (InvalidConfigError, apply_overrides, config_digest,
-                   config_from_dict, config_to_dict, load_config, preset,
-                   resolve_config, save_config)
+from ltmag import (InvalidConfigError, apply_overrides, b_field_to_detuning,
+                   config_digest, config_from_dict, config_to_dict,
+                   load_config, preset, resolve_config, save_config)
+from ltmag.configio import _UNITS, get_param, param_unit, set_param
+
+FLOAT_PATHS = [path for path, unit in _UNITS.items() if unit != "str"]
 
 
 @pytest.mark.parametrize("ext", ["json", "ini", "cfg", "txt"])
@@ -103,7 +107,8 @@ def test_override_mapping_form(baseline_config):
 
 
 def test_override_rejects_bad_paths(baseline_config):
-    for bad in ["omega=5e6", "drive.phase=1", "drive.omega", "drive.omega=x"]:
+    for bad in ["omega=5e6", "drive.phase=1", "drive.omega", "drive.omega=x",
+                "b_field=1e-4", "pump=1e6"]:
         with pytest.raises(InvalidConfigError):
             apply_overrides(baseline_config, [bad])
 
@@ -127,3 +132,58 @@ def test_resolve_config_precedence(tmp_path, high_sens_config):
     assert resolve_config("high_sensitivity", None) == high_sens_config
     with pytest.raises(InvalidConfigError):
         resolve_config("baseline", str(path))
+
+
+def test_integer_gain_override_digest_survives_round_trip(baseline_config):
+    cfg = dataclasses.replace(baseline_config,
+                              gain_coupling_override=250000000)
+    back = config_from_dict(config_to_dict(cfg))
+    assert config_digest(back) == config_digest(cfg)
+
+
+def test_section_that_is_not_an_object_rejected(baseline_config):
+    for section in ("rates", "cavity", "orientation", "gain"):
+        data = config_to_dict(baseline_config)
+        data[section] = 5
+        with pytest.raises(InvalidConfigError):
+            config_from_dict(data)
+
+
+def test_registry_units():
+    assert param_unit("cavity.kappa") == "rad/s"
+    assert param_unit("cavity.nv_fraction") is None
+    assert param_unit("orientation.mode") == "str"
+    assert param_unit("gain.coupling_override") == "rad/s"
+    assert param_unit("b_field") == "T"
+    assert param_unit("pump") == "rad/s"
+    for bad in ("kappa", "drive.phase", "drive", "gain.none", ""):
+        with pytest.raises(InvalidConfigError):
+            param_unit(bad)
+
+
+def test_registry_get_and_set(baseline_config):
+    for path in FLOAT_PATHS:
+        value = get_param(baseline_config, path)
+        if value is not None:
+            assert set_param(baseline_config, path, value) == baseline_config
+    cfg = set_param(baseline_config, "pump", "2e6")
+    assert cfg.drive.pump12 == cfg.drive.pump45 == get_param(cfg, "pump")
+    assert get_param(cfg, "pump") == 2e6
+    cfg = set_param(baseline_config, "b_field", 1e-4)
+    assert cfg.drive.delta == b_field_to_detuning(1e-4)
+    assert get_param(cfg, "b_field") == pytest.approx(1e-4, rel=1e-15)
+    cfg = set_param(cfg, "gain.coupling_override", 3e8)
+    assert get_param(cfg, "gain.coupling_override") == 3e8
+    cfg = set_param(cfg, "gain.coupling_override", "None")
+    assert cfg.gain_coupling_override is None
+    cfg = set_param(cfg, "orientation.mode", "four_orientation")
+    assert get_param(cfg, "orientation.mode") == "four_orientation"
+    with pytest.raises(InvalidConfigError):
+        set_param(cfg, "cavity.kappa", "fast")
+
+
+@pytest.mark.parametrize("path", FLOAT_PATHS)
+def test_every_float_path_rejects_non_finite(baseline_config, path):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidConfigError):
+            set_param(baseline_config, path, bad)

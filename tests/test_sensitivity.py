@@ -10,7 +10,7 @@ from ltmag import (AcSignalModel, BelowThresholdError, InvalidConfigError,
                    METHOD_AC_QUASISTATIC, METHOD_AC_TIME, METHOD_DC,
                    ac_sensitivity, best_eta_over_field, dc_sensitivity,
                    dc_sensitivity_curve, find_bias_point, l27_robustness,
-                   optimize_sensitivity, with_pump)
+                   optimize_sensitivity, with_drive, with_pump)
 
 BIAS = 164e-6
 
@@ -145,6 +145,12 @@ def test_optimize_sensitivity_improves_and_is_deterministic(
 def test_optimize_sensitivity_rejects_unknown_knob(high_sens_config):
     with pytest.raises(InvalidConfigError):
         optimize_sensitivity(high_sens_config, vary=("finesse",))
+
+
+def test_optimize_sensitivity_rejects_zero_start(high_sens_config):
+    with pytest.raises(InvalidConfigError):
+        optimize_sensitivity(with_drive(high_sens_config, omega=0.0),
+                             vary=("omega",))
 
 
 def test_l27_zero_ratio_is_bit_identical(high_sens_config):

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ltmag import (BELOW_THRESHOLD, ConvergenceError, DegenerateConfigError,
-                   LASING, LevelRates, NotLasableError, OrientationModel,
+from ltmag import (BELOW_THRESHOLD, OUTPUTS, ConvergenceError,
+                   DegenerateConfigError, LASING, LevelRates,
+                   NotLasableError, OrientationModel,
                    derive_constants, find_operating_point, net_gain,
                    populations_at_fixed_n, solve_steady_state,
                    threshold_pump, with_drive, with_pump)
 from ltmag import steady
+from ltmag.dynamics import TIMESERIES_COLUMNS
 from ltmag.steady import PopulationState
 
 # Bounded, reproducible property runs: fixed example counts, no timing
@@ -174,6 +176,14 @@ def test_population_state_invariants():
     assert state.coherence_mag() == pytest.approx(np.hypot(0.1, 0.2))
     arr = state.as_array()
     assert PopulationState.from_array(arr) == state
+
+
+def test_population_column_names():
+    names = ("rho11", "rho22", "rho33", "rho44", "rho55", "rho66", "rho77",
+             "rho14_re", "rho14_im")
+    assert steady.POPULATION_NAMES == names
+    assert TIMESERIES_COLUMNS == ("t", *names, "n", "P_out_W")
+    assert tuple(col.name for col in OUTPUTS["populations"]) == names
 
 
 def test_explicit_delta_overrides_drive(baseline_config):
