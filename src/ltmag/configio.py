@@ -183,16 +183,16 @@ def config_from_dict(data: dict) -> ModelConfig:
     for section, sec in data.items():
         if not isinstance(sec, dict):
             raise InvalidConfigError(f"[{section}] must be an object")
+        bad = set(sec) - set(_SCHEMA[section])
+        if bad:
+            raise InvalidConfigError(
+                f"unknown fields in [{section}]: {sorted(bad)}")
     parts = {}
     for section, cls in _SECTION_TYPES.items():
         if section not in data:
             continue
         sec = data[section]
         known = _SCHEMA[section]
-        bad = set(sec) - set(known)
-        if bad:
-            raise InvalidConfigError(
-                f"unknown fields in [{section}]: {sorted(bad)}")
         missing = set(known) - set(sec)
         if missing and section in ("rates", "cavity", "drive"):
             raise InvalidConfigError(

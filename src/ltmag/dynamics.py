@@ -45,6 +45,11 @@ DEFAULT_SEED_N = 1e-6
 
 _TRACE_TOL = 1e-9
 
+# samples of a step response's trajectory, and of the coarse scan that
+# brackets each threshold crossing before the root refines it
+_OUTPUT_POINTS = 2001
+_CROSSING_SAMPLES = 4096
+
 
 @dataclass(frozen=True)
 class DriveModulation:
@@ -78,8 +83,8 @@ class DriveModulation:
     @classmethod
     def sine_field(cls, bias_field: float, amplitude_field: float,
                    omega_signal: float) -> "DriveModulation":
-        if omega_signal <= 0.0:
-            raise InvalidConfigError("omega_signal must be > 0")
+        if not 0.0 < omega_signal < math.inf:
+            raise InvalidConfigError("omega_signal must be finite and > 0")
         return cls(kind="sine_field", bias_field=bias_field,
                    amplitude_field=amplitude_field,
                    omega_signal=omega_signal)
@@ -271,15 +276,14 @@ def solve_ivp(*args, **kwargs):
 
 def _solve(config: ModelConfig, y0: np.ndarray, t_span: tuple[float, float],
            modulation: DriveModulation, rtol: float, atol: float,
-           max_step: float = np.inf, dense: bool = False,
-           t_eval=None):
+           max_step: float = np.inf, dense: bool = False):
     """One LSODA integration of the full system with the analytic
     Jacobian; raises ``StiffnessError`` when the integrator gives up."""
     d = derive_constants(config)
     sol = solve_ivp(
         rhs, t_span, np.asarray(y0, dtype=float),
         method="LSODA", rtol=rtol, atol=atol, max_step=max_step,
-        dense_output=dense, t_eval=t_eval,
+        dense_output=dense,
         args=(config, modulation, d),
         jac=lambda t, y, *args: jacobian(t, y, config, modulation, d))
     if not sol.success:
@@ -291,21 +295,19 @@ def _solve(config: ModelConfig, y0: np.ndarray, t_span: tuple[float, float],
 
 def integrate(config: ModelConfig, y0: np.ndarray,
               t_span: tuple[float, float], modulation: DriveModulation,
-              *, rtol: float = 1e-10, atol: float = 1e-14,
-              t_eval=None, max_step: float = np.inf) -> TimeSeries:
+              *, rtol: float = 1e-10, atol: float = 1e-14) -> TimeSeries:
     """Integrate the full system over t_span and validate the trajectory."""
     _require_single_orientation(config, "integrate")
     if len(y0) != 10:
         raise InvalidConfigError("initial state must have 10 components")
-    sol = _solve(config, y0, t_span, modulation, rtol, atol,
-                 max_step=max_step, t_eval=t_eval)
+    sol = _solve(config, y0, t_span, modulation, rtol, atol)
     return _sanitize(sol.t, sol.y.T, rtol, atol)
 
 
 def _first_crossing(dense_sol, t_lo: float, t_hi: float, target: float,
-                    rising: bool, samples: int = 4096) -> float | None:
+                    rising: bool) -> float | None:
     """Earliest time where the interpolated n(t) crosses ``target``."""
-    ts = np.linspace(t_lo, t_hi, samples)
+    ts = np.linspace(t_lo, t_hi, _CROSSING_SAMPLES)
     n = dense_sol(ts)[9]
     f = n - target if rising else target - n
     if f[0] >= 0.0:
@@ -322,7 +324,6 @@ def _first_crossing(dense_sol, t_lo: float, t_hi: float, target: float,
 def step_response(config: ModelConfig, delta_before: float,
                   delta_after: float, *, seed_n: float | None = None,
                   rtol: float = 1e-10, atol: float = 1e-14,
-                  output_points: int = 2001,
                   max_doublings: int = 10) -> ResponseResult:
     """Photon-number response to an instantaneous detuning step at t = 0.
 
@@ -399,7 +400,7 @@ def step_response(config: ModelConfig, delta_before: float,
             detail={"horizon": t_start, "n_final_target": n_f,
                     "n_end": float(y[9]), "extensions": extensions,
                     **work})
-    ts = np.linspace(0.0, dense.ts[-1], output_points)
+    ts = np.linspace(0.0, dense.ts[-1], _OUTPUT_POINTS)
     series = _sanitize(ts, dense(ts).T, rtol, atol)
     return ResponseResult(t_63=t_63, t_90=t_90, n_initial=n_i, n_final=n_f,
                           delta_before=delta_before,
@@ -431,10 +432,10 @@ def ac_response(config: ModelConfig, bias_field: float,
         raise InvalidConfigError("demodulation needs at least 10 periods")
     if samples_per_period < 8:
         raise InvalidConfigError("need at least 8 samples per period")
-    if amplitude_field <= 0.0:
-        raise InvalidConfigError("amplitude_field must be > 0")
-    if omega_signal <= 0.0:
-        raise InvalidConfigError("omega_signal must be > 0")
+    if not 0.0 < amplitude_field < math.inf:
+        raise InvalidConfigError("amplitude_field must be finite and > 0")
+    if not 0.0 < omega_signal < math.inf:
+        raise InvalidConfigError("omega_signal must be finite and > 0")
 
     biased = with_bias_field(config, bias_field)
     ss_bias = solve_steady_state(biased)

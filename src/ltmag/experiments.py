@@ -15,8 +15,6 @@ named OutputTables.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import __about__
@@ -104,8 +102,7 @@ def _sensitivity_table(config: ModelConfig, b_grid: np.ndarray,
         if res is None:
             table.append((float(b), None, None, None))
         else:
-            table.append((float(b), res.n, res.slope_dn_db,
-                          res.eta if not res.diverged else math.inf))
+            table.append((float(b), res.n, res.slope_dn_db, res.eta))
     return table
 
 
@@ -160,8 +157,7 @@ def _exp_fig4(config: ModelConfig) -> dict[str, OutputTable]:
             if res is None:
                 table.append((float(b), None))
             else:
-                table.append((float(b),
-                              res.eta if not res.diverged else math.inf))
+                table.append((float(b), res.eta))
         out[f"ratio_{ratio:g}"] = table
     summary = OutputTable(columns=(Column("l27_ratio", "1"),
                                    Column("common_points", "1"),

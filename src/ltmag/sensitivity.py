@@ -45,6 +45,12 @@ DEFAULT_EXCESS_NOISE = 2.43
 _SLOPE_TARGET_REL = 1e-3
 _MAX_HALVINGS = 40
 
+# field searches: find_bias_point's coarse grid and zoom rounds, and
+# best_eta_over_field's golden-section iterations
+_BIAS_COARSE_POINTS = 41
+_BIAS_REFINE_ROUNDS = 4
+_GOLDEN_ITERS = 16
+
 
 @dataclass(frozen=True)
 class AcSignalModel:
@@ -56,12 +62,12 @@ class AcSignalModel:
     excess_noise: float = DEFAULT_EXCESS_NOISE
 
     def __post_init__(self):
-        if self.amplitude_field <= 0.0:
-            raise InvalidConfigError("amplitude_field must be > 0")
-        if self.omega_signal <= 0.0:
-            raise InvalidConfigError("omega_signal must be > 0")
-        if self.excess_noise < 1.0:
-            raise InvalidConfigError("excess_noise must be >= 1")
+        if not 0.0 < self.amplitude_field < math.inf:
+            raise InvalidConfigError("amplitude_field must be finite and > 0")
+        if not 0.0 < self.omega_signal < math.inf:
+            raise InvalidConfigError("omega_signal must be finite and > 0")
+        if not 1.0 <= self.excess_noise < math.inf:
+            raise InvalidConfigError("excess_noise must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -117,39 +123,22 @@ class RobustnessReport:
     common_points: dict
 
 
-def _n_at_field(config: ModelConfig, b_field: float) -> float:
-    return solve_steady_state(with_bias_field(config, b_field)).n
-
-
-class _SlopeFloor(Exception):
-    """Internal: slope below the resolvable floor."""
-
-    def __init__(self, slope, step):
-        self.slope = slope
-        self.step = step
-
-
 def _slope_dn_db(config: ModelConfig, b_field: float,
-                 h0: float | None = None,
-                 target_rel: float = _SLOPE_TARGET_REL):
+                 h0: float | None = None):
     """Adaptive central-difference slope with Richardson extrapolation.
 
     Halves the step until the two-point Richardson error estimate is below
-    ``target_rel``; shrinks further if a stencil point falls below
+    ``_SLOPE_TARGET_REL``; shrinks further if a stencil point falls below
     threshold (the slope at a point near the lasing edge must be
     one-sided in field but the stencil must stay on the lasing branch).
-    Raises _SlopeFloor when the measured slope is too small to
-    distinguish from root-solver noise.
+    Returns (slope, step, relative error); the error is None when the
+    measured slope is too small to distinguish from root-solver noise.
     """
     h = h0 if h0 is not None else max(1e-3 * abs(b_field), 1e-9)
-
-    def stencil(step):
-        vals = [_n_at_field(config, b_field + s)
-                for s in (-step, -0.5 * step, 0.5 * step, step)]
-        return vals
-
     for _ in range(_MAX_HALVINGS):
-        n_m2, n_m1, n_p1, n_p2 = stencil(h)
+        n_m2, n_m1, n_p1, n_p2 = (
+            solve_steady_state(with_bias_field(config, b_field + s)).n
+            for s in (-h, -0.5 * h, 0.5 * h, h))
         if min(n_m2, n_m1, n_p1, n_p2) <= 0.0 and h > 1e-15:
             # stencil straddles the lasing edge; tighten around the point
             h *= 0.5
@@ -160,8 +149,8 @@ def _slope_dn_db(config: ModelConfig, b_field: float,
         slope = s_h2 + (s_h2 - s_h) / 3.0
         floor = 1e-10 * max(n_p2, n_m2, n_p1, n_m1) / h
         if abs(slope) <= 10.0 * floor:
-            raise _SlopeFloor(slope, h)
-        if err <= target_rel * abs(slope):
+            return slope, h, None
+        if err <= _SLOPE_TARGET_REL * abs(slope):
             return slope, h, err / abs(slope)
         h *= 0.5
     raise ConvergenceError(
@@ -169,9 +158,16 @@ def _slope_dn_db(config: ModelConfig, b_field: float,
         detail={"b_field": b_field, "last_step": h})
 
 
-def _shot_factor(config: ModelConfig, n: float, derived=None) -> float:
-    d = derived if derived is not None else derive_constants(config)
+def _shot_factor(config: ModelConfig, n: float) -> float:
+    d = derive_constants(config)
     return math.sqrt(n / (d.n_centers * config.cavity.kappa))
+
+
+def _ac_eta(config: ModelConfig, signal: AcSignalModel, n_signal: float,
+            n_mean: float) -> float:
+    d = derive_constants(config)
+    return (signal.amplitude_field / n_signal) * math.sqrt(
+        n_mean * signal.excess_noise / (d.n_centers * config.cavity.kappa))
 
 
 def dc_sensitivity(config: ModelConfig, b_field: float, *,
@@ -180,24 +176,29 @@ def dc_sensitivity(config: ModelConfig, b_field: float, *,
 
     Raises BelowThresholdError when there is no output at the bias.  A
     vanishing slope (symmetry point of the output curve) is reported as
-    a diverged result with eta = +inf.
+    a diverged result with eta = +inf and no ``fd_rel_error``.
     """
     ss = solve_steady_state(with_bias_field(config, b_field))
     if ss.n <= 0.0:
         raise BelowThresholdError(
             f"no optical output at B = {b_field:.6e} T")
     shot = _shot_factor(config, ss.n)
-    try:
-        slope, step, rel_err = _slope_dn_db(config, b_field, h0=h0)
-    except _SlopeFloor as fl:
-        return SensitivityResult(
-            eta=math.inf, b_field=b_field, n=ss.n, slope_dn_db=fl.slope,
-            shot_factor=shot, method=METHOD_DC, diverged=True,
-            fd_step=fl.step, fd_rel_error=None)
+    slope, step, rel_err = _slope_dn_db(config, b_field, h0=h0)
+    diverged = rel_err is None
     return SensitivityResult(
-        eta=shot / abs(slope), b_field=b_field, n=ss.n,
-        slope_dn_db=slope, shot_factor=shot, method=METHOD_DC,
-        diverged=False, fd_step=step, fd_rel_error=rel_err)
+        eta=math.inf if diverged else shot / abs(slope), b_field=b_field,
+        n=ss.n, slope_dn_db=slope, shot_factor=shot, method=METHOD_DC,
+        diverged=diverged, fd_step=step, fd_rel_error=rel_err)
+
+
+def _dc_point(config: ModelConfig, b_field: float
+              ) -> SensitivityResult | None:
+    """dc_sensitivity, or None where the point is dark or its solve
+    does not converge: the one rule of every field scan."""
+    try:
+        return dc_sensitivity(config, b_field)
+    except (BelowThresholdError, ConvergenceError):
+        return None
 
 
 def dc_sensitivity_curve(config: ModelConfig, b_grid
@@ -226,26 +227,17 @@ def ac_sensitivity(config: ModelConfig, signal: AcSignalModel, *,
     by |dn/dB| * B_S, valid when the signal period is long compared with
     the laser response time.
     """
-    d = derive_constants(config)
     if method == METHOD_AC_QUASISTATIC:
-        base = dc_sensitivity(config, signal.bias_field)
+        base = replace(dc_sensitivity(config, signal.bias_field),
+                       method=METHOD_AC_QUASISTATIC,
+                       amplitude_field=signal.amplitude_field,
+                       omega_signal=signal.omega_signal,
+                       excess_noise=signal.excess_noise)
         if base.diverged:
-            return replace(base, method=METHOD_AC_QUASISTATIC,
-                           amplitude_field=signal.amplitude_field,
-                           omega_signal=signal.omega_signal,
-                           excess_noise=signal.excess_noise)
+            return base
         n_signal = abs(base.slope_dn_db) * signal.amplitude_field
-        eta = (signal.amplitude_field / n_signal) * math.sqrt(
-            base.n * signal.excess_noise
-            / (d.n_centers * config.cavity.kappa))
-        return SensitivityResult(
-            eta=eta, b_field=signal.bias_field, n=base.n,
-            slope_dn_db=base.slope_dn_db, shot_factor=base.shot_factor,
-            method=METHOD_AC_QUASISTATIC, diverged=False,
-            fd_step=base.fd_step, fd_rel_error=base.fd_rel_error,
-            n_signal=n_signal, omega_signal=signal.omega_signal,
-            amplitude_field=signal.amplitude_field,
-            excess_noise=signal.excess_noise)
+        return replace(base, eta=_ac_eta(config, signal, n_signal, base.n),
+                       n_signal=n_signal)
     if method != METHOD_AC_TIME:
         raise InvalidConfigError(
             f"unknown a.c. method {method!r}; expected "
@@ -259,70 +251,53 @@ def ac_sensitivity(config: ModelConfig, signal: AcSignalModel, *,
 def sensitivity_from_harmonic(config: ModelConfig, signal: AcSignalModel,
                               harmonic) -> SensitivityResult:
     """Sensitivity from an already-demodulated response (a HarmonicResult)."""
-    d = derive_constants(config)
     if harmonic.n_signal <= 0.0:
         raise PhysicsDomainError("demodulated amplitude is zero")
-    eta = (signal.amplitude_field / harmonic.n_signal) * math.sqrt(
-        harmonic.n_mean * signal.excess_noise
-        / (d.n_centers * config.cavity.kappa))
-    slope_equiv = harmonic.n_signal / signal.amplitude_field
     return SensitivityResult(
-        eta=eta, b_field=signal.bias_field, n=harmonic.n_mean,
-        slope_dn_db=slope_equiv,
-        shot_factor=math.sqrt(harmonic.n_mean
-                              / (d.n_centers * config.cavity.kappa)),
+        eta=_ac_eta(config, signal, harmonic.n_signal, harmonic.n_mean),
+        b_field=signal.bias_field, n=harmonic.n_mean,
+        slope_dn_db=harmonic.n_signal / signal.amplitude_field,
+        shot_factor=_shot_factor(config, harmonic.n_mean),
         method=METHOD_AC_TIME, diverged=False, n_signal=harmonic.n_signal,
         omega_signal=signal.omega_signal,
         amplitude_field=signal.amplitude_field,
         excess_noise=signal.excess_noise)
 
 
-def find_bias_point(config: ModelConfig, b_min: float, b_max: float, *,
-                    coarse_points: int = 41,
-                    refine_rounds: int = 4) -> SensitivityResult:
+def find_bias_point(config: ModelConfig, b_min: float,
+                    b_max: float) -> SensitivityResult:
     """Bias field maximizing |dn/dB| inside [b_min, b_max].
 
-    Searches a coarse grid, then repeatedly zooms around the best point.
-    The output-vs-field curve is symmetric in B, so two mirror maximizers
-    can exist; exact ties are broken toward positive field.
+    Searches a coarse grid, then repeatedly zooms around the best point;
+    a diverged point scores zero.  The output-vs-field curve is symmetric
+    in B, so two mirror maximizers can exist; exact ties are broken
+    toward positive field.
     """
     if b_max <= b_min:
         raise InvalidConfigError("need b_max > b_min")
 
-    def slope_at(b):
-        try:
-            slope, _, _ = _slope_dn_db(config, b)
-            return abs(slope)
-        except (_SlopeFloor, BelowThresholdError):
-            return 0.0
-        except ConvergenceError:
-            return 0.0
-
     lo, hi = float(b_min), float(b_max)
-    points = coarse_points
-    best_b = None
-    for _ in range(refine_rounds):
-        grid = np.linspace(lo, hi, points)
-        # skip dark points cheaply before paying for adaptive slopes
-        lasing = [b for b in grid
-                  if _n_at_field(config, float(b)) > 0.0]
-        if not lasing:
+    points = _BIAS_COARSE_POINTS
+    for _ in range(_BIAS_REFINE_ROUNDS):
+        results = [_dc_point(config, float(b))
+                   for b in np.linspace(lo, hi, points)]
+        scored = [(0.0 if r.diverged else abs(r.slope_dn_db), r.b_field, r)
+                  for r in results if r is not None]
+        if not scored:
             raise BelowThresholdError(
                 "no lasing output anywhere in the search window")
-        scored = [(slope_at(float(b)), float(b)) for b in lasing]
-        # mirror maximizers differ only by grid roundoff; treat slopes
-        # within a hair of the top as tied and settle toward positive B
         top = max(sb[0] for sb in scored)
-        tied = [sb for sb in scored if sb[0] >= top * (1.0 - 1e-9)]
-        best = max(tied, key=lambda sb: (sb[1] > 0.0, sb[1]))
         if top == 0.0:
             raise PhysicsDomainError(
                 "output does not vary with field anywhere in the window")
-        best_b = best[1]
+        # mirror maximizers differ only by grid roundoff; treat slopes
+        # within a hair of the top as tied and settle toward positive B
+        tied = [sb for sb in scored if sb[0] >= top * (1.0 - 1e-9)]
+        best = max(tied, key=lambda sb: (sb[1] > 0.0, sb[1]))
         width = (hi - lo) / (points - 1)
-        lo, hi = best_b - width, best_b + width
+        lo, hi = best[1] - width, best[1] + width
         points = 21
-    return dc_sensitivity(config, best_b)
+    return best[2]
 
 
 # optimization parameter name -> parameter registry path
@@ -337,23 +312,19 @@ def _apply_params(config: ModelConfig, names, values) -> ModelConfig:
 
 
 def best_eta_over_field(config: ModelConfig, b_min: float, b_max: float, *,
-                        grid_points: int = 25,
-                        refine_iters: int = 16) -> tuple[float, float]:
+                        grid_points: int = 25) -> tuple[float, float]:
     """Smallest finite d.c. sensitivity over a field window.
 
     Returns (eta, b).  Coarse grid scan followed by golden-section
     refinement between the neighbours of the best grid point.  Raises
     BelowThresholdError when nothing in the window lases.
     """
+    def eta_at(b):
+        res = _dc_point(config, float(b))
+        return math.inf if res is None else res.eta
+
     grid = np.linspace(b_min, b_max, grid_points)
-    etas = []
-    for b in grid:
-        try:
-            res = dc_sensitivity(config, float(b))
-            etas.append(res.eta if not res.diverged else math.inf)
-        except (BelowThresholdError, ConvergenceError):
-            etas.append(math.inf)
-    etas = np.asarray(etas)
+    etas = np.asarray([eta_at(b) for b in grid])
     if not np.any(np.isfinite(etas)):
         raise BelowThresholdError(
             "no finite sensitivity anywhere in the field window")
@@ -361,20 +332,13 @@ def best_eta_over_field(config: ModelConfig, b_min: float, b_max: float, *,
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid_points - 1)]
 
-    def eta_at(b):
-        try:
-            res = dc_sensitivity(config, float(b))
-            return res.eta if not res.diverged else math.inf
-        except (BelowThresholdError, ConvergenceError):
-            return math.inf
-
     # golden-section shrink on the bracket
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - invphi * (b - a)
     dpt = a + invphi * (b - a)
     fc, fd = eta_at(c), eta_at(dpt)
-    for _ in range(refine_iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc <= fd:
             b, dpt, fd = dpt, c, fc
             c = b - invphi * (b - a)
@@ -384,8 +348,7 @@ def best_eta_over_field(config: ModelConfig, b_min: float, b_max: float, *,
             dpt = a + invphi * (b - a)
             fd = eta_at(dpt)
     candidates = [(fc, c), (fd, dpt), (float(etas[k]), float(grid[k]))]
-    best = min(candidates, key=lambda eb: eb[0])
-    return best
+    return min(candidates, key=lambda eb: eb[0])
 
 
 def optimize_sensitivity(config: ModelConfig, *,

@@ -490,14 +490,13 @@ def solve_steady_state(config: ModelConfig,
     return _steady_result(config, d, n_root, LASING, states, gain)
 
 
-def threshold_pump(config: ModelConfig, delta: float | None = None,
-                   pump_ceiling: float = _BRACKET_CAP) -> float:
+def threshold_pump(config: ModelConfig, delta: float | None = None) -> float:
     """Pump rate at which zero-photon net gain crosses zero (rad/s).
 
     Both branch pumps are varied together.  Gain must increase
     monotonically along the bracket; a non-monotone profile aborts rather
     than returning an arbitrary crossing.  Raises NotLasableError when no
-    pump below ``pump_ceiling`` reaches threshold.
+    pump below ``_BRACKET_CAP`` (1e12 rad/s) reaches threshold.
     """
     if delta is not None:
         config = with_drive(config, delta=delta)
@@ -515,10 +514,10 @@ def threshold_pump(config: ModelConfig, delta: float | None = None,
     g_hi = g(hi)
     while g_hi <= 0.0:
         hi *= 2.0
-        if hi > pump_ceiling:
+        if hi > _BRACKET_CAP:
             raise NotLasableError(
-                f"no lasing threshold below pump {pump_ceiling:.3e} rad/s",
-                pump_ceiling=pump_ceiling)
+                f"no lasing threshold below pump {_BRACKET_CAP:.3e} rad/s",
+                pump_ceiling=_BRACKET_CAP)
         g_hi = g(hi)
     lo = 0.0
     # Sanity-check monotonicity on the bracket before trusting the root.

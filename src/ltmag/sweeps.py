@@ -12,7 +12,6 @@ their axis cells and leave the value cells absent.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -20,10 +19,9 @@ import numpy as np
 
 from . import __about__
 from .configio import config_digest, get_param, param_unit, set_param
-from .errors import (BelowThresholdError, ConvergenceError,
-                     InvalidConfigError, PhysicsDomainError)
+from .errors import ConvergenceError, InvalidConfigError, PhysicsDomainError
 from .model import ModelConfig, derive_constants, output_power
-from .sensitivity import dc_sensitivity
+from .sensitivity import _dc_point
 from .steady import POPULATION_NAMES, solve_steady_state
 from .tables import Column, OutputTable
 
@@ -119,21 +117,12 @@ def _eval_point(payload) -> tuple:
         elif name == "populations":
             cells.extend(ss.aligned.as_array().tolist())
         elif name == "eta_dc":
-            cells.append(_eta_cell(config, d))
+            res = _dc_point(config, get_param(config, "b_field"))
+            cells.append(None if res is None else res.eta)
     return tuple(cells)
 
 
-def _eta_cell(config: ModelConfig, derived) -> float | None:
-    b = get_param(config, "b_field")
-    try:
-        res = dc_sensitivity(config, b)
-    except (BelowThresholdError, ConvergenceError):
-        return None
-    return res.eta if not res.diverged else math.inf
-
-
 def run_sweep(config: ModelConfig, spec: SweepSpec, *, parallel: bool = True,
-              max_workers: int | None = None,
               provenance: dict | None = None) -> OutputTable:
     """Evaluate the sweep grid and return one row per point.
 
@@ -159,7 +148,7 @@ def run_sweep(config: ModelConfig, spec: SweepSpec, *, parallel: bool = True,
 
     if parallel and len(payloads) >= 32:
         chunk = max(1, len(payloads) // 64)
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        with ProcessPoolExecutor() as pool:
             rows = list(pool.map(_eval_point, payloads, chunksize=chunk))
     else:
         rows = [_eval_point(p) for p in payloads]

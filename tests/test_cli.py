@@ -136,6 +136,19 @@ def test_ac_command(capsys):
         == pytest.approx(1.3764e-10, rel=0.01)
 
 
+@pytest.mark.parametrize("argv", [
+    ("ac", "--amplitude", "1e-9", "--omega", "nan"),
+    ("ac", "--amplitude", "1e-9", "--omega", "inf"),
+    ("ac", "--amplitude", "nan", "--omega", "2e5"),
+    ("sensitivity-ac", "--amplitude", "1e-9", "--omega", "2e5",
+     "--method", "ac_quasistatic", "--excess-noise", "nan"),
+])
+def test_non_finite_ac_inputs_are_config_errors(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--preset", "high_sensitivity",
+                          "--bias", "164e-6")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_sensitivity_dc_point_and_grid(capsys):
     code, out, _ = _run(capsys, "sensitivity-dc", "--preset",
                         "high_sensitivity", "--b-field", "164e-6")

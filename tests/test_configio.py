@@ -65,11 +65,13 @@ def test_wrong_unit_rejected(tmp_path, baseline_config):
 def test_unknown_field_rejected(tmp_path, baseline_config):
     path = tmp_path / "cfg.json"
     save_config(baseline_config, path)
-    data = json.loads(path.read_text())
-    data["cavity"]["finesse"] = {"value": 1.0, "unit": "1"}
-    path.write_text(json.dumps(data))
-    with pytest.raises(InvalidConfigError):
-        load_config(path)
+    text = path.read_text()
+    for section, name in (("cavity", "finesse"), ("gain", "foo")):
+        data = json.loads(text)
+        data[section][name] = {"value": 1.0, "unit": "1"}
+        path.write_text(json.dumps(data))
+        with pytest.raises(InvalidConfigError, match=rf"\[{section}\]"):
+            load_config(path)
 
 
 def test_ini_empty_value_rejected(tmp_path, baseline_config):

@@ -309,6 +309,21 @@ def test_ac_response_validates_resolution(high_sens_config):
                     samples_per_period=4)
 
 
+@pytest.mark.parametrize("amplitude, omega", [
+    (1e-9, math.nan), (1e-9, math.inf), (math.nan, 2e5), (math.inf, 2e5)])
+def test_ac_response_rejects_non_finite_signal(high_sens_config, amplitude,
+                                               omega):
+    with pytest.raises(InvalidConfigError):
+        ac_response(high_sens_config, bias_field=164e-6,
+                    amplitude_field=amplitude, omega_signal=omega)
+
+
+@pytest.mark.parametrize("omega", [0.0, math.nan, math.inf])
+def test_sine_field_rejects_bad_omega(omega):
+    with pytest.raises(InvalidConfigError):
+        DriveModulation.sine_field(1e-4, 1e-9, omega)
+
+
 def test_time_domain_rejects_four_orientation(baseline_config):
     four = dataclasses.replace(
         baseline_config,

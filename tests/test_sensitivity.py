@@ -37,6 +37,19 @@ def test_dc_sensitivity_diverges_at_symmetry_point(baseline_config):
     res = dc_sensitivity(baseline_config, 0.0)
     assert res.diverged
     assert res.eta == math.inf
+    assert res.fd_rel_error is None
+
+
+def test_quasistatic_ac_at_diverged_point(baseline_config):
+    signal = AcSignalModel(bias_field=0.0, amplitude_field=1e-9,
+                           omega_signal=2e4)
+    res = ac_sensitivity(baseline_config, signal,
+                         method=METHOD_AC_QUASISTATIC)
+    assert res.diverged
+    assert res.eta == math.inf
+    assert res.method == METHOD_AC_QUASISTATIC
+    assert res.n_signal is None
+    assert res.excess_noise == signal.excess_noise
 
 
 def test_dc_curve_marks_dark_points_absent(high_sens_config):
@@ -98,6 +111,13 @@ def test_ac_signal_validation():
     with pytest.raises(InvalidConfigError):
         AcSignalModel(bias_field=BIAS, amplitude_field=1e-9,
                       omega_signal=2e5, excess_noise=0.5)
+    for field in ("amplitude_field", "omega_signal", "excess_noise"):
+        for value in (math.nan, math.inf):
+            kwargs = dict(bias_field=BIAS, amplitude_field=1e-9,
+                          omega_signal=2e5)
+            kwargs[field] = value
+            with pytest.raises(InvalidConfigError):
+                AcSignalModel(**kwargs)
 
 
 def test_find_bias_point_frozen_value(high_sens_config):
@@ -112,6 +132,11 @@ def test_find_bias_point_breaks_ties_toward_positive(high_sens_config):
     assert res.b_field > 0.0
 
 
+def test_find_bias_point_returns_dc_sensitivity(high_sens_config):
+    res = find_bias_point(high_sens_config, 100e-6, 300e-6)
+    assert res == dc_sensitivity(high_sens_config, res.b_field)
+
+
 def test_best_eta_over_field(high_sens_config):
     eta, b = best_eta_over_field(high_sens_config, 0.0, 300e-6)
     # the sensitivity keeps improving toward the lasing edge where the
@@ -120,6 +145,7 @@ def test_best_eta_over_field(high_sens_config):
     assert 125e-6 < b < 150e-6
     at_bias = dc_sensitivity(high_sens_config, BIAS).eta
     assert eta < at_bias
+    assert eta == dc_sensitivity(high_sens_config, b).eta
 
 
 def test_best_eta_over_field_dark_window(high_sens_config):
