@@ -24,7 +24,7 @@ from .dynamics import ac_response, step_response
 from .errors import (ConvergenceError, InvalidConfigError, LtmagError,
                      PhysicsDomainError)
 from .experiments import EXPERIMENT_NAMES, experiment
-from .model import derive_constants, output_power, PRESET_NAMES
+from .model import output_power, PRESET_NAMES
 from .sensitivity import (AcSignalModel, METHOD_AC_QUASISTATIC,
                           METHOD_AC_TIME, ac_sensitivity, dc_sensitivity,
                           dc_sensitivity_curve, optimize_sensitivity,
@@ -89,14 +89,13 @@ def _cmd_steady_state(args) -> int:
     elif args.delta is not None:
         config = set_param(config, "drive.delta", args.delta)
     ss = solve_steady_state(config)
-    d = derive_constants(config)
     cols = [Column("delta", "rad/s"), Column("b_field", "T"),
             Column("n", "1"), Column("P_out", "W"), Column("branch", ""),
             Column("net_gain", "rad/s"), Column("residual", "1")]
     pops = ss.aligned
     cols += [Column(name, "1") for name in POPULATION_NAMES]
     row = (config.drive.delta, get_param(config, "b_field"),
-           ss.n, output_power(ss.n, config, d), ss.branch, ss.net_gain,
+           ss.n, output_power(ss.n, config), ss.branch, ss.net_gain,
            ss.residual, *pops.as_array().tolist())
     _emit(OutputTable(columns=tuple(cols), rows=[row],
                       provenance=_provenance(args, config)), args)

@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateStepError,
                      InvalidConfigError, NoSignalError, StiffnessError)
-from .model import (DerivedQuantities, ModelConfig, b_field_to_detuning,
-                    derive_constants, with_bias_field, with_drive)
+from .model import (ModelConfig, b_field_to_detuning, with_bias_field,
+                    with_drive)
 from .steady import (POPULATION_NAMES, PopulationState, _brent_root,
                      rate_matrix, solve_steady_state)
 
@@ -57,15 +57,12 @@ class DriveModulation:
 
     kinds:
       * ``constant``: delta = delta0;
-      * ``step``: delta0 before ``step_time``, delta1 after;
       * ``sine_field``: delta follows a bias magnetic field plus a cosine
         test signal, bias_field + amplitude_field * cos(omega_signal t).
     """
 
     kind: str
     delta0: float = 0.0
-    delta1: float = 0.0
-    step_time: float = 0.0
     bias_field: float = 0.0
     amplitude_field: float = 0.0
     omega_signal: float = 0.0
@@ -73,12 +70,6 @@ class DriveModulation:
     @classmethod
     def constant(cls, delta: float) -> "DriveModulation":
         return cls(kind="constant", delta0=delta)
-
-    @classmethod
-    def step(cls, delta_before: float, delta_after: float,
-             step_time: float = 0.0) -> "DriveModulation":
-        return cls(kind="step", delta0=delta_before, delta1=delta_after,
-                   step_time=step_time)
 
     @classmethod
     def sine_field(cls, bias_field: float, amplitude_field: float,
@@ -92,8 +83,6 @@ class DriveModulation:
     def detuning(self, t: float, config: ModelConfig) -> float:
         if self.kind == "constant":
             return self.delta0
-        if self.kind == "step":
-            return self.delta0 if t < self.step_time else self.delta1
         if self.kind == "sine_field":
             b = (self.bias_field + self.amplitude_field
                  * math.cos(self.omega_signal * t))
@@ -124,13 +113,10 @@ class TimeSeries:
     def trace_drift(self) -> float:
         return float(np.max(np.abs(self.occupations.sum(axis=1) - 1.0)))
 
-    def final_state(self) -> np.ndarray:
-        return self.states[-1].copy()
-
     def to_csv(self, config: ModelConfig) -> str:
         """CSV with columns t, rho11..rho77, rho14_re, rho14_im, n, P_out_W
         (seconds and watts)."""
-        d = derive_constants(config)
+        d = config.derived
         scale = d.n_centers * config.cavity.kappa * d.photon_energy
         lines = [",".join(TIMESERIES_COLUMNS)]
         for ti, row in zip(self.t, self.states):
@@ -186,15 +172,13 @@ def _require_single_orientation(config: ModelConfig, what: str) -> None:
 
 
 def rhs(t: float, y: np.ndarray, config: ModelConfig,
-        modulation: DriveModulation,
-        derived: DerivedQuantities | None = None) -> np.ndarray:
+        modulation: DriveModulation) -> np.ndarray:
     """Full right-hand side at time t.
 
     The occupation block conserves the trace exactly and dn/dt vanishes
     identically at n = 0.
     """
-    d = derived if derived is not None else derive_constants(config)
-    g = d.gain_coupling
+    g = config.derived.gain_coupling
     delta = modulation.detuning(t, config)
     a = rate_matrix(config, g, y[9], delta)
     dy = np.empty(10)
@@ -205,10 +189,8 @@ def rhs(t: float, y: np.ndarray, config: ModelConfig,
 
 
 def jacobian(t: float, y: np.ndarray, config: ModelConfig,
-             modulation: DriveModulation,
-             derived: DerivedQuantities | None = None) -> np.ndarray:
-    d = derived if derived is not None else derive_constants(config)
-    g = d.gain_coupling
+             modulation: DriveModulation) -> np.ndarray:
+    g = config.derived.gain_coupling
     delta = modulation.detuning(t, config)
     a = rate_matrix(config, g, y[9], delta)
     jac = np.zeros((10, 10))
@@ -279,13 +261,12 @@ def _solve(config: ModelConfig, y0: np.ndarray, t_span: tuple[float, float],
            max_step: float = np.inf, dense: bool = False):
     """One LSODA integration of the full system with the analytic
     Jacobian; raises ``StiffnessError`` when the integrator gives up."""
-    d = derive_constants(config)
     sol = solve_ivp(
         rhs, t_span, np.asarray(y0, dtype=float),
         method="LSODA", rtol=rtol, atol=atol, max_step=max_step,
         dense_output=dense,
-        args=(config, modulation, d),
-        jac=lambda t, y, *args: jacobian(t, y, config, modulation, d))
+        args=(config, modulation),
+        jac=lambda t, y, *args: jacobian(t, y, config, modulation))
     if not sol.success:
         raise StiffnessError(f"time integration failed: {sol.message}",
                              detail={"t_reached": float(sol.t[-1]),

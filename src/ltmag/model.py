@@ -23,12 +23,18 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import InvalidConfigError
 
 RATE_FIELDS = ("L21", "L23", "L31", "L54", "L56", "L64",
                "L57", "L71", "L74", "L27", "gamma14")
+
+# Smallest nonzero pump or Rabi rate (rad/s).  Rates near the bottom of
+# the float range leave the steady-state matrix so badly scaled that its
+# solve gives occupations outside [0, 1] or overflows.
+MIN_DRIVE_RATE = 1e-300
 
 
 @dataclass(frozen=True)
@@ -105,8 +111,13 @@ class DriveSettings:
 
     def __post_init__(self):
         for name in ("pump12", "pump45", "omega"):
-            if not 0.0 <= getattr(self, name) < math.inf:
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
                 raise InvalidConfigError(f"{name} must be finite and >= 0")
+            if 0.0 < value < MIN_DRIVE_RATE:
+                raise InvalidConfigError(
+                    f"{name} must be 0 or >= {MIN_DRIVE_RATE:g} rad/s, "
+                    f"got {value!r}")
         if not math.isfinite(self.delta):
             raise InvalidConfigError("delta must be finite")
 
@@ -158,10 +169,17 @@ class ModelConfig:
                 raise InvalidConfigError(
                     "gain_coupling_override must be finite and > 0")
 
+    @cached_property
+    def derived(self) -> DerivedQuantities:
+        """``derive_constants(self)``, computed on first use.  The config
+        is frozen, so the cached value cannot go stale; it is not a field,
+        so equality, hashing and serialisation ignore it."""
+        return derive_constants(self)
+
 
 @dataclass(frozen=True)
 class DerivedQuantities:
-    """Quantities computed from a ModelConfig, cached by the solvers."""
+    """Quantities computed from a ModelConfig, cached on the config."""
 
     n_centers: float              # usable centers in the medium
     lase_frequency: float         # Hz, c / vacuum_wavelength
@@ -220,8 +238,7 @@ def detuning_to_b_field(delta: float,
     return delta * constants.field_per_detuning
 
 
-def output_power(n: float, config: ModelConfig,
-                 derived: DerivedQuantities | None = None) -> float:
+def output_power(n: float, config: ModelConfig) -> float:
     """Optical output power (W) for n photons per center.
 
     Every cavity loss event is counted as useful output:
@@ -229,7 +246,7 @@ def output_power(n: float, config: ModelConfig,
     """
     if n < 0.0:
         raise InvalidConfigError(f"photon number must be >= 0, got {n!r}")
-    d = derived if derived is not None else derive_constants(config)
+    d = config.derived
     return n * d.n_centers * config.cavity.kappa * d.photon_energy
 
 

@@ -31,7 +31,7 @@ from .configio import get_param, set_param
 from .dynamics import ac_response
 from .errors import (BelowThresholdError, ConvergenceError,
                      InvalidConfigError, PhysicsDomainError)
-from .model import ModelConfig, derive_constants, with_bias_field
+from .model import ModelConfig, with_bias_field
 from .steady import solve_steady_state
 
 METHOD_DC = "dc_finite_difference"
@@ -159,15 +159,14 @@ def _slope_dn_db(config: ModelConfig, b_field: float,
 
 
 def _shot_factor(config: ModelConfig, n: float) -> float:
-    d = derive_constants(config)
-    return math.sqrt(n / (d.n_centers * config.cavity.kappa))
+    return math.sqrt(n / (config.derived.n_centers * config.cavity.kappa))
 
 
 def _ac_eta(config: ModelConfig, signal: AcSignalModel, n_signal: float,
             n_mean: float) -> float:
-    d = derive_constants(config)
     return (signal.amplitude_field / n_signal) * math.sqrt(
-        n_mean * signal.excess_noise / (d.n_centers * config.cavity.kappa))
+        n_mean * signal.excess_noise
+        / (config.derived.n_centers * config.cavity.kappa))
 
 
 def dc_sensitivity(config: ModelConfig, b_field: float, *,
@@ -205,21 +204,16 @@ def dc_sensitivity_curve(config: ModelConfig, b_grid
                          ) -> list[SensitivityResult | None]:
     """dc_sensitivity over a field grid.
 
-    Below-threshold points are reported as None (absent), never as zero
-    sensitivity; diverged points keep their flag.
+    Points that are below threshold or whose solve does not converge are
+    reported as None (absent), never as zero sensitivity; diverged points
+    keep their flag.
     """
-    out = []
-    for b in np.asarray(b_grid, dtype=float):
-        try:
-            out.append(dc_sensitivity(config, float(b)))
-        except BelowThresholdError:
-            out.append(None)
-    return out
+    return [_dc_point(config, float(b))
+            for b in np.asarray(b_grid, dtype=float)]
 
 
 def ac_sensitivity(config: ModelConfig, signal: AcSignalModel, *,
-                   method: str = METHOD_AC_TIME, periods: int = 10,
-                   samples_per_period: int = 64) -> SensitivityResult:
+                   method: str = METHOD_AC_TIME) -> SensitivityResult:
     """Sensitivity to a small sinusoidal field at a bias point.
 
     ``ac_timedomain`` integrates the driven system and demodulates the
@@ -243,8 +237,7 @@ def ac_sensitivity(config: ModelConfig, signal: AcSignalModel, *,
             f"unknown a.c. method {method!r}; expected "
             f"{METHOD_AC_TIME!r} or {METHOD_AC_QUASISTATIC!r}")
     hr = ac_response(config, signal.bias_field, signal.amplitude_field,
-                     signal.omega_signal, periods=periods,
-                     samples_per_period=samples_per_period)
+                     signal.omega_signal)
     return sensitivity_from_harmonic(config, signal, hr)
 
 

@@ -47,8 +47,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (ConvergenceError, DegenerateConfigError, NotLasableError)
-from .model import (DerivedQuantities, ModelConfig, derive_constants,
-                    with_drive, with_pump)
+from .model import ModelConfig, with_drive, with_pump
 
 BELOW_THRESHOLD = "below_threshold"
 LASING = "lasing"
@@ -233,9 +232,7 @@ def _solve_linear(a: np.ndarray, rhs: np.ndarray | None = None
 
 
 def populations_at_fixed_n(config: ModelConfig, n: float,
-                           delta: float | None = None,
-                           derived: DerivedQuantities | None = None
-                           ) -> PopulationState:
+                           delta: float | None = None) -> PopulationState:
     """Steady occupations of one sub-ensemble at frozen photon number.
 
     ``delta`` defaults to the configured drive detuning.  Raises
@@ -250,12 +247,12 @@ def populations_at_fixed_n(config: ModelConfig, n: float,
         raise DegenerateConfigError(
             "all transition rates and drives are zero; occupations are "
             "undetermined")
-    d = derived if derived is not None else derive_constants(config)
+    g = config.derived.gain_coupling
     if delta is None:
         delta = config.drive.delta
-    a = rate_matrix(config, d.gain_coupling, n, delta)
+    a = rate_matrix(config, g, n, delta)
     v = _solve_linear(a)
-    scale = _max_rate(config, d.gain_coupling, n)
+    scale = _max_rate(config, g, n)
     residual = float(np.max(np.abs(a @ v))) / scale
     if residual > _LINEAR_RESIDUAL_RTOL:
         raise ConvergenceError(
@@ -279,33 +276,32 @@ def _gain_of_state(state: PopulationState, gain_coupling: float) -> float:
                             + (state.rho55 - state.rho66))
 
 
-def _ensemble_states(config: ModelConfig, n: float, d: DerivedQuantities
+def _ensemble_states(config: ModelConfig, n: float
                      ) -> tuple[tuple[PopulationState, ...], float]:
     """Direct fixed-n populations of every sub-ensemble and the net gain."""
+    g = config.derived.gain_coupling
     states = []
     total = 0.0
     for weight, delta in _ensembles(config):
-        state = populations_at_fixed_n(config, n, delta=delta, derived=d)
+        state = populations_at_fixed_n(config, n, delta=delta)
         states.append(state)
-        total += weight * _gain_of_state(state, d.gain_coupling)
+        total += weight * _gain_of_state(state, g)
     return tuple(states), total - config.cavity.kappa
 
 
-def net_gain(config: ModelConfig, n: float,
-             derived: DerivedQuantities | None = None) -> float:
+def net_gain(config: ModelConfig, n: float) -> float:
     """Photon growth rate d(ln n)/dt at frozen photon number (rad/s).
 
     Weighted over sub-ensembles in four_orientation mode, minus the
     cavity loss.
     """
-    d = derived if derived is not None else derive_constants(config)
-    return _ensemble_states(config, n, d)[1]
+    return _ensemble_states(config, n)[1]
 
 
-def _closed_form_gain(config: ModelConfig, d: DerivedQuantities):
+def _closed_form_gain(config: ModelConfig):
     """Net gain as a function of n from one n = 0 factorization per
     sub-ensemble (see the module docstring)."""
-    g = d.gain_coupling
+    g = config.derived.gain_coupling
     # Right-hand sides: the trace vector and the columns of W (the
     # stimulated exchange 2<->3 and 5<->6 enters as -G*n * W W^T).
     rhs = np.zeros((9, 3))
@@ -447,8 +443,8 @@ def _gain_root(gain) -> float:
                        maxiter=200)
 
 
-def _steady_result(config: ModelConfig, d: DerivedQuantities, n: float,
-                   branch: str, states: tuple[PopulationState, ...],
+def _steady_result(config: ModelConfig, n: float, branch: str,
+                   states: tuple[PopulationState, ...],
                    gain: float) -> SteadyStateResult:
     if branch == LASING \
             and abs(gain) > _GAIN_RESIDUAL_RTOL * config.cavity.kappa:
@@ -456,19 +452,18 @@ def _steady_result(config: ModelConfig, d: DerivedQuantities, n: float,
             "gain residual at the photon-number root above tolerance",
             detail={"n": n, "gain_residual": gain})
     weights, deltas = zip(*_ensembles(config))
+    g = config.derived.gain_coupling
     residual = 0.0
     for state, delta in zip(states, deltas):
-        a = rate_matrix(config, d.gain_coupling, n, delta)
+        a = rate_matrix(config, g, n, delta)
         r = float(np.max(np.abs(a @ state.as_array())))
-        residual = max(residual, r / _max_rate(config, d.gain_coupling, n))
+        residual = max(residual, r / _max_rate(config, g, n))
     return SteadyStateResult(n=n, branch=branch, net_gain=gain,
                              residual=residual, populations=states,
                              weights=weights, detunings=deltas)
 
 
-def solve_steady_state(config: ModelConfig,
-                       derived: DerivedQuantities | None = None
-                       ) -> SteadyStateResult:
+def solve_steady_state(config: ModelConfig) -> SteadyStateResult:
     """Self-consistent photon number and populations.
 
     Zero-photon net gain <= 0 selects the dark branch (exactly zero gain
@@ -478,16 +473,15 @@ def solve_steady_state(config: ModelConfig,
     n (on the direct gain when g0 <= 1e-8 * kappa); the direct gain at
     the root must be below 1e-8 * kappa.
     """
-    d = derived if derived is not None else derive_constants(config)
-    states, g0 = _ensemble_states(config, 0.0, d)
+    states, g0 = _ensemble_states(config, 0.0)
     if g0 <= 0.0:
-        return _steady_result(config, d, 0.0, BELOW_THRESHOLD, states, g0)
+        return _steady_result(config, 0.0, BELOW_THRESHOLD, states, g0)
     if g0 <= _GAIN_RESIDUAL_RTOL * config.cavity.kappa:
-        n_root = _gain_root(lambda n: net_gain(config, n, derived=d))
+        n_root = _gain_root(lambda n: net_gain(config, n))
     else:
-        n_root = _gain_root(_closed_form_gain(config, d))
-    states, gain = _ensemble_states(config, n_root, d)
-    return _steady_result(config, d, n_root, LASING, states, gain)
+        n_root = _gain_root(_closed_form_gain(config))
+    states, gain = _ensemble_states(config, n_root)
+    return _steady_result(config, n_root, LASING, states, gain)
 
 
 def threshold_pump(config: ModelConfig, delta: float | None = None) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from . import __about__
 from .configio import config_digest, get_param, param_unit, set_param
 from .errors import ConvergenceError, InvalidConfigError, PhysicsDomainError
-from .model import ModelConfig, derive_constants, output_power
+from .model import ModelConfig, output_power
 from .sensitivity import _dc_point
 from .steady import POPULATION_NAMES, solve_steady_state
 from .tables import Column, OutputTable
@@ -104,12 +104,11 @@ def _eval_point(payload) -> tuple:
         for name in outputs:
             cells.extend([None] * len(OUTPUTS[name]))
         return tuple(cells)
-    d = derive_constants(config)
     for name in outputs:
         if name == "n":
             cells.append(ss.n)
         elif name == "P_out":
-            cells.append(output_power(ss.n, config, d))
+            cells.append(output_power(ss.n, config))
         elif name == "branch":
             cells.append(ss.branch)
         elif name == "net_gain":

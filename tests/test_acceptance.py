@@ -153,10 +153,9 @@ def test_criterion_8_property_suite(high_sens_config):
             assert abs(ss.n - mirrored.n) <= 1e-10 * ss.n
 
         # ODE relaxation returns to the algebraic steady state
-        d = derive_constants(cfg)
         mod = DriveModulation.constant(delta)
         y_star = state_from_populations(ss.aligned, ss.n)
-        jac = jacobian(0.0, y_star, cfg, mod, d)
+        jac = jacobian(0.0, y_star, cfg, mod)
         decay = np.sort(-np.linalg.eigvals(jac).real)
         # decay[0] is the conserved-trace zero mode; the next one sets
         # the relaxation horizon

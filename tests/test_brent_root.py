@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from ltmag import (ConvergenceError, LtmagError, OrientationModel,
-                   derive_constants, net_gain, preset, solve_steady_state,
-                   threshold_pump, with_drive, with_pump)
+                   net_gain, preset, solve_steady_state, threshold_pump,
+                   with_drive, with_pump)
 from ltmag import steady
 from ltmag.steady import _brent_root
 
@@ -66,7 +66,7 @@ def _config(name, mode, delta):
 def test_closed_form_gain_root_equals_brentq(name, mode, delta, factor):
     cfg = _config(name, mode, delta)
     cfg = with_pump(cfg, factor * threshold_pump(cfg))
-    gain = steady._closed_form_gain(cfg, derive_constants(cfg))
+    gain = steady._closed_form_gain(cfg)
     hi = 1e-6
     while gain(hi) > 0.0:
         hi *= 4.0

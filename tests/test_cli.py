@@ -63,6 +63,12 @@ def test_bad_set_values_are_config_errors(capsys):
         assert code == 1 and out == "" and err.startswith("error:")
 
 
+def test_tiny_drive_rate_is_a_config_error(capsys):
+    code, out, err = _run(capsys, "steady-state", "--set",
+                          "drive.omega=1e-308")
+    assert code == 1 and out == "" and "omega" in err
+
+
 def test_config_file_input(tmp_path, capsys):
     path = tmp_path / "cfg.ini"
     save_config(preset("high_sensitivity"), path)

@@ -2,13 +2,15 @@
 
 import dataclasses
 import math
+import pickle
 
 import pytest
 
 from ltmag import (CavityGeometry, DriveSettings, InvalidConfigError,
                    LevelRates, OrientationModel, b_field_to_detuning,
-                   derive_constants, detuning_to_b_field, output_power,
-                   preset)
+                   config_digest, derive_constants, detuning_to_b_field,
+                   output_power, preset)
+from ltmag.configio import set_param
 
 
 def test_baseline_preset_rates(baseline_config):
@@ -68,6 +70,41 @@ def test_gain_coupling_override(baseline_config):
     assert d.gain_coupling_formula == pytest.approx(3.116447e8, rel=1e-6)
     with pytest.raises(InvalidConfigError):
         dataclasses.replace(baseline_config, gain_coupling_override=-1.0)
+
+
+def test_derived_is_cached_on_the_config():
+    cfg = preset("baseline")
+    assert cfg.derived == derive_constants(cfg)
+    assert cfg.derived is cfg.derived
+
+
+def test_replaced_config_derives_its_own_value():
+    cfg = preset("baseline")
+    base = cfg.derived
+    lit = set_param(cfg, "gain.coupling_override", 3.08e8)
+    assert lit.derived.gain_coupling == 3.08e8
+    lossy = set_param(cfg, "cavity.kappa", 2.0 * cfg.cavity.kappa)
+    assert lossy.derived.quality_factor == pytest.approx(
+        0.5 * base.quality_factor, rel=1e-15)
+    # the source config keeps its own cached value
+    assert cfg.derived is base
+
+
+def test_reading_derived_leaves_identity_alone():
+    fresh, cached = preset("high_sensitivity"), preset("high_sensitivity")
+    digest, key = config_digest(fresh), hash(fresh)
+    cached.derived
+    assert cached == fresh
+    assert hash(cached) == key
+    assert config_digest(cached) == digest
+
+
+def test_cached_derived_survives_pickle():
+    cfg = preset("high_sensitivity")
+    cached = cfg.derived
+    clone = pickle.loads(pickle.dumps(cfg))
+    assert clone == cfg
+    assert clone.derived == cached
 
 
 def test_field_detuning_round_trip(baseline_config):

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from ltmag import (AcSignalModel, BelowThresholdError, InvalidConfigError,
-                   METHOD_AC_QUASISTATIC, METHOD_AC_TIME, METHOD_DC,
-                   ac_sensitivity, best_eta_over_field, dc_sensitivity,
-                   dc_sensitivity_curve, find_bias_point, l27_robustness,
-                   optimize_sensitivity, with_drive, with_pump)
+from ltmag import (AcSignalModel, BelowThresholdError, ConvergenceError,
+                   InvalidConfigError, METHOD_AC_QUASISTATIC, METHOD_AC_TIME,
+                   METHOD_DC, ac_sensitivity, best_eta_over_field,
+                   dc_sensitivity, dc_sensitivity_curve, find_bias_point,
+                   l27_robustness, optimize_sensitivity, with_drive,
+                   with_pump)
+from ltmag import sensitivity
 
 BIAS = 164e-6
 
@@ -58,6 +60,21 @@ def test_dc_curve_marks_dark_points_absent(high_sens_config):
     assert curve[0] is None and curve[1] is None
     assert curve[2] is not None and curve[3] is not None
     assert curve[2].eta < curve[3].eta
+
+
+def test_dc_curve_marks_unconverged_points_absent(high_sens_config,
+                                                 monkeypatch):
+    real = sensitivity.dc_sensitivity
+
+    def flaky(config, b_field, **kwargs):
+        if b_field == 200e-6:
+            raise ConvergenceError("forced failure")
+        return real(config, b_field, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "dc_sensitivity", flaky)
+    curve = dc_sensitivity_curve(high_sens_config, [164e-6, 200e-6, 280e-6])
+    assert curve[1] is None
+    assert curve[0].b_field == 164e-6 and curve[2].b_field == 280e-6
 
 
 def test_dc_curve_field_symmetry(high_sens_config):

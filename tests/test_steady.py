@@ -8,13 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltmag import (BELOW_THRESHOLD, OUTPUTS, ConvergenceError,
-                   DegenerateConfigError, LASING, LevelRates,
-                   NotLasableError, OrientationModel,
-                   derive_constants, find_operating_point, net_gain,
+                   DegenerateConfigError, InvalidConfigError, LASING,
+                   LevelRates, NotLasableError, OrientationModel,
+                   find_operating_point, net_gain,
                    populations_at_fixed_n, solve_steady_state,
                    threshold_pump, with_drive, with_pump)
 from ltmag import steady
 from ltmag.dynamics import TIMESERIES_COLUMNS
+from ltmag.model import MIN_DRIVE_RATE
 from ltmag.steady import PopulationState
 
 # Bounded, reproducible property runs: fixed example counts, no timing
@@ -33,8 +34,7 @@ def _with_mode(config, mode):
 def _direct_root(config):
     """Gain root by the bracket and the Brent root (bit-identical to
     scipy's brentq, see test_brent_root.py) on full fixed-n solves."""
-    d = derive_constants(config)
-    return steady._gain_root(lambda n: net_gain(config, n, derived=d))
+    return steady._gain_root(lambda n: net_gain(config, n))
 
 
 def test_unpumped_unmixed_splits_ground_states(baseline_config):
@@ -212,8 +212,7 @@ def test_gain_monotone_decreasing_in_photon_number(baseline_config, mode,
                                                    delta, pump, ns):
     cfg = with_drive(with_pump(_with_mode(baseline_config, mode), pump),
                      delta=delta)
-    d = derive_constants(cfg)
-    gains = [net_gain(cfg, n, derived=d) for n in ns]
+    gains = [net_gain(cfg, n) for n in ns]
     assert all(b < a for a, b in zip(gains, gains[1:]))
 
 
@@ -243,12 +242,11 @@ def test_gain_at_threshold_takes_direct_path(baseline_config):
     assert solve_steady_state(cfg).n == _direct_root(cfg)
 
 
-# Drive rates are either off or at least 1e-3 rad/s.  Near the bottom of
-# the float range (~1e-308 rad/s) the fixed-n solve loses its precision to
-# underflow and occupations leave [0, 1] by up to ~1e-7; that is a known,
-# separate defect of the linear stage.
+# Drive rates are either off or at least MIN_DRIVE_RATE (1e-300 rad/s),
+# the smallest nonzero rate a DriveSettings accepts; smaller ones are
+# rejected (see test_tiny_drive_rates_are_rejected).
 def _drive_rate(top):
-    return st.just(0.0) | st.floats(1e-3, top)
+    return st.just(0.0) | st.floats(MIN_DRIVE_RATE, top)
 
 
 @settings(max_examples=300, **_PROPERTY)
@@ -266,3 +264,13 @@ def test_steady_state_invariants(baseline_config, mode, delta, pump, omega):
         # exact zeros may come out as rounding noise of either sign
         occ = state.as_array()[:7]
         assert np.all(occ >= -1e-12) and np.all(occ <= 1.0 + 1e-12)
+
+
+def test_tiny_drive_rates_are_rejected(baseline_config):
+    for name in ("pump12", "pump45", "omega"):
+        with pytest.raises(InvalidConfigError, match=name):
+            with_drive(baseline_config, **{name: 1e-308})
+        # the floor itself and an exact zero are valid settings
+        for valid in (0.0, MIN_DRIVE_RATE):
+            cfg = with_drive(baseline_config, **{name: valid})
+            assert getattr(cfg.drive, name) == valid

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ltmag import (Column, InvalidConfigError, OutputTable, SweepAxis,
-                   SweepSpec, run_sweep, solve_steady_state, with_drive)
+from ltmag import (Column, ConvergenceError, InvalidConfigError,
+                   OutputTable, SweepAxis, SweepSpec, run_sweep,
+                   solve_steady_state, with_drive)
+from ltmag import sweeps
 
 
 def _sample_table():
@@ -137,6 +139,26 @@ def test_sweep_dark_points_leave_cells_absent(baseline_config):
     assert ns[-1] > 0.0
     # baseline bias sits at the symmetric point, so the slope vanishes
     assert etas[-1] == math.inf
+
+
+def test_sweep_unconverged_point_leaves_cells_absent(baseline_config,
+                                                    monkeypatch):
+    real = sweeps.solve_steady_state
+
+    def flaky(config):
+        if config.drive.delta == 5e7:
+            raise ConvergenceError("forced failure")
+        return real(config)
+
+    monkeypatch.setattr(sweeps, "solve_steady_state", flaky)
+    spec = SweepSpec(axis1=SweepAxis("drive.delta", 0.0, 1e8, 3),
+                     outputs=("n", "P_out", "branch", "populations"))
+    table = run_sweep(baseline_config, spec, parallel=False)
+    failed = table.rows[1]
+    assert failed[0] == 5e7
+    assert all(cell is None for cell in failed[1:])
+    for row in (table.rows[0], table.rows[2]):
+        assert all(cell is not None for cell in row)
 
 
 def test_sweep_b_field_axis_is_symmetric(baseline_config):
