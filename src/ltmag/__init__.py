@@ -30,7 +30,8 @@ from .dynamics import (DriveModulation, HarmonicResult, ResponseResult,
                        TimeSeries, ac_response, integrate, jacobian, rhs,
                        step_response)
 from .sensitivity import (AcSignalModel, METHOD_AC_QUASISTATIC,
-                          METHOD_AC_TIME, METHOD_DC, OptimizationOutcome,
+                          METHOD_AC_TIME, METHOD_DC, METHOD_DC_IMPLICIT,
+                          OptimizationOutcome,
                           RobustnessReport, SensitivityResult,
                           ac_sensitivity, best_eta_over_field,
                           dc_sensitivity, dc_sensitivity_curve,
@@ -65,7 +66,7 @@ __all__ = [
     "rhs", "jacobian", "integrate", "step_response", "ac_response",
     # sensitivity
     "SensitivityResult", "AcSignalModel", "OptimizationOutcome",
-    "RobustnessReport", "METHOD_DC", "METHOD_AC_TIME",
+    "RobustnessReport", "METHOD_DC", "METHOD_DC_IMPLICIT", "METHOD_AC_TIME",
     "METHOD_AC_QUASISTATIC", "dc_sensitivity", "dc_sensitivity_curve",
     "ac_sensitivity", "sensitivity_from_harmonic", "find_bias_point",
     "best_eta_over_field", "optimize_sensitivity", "l27_robustness",

@@ -13,11 +13,23 @@ producing a demodulated photon amplitude n_S
 where ``excess_noise`` accounts for technical noise above the shot
 level in the demodulated band.
 
-The slope dn/dB is computed by adaptive central differences with
-Richardson extrapolation.  Near the zero-crossing of the slope (the
-bottom of the symmetric output dip) the sensitivity genuinely diverges;
-that is reported by an explicit ``diverged`` flag rather than a number
-pretending to be finite.
+The slope dn/dB has two evaluators.  ``dc_sensitivity`` takes adaptive
+central differences with Richardson extrapolation (method
+``dc_finite_difference``).  Every field scan (the d.c. curve, both field
+searches, the sweeps' ``eta_dc`` cells) takes the implicit slope
+(``dc_implicit``): the net gain g(n, delta) vanishes at a lasing root,
+so dn/d delta = -(dg/d delta) / (dg/dn), one extra linear solve in place
+of a stencil of steady states.  The two agree to about 1e-11 relative;
+the finite differences are the oracle of the implicit slope.
+
+Near the zero-crossing of the slope (the bottom of the symmetric output
+dip) the sensitivity genuinely diverges; that is reported by an explicit
+``diverged`` flag rather than a number pretending to be finite.  The
+implicit slope is diverged only where it is exactly 0.0, as at B = 0.
+The finite differences are diverged wherever the slope is below what
+root-solver noise resolves, so close to a symmetry point (|B| below
+about 1e-9 T on ``baseline``) they report diverged where the implicit
+slope gives a large finite eta.
 """
 
 from __future__ import annotations
@@ -32,9 +44,10 @@ from .dynamics import ac_response
 from .errors import (BelowThresholdError, ConvergenceError,
                      InvalidConfigError, PhysicsDomainError)
 from .model import ModelConfig, with_bias_field
-from .steady import solve_steady_state
+from .steady import _gain_partials, solve_steady_state
 
 METHOD_DC = "dc_finite_difference"
+METHOD_DC_IMPLICIT = "dc_implicit"
 METHOD_AC_TIME = "ac_timedomain"
 METHOD_AC_QUASISTATIC = "ac_quasistatic"
 
@@ -75,11 +88,13 @@ class SensitivityResult:
     """Sensitivity at one operating point.
 
     ``eta`` is in T/sqrt(Hz); it is +inf when ``diverged`` is set (the
-    slope fell below the resolvable floor, e.g. at the bottom of the
-    output dip).  ``fd_step`` and ``fd_rel_error`` document the final
-    finite-difference step and its Richardson error estimate for the
-    d.c. methods; a.c. time-domain results carry the demodulated
-    amplitude in ``n_signal`` instead.
+    slope vanished, e.g. at the bottom of the output dip; see the module
+    docstring for how each d.c. method decides).  ``fd_step`` and
+    ``fd_rel_error`` document the final finite-difference step and its
+    Richardson error estimate for the finite-difference methods
+    (``dc_finite_difference`` and ``ac_quasistatic``); implicit-slope
+    results (``dc_implicit``) leave both None.  a.c. time-domain results
+    carry the demodulated amplitude in ``n_signal`` instead.
     """
 
     eta: float
@@ -192,12 +207,29 @@ def dc_sensitivity(config: ModelConfig, b_field: float, *,
 
 def _dc_point(config: ModelConfig, b_field: float
               ) -> SensitivityResult | None:
-    """dc_sensitivity, or None where the point is dark or its solve
-    does not converge: the one rule of every field scan."""
+    """d.c. sensitivity from the implicit slope, or None where the point
+    is dark or its solve does not converge: the one rule of every field
+    scan.
+
+    One steady state, then dn/dB = -(dg/d delta) / (dg/dn) / (field per
+    detuning) from the gain partials at the root.  The slope is exactly
+    0.0 at a symmetry point, which is then reported as diverged.
+    """
+    point = with_bias_field(config, b_field)
     try:
-        return dc_sensitivity(config, b_field)
-    except (BelowThresholdError, ConvergenceError):
+        ss = solve_steady_state(point)
+        if ss.n <= 0.0:
+            return None
+        dg_dn, dg_dd = _gain_partials(point, ss)
+    except ConvergenceError:
         return None
+    slope = -dg_dd / dg_dn / config.derived.field_per_detuning
+    shot = _shot_factor(config, ss.n)
+    diverged = slope == 0.0
+    return SensitivityResult(
+        eta=math.inf if diverged else shot / abs(slope), b_field=b_field,
+        n=ss.n, slope_dn_db=slope, shot_factor=shot,
+        method=METHOD_DC_IMPLICIT, diverged=diverged)
 
 
 def dc_sensitivity_curve(config: ModelConfig, b_grid
@@ -259,12 +291,13 @@ def sensitivity_from_harmonic(config: ModelConfig, signal: AcSignalModel,
 
 def find_bias_point(config: ModelConfig, b_min: float,
                     b_max: float) -> SensitivityResult:
-    """Bias field maximizing |dn/dB| inside [b_min, b_max].
+    """Bias field maximizing |dn/dB| inside [b_min, b_max], and
+    ``dc_sensitivity`` there.
 
-    Searches a coarse grid, then repeatedly zooms around the best point;
-    a diverged point scores zero.  The output-vs-field curve is symmetric
-    in B, so two mirror maximizers can exist; exact ties are broken
-    toward positive field.
+    Searches a coarse grid of implicit slopes, then repeatedly zooms
+    around the best point.  The output-vs-field curve is symmetric in B,
+    so two mirror maximizers can exist; exact ties are broken toward
+    positive field.
     """
     if b_max <= b_min:
         raise InvalidConfigError("need b_max > b_min")
@@ -274,7 +307,7 @@ def find_bias_point(config: ModelConfig, b_min: float,
     for _ in range(_BIAS_REFINE_ROUNDS):
         results = [_dc_point(config, float(b))
                    for b in np.linspace(lo, hi, points)]
-        scored = [(0.0 if r.diverged else abs(r.slope_dn_db), r.b_field, r)
+        scored = [(abs(r.slope_dn_db), r.b_field)
                   for r in results if r is not None]
         if not scored:
             raise BelowThresholdError(
@@ -290,7 +323,7 @@ def find_bias_point(config: ModelConfig, b_min: float,
         width = (hi - lo) / (points - 1)
         lo, hi = best[1] - width, best[1] + width
         points = 21
-    return best[2]
+    return dc_sensitivity(config, best[1])
 
 
 # optimization parameter name -> parameter registry path
@@ -308,7 +341,8 @@ def best_eta_over_field(config: ModelConfig, b_min: float, b_max: float, *,
                         grid_points: int = 25) -> tuple[float, float]:
     """Smallest finite d.c. sensitivity over a field window.
 
-    Returns (eta, b).  Coarse grid scan followed by golden-section
+    Returns (eta, b), with eta from ``dc_sensitivity`` at b.  Coarse
+    grid scan of the implicit-slope sensitivity followed by golden-section
     refinement between the neighbours of the best grid point.  Raises
     BelowThresholdError when nothing in the window lases.
     """
@@ -341,7 +375,8 @@ def best_eta_over_field(config: ModelConfig, b_min: float, b_max: float, *,
             dpt = a + invphi * (b - a)
             fd = eta_at(dpt)
     candidates = [(fc, c), (fd, dpt), (float(etas[k]), float(grid[k]))]
-    return min(candidates, key=lambda eb: eb[0])
+    b_best = min(candidates, key=lambda eb: eb[0])[1]
+    return dc_sensitivity(config, b_best).eta, b_best
 
 
 def optimize_sensitivity(config: ModelConfig, *,

@@ -111,7 +111,7 @@ class PopulationState:
         v = np.asarray(v, dtype=float)
         if v.shape != (9,):
             raise ValueError(f"expected 9 components, got shape {v.shape}")
-        return cls(*(float(x) for x in v))
+        return cls(*v.tolist())
 
 
 # Column names of a population state, in the state-vector order.
@@ -258,7 +258,7 @@ def populations_at_fixed_n(config: ModelConfig, n: float,
         raise ConvergenceError(
             "fixed-n linear solve residual above tolerance",
             detail={"residual": residual, "n": n, "delta": delta})
-    return PopulationState.from_array(v)
+    return PopulationState(*v.tolist())
 
 
 def _ensembles(config: ModelConfig) -> tuple[tuple[float, float], ...]:
@@ -461,6 +461,43 @@ def _steady_result(config: ModelConfig, n: float, branch: str,
     return SteadyStateResult(n=n, branch=branch, net_gain=gain,
                              residual=residual, populations=states,
                              weights=weights, detunings=deltas)
+
+
+def _gain_partials(config: ModelConfig, result: SteadyStateResult
+                   ) -> tuple[float, float]:
+    """(dg/dn, dg/d delta) of the net gain at a lasing root, where delta
+    is the drive detuning; the off-axis detuning does not follow it.
+
+    Differentiating M v = e1 keeps the trace row, so M dv = -(dM) v with
+    dM/dn = -G W W^T (see the module docstring) and dM/d delta nonzero
+    only in the coherence rows.  One two-column solve per sub-ensemble
+    on the matrix at the root gives both derivatives of v, and G W^T of
+    them the partials (implicit differentiation at a root: Griewank &
+    Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 15).
+    Raises ConvergenceError when dg/dn is not negative, which a lasing
+    root of a gain decreasing in n rules out.
+    """
+    g = config.derived.gain_coupling
+    dg_dn = dg_dd = 0.0
+    for k, (state, weight, delta) in enumerate(zip(
+            result.populations, result.weights, result.detunings)):
+        rhs = np.zeros((9, 2))
+        rhs[1, 0] = g * (state.rho22 - state.rho33)
+        rhs[2, 0] = -rhs[1, 0]
+        rhs[4, 0] = g * (state.rho55 - state.rho66)
+        rhs[5, 0] = -rhs[4, 0]
+        if k == 0:
+            rhs[7, 1] = state.rho14_im
+            rhs[8, 1] = -state.rho14_re
+        x = _solve_linear(rate_matrix(config, g, result.n, delta), rhs)
+        dn, dd = ((x[1] - x[2]) + (x[4] - x[5])).tolist()
+        dg_dn += weight * g * dn
+        dg_dd += weight * g * dd
+    if not dg_dn < 0.0:
+        raise ConvergenceError(
+            "net gain does not decrease with n at the root",
+            detail={"n": result.n, "dg_dn": dg_dn})
+    return dg_dn, dg_dd
 
 
 def solve_steady_state(config: ModelConfig) -> SteadyStateResult:

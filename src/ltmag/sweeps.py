@@ -153,12 +153,12 @@ def run_sweep(config: ModelConfig, spec: SweepSpec, *, parallel: bool = True,
         rows = [_eval_point(p) for p in payloads]
 
     prov = {
-        "config_digest": config_digest(config)[:12],
         "generator": f"ltmag {__about__.__version__}",
         "kind": "sweep",
         "axes": " x ".join(a.path for a in axes),
         "outputs": ",".join(spec.outputs),
+        **(provenance or {}),
     }
-    if provenance:
-        prov.update(provenance)
+    if "config_digest" not in prov:
+        prov["config_digest"] = config_digest(config)[:12]
     return OutputTable(columns=tuple(columns), rows=rows, provenance=prov)

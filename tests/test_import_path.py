@@ -1,8 +1,8 @@
 """Which calls load scipy.
 
-The steady state, the threshold and the d.c. sensitivity need only
-numpy; each runs in a fresh interpreter here, so that a module imported
-by an earlier test cannot hide an import.
+The steady state, the threshold, the d.c. sensitivity and the d.c.
+field scans need only numpy; each runs in a fresh interpreter here, so
+that a module imported by an earlier test cannot hide an import.
 """
 
 import os
@@ -38,6 +38,9 @@ def test_steady_threshold_dc_and_cli_load_no_scipy():
         assert ltmag.threshold_pump(b) > 0.0
         hs = ltmag.preset("high_sensitivity")
         assert ltmag.dc_sensitivity(hs, 200e-6).eta > 0.0
+        curve = ltmag.dc_sensitivity_curve(hs, [0.0, 164e-6, 200e-6])
+        assert curve[0] is None and curve[2].eta > 0.0
+        assert ltmag.find_bias_point(hs, 100e-6, 300e-6).eta > 0.0
         with contextlib.redirect_stdout(io.StringIO()) as table:
             code = cli.main(["steady-state", "--preset", "baseline",
                              "--delta", "1e8"])

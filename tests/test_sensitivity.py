@@ -5,13 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltmag import (AcSignalModel, BelowThresholdError, ConvergenceError,
                    InvalidConfigError, METHOD_AC_QUASISTATIC, METHOD_AC_TIME,
-                   METHOD_DC, ac_sensitivity, best_eta_over_field,
+                   METHOD_DC, METHOD_DC_IMPLICIT, OrientationModel, preset,
+                   ac_sensitivity, best_eta_over_field,
                    dc_sensitivity, dc_sensitivity_curve, find_bias_point,
-                   l27_robustness, optimize_sensitivity, with_drive,
-                   with_pump)
+                   l27_robustness, optimize_sensitivity, with_bias_field,
+                   with_drive, with_pump)
 from ltmag import sensitivity
 
 BIAS = 164e-6
@@ -64,17 +67,61 @@ def test_dc_curve_marks_dark_points_absent(high_sens_config):
 
 def test_dc_curve_marks_unconverged_points_absent(high_sens_config,
                                                  monkeypatch):
-    real = sensitivity.dc_sensitivity
+    real = sensitivity.solve_steady_state
+    failing = with_bias_field(high_sens_config, 200e-6).drive.delta
 
-    def flaky(config, b_field, **kwargs):
-        if b_field == 200e-6:
+    def flaky(config):
+        if config.drive.delta == failing:
             raise ConvergenceError("forced failure")
-        return real(config, b_field, **kwargs)
+        return real(config)
 
-    monkeypatch.setattr(sensitivity, "dc_sensitivity", flaky)
+    monkeypatch.setattr(sensitivity, "solve_steady_state", flaky)
     curve = dc_sensitivity_curve(high_sens_config, [164e-6, 200e-6, 280e-6])
     assert curve[1] is None
     assert curve[0].b_field == 164e-6 and curve[2].b_field == 280e-6
+
+
+# Bounded, reproducible property runs, as in test_steady.py.
+_PROPERTY = dict(deadline=None, derandomize=True, database=None)
+
+
+@settings(max_examples=60, **_PROPERTY)
+@given(name=st.sampled_from(["baseline", "high_sensitivity"]),
+       mode=st.sampled_from(["single_orientation", "four_orientation"]),
+       magnitude=st.floats(150e-6, 1.5e-3), sign=st.sampled_from([-1, 1]))
+def test_implicit_slope_matches_finite_differences(name, mode, magnitude,
+                                                   sign):
+    # both presets lase everywhere in this window, in either mode
+    cfg = dataclasses.replace(preset(name),
+                              orientation=OrientationModel(mode=mode))
+    b = sign * magnitude
+    fd = dc_sensitivity(cfg, b)
+    implicit = sensitivity._dc_point(cfg, b)
+    assert implicit.method == METHOD_DC_IMPLICIT
+    assert implicit.fd_step is None and implicit.fd_rel_error is None
+    assert implicit.n == fd.n
+    assert fd.fd_rel_error is not None and not implicit.diverged
+    assert abs(implicit.slope_dn_db - fd.slope_dn_db) \
+        <= fd.fd_rel_error * abs(fd.slope_dn_db)
+    # the output curve is even in B, so its slope is odd; mirroring the
+    # field flips the sign of every coherence term, so exactly
+    assert sensitivity._dc_point(cfg, -b).slope_dn_db \
+        == -implicit.slope_dn_db
+
+
+def test_implicit_slope_vanishes_at_symmetry_point(baseline_config):
+    res = sensitivity._dc_point(baseline_config, 0.0)
+    assert res.n > 0.0
+    assert res.slope_dn_db == 0.0
+    assert res.diverged
+    assert res.eta == math.inf
+
+
+def test_implicit_result_holds_python_floats(high_sens_config):
+    res = sensitivity._dc_point(high_sens_config, BIAS)
+    for value in (res.eta, res.b_field, res.n, res.slope_dn_db,
+                  res.shot_factor):
+        assert type(value) is float
 
 
 def test_dc_curve_field_symmetry(high_sens_config):
