@@ -15,7 +15,7 @@ def main():
     spec = SweepSpec(
         axis1=SweepAxis("b_field", -1e-3, 1e-3, 41),
         outputs=("n", "P_out", "branch"))
-    table = run_sweep(cfg, spec, parallel=True)
+    table = run_sweep(cfg, spec)
     print(table.to_csv(), end="")
 
 

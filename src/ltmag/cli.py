@@ -15,14 +15,11 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __about__
 from .configio import (config_digest, get_param, param_unit, resolve_config,
                        save_config, set_param)
 from .dynamics import ac_response, step_response
-from .errors import (ConvergenceError, InvalidConfigError, LtmagError,
-                     PhysicsDomainError)
+from .errors import ConvergenceError, InvalidConfigError, LtmagError
 from .experiments import EXPERIMENT_NAMES, experiment
 from .model import output_power, PRESET_NAMES
 from .sensitivity import (AcSignalModel, METHOD_AC_QUASISTATIC,
@@ -82,8 +79,6 @@ def _provenance(args, config) -> dict[str, str]:
 
 def _cmd_steady_state(args) -> int:
     config = _config_from(args)
-    if args.b_field is not None and args.delta is not None:
-        raise InvalidConfigError("give either --delta or --b-field")
     if args.b_field is not None:
         config = set_param(config, "b_field", args.b_field)
     elif args.delta is not None:
@@ -182,17 +177,12 @@ def _sens_row(res) -> tuple:
 
 def _cmd_sensitivity_dc(args) -> int:
     config = _config_from(args)
-    if (args.b_field is None) == (args.b_grid is None):
-        raise InvalidConfigError("give exactly one of --b-field/--b-grid")
     table = OutputTable(columns=_SENS_COLUMNS,
                         provenance=_provenance(args, config))
     if args.b_field is not None:
         table.append(_sens_row(dc_sensitivity(config, args.b_field)))
     else:
-        parts = args.b_grid.split(":")
-        if len(parts) != 3:
-            raise InvalidConfigError("--b-grid must be lo:hi:points")
-        grid = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+        grid = _parse_axis("b_field:" + args.b_grid).values()
         for b, res in zip(grid, dc_sensitivity_curve(config, grid)):
             if res is None:
                 table.append((float(b), None, None, None, None, None))
@@ -287,9 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("steady-state",
                        help="self-consistent photon number and populations")
     _add_common(p)
-    p.add_argument("--delta", type=float, help="detuning override (rad/s)")
-    p.add_argument("--b-field", type=float,
-                   help="bias field override (T)")
+    bias = p.add_mutually_exclusive_group()
+    bias.add_argument("--delta", type=float, help="detuning override (rad/s)")
+    bias.add_argument("--b-field", type=float,
+                      help="bias field override (T)")
     p.set_defaults(func=_cmd_steady_state)
 
     p = sub.add_parser("sweep", help="grid over one or two config paths")
@@ -326,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sensitivity-dc",
                        help="shot-noise d.c. field sensitivity")
     _add_common(p)
-    p.add_argument("--b-field", type=float, help="T")
-    p.add_argument("--b-grid", metavar="LO:HI:POINTS",
-                   help="curve over a field range (T)")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--b-field", type=float, help="T")
+    target.add_argument("--b-grid", metavar="LO:HI:POINTS",
+                        help="curve over a field range (T)")
     p.set_defaults(func=_cmd_sensitivity_dc)
 
     p = sub.add_parser("sensitivity-ac",
@@ -376,18 +368,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InvalidConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
-        print(f"error: did not converge: {exc}", file=sys.stderr)
-        return 2
-    except PhysicsDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except LtmagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        prefix = ("did not converge: "
+                  if isinstance(exc, ConvergenceError) else "")
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

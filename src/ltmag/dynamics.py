@@ -180,7 +180,7 @@ def rhs(t: float, y: np.ndarray, config: ModelConfig,
     """
     g = config.derived.gain_coupling
     delta = modulation.detuning(t, config)
-    a = rate_matrix(config, g, y[9], delta)
+    a = rate_matrix(config, y[9], delta)
     dy = np.empty(10)
     dy[:9] = a @ y[:9]
     net = g * ((y[1] - y[2]) + (y[4] - y[5])) - config.cavity.kappa
@@ -192,7 +192,7 @@ def jacobian(t: float, y: np.ndarray, config: ModelConfig,
              modulation: DriveModulation) -> np.ndarray:
     g = config.derived.gain_coupling
     delta = modulation.detuning(t, config)
-    a = rate_matrix(config, g, y[9], delta)
+    a = rate_matrix(config, y[9], delta)
     jac = np.zeros((10, 10))
     jac[:9, :9] = a
     # d/dn of the stimulated exchange terms

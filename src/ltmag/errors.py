@@ -1,8 +1,8 @@
 """Exception hierarchy.
 
-Errors fall into three groups, mirrored by the CLI exit codes:
+Errors fall into three groups, whose ``exit_code`` the CLI returns:
 
-* usage / configuration problems (exit code 1),
+* usage / configuration problems and a bare ``LtmagError`` (exit code 1),
 * numerical non-convergence (exit code 2),
 * physics-domain conditions such as "this configuration cannot lase"
   (exit code 3).
@@ -17,11 +17,11 @@ from __future__ import annotations
 class LtmagError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+
 
 class InvalidConfigError(LtmagError, ValueError):
     """A configuration value, unit, file, or override path is invalid."""
-
-    exit_code = 1
 
 
 class DegenerateConfigError(InvalidConfigError):

@@ -44,7 +44,7 @@ from .dynamics import ac_response
 from .errors import (BelowThresholdError, ConvergenceError,
                      InvalidConfigError, PhysicsDomainError)
 from .model import ModelConfig, with_bias_field
-from .steady import _gain_partials, solve_steady_state
+from .steady import SteadyStateResult, _gain_partials, solve_steady_state
 
 METHOD_DC = "dc_finite_difference"
 METHOD_DC_IMPLICIT = "dc_implicit"
@@ -207,24 +207,37 @@ def dc_sensitivity(config: ModelConfig, b_field: float, *,
 
 def _dc_point(config: ModelConfig, b_field: float
               ) -> SensitivityResult | None:
-    """d.c. sensitivity from the implicit slope, or None where the point
-    is dark or its solve does not converge: the one rule of every field
-    scan.
-
-    One steady state, then dn/dB = -(dg/d delta) / (dg/dn) / (field per
-    detuning) from the gain partials at the root.  The slope is exactly
-    0.0 at a symmetry point, which is then reported as diverged.
+    """d.c. sensitivity from the implicit slope at a bias field, or None
+    where the point is dark or its solve does not converge: the one rule
+    of every field scan.  Solves the steady state at the bias and hands
+    it to ``_dc_at_state``.
     """
     point = with_bias_field(config, b_field)
     try:
         ss = solve_steady_state(point)
-        if ss.n <= 0.0:
-            return None
+    except ConvergenceError:
+        return None
+    return _dc_at_state(point, ss, b_field)
+
+
+def _dc_at_state(point: ModelConfig, ss: SteadyStateResult, b_field: float
+                 ) -> SensitivityResult | None:
+    """Implicit-slope d.c. sensitivity at an already solved steady state
+    ``ss`` of ``point``, or None where it is dark or its gain partials
+    do not converge.
+
+    dn/dB = -(dg/d delta) / (dg/dn) / (field per detuning) from the gain
+    partials at the root.  The slope is exactly 0.0 at a symmetry point,
+    which is then reported as diverged.
+    """
+    if ss.n <= 0.0:
+        return None
+    try:
         dg_dn, dg_dd = _gain_partials(point, ss)
     except ConvergenceError:
         return None
-    slope = -dg_dd / dg_dn / config.derived.field_per_detuning
-    shot = _shot_factor(config, ss.n)
+    slope = -dg_dd / dg_dn / point.derived.field_per_detuning
+    shot = _shot_factor(point, ss.n)
     diverged = slope == 0.0
     return SensitivityResult(
         eta=math.inf if diverged else shot / abs(slope), b_field=b_field,

@@ -142,8 +142,7 @@ class SteadyStateResult:
         return self.populations[0]
 
 
-def rate_matrix(config: ModelConfig, gain_coupling: float, n: float,
-                delta: float) -> np.ndarray:
+def rate_matrix(config: ModelConfig, n: float, delta: float) -> np.ndarray:
     """Generator A of the linear part: d/dt v = A v.
 
     v = [rho11, rho22, rho33, rho44, rho55, rho66, rho77,
@@ -153,7 +152,7 @@ def rate_matrix(config: ModelConfig, gain_coupling: float, n: float,
     """
     r = config.rates
     d = config.drive
-    gn = gain_coupling * n
+    gn = config.derived.gain_coupling * n
     gamma = r.gamma14 + 0.5 * (d.pump12 + d.pump45)
     a = np.zeros((9, 9))
     # rho11: pumped out, refilled by decays and the singlet, driven by Im rho14
@@ -197,12 +196,13 @@ def rate_matrix(config: ModelConfig, gain_coupling: float, n: float,
     return a
 
 
-def _max_rate(config: ModelConfig, gain_coupling: float, n: float) -> float:
+def _max_rate(config: ModelConfig, n: float) -> float:
     r = config.rates
     d = config.drive
     rates = [r.L21, r.L23, r.L31, r.L54, r.L56, r.L64, r.L57, r.L71,
              r.L74, r.L27, r.gamma14, d.pump12, d.pump45, d.omega,
-             abs(d.delta), config.cavity.kappa, gain_coupling * n]
+             abs(d.delta), config.cavity.kappa,
+             config.derived.gain_coupling * n]
     return max(rates)
 
 
@@ -247,12 +247,11 @@ def populations_at_fixed_n(config: ModelConfig, n: float,
         raise DegenerateConfigError(
             "all transition rates and drives are zero; occupations are "
             "undetermined")
-    g = config.derived.gain_coupling
     if delta is None:
         delta = config.drive.delta
-    a = rate_matrix(config, g, n, delta)
+    a = rate_matrix(config, n, delta)
     v = _solve_linear(a)
-    scale = _max_rate(config, g, n)
+    scale = _max_rate(config, n)
     residual = float(np.max(np.abs(a @ v))) / scale
     if residual > _LINEAR_RESIDUAL_RTOL:
         raise ConvergenceError(
@@ -310,7 +309,7 @@ def _closed_form_gain(config: ModelConfig):
     rhs[[2, 5], [1, 2]] = -1.0
     terms = []
     for weight, delta in _ensembles(config):
-        x = _solve_linear(rate_matrix(config, g, 0.0, delta), rhs)
+        x = _solve_linear(rate_matrix(config, 0.0, delta), rhs)
         # rows: W^T applied to M0^-1 [e1, W]
         w = x[[1, 4]] - x[[2, 5]]
         (z0, c00, c01), (z1, c10, c11) = w.tolist()
@@ -452,12 +451,11 @@ def _steady_result(config: ModelConfig, n: float, branch: str,
             "gain residual at the photon-number root above tolerance",
             detail={"n": n, "gain_residual": gain})
     weights, deltas = zip(*_ensembles(config))
-    g = config.derived.gain_coupling
     residual = 0.0
     for state, delta in zip(states, deltas):
-        a = rate_matrix(config, g, n, delta)
+        a = rate_matrix(config, n, delta)
         r = float(np.max(np.abs(a @ state.as_array())))
-        residual = max(residual, r / _max_rate(config, g, n))
+        residual = max(residual, r / _max_rate(config, n))
     return SteadyStateResult(n=n, branch=branch, net_gain=gain,
                              residual=residual, populations=states,
                              weights=weights, detunings=deltas)
@@ -489,7 +487,7 @@ def _gain_partials(config: ModelConfig, result: SteadyStateResult
         if k == 0:
             rhs[7, 1] = state.rho14_im
             rhs[8, 1] = -state.rho14_re
-        x = _solve_linear(rate_matrix(config, g, result.n, delta), rhs)
+        x = _solve_linear(rate_matrix(config, result.n, delta), rhs)
         dn, dd = ((x[1] - x[2]) + (x[4] - x[5])).tolist()
         dg_dn += weight * g * dn
         dg_dd += weight * g * dd

@@ -4,14 +4,17 @@ An axis is any numeric path of the parameter registry in ``configio``:
 a dotted config path (``drive.delta``, ``drive.pump12``, ``cavity.kappa``,
 ...) or one of the derived paths defined there, ``b_field`` (the
 detuning from a bias field in tesla) and ``pump`` (both branch pump
-rates together).  With two axes the second one varies fastest, and row
-order is fully deterministic regardless of the execution backend.
-Points where a solver raises a physics-domain or convergence error keep
-their axis cells and leave the value cells absent.
+rates together).  With two axes the second one varies fastest.  Only
+grids of ``POOL_MIN_POINTS`` points or more run in a process pool, and
+not with ``parallel=False`` (``--serial`` on the command line); values
+and row order do not depend on the backend.  Points where a solver
+raises a physics-domain or convergence error keep their axis cells and
+leave the value cells absent.
 """
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -21,9 +24,14 @@ from . import __about__
 from .configio import config_digest, get_param, param_unit, set_param
 from .errors import ConvergenceError, InvalidConfigError, PhysicsDomainError
 from .model import ModelConfig, output_power
-from .sensitivity import _dc_point
+from .sensitivity import _dc_at_state
 from .steady import POPULATION_NAMES, solve_steady_state
 from .tables import Column, OutputTable
+
+# Smallest grid that runs in a process pool.  Serial and pooled runs of a
+# `baseline` n,P_out,branch grid on two CPUs take equal time near 400
+# points; below that, starting the pool costs more than it saves.
+POOL_MIN_POINTS = 400
 
 # output name -> columns it contributes
 OUTPUTS: dict[str, tuple[Column, ...]] = {
@@ -116,36 +124,25 @@ def _eval_point(payload) -> tuple:
         elif name == "populations":
             cells.extend(ss.aligned.as_array().tolist())
         elif name == "eta_dc":
-            res = _dc_point(config, get_param(config, "b_field"))
+            res = _dc_at_state(config, ss, get_param(config, "b_field"))
             cells.append(None if res is None else res.eta)
     return tuple(cells)
 
 
 def run_sweep(config: ModelConfig, spec: SweepSpec, *, parallel: bool = True,
               provenance: dict | None = None) -> OutputTable:
-    """Evaluate the sweep grid and return one row per point.
-
-    Parallel execution (on by default for grids of 32+ points) changes
-    neither values nor row order.
-    """
+    """Evaluate the sweep grid and return one row per point, in a process
+    pool when ``parallel`` is set and the grid has ``POOL_MIN_POINTS``
+    points or more."""
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 else [])
-    grids = [axis.values() for axis in axes]
-    payloads = []
-    if len(axes) == 1:
-        for v1 in grids[0]:
-            payloads.append((config, ((axes[0].path, float(v1)),),
-                             spec.outputs))
-    else:
-        for v1 in grids[0]:
-            for v2 in grids[1]:   # second axis fastest
-                payloads.append((config, ((axes[0].path, float(v1)),
-                                          (axes[1].path, float(v2))),
-                                 spec.outputs))
+    grids = [[(axis.path, float(v)) for v in axis.values()] for axis in axes]
+    payloads = [(config, point, spec.outputs)
+                for point in itertools.product(*grids)]
     columns = [axis.column() for axis in axes]
     for name in spec.outputs:
         columns.extend(OUTPUTS[name])
 
-    if parallel and len(payloads) >= 32:
+    if parallel and len(payloads) >= POOL_MIN_POINTS:
         chunk = max(1, len(payloads) // 64)
         with ProcessPoolExecutor() as pool:
             rows = list(pool.map(_eval_point, payloads, chunksize=chunk))

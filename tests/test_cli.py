@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from ltmag import OutputTable, find_operating_point, preset, save_config
+from ltmag import (BelowThresholdError, ConvergenceError,
+                   InvalidConfigError, LtmagError, NotLasableError,
+                   OutputTable, PhysicsDomainError, StiffnessError,
+                   find_operating_point, preset, save_config)
+from ltmag import cli
 from ltmag.cli import main
 
 
@@ -42,7 +46,7 @@ def test_steady_state_rejects_conflicting_bias(capsys):
     code, _, err = _run(capsys, "steady-state", "--delta", "1e8",
                         "--b-field", "1e-4")
     assert code == 1
-    assert "either" in err
+    assert "not allowed with" in err
 
 
 def test_set_override_changes_result(capsys):
@@ -180,6 +184,29 @@ def test_sensitivity_dc_needs_exactly_one_target(capsys):
     code, _, _ = _run(capsys, "sensitivity-dc", "--b-field", "1e-4",
                       "--b-grid", "0:1e-4:3")
     assert code == 1
+    for bad in ("a:1e-4:3", "0:1e-4:x", "0:1e-4:0"):
+        code, out, err = _run(capsys, "sensitivity-dc", "--b-grid", bad)
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (InvalidConfigError, 1, "error: "),
+    (ConvergenceError, 2, "error: did not converge: "),
+    (StiffnessError, 2, "error: did not converge: "),
+    (PhysicsDomainError, 3, "error: "),
+    (NotLasableError, 3, "error: "),
+    (BelowThresholdError, 3, "error: "),
+    (LtmagError, 1, "error: "),
+])
+def test_error_classes_map_to_exit_codes(capsys, monkeypatch, error, code,
+                                         prefix):
+    def fail(config):
+        raise error("forced")
+
+    monkeypatch.setattr(cli, "solve_steady_state", fail)
+    got, out, err = _run(capsys, "steady-state")
+    assert got == code and out == ""
+    assert err == f"{prefix}forced\n"
 
 
 def test_sensitivity_ac_quasistatic(capsys):

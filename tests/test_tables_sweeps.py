@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from ltmag import (Column, ConvergenceError, InvalidConfigError,
-                   OutputTable, SweepAxis, SweepSpec, run_sweep,
-                   solve_steady_state, with_drive)
-from ltmag import sweeps
+                   OutputTable, SweepAxis, SweepSpec, dc_sensitivity_curve,
+                   run_sweep, solve_steady_state, with_drive)
+from ltmag import sensitivity, sweeps
 
 
 def _sample_table():
@@ -114,18 +114,80 @@ def test_sweep_single_axis_matches_direct_solve(baseline_config):
 
 
 def test_sweep_two_axes_order_and_parallel_equivalence(baseline_config):
-    spec = SweepSpec(axis1=SweepAxis("drive.delta", 0.0, 1e8, 6),
-                     axis2=SweepAxis("pump", 1e6, 2e6, 6),
+    spec = SweepSpec(axis1=SweepAxis("drive.delta", 0.0, 1e8, 20),
+                     axis2=SweepAxis("pump", 1e6, 2e6, 20),
                      outputs=("n",))
     serial = run_sweep(baseline_config, spec, parallel=False)
     parallel = run_sweep(baseline_config, spec, parallel=True)
     assert serial.rows == parallel.rows
-    assert len(serial.rows) == 36
-    # axis2 varies fastest: the first six rows share the axis1 value
-    first = [row[0] for row in serial.rows[:6]]
+    assert len(serial.rows) == 400 >= sweeps.POOL_MIN_POINTS
+    # axis2 varies fastest: the first twenty rows share the axis1 value
+    first = [row[0] for row in serial.rows[:20]]
     assert all(v == first[0] for v in first)
-    pumps = [row[1] for row in serial.rows[:6]]
+    pumps = [row[1] for row in serial.rows[:20]]
     assert pumps == sorted(pumps)
+
+
+class _PoolRecorder:
+    """Stands in for ProcessPoolExecutor: records each pool it builds and
+    maps in this process."""
+
+    built = []
+
+    def __init__(self):
+        self.built.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads, chunksize=1):
+        return map(fn, payloads)
+
+
+def test_sweep_builds_a_pool_only_at_the_threshold(baseline_config,
+                                                   monkeypatch):
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(_PoolRecorder, "built", [])
+    threshold = sweeps.POOL_MIN_POINTS
+
+    def sweep(points, parallel):
+        spec = SweepSpec(SweepAxis("pump", 0.0, 4e6, points),
+                         outputs=("n",))
+        return run_sweep(baseline_config, spec, parallel=parallel)
+
+    below = sweep(threshold - 1, parallel=True)
+    assert _PoolRecorder.built == []
+    at = sweep(threshold, parallel=True)
+    assert len(_PoolRecorder.built) == 1
+    assert len(below.rows) == threshold - 1 and len(at.rows) == threshold
+    sweep(threshold, parallel=False)
+    assert len(_PoolRecorder.built) == 1
+
+
+def test_sweep_eta_dc_reuses_the_point_solve(high_sens_config, monkeypatch):
+    calls = []
+    real = sweeps.solve_steady_state
+
+    def counted(config):
+        calls.append(config.drive.delta)
+        return real(config)
+
+    monkeypatch.setattr(sweeps, "solve_steady_state", counted)
+    monkeypatch.setattr(sensitivity, "solve_steady_state", counted)
+    axis = SweepAxis("b_field", -300e-6, 300e-6, 10)
+    table = run_sweep(high_sens_config,
+                      SweepSpec(axis1=axis, outputs=("n", "eta_dc")),
+                      parallel=False)
+    assert len(calls) == 10
+    monkeypatch.undo()
+    # the d.c. curve solves at the same detunings, so the etas are equal
+    curve = dc_sensitivity_curve(high_sens_config, axis.values())
+    expected = [None if res is None else res.eta for res in curve]
+    assert table.column_values("eta_dc") == expected
+    assert None in expected and expected.count(None) < len(expected)
 
 
 def test_sweep_dark_points_leave_cells_absent(baseline_config):
