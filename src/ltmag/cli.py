@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Every subcommand prints one unit-annotated table (CSV by default, JSON
-with ``--format json``) to stdout or ``--out``.  ``experiment`` produces
-several tables and therefore writes files into an output directory.
+Every subcommand builds one unit-annotated table, which ``main`` prints
+(CSV by default, JSON with ``--format json``) to stdout or ``--out``.
+``experiment`` produces several tables and therefore writes files into
+an output directory.  A d.c. sensitivity curve is a ``b_field`` sweep
+with outputs ``n,dn_dB,eta_dc``; options left out keep the library's
+defaults; negative values may be written ``-1e8``.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
 non-convergence, 3 physics-domain condition (e.g. the configuration
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import __about__
@@ -22,17 +26,22 @@ from .dynamics import ac_response, step_response
 from .errors import ConvergenceError, InvalidConfigError, LtmagError
 from .experiments import EXPERIMENT_NAMES, experiment
 from .model import output_power, PRESET_NAMES
-from .sensitivity import (AcSignalModel, METHOD_AC_QUASISTATIC,
-                          METHOD_AC_TIME, ac_sensitivity, dc_sensitivity,
-                          dc_sensitivity_curve, optimize_sensitivity,
-                          _PARAM_PATHS)
+from .sensitivity import (AcSignalModel, DEFAULT_B_WINDOW,
+                          METHOD_AC_QUASISTATIC, METHOD_AC_TIME,
+                          ac_sensitivity, dc_sensitivity, optimize_sensitivity)
 from .steady import POPULATION_NAMES, find_operating_point, solve_steady_state
-from .sweeps import SweepAxis, SweepSpec, run_sweep
+from .sweeps import OUTPUTS, SweepAxis, SweepSpec, run_sweep
 from .tables import Column, OutputTable
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse reports usage problems with exit code 2; ours is 1."""
+    """argparse reports usage problems with exit code 2; ours is 1.  Its
+    own negative-number rule misses forms such as -1e8."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token that starts like a negative number (-1e8, -.5, -inf)
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.I)
 
     def error(self, message):
         raise InvalidConfigError(message)
@@ -60,6 +69,16 @@ def _config_from(args) -> "ModelConfig":
     return resolve_config(args.preset, args.config, args.overrides)
 
 
+def _given(args, *names) -> dict:
+    """The named ``default=argparse.SUPPRESS`` options that were given."""
+    return {name: getattr(args, name) for name in names
+            if hasattr(args, name)}
+
+
+def _comma_list(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
 def _emit(table: OutputTable, args) -> None:
     text = table.render(args.format)
     if args.out:
@@ -77,7 +96,7 @@ def _provenance(args, config) -> dict[str, str]:
     return prov
 
 
-def _cmd_steady_state(args) -> int:
+def _cmd_steady_state(args) -> OutputTable:
     config = _config_from(args)
     if args.b_field is not None:
         config = set_param(config, "b_field", args.b_field)
@@ -87,14 +106,12 @@ def _cmd_steady_state(args) -> int:
     cols = [Column("delta", "rad/s"), Column("b_field", "T"),
             Column("n", "1"), Column("P_out", "W"), Column("branch", ""),
             Column("net_gain", "rad/s"), Column("residual", "1")]
-    pops = ss.aligned
     cols += [Column(name, "1") for name in POPULATION_NAMES]
     row = (config.drive.delta, get_param(config, "b_field"),
            ss.n, output_power(ss.n, config), ss.branch, ss.net_gain,
-           ss.residual, *pops.as_array().tolist())
-    _emit(OutputTable(columns=tuple(cols), rows=[row],
-                      provenance=_provenance(args, config)), args)
-    return 0
+           ss.residual, *ss.aligned.as_array().tolist())
+    return OutputTable(columns=tuple(cols), rows=[row],
+                       provenance=_provenance(args, config))
 
 
 def _parse_axis(text: str) -> SweepAxis:
@@ -102,37 +119,30 @@ def _parse_axis(text: str) -> SweepAxis:
     if len(parts) not in (4, 5):
         raise InvalidConfigError(
             f"axis {text!r} must be path:start:stop:points[:log]")
-    scale = "linear"
-    if len(parts) == 5:
-        scale = parts[4]
     try:
-        return SweepAxis(path=parts[0], start=float(parts[1]),
-                         stop=float(parts[2]), points=int(parts[3]),
-                         scale=scale)
+        return SweepAxis(parts[0], float(parts[1]), float(parts[2]),
+                         int(parts[3]), *parts[4:])
     except ValueError as exc:
         raise InvalidConfigError(f"bad axis {text!r}: {exc}") from exc
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> OutputTable:
     config = _config_from(args)
-    axis1 = _parse_axis(args.axis1)
-    axis2 = _parse_axis(args.axis2) if args.axis2 else None
-    outputs = tuple(s.strip() for s in args.outputs.split(",") if s.strip())
-    spec = SweepSpec(axis1=axis1, axis2=axis2, outputs=outputs)
-    table = run_sweep(config, spec, parallel=not args.serial,
-                      provenance=_provenance(args, config))
-    _emit(table, args)
-    return 0
+    spec = SweepSpec(axis1=_parse_axis(args.axis1),
+                     axis2=_parse_axis(args.axis2) if args.axis2 else None,
+                     **_given(args, "outputs"))
+    return run_sweep(config, spec, parallel=not args.serial,
+                     provenance=_provenance(args, config))
 
 
-def _cmd_response(args) -> int:
+def _cmd_response(args) -> OutputTable:
     config = _config_from(args)
     res = step_response(config, args.delta_before, args.delta_after,
-                        seed_n=args.seed_n)
+                        **_given(args, "seed_n"))
     if args.timeseries:
         with open(args.timeseries, "w", encoding="utf-8") as fp:
             fp.write(res.series.to_csv(config))
-    table = OutputTable(
+    return OutputTable(
         columns=(Column("delta_before", "rad/s"),
                  Column("delta_after", "rad/s"), Column("seed_n", "1"),
                  Column("n_initial", "1"), Column("n_final", "1"),
@@ -142,16 +152,13 @@ def _cmd_response(args) -> int:
                res.n_initial, res.n_final, res.t_63, res.t_90,
                "true" if res.settled else "false")],
         provenance=_provenance(args, config))
-    _emit(table, args)
-    return 0
 
 
-def _cmd_ac(args) -> int:
+def _cmd_ac(args) -> OutputTable:
     config = _config_from(args)
     hr = ac_response(config, args.bias, args.amplitude, args.omega,
-                     periods=args.periods,
-                     samples_per_period=args.samples_per_period)
-    table = OutputTable(
+                     **_given(args, "periods", "samples_per_period"))
+    return OutputTable(
         columns=(Column("omega", "rad/s"), Column("bias_field", "T"),
                  Column("amplitude_field", "T"), Column("n_mean", "1"),
                  Column("n_signal", "1"), Column("phase", "rad"),
@@ -161,8 +168,6 @@ def _cmd_ac(args) -> int:
                hr.n_mean, hr.n_signal, hr.phase, hr.distortion,
                hr.transient_time)],
         provenance=_provenance(args, config))
-    _emit(table, args)
-    return 0
 
 
 _SENS_COLUMNS = (Column("b_field", "T"), Column("n", "1"),
@@ -175,83 +180,65 @@ def _sens_row(res) -> tuple:
             "true" if res.diverged else "false", res.method)
 
 
-def _cmd_sensitivity_dc(args) -> int:
+def _cmd_sensitivity_dc(args) -> OutputTable:
     config = _config_from(args)
-    table = OutputTable(columns=_SENS_COLUMNS,
-                        provenance=_provenance(args, config))
-    if args.b_field is not None:
-        table.append(_sens_row(dc_sensitivity(config, args.b_field)))
-    else:
-        grid = _parse_axis("b_field:" + args.b_grid).values()
-        for b, res in zip(grid, dc_sensitivity_curve(config, grid)):
-            if res is None:
-                table.append((float(b), None, None, None, None, None))
-            else:
-                table.append(_sens_row(res))
-    _emit(table, args)
-    return 0
+    return OutputTable(columns=_SENS_COLUMNS,
+                       rows=[_sens_row(dc_sensitivity(config, args.b_field))],
+                       provenance=_provenance(args, config))
 
 
-def _cmd_sensitivity_ac(args) -> int:
+def _cmd_sensitivity_ac(args) -> OutputTable:
     config = _config_from(args)
     signal = AcSignalModel(bias_field=args.bias,
                            amplitude_field=args.amplitude,
                            omega_signal=args.omega,
-                           excess_noise=args.excess_noise)
-    res = ac_sensitivity(config, signal, method=args.method)
-    table = OutputTable(
+                           **_given(args, "excess_noise"))
+    res = ac_sensitivity(config, signal, **_given(args, "method"))
+    return OutputTable(
         columns=_SENS_COLUMNS + (Column("omega", "rad/s"),
                                  Column("n_signal", "1")),
         rows=[_sens_row(res) + (res.omega_signal, res.n_signal)],
         provenance=_provenance(args, config))
-    _emit(table, args)
-    return 0
 
 
-def _cmd_operating_point(args) -> int:
+def _cmd_operating_point(args) -> OutputTable:
     config = _config_from(args)
     pump = find_operating_point(config, omega=args.omega)
     omega = args.omega if args.omega is not None else config.drive.omega
-    table = OutputTable(
+    return OutputTable(
         columns=(Column("omega", "rad/s"), Column("pump", "rad/s")),
         rows=[(omega, pump)], provenance=_provenance(args, config))
-    _emit(table, args)
-    return 0
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> OutputTable:
     config = _config_from(args)
-    vary = tuple(s.strip() for s in args.vary.split(",") if s.strip())
     outcome = optimize_sensitivity(
-        config, vary=vary, bounds_decades=args.bounds_decades,
-        b_window=(args.b_min, args.b_max),
-        max_evaluations=args.max_evaluations)
+        config, b_window=(args.b_min, args.b_max),
+        **_given(args, "vary", "bounds_decades", "max_evaluations"))
+    if args.save_config:
+        save_config(outcome.config, args.save_config)
     cols = [Column("start_eta", "T/sqrt(Hz)"),
             Column("best_eta", "T/sqrt(Hz)"), Column("best_b_field", "T"),
             Column("evaluations", "1"), Column("converged", "")]
     row = [outcome.start_eta, outcome.eta, outcome.b_field,
            outcome.evaluations, "true" if outcome.converged else "false"]
-    for name in outcome.varied:
-        cols.append(Column(f"best_{name}", param_unit(_PARAM_PATHS[name])))
-        row.append(get_param(outcome.config, _PARAM_PATHS[name]))
-    table = OutputTable(columns=tuple(cols), rows=[tuple(row)],
-                        provenance=_provenance(args, config))
-    _emit(table, args)
-    if args.save_config:
-        save_config(outcome.config, args.save_config)
-    return 0
+    for path in outcome.varied:
+        cols.append(Column(f"best_{path}", param_unit(path) or "1"))
+        row.append(get_param(outcome.config, path))
+    return OutputTable(columns=tuple(cols), rows=[tuple(row)],
+                       provenance=_provenance(args, config))
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> None:
     if args.preset or args.config:
         tables = experiment(args.name, config=_config_from(args))
     else:
         # fall back to the experiment's own preset, overrides still apply
         tables = experiment(args.name, overrides=args.overrides)
-    return _emit_experiment(tables, args)
+    _emit_experiment(tables, args)
 
 
-def _emit_experiment(tables, args) -> int:
+def _emit_experiment(tables, args) -> None:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for key, table in tables.items():
@@ -264,7 +251,6 @@ def _emit_experiment(tables, args) -> int:
         for key, table in tables.items():
             sys.stdout.write(f"## {key}\n")
             sys.stdout.write(table.render(args.format))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,9 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis1", required=True,
                    metavar="PATH:START:STOP:POINTS[:log]")
     p.add_argument("--axis2", metavar="PATH:START:STOP:POINTS[:log]")
-    p.add_argument("--outputs", default="n,P_out",
-                   help="comma list of n,P_out,branch,net_gain,"
-                        "populations,eta_dc")
+    p.add_argument("--outputs", type=_comma_list, default=argparse.SUPPRESS,
+                   help=f"comma list of {','.join(OUTPUTS)}")
     p.add_argument("--serial", action="store_true",
                    help="disable parallel evaluation")
     p.set_defaults(func=_cmd_sweep)
@@ -299,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--delta-before", type=float, required=True)
     p.add_argument("--delta-after", type=float, required=True)
-    p.add_argument("--seed-n", type=float, default=None,
-                   help="photon seed for dark starts (default 1e-6)")
+    p.add_argument("--seed-n", type=float, default=argparse.SUPPRESS,
+                   help="photon seed for dark starts")
     p.add_argument("--timeseries", metavar="PATH",
                    help="also write the sampled trajectory as CSV")
     p.set_defaults(func=_cmd_response)
@@ -310,17 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias", type=float, required=True, help="T")
     p.add_argument("--amplitude", type=float, required=True, help="T")
     p.add_argument("--omega", type=float, required=True, help="rad/s")
-    p.add_argument("--periods", type=int, default=10)
-    p.add_argument("--samples-per-period", type=int, default=64)
+    p.add_argument("--periods", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--samples-per-period", type=int,
+                   default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_ac)
 
     p = sub.add_parser("sensitivity-dc",
                        help="shot-noise d.c. field sensitivity")
     _add_common(p)
-    target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--b-field", type=float, help="T")
-    target.add_argument("--b-grid", metavar="LO:HI:POINTS",
-                        help="curve over a field range (T)")
+    p.add_argument("--b-field", type=float, required=True, help="T")
     p.set_defaults(func=_cmd_sensitivity_dc)
 
     p = sub.add_parser("sensitivity-ac",
@@ -329,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias", type=float, required=True, help="T")
     p.add_argument("--amplitude", type=float, required=True, help="T")
     p.add_argument("--omega", type=float, required=True, help="rad/s")
-    p.add_argument("--method", default=METHOD_AC_TIME,
+    p.add_argument("--method", default=argparse.SUPPRESS,
                    choices=(METHOD_AC_TIME, METHOD_AC_QUASISTATIC))
-    p.add_argument("--excess-noise", type=float, default=2.43)
+    p.add_argument("--excess-noise", type=float, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_sensitivity_ac)
 
     p = sub.add_parser("operating-point",
@@ -345,12 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize",
                        help="minimize sensitivity over device knobs")
     _add_common(p)
-    p.add_argument("--vary", default="kappa,pump,omega",
-                   help="comma list of kappa,pump,omega")
-    p.add_argument("--bounds-decades", type=float, default=1.0)
-    p.add_argument("--b-min", type=float, default=0.0)
-    p.add_argument("--b-max", type=float, default=300e-6)
-    p.add_argument("--max-evaluations", type=int, default=200)
+    p.add_argument("--vary", type=_comma_list, default=argparse.SUPPRESS,
+                   metavar="PATH,...",
+                   help="comma list of parameter registry paths, "
+                        "e.g. pump,drive.omega")
+    p.add_argument("--bounds-decades", type=float,
+                   default=argparse.SUPPRESS)
+    p.add_argument("--b-min", type=float, default=DEFAULT_B_WINDOW[0],
+                   help="T")
+    p.add_argument("--b-max", type=float, default=DEFAULT_B_WINDOW[1],
+                   help="T")
+    p.add_argument("--max-evaluations", type=int,
+                   default=argparse.SUPPRESS)
     p.add_argument("--save-config", metavar="PATH",
                    help="write the optimized config to a file")
     p.set_defaults(func=_cmd_optimize)
@@ -367,7 +356,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        table = args.func(args)
+        if table is not None:  # experiment writes its own tables
+            _emit(table, args)
+        return 0
     except LtmagError as exc:
         prefix = ("did not converge: "
                   if isinstance(exc, ConvergenceError) else "")

@@ -45,6 +45,11 @@ DEFAULT_SEED_N = 1e-6
 
 _TRACE_TOL = 1e-9
 
+# LSODA tolerances (a.c. signals are small, so theirs is tighter) and the
+# horizon doublings a step response may take
+_RTOL, _ATOL, _AC_ATOL = 1e-10, 1e-14, 1e-16
+_MAX_DOUBLINGS = 10
+
 # samples of a step response's trajectory, and of the coarse scan that
 # brackets each threshold crossing before the root refines it
 _OUTPUT_POINTS = 2001
@@ -210,8 +215,7 @@ def jacobian(t: float, y: np.ndarray, config: ModelConfig,
     return jac
 
 
-def _sanitize(t: np.ndarray, states: np.ndarray, rtol: float,
-              atol: float) -> TimeSeries:
+def _sanitize(t: np.ndarray, states: np.ndarray) -> TimeSeries:
     """Enforce the trajectory invariants on integrator output.
 
     Occupations may stray from [0, 1] and n below 0 by no more than the
@@ -220,8 +224,8 @@ def _sanitize(t: np.ndarray, states: np.ndarray, rtol: float,
     """
     occ = states[:, :7]
     n = states[:, 9]
-    occ_tol = max(atol, 10.0 * rtol)
-    n_tol = max(atol, rtol * float(np.max(np.abs(n), initial=0.0)))
+    occ_tol = max(_ATOL, 10.0 * _RTOL)
+    n_tol = max(_ATOL, _RTOL * float(np.max(np.abs(n), initial=0.0)))
     worst_occ = float(min(np.min(occ), 1.0 - np.max(occ)))
     if worst_occ < -occ_tol:
         raise StiffnessError(
@@ -257,13 +261,13 @@ def solve_ivp(*args, **kwargs):
 
 
 def _solve(config: ModelConfig, y0: np.ndarray, t_span: tuple[float, float],
-           modulation: DriveModulation, rtol: float, atol: float,
+           modulation: DriveModulation, *, atol: float,
            max_step: float = np.inf, dense: bool = False):
     """One LSODA integration of the full system with the analytic
     Jacobian; raises ``StiffnessError`` when the integrator gives up."""
     sol = solve_ivp(
         rhs, t_span, np.asarray(y0, dtype=float),
-        method="LSODA", rtol=rtol, atol=atol, max_step=max_step,
+        method="LSODA", rtol=_RTOL, atol=atol, max_step=max_step,
         dense_output=dense,
         args=(config, modulation),
         jac=lambda t, y, *args: jacobian(t, y, config, modulation))
@@ -275,14 +279,14 @@ def _solve(config: ModelConfig, y0: np.ndarray, t_span: tuple[float, float],
 
 
 def integrate(config: ModelConfig, y0: np.ndarray,
-              t_span: tuple[float, float], modulation: DriveModulation,
-              *, rtol: float = 1e-10, atol: float = 1e-14) -> TimeSeries:
+              t_span: tuple[float, float],
+              modulation: DriveModulation) -> TimeSeries:
     """Integrate the full system over t_span and validate the trajectory."""
     _require_single_orientation(config, "integrate")
     if len(y0) != 10:
         raise InvalidConfigError("initial state must have 10 components")
-    sol = _solve(config, y0, t_span, modulation, rtol, atol)
-    return _sanitize(sol.t, sol.y.T, rtol, atol)
+    sol = _solve(config, y0, t_span, modulation, atol=_ATOL)
+    return _sanitize(sol.t, sol.y.T)
 
 
 def _first_crossing(dense_sol, t_lo: float, t_hi: float, target: float,
@@ -303,9 +307,8 @@ def _first_crossing(dense_sol, t_lo: float, t_hi: float, target: float,
 
 
 def step_response(config: ModelConfig, delta_before: float,
-                  delta_after: float, *, seed_n: float | None = None,
-                  rtol: float = 1e-10, atol: float = 1e-14,
-                  max_doublings: int = 10) -> ResponseResult:
+                  delta_after: float, *,
+                  seed_n: float | None = None) -> ResponseResult:
     """Photon-number response to an instantaneous detuning step at t = 0.
 
     The system starts in the steady state of ``delta_before`` with the
@@ -323,15 +326,13 @@ def step_response(config: ModelConfig, delta_before: float,
     if delta_after == delta_before:
         raise DegenerateStepError(
             "step requires distinct before/after detunings")
-    if max_doublings < 1:
-        raise InvalidConfigError("max_doublings must be >= 1")
     before = with_drive(config, delta=delta_before)
     after = with_drive(config, delta=delta_after)
     ss_before = solve_steady_state(before)
     ss_after = solve_steady_state(after)
     seed = seed_n if seed_n is not None else max(ss_before.n, DEFAULT_SEED_N)
-    if seed <= 0.0:
-        raise InvalidConfigError("seed_n must be > 0")
+    if not 0.0 < seed < math.inf:
+        raise InvalidConfigError("seed_n must be finite and > 0")
     n_i = seed
     n_f = ss_after.n
     span = n_f - n_i
@@ -354,8 +355,8 @@ def step_response(config: ModelConfig, delta_before: float,
     knots = [np.zeros(1)]
     interpolants = []
     work = dict.fromkeys(("steps", "nfev", "njev", "nlu"), 0)
-    for extensions in range(max_doublings):
-        sol = _solve(after, y, (t_start, horizon), modulation, rtol, atol,
+    for extensions in range(_MAX_DOUBLINGS):
+        sol = _solve(after, y, (t_start, horizon), modulation, atol=_ATOL,
                      dense=True)
         steps = len(sol.t) - 1
         for key, count in zip(work, (steps, sol.nfev, sol.njev, sol.nlu)):
@@ -382,7 +383,7 @@ def step_response(config: ModelConfig, delta_before: float,
                     "n_end": float(y[9]), "extensions": extensions,
                     **work})
     ts = np.linspace(0.0, dense.ts[-1], _OUTPUT_POINTS)
-    series = _sanitize(ts, dense(ts).T, rtol, atol)
+    series = _sanitize(ts, dense(ts).T)
     return ResponseResult(t_63=t_63, t_90=t_90, n_initial=n_i, n_final=n_f,
                           delta_before=delta_before,
                           delta_after=delta_after, seed_n=seed,
@@ -398,8 +399,8 @@ def _singlet_cycle_time(config: ModelConfig) -> float:
 
 def ac_response(config: ModelConfig, bias_field: float,
                 amplitude_field: float, omega_signal: float, *,
-                periods: int = 10, samples_per_period: int = 64,
-                rtol: float = 1e-10, atol: float = 1e-16) -> HarmonicResult:
+                periods: int = 10,
+                samples_per_period: int = 64) -> HarmonicResult:
     """Response to a small sinusoidal field on top of a bias field.
 
     Integrates through a transient of max(5 periods, 10 relaxation times),
@@ -438,11 +439,11 @@ def ac_response(config: ModelConfig, bias_field: float,
     modulation = DriveModulation.sine_field(bias_field, amplitude_field,
                                             omega_signal)
     t_end = transient + periods * period
-    sol = _solve(config, y0, (0.0, t_end), modulation, rtol, atol,
+    sol = _solve(config, y0, (0.0, t_end), modulation, atol=_AC_ATOL,
                  max_step=period / samples_per_period, dense=True)
     t_k = transient + np.arange(n_samples) * (periods * period / n_samples)
     n_k = sol.sol(t_k)[9]
-    if float(np.max(n_k)) <= 10.0 * atol:
+    if float(np.max(n_k)) <= 10.0 * _AC_ATOL:
         raise NoSignalError("no photon output during the sampled window")
 
     spectrum = np.fft.rfft(n_k)

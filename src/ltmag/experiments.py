@@ -128,8 +128,7 @@ def _exp_fig3b(config: ModelConfig) -> dict[str, OutputTable]:
 
 def _exp_fig4(config: ModelConfig) -> dict[str, OutputTable]:
     """Sensitivity curves with the weak excited-state crossing enabled."""
-    b_grid = np.linspace(-300e-6, 300e-6, 61)
-    report = l27_robustness(config, ratios=(0.01, 0.1), b_grid=b_grid)
+    report = l27_robustness(config)
     prov = _provenance("fig4", config)
     out: dict[str, OutputTable] = {}
     curves = {0.0: report.base_curve}
@@ -138,7 +137,7 @@ def _exp_fig4(config: ModelConfig) -> dict[str, OutputTable]:
         table = OutputTable(columns=(Column("b_field", "T"),
                                      Column("eta_dc", "T/sqrt(Hz)")),
                             provenance=dict(prov, l27_ratio=repr(ratio)))
-        for b, res in zip(b_grid, curve):
+        for b, res in zip(report.b_grid, curve):
             if res is None:
                 table.append((float(b), None))
             else:

@@ -16,10 +16,10 @@ level in the demodulated band.
 The slope dn/dB has two evaluators.  ``dc_sensitivity`` takes adaptive
 central differences with Richardson extrapolation (method
 ``dc_finite_difference``).  Every field scan (the d.c. curve, both field
-searches, the sweeps' ``eta_dc`` cells) takes the implicit slope
-(``dc_implicit``): the net gain g(n, delta) vanishes at a lasing root,
-so dn/d delta = -(dg/d delta) / (dg/dn), one extra linear solve in place
-of a stencil of steady states.  The two agree to about 1e-11 relative;
+searches, the sweeps' ``dn_dB`` and ``eta_dc`` cells) takes the implicit
+slope (``dc_implicit``): the net gain g(n, delta) vanishes at a lasing
+root, so dn/d delta = -(dg/d delta) / (dg/dn), one extra linear solve in
+place of a stencil of steady states.  The two agree to about 1e-11 relative;
 the finite differences are the oracle of the implicit slope.
 
 Near the zero-crossing of the slope (the bottom of the symmetric output
@@ -63,6 +63,11 @@ _MAX_HALVINGS = 40
 _BIAS_COARSE_POINTS = 41
 _BIAS_REFINE_ROUNDS = 4
 _GOLDEN_ITERS = 16
+# best_eta_over_field's coarse grid
+_ETA_GRID_POINTS = 25
+
+# field window that optimize_sensitivity searches for the best bias (T)
+DEFAULT_B_WINDOW = (0.0, 300e-6)
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,8 @@ class SensitivityResult:
 
 @dataclass(frozen=True)
 class OptimizationOutcome:
-    """Result of a sensitivity optimization over device parameters."""
+    """Result of a sensitivity optimization over device parameters;
+    ``varied`` holds the parameter registry paths that were tuned."""
 
     config: ModelConfig
     eta: float
@@ -339,19 +345,8 @@ def find_bias_point(config: ModelConfig, b_min: float,
     return dc_sensitivity(config, best[1])
 
 
-# optimization parameter name -> parameter registry path
-_PARAM_PATHS = {"kappa": "cavity.kappa", "pump": "pump",
-                "omega": "drive.omega"}
-
-
-def _apply_params(config: ModelConfig, names, values) -> ModelConfig:
-    for name, value in zip(names, values):
-        config = set_param(config, _PARAM_PATHS[name], value)
-    return config
-
-
-def best_eta_over_field(config: ModelConfig, b_min: float, b_max: float, *,
-                        grid_points: int = 25) -> tuple[float, float]:
+def best_eta_over_field(config: ModelConfig, b_min: float,
+                        b_max: float) -> tuple[float, float]:
     """Smallest finite d.c. sensitivity over a field window.
 
     Returns (eta, b), with eta from ``dc_sensitivity`` at b.  Coarse
@@ -363,14 +358,14 @@ def best_eta_over_field(config: ModelConfig, b_min: float, b_max: float, *,
         res = _dc_point(config, float(b))
         return math.inf if res is None else res.eta
 
-    grid = np.linspace(b_min, b_max, grid_points)
+    grid = np.linspace(b_min, b_max, _ETA_GRID_POINTS)
     etas = np.asarray([eta_at(b) for b in grid])
     if not np.any(np.isfinite(etas)):
         raise BelowThresholdError(
             "no finite sensitivity anywhere in the field window")
     k = int(np.argmin(etas))
     lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid_points - 1)]
+    hi = grid[min(k + 1, _ETA_GRID_POINTS - 1)]
 
     # golden-section shrink on the bracket
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -393,36 +388,41 @@ def best_eta_over_field(config: ModelConfig, b_min: float, b_max: float, *,
 
 
 def optimize_sensitivity(config: ModelConfig, *,
-                         vary: tuple[str, ...] = ("kappa", "pump", "omega"),
+                         vary: tuple[str, ...] = ("cavity.kappa", "pump",
+                                                  "drive.omega"),
                          bounds_decades: float = 1.0,
-                         b_window: tuple[float, float] = (0.0, 300e-6),
-                         max_evaluations: int = 200,
-                         grid_points: int = 25) -> OptimizationOutcome:
+                         b_window: tuple[float, float] = DEFAULT_B_WINDOW,
+                         max_evaluations: int = 200) -> OptimizationOutcome:
     """Minimize the best-over-field d.c. sensitivity over device knobs.
 
-    Works in log10 parameter space with box bounds of
-    ``bounds_decades`` around the starting values, using Nelder-Mead
-    (derivative-free; the objective has kinks where the lasing window
-    changes).  Out-of-bounds proposals are clipped and penalized.  The
-    search is deterministic and the returned point is never worse than
-    the start.
+    ``vary`` names parameter registry paths (see ``configio``), each of
+    which must start at a number > 0; the bias (``b_field``,
+    ``drive.delta``) belongs to the field search and cannot be varied.
+    Works in log10 parameter space with box bounds of ``bounds_decades``
+    around the starting values, using Nelder-Mead (derivative-free; the
+    objective has kinks where the lasing window changes).  Out-of-bounds
+    proposals are clipped and penalized.  The search is deterministic and
+    the returned point is never worse than the start.
     """
-    for name in vary:
-        if name not in _PARAM_PATHS:
+    for path in vary:
+        value = get_param(config, path)
+        if path in ("b_field", "drive.delta") or not (
+                isinstance(value, (int, float)) and value > 0.0):
             raise InvalidConfigError(
-                f"unknown optimization parameter {name!r}")
-        if not get_param(config, _PARAM_PATHS[name]) > 0.0:
-            raise InvalidConfigError(
-                f"optimization parameter {name} must start > 0 to be "
-                "varied on a log scale")
+                f"cannot vary {path}: a knob starts at a number > 0 on a "
+                "log scale, and the field search sets the bias")
     from scipy.optimize import minimize
 
-    start = np.array([math.log10(get_param(config, _PARAM_PATHS[n]))
-                      for n in vary])
+    def apply(logs):
+        cfg = config
+        for path, value in zip(vary, 10.0 ** logs):
+            cfg = set_param(cfg, path, value)
+        return cfg
+
+    start = np.array([math.log10(get_param(config, p)) for p in vary])
     lo = start - bounds_decades
     hi = start + bounds_decades
-    start_eta, start_b = best_eta_over_field(
-        config, b_window[0], b_window[1], grid_points=grid_points)
+    start_eta, start_b = best_eta_over_field(config, *b_window)
 
     state = {"best_eta": start_eta, "best_logs": start.copy(),
              "best_b": start_b, "evals": 0}
@@ -431,10 +431,8 @@ def optimize_sensitivity(config: ModelConfig, *,
         state["evals"] += 1
         clipped = np.clip(logs, lo, hi)
         penalty = float(np.sum((logs - clipped) ** 2))
-        cfg = _apply_params(config, vary, 10.0 ** clipped)
         try:
-            eta, b_at = best_eta_over_field(
-                cfg, b_window[0], b_window[1], grid_points=grid_points)
+            eta, b_at = best_eta_over_field(apply(clipped), *b_window)
         except (PhysicsDomainError, ConvergenceError):
             return 1.0 + penalty
         if eta < state["best_eta"]:
@@ -447,11 +445,11 @@ def optimize_sensitivity(config: ModelConfig, *,
     res = minimize(objective, start, method="Nelder-Mead",
                    options={"maxfev": max_evaluations, "xatol": 1e-3,
                             "fatol": 1e-4, "disp": False})
-    best_cfg = _apply_params(config, vary, 10.0 ** state["best_logs"])
     return OptimizationOutcome(
-        config=best_cfg, eta=state["best_eta"], b_field=state["best_b"],
-        start_eta=start_eta, evaluations=state["evals"],
-        converged=bool(res.success), varied=tuple(vary))
+        config=apply(state["best_logs"]), eta=state["best_eta"],
+        b_field=state["best_b"], start_eta=start_eta,
+        evaluations=state["evals"], converged=bool(res.success),
+        varied=tuple(vary))
 
 
 def l27_robustness(config: ModelConfig,

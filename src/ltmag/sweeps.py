@@ -4,12 +4,15 @@ An axis is any numeric path of the parameter registry in ``configio``:
 a dotted config path (``drive.delta``, ``drive.pump12``, ``cavity.kappa``,
 ...) or one of the derived paths defined there, ``b_field`` (the
 detuning from a bias field in tesla) and ``pump`` (both branch pump
-rates together).  With two axes the second one varies fastest.  Only
-grids of ``POOL_MIN_POINTS`` points or more run in a process pool, and
-not with ``parallel=False`` (``--serial`` on the command line); values
-and row order do not depend on the backend.  Points where a solver
-raises a physics-domain or convergence error keep their axis cells and
-leave the value cells absent.
+rates together).  With two axes the second one varies fastest.  The
+d.c. outputs ``dn_dB`` and ``eta_dc`` share one implicit slope per
+point, so a ``b_field`` axis gives ``dc_sensitivity_curve``'s values
+(with ``n`` = 0.0 and both cells absent at dark points).  Only grids of
+``POOL_MIN_POINTS`` points or more run in a process pool, and not with
+``parallel=False`` (``--serial`` on the command line); values and row
+order do not depend on the backend.  Points where a solver raises a
+physics-domain or convergence error keep their axis cells and leave
+the value cells absent.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ OUTPUTS: dict[str, tuple[Column, ...]] = {
     "branch": (Column("branch", ""),),
     "net_gain": (Column("net_gain", "rad/s"),),
     "populations": tuple(Column(name, "1") for name in POPULATION_NAMES),
+    "dn_dB": (Column("dn_dB", "1/T"),),
     "eta_dc": (Column("eta_dc", "T/sqrt(Hz)"),),
 }
 
@@ -112,6 +116,8 @@ def _eval_point(payload) -> tuple:
         for name in outputs:
             cells.extend([None] * len(OUTPUTS[name]))
         return tuple(cells)
+    dc = (_dc_at_state(config, ss, get_param(config, "b_field"))
+          if "dn_dB" in outputs or "eta_dc" in outputs else None)
     for name in outputs:
         if name == "n":
             cells.append(ss.n)
@@ -123,9 +129,10 @@ def _eval_point(payload) -> tuple:
             cells.append(ss.net_gain)
         elif name == "populations":
             cells.extend(ss.aligned.as_array().tolist())
+        elif name == "dn_dB":
+            cells.append(None if dc is None else dc.slope_dn_db)
         elif name == "eta_dc":
-            res = _dc_at_state(config, ss, get_param(config, "b_field"))
-            cells.append(None if res is None else res.eta)
+            cells.append(None if dc is None else dc.eta)
     return tuple(cells)
 
 

@@ -42,6 +42,21 @@ def test_steady_state_json_format(capsys):
         == pytest.approx(4.161192e-3, rel=1e-6)
 
 
+@pytest.mark.parametrize("flag, value, argv", [
+    ("--delta", "-1e8", ("steady-state",)),
+    ("--b-field", "-2e-4", ("steady-state",)),
+    ("--b-field", "-2e-4", ("sensitivity-dc", "--preset", "high_sensitivity")),
+    ("--bias", "-1.64e-4", ("sensitivity-ac", "--preset", "high_sensitivity",
+                            "--amplitude", "1e-9", "--omega", "2e5",
+                            "--method", "ac_quasistatic")),
+])
+def test_negative_values_in_scientific_notation(capsys, flag, value, argv):
+    # "--flag -1e8" reads as "--flag=-1e8", not as an unknown option
+    spaced = _run(capsys, *argv, flag, value)
+    assert spaced[0] == 0 and spaced[2] == ""
+    assert spaced == _run(capsys, *argv, f"{flag}={value}")
+
+
 def test_steady_state_rejects_conflicting_bias(capsys):
     code, _, err = _run(capsys, "steady-state", "--delta", "1e8",
                         "--b-field", "1e-4")
@@ -112,6 +127,9 @@ def test_sweep_rows_and_out_file(tmp_path, capsys):
 def test_sweep_bad_axis(capsys):
     code, _, err = _run(capsys, "sweep", "--axis1", "drive.delta:0:1e8")
     assert code == 1 and "axis" in err
+    for bad in ("b_field:a:1e-4:3", "b_field:0:1e-4:x", "b_field:0:1e-4:0"):
+        code, out, err = _run(capsys, "sweep", "--axis1", bad)
+        assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def test_response_summary_and_timeseries(tmp_path, capsys):
@@ -128,6 +146,13 @@ def test_response_summary_and_timeseries(tmp_path, capsys):
     header = [ln for ln in text.splitlines() if not ln.startswith("#")][0]
     assert header.split(",")[0] == "t"
     assert header.split(",")[-1] == "P_out_W"
+
+
+@pytest.mark.parametrize("seed", ["nan", "inf"])
+def test_response_non_finite_seed_is_config_error(capsys, seed):
+    code, out, err = _run(capsys, "response", "--delta-before", "0",
+                          "--delta-after", "1e8", "--seed-n", seed)
+    assert code == 1 and out == "" and "seed_n" in err
 
 
 def test_response_degenerate_is_physics_exit(capsys):
@@ -166,10 +191,16 @@ def test_sensitivity_dc_point_and_grid(capsys):
     table = _table(out)
     assert table.rows[0][table.column_index("eta")] \
         == pytest.approx(1.1181e-15, rel=1e-3)
-    code, out, _ = _run(capsys, "sensitivity-dc", "--preset",
-                        "high_sensitivity", "--b-grid", "100e-6:300e-6:5")
+    # a d.c. curve is a b_field sweep
+    code, out, _ = _run(capsys, "sweep", "--preset", "high_sensitivity",
+                        "--axis1", "b_field:100e-6:300e-6:5",
+                        "--outputs", "n,dn_dB,eta_dc")
     assert code == 0
-    assert len(_table(out).rows) == 5
+    grid = _table(out)
+    assert len(grid.rows) == 5
+    # 100 uT is dark: n reads 0.0 and both d.c. cells are absent
+    assert grid.rows[0][1:] == (0.0, None, None)
+    assert all(eta > 0.0 for eta in grid.column_values("eta_dc")[1:])
 
 
 def test_sensitivity_dc_dark_is_physics_exit(capsys):
@@ -179,13 +210,9 @@ def test_sensitivity_dc_dark_is_physics_exit(capsys):
 
 
 def test_sensitivity_dc_needs_exactly_one_target(capsys):
-    code, _, _ = _run(capsys, "sensitivity-dc")
-    assert code == 1
-    code, _, _ = _run(capsys, "sensitivity-dc", "--b-field", "1e-4",
-                      "--b-grid", "0:1e-4:3")
-    assert code == 1
-    for bad in ("a:1e-4:3", "0:1e-4:x", "0:1e-4:0"):
-        code, out, err = _run(capsys, "sensitivity-dc", "--b-grid", bad)
+    for argv in ((), ("--b-grid", "0:1e-4:3"),
+                 ("--b-field", "1e-4", "--b-grid", "0:1e-4:3")):
+        code, out, err = _run(capsys, "sensitivity-dc", *argv)
         assert code == 1 and out == "" and err.startswith("error: ")
 
 

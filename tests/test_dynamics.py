@@ -129,7 +129,7 @@ def _restart_oracle(config, delta_before, delta_after, horizon):
     span = n_f - seed
     y0 = state_from_populations(ss_before.aligned, seed)
     sol = _solve(after, y0, (0.0, horizon),
-                 DriveModulation.constant(delta_after), 1e-10, 1e-14,
+                 DriveModulation.constant(delta_after), atol=1e-14,
                  dense=True)
     return [_first_crossing(sol.sol, 0.0, horizon, seed + frac * span,
                             span > 0.0)
@@ -174,12 +174,12 @@ def test_step_response_extensions_match_restart_oracle(
 
 
 def test_step_response_logs_extensions_and_reports_them(baseline_config,
-                                                         caplog):
+                                                         caplog, monkeypatch):
     # from a 1e-30 seed the turn-on is still far off after two horizons
+    monkeypatch.setattr(dynamics, "_MAX_DOUBLINGS", 2)
     with caplog.at_level(logging.DEBUG, logger="ltmag.dynamics"):
         with pytest.raises(ConvergenceError) as err:
-            step_response(baseline_config, 0.0, 1e8, seed_n=1e-30,
-                          max_doublings=2, rtol=1e-6)
+            step_response(baseline_config, 0.0, 1e8, seed_n=1e-30)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "ltmag.dynamics" and "horizon" in r.getMessage()]
     assert len(lines) == 2
@@ -193,8 +193,6 @@ def test_step_response_logs_extensions_and_reports_them(baseline_config,
     assert detail["nfev"] >= detail["steps"]
     assert detail["njev"] > 0 and detail["nlu"] > 0
     assert detail["n_end"] < 1e-6
-    with pytest.raises(InvalidConfigError):
-        step_response(baseline_config, 0.0, 1e8, max_doublings=0)
 
 
 def test_lsoda_matches_stock_bdf_oracle(baseline_config, high_sens_config,
@@ -313,6 +311,12 @@ def test_ac_response_rejects_non_finite_signal(high_sens_config, amplitude,
     with pytest.raises(InvalidConfigError):
         ac_response(high_sens_config, bias_field=164e-6,
                     amplitude_field=amplitude, omega_signal=omega)
+
+
+@pytest.mark.parametrize("seed", [0.0, -1e-6, math.nan, math.inf])
+def test_step_response_rejects_bad_seed(baseline_config, seed):
+    with pytest.raises(InvalidConfigError):
+        step_response(baseline_config, 0.0, 1e8, seed_n=seed)
 
 
 @pytest.mark.parametrize("omega", [0.0, math.nan, math.inf])

@@ -169,25 +169,40 @@ def test_sweep_builds_a_pool_only_at_the_threshold(baseline_config,
 
 def test_sweep_eta_dc_reuses_the_point_solve(high_sens_config, monkeypatch):
     calls = []
+    partials = []
     real = sweeps.solve_steady_state
+    real_partials = sensitivity._gain_partials
 
     def counted(config):
         calls.append(config.drive.delta)
         return real(config)
 
+    def counted_partials(config, ss):
+        partials.append(config.drive.delta)
+        return real_partials(config, ss)
+
     monkeypatch.setattr(sweeps, "solve_steady_state", counted)
     monkeypatch.setattr(sensitivity, "solve_steady_state", counted)
+    monkeypatch.setattr(sensitivity, "_gain_partials", counted_partials)
     axis = SweepAxis("b_field", -300e-6, 300e-6, 10)
     table = run_sweep(high_sens_config,
-                      SweepSpec(axis1=axis, outputs=("n", "eta_dc")),
+                      SweepSpec(axis1=axis, outputs=("n", "dn_dB", "eta_dc")),
                       parallel=False)
     assert len(calls) == 10
+    # one slope per lasing point serves both d.c. outputs
+    lasing = sum(n > 0.0 for n in table.column_values("n"))
+    assert len(partials) == lasing
     monkeypatch.undo()
-    # the d.c. curve solves at the same detunings, so the etas are equal
+    # the d.c. curve solves at the same detunings, so the cells are equal
     curve = dc_sensitivity_curve(high_sens_config, axis.values())
     expected = [None if res is None else res.eta for res in curve]
     assert table.column_values("eta_dc") == expected
+    assert table.column_values("dn_dB") == [
+        None if res is None else res.slope_dn_db for res in curve]
     assert None in expected and expected.count(None) < len(expected)
+    dark = [n for n, eta in zip(table.column_values("n"), expected)
+            if eta is None]
+    assert dark == [0.0] * len(dark)
 
 
 def test_sweep_dark_points_leave_cells_absent(baseline_config):
