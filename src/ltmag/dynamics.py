@@ -8,12 +8,21 @@ State vector layout (length 10):
 The occupation/coherence block is linear at fixed n (see
 ``steady.rate_matrix``); the photon equation dn/dt = g(y) * n makes the
 system bilinear.  The system is stiff (rates span up to six orders of
-magnitude), so integration uses LSODA (ODEPACK; Petzold, SIAM J. Sci.
-Stat. Comput. 4, 136, 1983) with the analytic Jacobian.  LSODA switches
-between Adams and BDF formulas on its own and takes BDF on nearly every
-step here; its step loop and linear algebra are compiled code.
-``scipy.integrate`` is imported on the first integration, not with the
-package, so the steady-state path loads no scipy module.
+magnitude), so integration uses LSODA (ODEPACK; Hindmarsh, ODEPACK,
+1983; Petzold, SIAM J. Sci. Stat. Comput. 4, 136, 1983) with the
+analytic Jacobian.  LSODA switches between Adams and BDF formulas on its
+own and takes BDF on nearly every step here.
+
+Each public call makes one continuous run (``_lsoda``, on
+``scipy.integrate.ode``) and advances it to the times it needs:
+``integrate`` one internal step at a time, ``step_response`` to a grid
+of checkpoints, ``ac_response`` to its sample times.  Every advance
+continues the same ODEPACK state, so the integrator never restarts, and
+its step loop runs in compiled code that calls back only ``rhs`` and
+``jacobian``.  A failed advance, or a run past ``_MAX_STEPS`` steps,
+raises ``StiffnessError``.  ``scipy.integrate`` is imported on the first
+integration, not with the package, so the steady-state path loads no
+scipy module.
 
 Time-domain operations are defined for single_orientation configurations;
 a four_orientation ensemble would need parallel copies of the level block.
@@ -21,8 +30,10 @@ a four_orientation ensemble would need parallel copies of the level block.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +56,17 @@ DEFAULT_SEED_N = 1e-6
 
 _TRACE_TOL = 1e-9
 
-# LSODA tolerances (a.c. signals are small, so theirs is tighter) and the
+# LSODA tolerances (a.c. signals are small, so theirs is tighter), the
+# integrator steps of one time-domain call (LSODA stops a single advance
+# there, ``_advance`` the whole run once its total passes it), and the
 # horizon doublings a step response may take
 _RTOL, _ATOL, _AC_ATOL = 1e-10, 1e-14, 1e-16
+_MAX_STEPS = 500_000
 _MAX_DOUBLINGS = 10
 
-# samples of a step response's trajectory, and of the coarse scan that
-# brackets each threshold crossing before the root refines it
+# samples of a step response's trajectory; its checkpoints are spaced
+# (first horizon) / (_OUTPUT_POINTS - 1)
 _OUTPUT_POINTS = 2001
-_CROSSING_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -145,6 +158,7 @@ class ResponseResult:
     seed_n: float
     settled: bool
     series: TimeSeries
+    work: dict[str, int]     # integrator counters, checkpoints, extensions
 
 
 @dataclass(frozen=True)
@@ -161,6 +175,7 @@ class HarmonicResult:
     transient_time: float
     periods: int
     samples_per_period: int
+    work: dict[str, int]     # integrator counters, checkpoints, extensions
 
 
 def state_from_populations(state: PopulationState, n: float) -> np.ndarray:
@@ -253,56 +268,119 @@ def _sanitize(t: np.ndarray, states: np.ndarray) -> TimeSeries:
 def solve_ivp(*args, **kwargs):
     """scipy's ``solve_ivp``, imported on the first call.
 
-    A module global that ``_solve`` looks up at call time, so a wrapper
-    or a test double put in its place sees every integration.
+    The library no longer calls it: every integration runs on
+    ``_lsoda``.  The name stays bound because ``perfbench/tracing.py``
+    looks it up; ROADMAP item 1 deletes it.
     """
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _solve(config: ModelConfig, y0: np.ndarray, t_span: tuple[float, float],
+@contextlib.contextmanager
+def _lsoda(config: ModelConfig, y0: np.ndarray, t0: float,
            modulation: DriveModulation, *, atol: float,
-           max_step: float = np.inf, dense: bool = False):
-    """One LSODA integration of the full system with the analytic
-    Jacobian; raises ``StiffnessError`` when the integrator gives up."""
-    sol = solve_ivp(
-        rhs, t_span, np.asarray(y0, dtype=float),
-        method="LSODA", rtol=_RTOL, atol=atol, max_step=max_step,
-        dense_output=dense,
-        args=(config, modulation),
-        jac=lambda t, y, *args: jacobian(t, y, config, modulation))
-    if not sol.success:
-        raise StiffnessError(f"time integration failed: {sol.message}",
-                             detail={"t_reached": float(sol.t[-1]),
-                                     "span": t_span})
-    return sol
+           max_step: float = 0.0):
+    """One continuous LSODA run of the full system from (t0, y0), with
+    the analytic Jacobian, for ``_advance`` to continue; ``max_step`` 0
+    means unbounded."""
+    from scipy.integrate import ode
+
+    solver = ode(rhs, jacobian).set_integrator(
+        "lsoda", rtol=_RTOL, atol=atol, max_step=max_step,
+        nsteps=_MAX_STEPS)
+    solver.set_initial_value(np.array(y0, dtype=float), t0)
+    solver.set_f_params(config, modulation)
+    solver.set_jac_params(config, modulation)
+    with warnings.catch_warnings():
+        # scipy reports a failed call only by this warning; _advance
+        # raises StiffnessError for it instead
+        warnings.filterwarnings("ignore", "lsoda: ", UserWarning)
+        yield solver
+
+
+def _work(solver) -> dict[str, int]:
+    """LSODA's counters so far (``iwork[10:13]``): steps, rhs and
+    Jacobian evaluations, and LU factorizations, one per Jacobian."""
+    steps, nfev, njev = (int(c) for c in solver._integrator.iwork[10:13])
+    return {"steps": steps, "nfev": nfev, "njev": njev, "nlu": njev}
+
+
+def _advance(solver, t: float, *, one_step: bool = False) -> np.ndarray:
+    """Continue ``solver`` to t, or with ``one_step`` by one internal
+    step that does not pass t, and return a copy of the state there (the
+    solver overwrites its own on the next advance).
+
+    scipy's ``lsoda`` ignores ``integrate(t, step=True)``, so LSODA's own
+    itask is set: 1 runs to t and interpolates there, 5 takes one step
+    and stops at tcrit = t, as ``solve_ivp``'s LSODA does.  Raises
+    ``StiffnessError`` when LSODA fails or the run's steps pass
+    ``_MAX_STEPS``.
+    """
+    lsoda = solver._integrator
+    lsoda.call_args[2] = 5 if one_step else 1
+    lsoda.rwork[0] = t
+    y = solver.integrate(t)
+    failed = not solver.successful()
+    if failed or lsoda.iwork[10] > _MAX_STEPS:
+        raise StiffnessError(
+            "time integration failed" if failed
+            else "time integration passed its step budget",
+            detail={"t_reached": float(solver.t), "t_target": float(t),
+                    "istate": solver.get_return_code(),
+                    "max_steps": _MAX_STEPS, **_work(solver)})
+    return y.copy()
 
 
 def integrate(config: ModelConfig, y0: np.ndarray,
               t_span: tuple[float, float],
               modulation: DriveModulation) -> TimeSeries:
-    """Integrate the full system over t_span and validate the trajectory."""
+    """Integrate the full system over t_span and validate the trajectory.
+
+    Rows are at the integrator's own steps; the last step ends exactly on
+    t_span[1].
+    """
     _require_single_orientation(config, "integrate")
     if len(y0) != 10:
         raise InvalidConfigError("initial state must have 10 components")
-    sol = _solve(config, y0, t_span, modulation, atol=_ATOL)
-    return _sanitize(sol.t, sol.y.T)
+    t0, t1 = (float(t) for t in t_span)
+    if not t0 < t1:
+        raise InvalidConfigError("t_span must run forward in time")
+    ts, ys = [t0], [np.asarray(y0, dtype=float)]
+    with _lsoda(config, y0, t0, modulation, atol=_ATOL) as solver:
+        while solver.t < t1:
+            ys.append(_advance(solver, t1, one_step=True))
+            ts.append(solver.t)
+    return _sanitize(np.array(ts), np.array(ys))
 
 
-def _first_crossing(dense_sol, t_lo: float, t_hi: float, target: float,
-                    rising: bool) -> float | None:
-    """Earliest time where the interpolated n(t) crosses ``target``."""
-    ts = np.linspace(t_lo, t_hi, _CROSSING_SAMPLES)
-    n = dense_sol(ts)[9]
+def _first_crossing(config: ModelConfig, t: np.ndarray, states: np.ndarray,
+                    target: float, rising: bool) -> float | None:
+    """Earliest time where n(t) crosses ``target``: bracketed on the
+    checkpoints, refined on the cubic Hermite interpolant of n and of
+    dn/dt (the photon row of ``rhs``) at the bracket's ends."""
+    n = states[:, 9]
     f = n - target if rising else target - n
     if f[0] >= 0.0:
-        return t_lo
-    idx = np.nonzero(f >= 0.0)[0]
+        return float(t[0])
+    idx = np.flatnonzero(f >= 0.0)
     if idx.size == 0:
         return None
     i = int(idx[0])
-    return _brent_root(lambda t: float(dense_sol(t)[9]) - target,
-                       ts[i - 1], ts[i], rtol=1e-13, xtol=2e-12,
+    t_lo, t_hi = float(t[i - 1]), float(t[i])
+    h = t_hi - t_lo
+    n_lo, n_hi = float(n[i - 1]), float(n[i])
+    ends = states[i - 1:i + 1]
+    gain = config.derived.gain_coupling * ((ends[:, 1] - ends[:, 2])
+                                           + (ends[:, 4] - ends[:, 5]))
+    d_lo, d_hi = ((gain - config.cavity.kappa) * ends[:, 9] * h).tolist()
+
+    def hermite(tt: float) -> float:
+        s = (tt - t_lo) / h
+        return ((1.0 - s) ** 2 * ((1.0 + 2.0 * s) * n_lo + s * d_lo)
+                + s * s * ((3.0 - 2.0 * s) * n_hi + (s - 1.0) * d_hi)
+                - target)
+
+    return _brent_root(hermite, t_lo, t_hi, rtol=1e-13, xtol=1e-13 * t_hi,
                        maxiter=100)
 
 
@@ -315,13 +393,16 @@ def step_response(config: ModelConfig, delta_before: float,
     photon number floored at ``seed_n`` (default: max of the old steady
     value and 1e-6, since turn-on from an ideal dark state never starts).
     Reports the times to cover 63.2% and 90% of the photon-number span.
-    The horizon doubles until both targets are crossed and n has settled;
-    each extension integrates only the new interval, continuing from the
-    state at the end of the last one, and the segments' dense outputs are
-    joined into one trajectory.
-    """
-    from scipy.integrate import OdeSolution
 
+    One continuous LSODA run visits checkpoints spaced h0 / 2000, where
+    h0 is the first horizon.  The horizon doubles until both targets are
+    crossed and n has settled; each extension continues the run over the
+    new checkpoints only.  Each crossing is bracketed on the checkpoints
+    and refined on a cubic Hermite interpolant of n with dn/dt from the
+    rate equation, to 1e-13 relative.  The 2001-point output series is
+    every 2**k-th checkpoint of the final horizon h0 * 2**k, so none of
+    it is interpolated.
+    """
     _require_single_orientation(config, "step_response")
     if delta_after == delta_before:
         raise DegenerateStepError(
@@ -339,55 +420,53 @@ def step_response(config: ModelConfig, delta_before: float,
     if abs(span) <= 1e-9 * max(abs(n_f), abs(n_i)):
         raise DegenerateStepError(
             "steady photon number is unchanged by the step")
-    y = state_from_populations(ss_before.aligned, seed)
-    modulation = DriveModulation.constant(delta_after)
+    y0 = state_from_populations(ss_before.aligned, seed)
 
     # The start populations are the before-state's own, whose net gain is
     # <= 0 (dark) or zero up to the root tolerance (lasing), so there is
     # no growth rate to size the horizon from; the doubling loop below
     # extends this one as far as needed.
-    horizon = 20.0 * _singlet_cycle_time(config)
+    h0 = 20.0 * _singlet_cycle_time(config)
+    per_h0 = _OUTPUT_POINTS - 1
 
     rising = span > 0.0
-    target_63 = n_i + (1.0 - math.exp(-1.0)) * span
-    target_90 = n_i + 0.9 * span
-    t_start = 0.0
-    knots = [np.zeros(1)]
-    interpolants = []
-    work = dict.fromkeys(("steps", "nfev", "njev", "nlu"), 0)
-    for extensions in range(_MAX_DOUBLINGS):
-        sol = _solve(after, y, (t_start, horizon), modulation, atol=_ATOL,
-                     dense=True)
-        steps = len(sol.t) - 1
-        for key, count in zip(work, (steps, sol.nfev, sol.njev, sol.nlu)):
-            work[key] += int(count)
-        # each segment starts at the previous one's end time; keep it once
-        knots.append(sol.sol.ts[1:])
-        interpolants += sol.sol.interpolants
-        y = sol.y[:, -1]
-        dense = OdeSolution(np.concatenate(knots), interpolants)
-        t_63 = _first_crossing(dense, 0.0, horizon, target_63, rising)
-        t_90 = _first_crossing(dense, 0.0, horizon, target_90, rising)
-        settled = abs(float(y[9]) - n_f) <= 1e-3 * abs(span)
-        logger.debug("step response horizon %.6e s after %d extensions: "
-                     "%d steps, n_end %.6e, settled %s", horizon,
-                     extensions, steps, float(y[9]), settled)
-        if t_63 is not None and t_90 is not None and settled:
-            break
-        t_start = horizon
-        horizon *= 2.0
+    targets = (n_i + (1.0 - math.exp(-1.0)) * span, n_i + 0.9 * span)
+    states = y0[None, :]
+    steps_before = 0
+    with _lsoda(after, y0, 0.0, DriveModulation.constant(delta_after),
+                atol=_ATOL) as solver:
+        for extensions in range(_MAX_DOUBLINGS):
+            # checkpoint j sits at h0 * (j / per_h0), so the last one of
+            # this extension is the horizon h0 * 2**extensions exactly
+            last = per_h0 << extensions
+            states = np.concatenate((states, [
+                _advance(solver, h0 * (j / per_h0))
+                for j in range(len(states), last + 1)]))
+            t = h0 * (np.arange(last + 1) / per_h0)
+            t_63, t_90 = (_first_crossing(after, t, states, target, rising)
+                          for target in targets)
+            n_end = float(states[-1, 9])
+            settled = abs(n_end - n_f) <= 1e-3 * abs(span)
+            work = _work(solver)
+            logger.debug("step response horizon %.6e s after %d extensions: "
+                         "%d steps, n_end %.6e, settled %s", t[-1],
+                         extensions, work["steps"] - steps_before, n_end,
+                         settled)
+            steps_before = work["steps"]
+            if t_63 is not None and t_90 is not None and settled:
+                break
+    work.update(checkpoints=last, extensions=extensions)
     if t_63 is None or t_90 is None:
         raise ConvergenceError(
             "photon number never covered the requested span",
-            detail={"horizon": t_start, "n_final_target": n_f,
-                    "n_end": float(y[9]), "extensions": extensions,
-                    **work})
-    ts = np.linspace(0.0, dense.ts[-1], _OUTPUT_POINTS)
-    series = _sanitize(ts, dense(ts).T)
+            detail={"horizon": float(t[-1]), "n_final_target": n_f,
+                    "n_end": n_end, **work})
+    stride = 1 << extensions
+    series = _sanitize(t[::stride], states[::stride])
     return ResponseResult(t_63=t_63, t_90=t_90, n_initial=n_i, n_final=n_f,
                           delta_before=delta_before,
                           delta_after=delta_after, seed_n=seed,
-                          settled=settled, series=series)
+                          settled=settled, series=series, work=work)
 
 
 def _singlet_cycle_time(config: ModelConfig) -> float:
@@ -438,11 +517,11 @@ def ac_response(config: ModelConfig, bias_field: float,
     y0 = state_from_populations(ss_bias.aligned, seed)
     modulation = DriveModulation.sine_field(bias_field, amplitude_field,
                                             omega_signal)
-    t_end = transient + periods * period
-    sol = _solve(config, y0, (0.0, t_end), modulation, atol=_AC_ATOL,
-                 max_step=period / samples_per_period, dense=True)
     t_k = transient + np.arange(n_samples) * (periods * period / n_samples)
-    n_k = sol.sol(t_k)[9]
+    with _lsoda(config, y0, 0.0, modulation, atol=_AC_ATOL,
+                max_step=period / samples_per_period) as solver:
+        n_k = np.array([_advance(solver, t)[9] for t in t_k])
+        work = {**_work(solver), "checkpoints": n_samples, "extensions": 0}
     if float(np.max(n_k)) <= 10.0 * _AC_ATOL:
         raise NoSignalError("no photon output during the sampled window")
 
@@ -463,4 +542,4 @@ def ac_response(config: ModelConfig, bias_field: float,
                           bias_field=bias_field,
                           amplitude_field=amplitude_field,
                           transient_time=transient, periods=periods,
-                          samples_per_period=samples_per_period)
+                          samples_per_period=samples_per_period, work=work)

@@ -22,11 +22,10 @@ rates G*n.  The full steady state is therefore found in two stages:
    (stimulated emission burns the inversion), so a bracketed scalar root
    is enough.  The port performs scipy's floating-point operations in
    scipy's order, so every root is bit-identical to ``brentq``'s while
-   the steady-state path loads no scipy module.  It must stay bit-exact:
-   the lasing n seeds ``dynamics.step_response``, and LSODA follows the
-   last bits of its initial state.  A root one ulp away makes the
-   1e8 -> 1.2e8 step on ``baseline`` stall in Adams mode, with steps
-   near 1/L31.
+   the steady-state path loads no scipy module.  The time domain does
+   not depend on those last bits: ``dynamics.step_response`` starts
+   from the lasing n in one continuous LSODA run, which returns the
+   same crossing times from a root an ulp or two off.
 
 If the zero-photon gain is not positive there is no lasing solution and
 the n = 0 branch is returned, reusing the populations of that decision.
@@ -425,10 +424,8 @@ def _brent_root(f, a: float, b: float, *, rtol: float, xtol: float,
 def _gain_root(gain) -> float:
     """Photon number where ``gain`` (positive at n = 0, decreasing)
     crosses zero: geometric bracket from 1e-6, then ``_brent_root`` to
-    relative precision 1e-12.  The root is bit-identical to ``brentq``'s
-    with the same arguments, and must stay so: the time domain starts
-    from this n, and LSODA follows its last bits (see the module
-    docstring)."""
+    relative precision 1e-12, bit-identical to ``brentq``'s with the
+    same arguments."""
     hi = 1e-6
     g_hi = gain(hi)
     while g_hi > 0.0:

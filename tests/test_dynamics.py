@@ -10,15 +10,16 @@ import re
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from ltmag import (ConvergenceError, DegenerateStepError, DriveModulation,
                    InvalidConfigError, NoSignalError, OrientationModel,
-                   ac_response, derive_constants, integrate, output_power,
-                   solve_steady_state, step_response, with_drive, with_pump)
-from ltmag import dynamics
-from ltmag.dynamics import (DEFAULT_SEED_N, TIMESERIES_COLUMNS,
-                            _first_crossing, _solve, jacobian, rhs,
-                            state_from_populations)
+                   StiffnessError, ac_response, derive_constants, integrate,
+                   output_power, solve_steady_state, step_response,
+                   with_bias_field, with_drive, with_pump)
+from ltmag import dynamics, steady
+from ltmag.dynamics import (DEFAULT_SEED_N, TIMESERIES_COLUMNS, jacobian,
+                            rhs, state_from_populations)
 
 
 def _steady_state_vector(config, delta):
@@ -84,6 +85,23 @@ def test_integrate_from_steady_state_is_flat(baseline_config):
     assert np.max(np.abs(series.n - ss.n)) < 1e-6 * ss.n
 
 
+def test_integrate_rows_are_stock_lsoda_steps(baseline_config):
+    # integrate's contract: one row per LSODA step, the last one ending on
+    # t_span[1], as stock solve_ivp's LSODA gives them
+    after = with_drive(baseline_config, delta=1e8)
+    mod = DriveModulation.constant(1e8)
+    y0 = _steady_state_vector(baseline_config, 0.0)
+    series = integrate(after, y0, (0.0, 2e-7), mod)
+    sol = solve_ivp(rhs, (0.0, 2e-7), y0, method="LSODA", rtol=1e-10,
+                    atol=1e-14, jac=jacobian, args=(after, mod))
+    assert series.t[-1] == 2e-7
+    assert np.array_equal(series.t, sol.t)
+    assert np.allclose(series.states, sol.y.T, rtol=1e-12, atol=1e-18)
+    for bad_span in ((2e-7, 0.0), (0.0, 0.0), (0.0, math.nan)):
+        with pytest.raises(InvalidConfigError):
+            integrate(after, y0, bad_span, mod)
+
+
 def test_step_response_frozen_values(baseline_config):
     # regression values, frozen from this implementation
     res = step_response(baseline_config, delta_before=0.0, delta_after=1e8)
@@ -119,56 +137,75 @@ def test_reverse_lasing_to_lasing_step_terminates(baseline_config):
     assert res.t_90 == pytest.approx(2.4356e-5, rel=1e-3)
 
 
-def _restart_oracle(config, delta_before, delta_after, horizon):
-    """The method ``step_response`` replaced: one integration from t = 0
-    over the whole final horizon, crossings read from its dense output."""
+def _step_with_root_shifted(config, ulps, delta_before, delta_after):
+    """``step_response`` with every lasing root ``ulps`` ulp low; runs in
+    a spawned child, so the patch dies with it."""
+    gain_root = steady._gain_root
+
+    def shifted(gain):
+        n = gain_root(gain)
+        for _ in range(ulps):
+            n = math.nextafter(n, 0.0)
+        return n
+
+    steady._gain_root = shifted
+    return step_response(config, delta_before, delta_after)
+
+
+@pytest.mark.parametrize("ulps", [1, 2])
+def test_lasing_to_lasing_step_survives_root_off_by_ulps(baseline_config,
+                                                          ulps):
+    # A start state whose lasing root is an ulp or two off once made each
+    # horizon extension restart LSODA in Adams mode, where it stalled for
+    # minutes; one continuous run has no restart to stall in.
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        job = pool.apply_async(_step_with_root_shifted,
+                               (baseline_config, ulps, 1e8, 1.2e8))
+        res = job.get(timeout=150)
+    assert res.settled
+    assert res.t_63 == pytest.approx(1.187e-5, rel=1e-3)
+    assert res.t_90 == pytest.approx(2.511e-5, rel=1e-3)
+
+
+def _stock_step_oracle(config, delta_before, delta_after, horizon, method):
+    """One stock ``solve_ivp`` run from t = 0 over the whole horizon, with
+    the crossings found by ``brentq`` on its dense output."""
     ss_before = solve_steady_state(with_drive(config, delta=delta_before))
     after = with_drive(config, delta=delta_after)
     n_f = solve_steady_state(after).n
     seed = max(ss_before.n, DEFAULT_SEED_N)
     span = n_f - seed
     y0 = state_from_populations(ss_before.aligned, seed)
-    sol = _solve(after, y0, (0.0, horizon),
-                 DriveModulation.constant(delta_after), atol=1e-14,
-                 dense=True)
-    return [_first_crossing(sol.sol, 0.0, horizon, seed + frac * span,
-                            span > 0.0)
-            for frac in (1.0 - math.exp(-1.0), 0.9)]
+    sol = solve_ivp(rhs, (0.0, horizon), y0, method=method, rtol=1e-10,
+                    atol=1e-14, jac=jacobian, dense_output=True,
+                    args=(after, DriveModulation.constant(delta_after)))
+    assert sol.success
+    crossings = []
+    for frac in (1.0 - math.exp(-1.0), 0.9):
+        target = seed + frac * span
+        f = (sol.y[9] - target) * math.copysign(1.0, span)
+        i = int(np.flatnonzero(f >= 0.0)[0])
+        crossings.append(brentq(lambda t: sol.sol(t)[9] - target,
+                                sol.t[i - 1], sol.t[i], xtol=1e-300))
+    return crossings
 
 
 @pytest.mark.parametrize("delta_before, delta_after",
                          [(0.0, 1e8), (1e8, 0.0)])
 def test_step_response_extensions_match_restart_oracle(
-        baseline_config, monkeypatch, delta_before, delta_after):
-    segments = []
-    stitched = []
-
-    def recording_solve(*args, **kwargs):
-        segments.append(_solve(*args, **kwargs))
-        return segments[-1]
-
-    def recording_crossing(dense_sol, *args, **kwargs):
-        stitched.append(dense_sol)
-        return _first_crossing(dense_sol, *args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "_solve", recording_solve)
-    monkeypatch.setattr(dynamics, "_first_crossing", recording_crossing)
+        baseline_config, delta_before, delta_after):
     res = step_response(baseline_config, delta_before, delta_after)
-    assert len(segments) >= 2
-    horizon = segments[-1].t[-1]
-    assert res.series.t[-1] == horizon
+    # the run was extended at least once, and the series ends on the
+    # final horizon, the first one doubled once per extension
+    extensions = res.work["extensions"]
+    assert extensions >= 1
+    horizon = res.series.t[-1]
+    assert horizon == 20.0 * dynamics._singlet_cycle_time(
+        baseline_config) * 2 ** extensions
+    assert res.work["checkpoints"] == 2000 * 2 ** extensions
 
-    dense = stitched[-1]
-    for left, right in zip(segments, segments[1:]):
-        seam = left.t[-1]
-        # each extension continues from the last state, not from t = 0
-        assert right.t[0] == seam
-        assert np.array_equal(right.y[:, 0], left.y[:, -1])
-        assert np.allclose(dense(seam), left.y[:, -1], rtol=1e-12,
-                           atol=1e-18)
-
-    t_63, t_90 = _restart_oracle(baseline_config, delta_before, delta_after,
-                                 horizon)
+    t_63, t_90 = _stock_step_oracle(baseline_config, delta_before,
+                                    delta_after, horizon, "LSODA")
     assert res.t_63 == pytest.approx(t_63, rel=1e-9)
     assert res.t_90 == pytest.approx(t_90, rel=1e-9)
 
@@ -195,36 +232,67 @@ def test_step_response_logs_extensions_and_reports_them(baseline_config,
     assert detail["n_end"] < 1e-6
 
 
-def test_lsoda_matches_stock_bdf_oracle(baseline_config, high_sens_config,
-                                        monkeypatch):
-    # scipy's stock BDF is the oracle: the same calls with only the
-    # integration method swapped
-    def run_all():
-        steps = [step_response(baseline_config, before, after)
-                 for before, after in ((0.0, 1e8), (1e8, 0.0))]
-        acs = [ac_response(high_sens_config, bias_field=164e-6,
+def _stock_ac_oracle(config, ours, method):
+    """The demodulated response of ``ours`` recomputed from one stock
+    ``solve_ivp`` run over the same transient and sampling grid."""
+    ss = solve_steady_state(with_bias_field(config, ours.bias_field))
+    y0 = state_from_populations(ss.aligned, max(ss.n, DEFAULT_SEED_N))
+    period = 2.0 * math.pi / ours.omega_signal
+    n_samples = ours.periods * ours.samples_per_period
+    t_k = ours.transient_time + np.arange(n_samples) * (
+        ours.periods * period / n_samples)
+    mod = DriveModulation.sine_field(ours.bias_field, ours.amplitude_field,
+                                     ours.omega_signal)
+    sol = solve_ivp(rhs, (0.0, t_k[-1]), y0, method=method, rtol=1e-10,
+                    atol=1e-16, jac=jacobian, t_eval=t_k,
+                    max_step=period / ours.samples_per_period,
+                    args=(config, mod))
+    assert sol.success
+    spectrum = np.fft.rfft(sol.y[9])
+    return (float(np.abs(2.0 * spectrum[ours.periods] / n_samples)),
+            float(spectrum[0].real) / n_samples)
+
+
+def test_lsoda_matches_stock_bdf_oracle(baseline_config, high_sens_config):
+    # scipy's stock BDF is the oracle: one run per call, from t = 0 over
+    # the step's final horizon or the a.c. call's whole sampled span
+    for before, after in ((0.0, 1e8), (1e8, 0.0)):
+        ours = step_response(baseline_config, before, after)
+        t_63, t_90 = _stock_step_oracle(baseline_config, before, after,
+                                        ours.series.t[-1], "BDF")
+        assert ours.t_63 == pytest.approx(t_63, rel=1e-8)
+        assert ours.t_90 == pytest.approx(t_90, rel=1e-8)
+    for omega in (2e4, 2e6, 2e7):
+        ours = ac_response(high_sens_config, bias_field=164e-6,
                            amplitude_field=1e-9, omega_signal=omega)
-               for omega in (2e4, 2e6, 2e7)]
-        return steps, acs
+        n_signal, n_mean = _stock_ac_oracle(high_sens_config, ours, "BDF")
+        assert ours.n_signal == pytest.approx(n_signal, rel=1e-3)
+        assert ours.n_mean == pytest.approx(n_mean, rel=1e-3)
 
-    methods = []
 
-    def stock_bdf_ivp(*args, **kwargs):
-        methods.append(kwargs["method"])
-        kwargs["method"] = "BDF"
-        return solve_ivp(*args, **kwargs)
+@pytest.mark.filterwarnings("error")
+def test_step_budget_raises_stiffness_error(baseline_config,
+                                            high_sens_config, monkeypatch):
+    # a cap of 50 steps: the a.c. transient needs more within one call,
+    # which LSODA itself stops (istate -1); stepping one step per call,
+    # integrate passes the cap between calls.  Neither may leak scipy's
+    # UserWarning.
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 50)
+    with pytest.raises(StiffnessError) as err:
+        ac_response(high_sens_config, bias_field=164e-6,
+                    amplitude_field=1e-9, omega_signal=2e5)
+    detail = err.value.detail
+    assert detail["istate"] == -1
+    assert 0.0 < detail["t_reached"] < detail["t_target"]
+    assert 0 < detail["steps"] <= 50 and detail["nfev"] >= detail["steps"]
 
-    steps, acs = run_all()
-    monkeypatch.setattr(dynamics, "solve_ivp", stock_bdf_ivp)
-    bdf_steps, bdf_acs = run_all()
-    assert methods and set(methods) == {"LSODA"}
-
-    for ours, oracle in zip(steps, bdf_steps):
-        assert ours.t_63 == pytest.approx(oracle.t_63, rel=1e-8)
-        assert ours.t_90 == pytest.approx(oracle.t_90, rel=1e-8)
-    for ours, oracle in zip(acs, bdf_acs):
-        assert ours.n_signal == pytest.approx(oracle.n_signal, rel=1e-3)
-        assert ours.n_mean == pytest.approx(oracle.n_mean, rel=1e-3)
+    y0 = _steady_state_vector(baseline_config, 0.0)
+    with pytest.raises(StiffnessError) as err:
+        integrate(with_drive(baseline_config, delta=1e8), y0, (0.0, 2e-5),
+                  DriveModulation.constant(1e8))
+    detail = err.value.detail
+    assert detail["istate"] > 0 and detail["steps"] == 51
+    assert 0.0 < detail["t_reached"] < 2e-5
 
 
 def test_step_response_seed_floors_dark_start(baseline_config):
@@ -267,6 +335,9 @@ def test_ac_response_frozen_values(high_sens_config):
     assert res.distortion < 1e-4
     assert res.periods >= 10
     assert res.samples_per_period >= 8
+    assert res.work["checkpoints"] == res.periods * res.samples_per_period
+    assert res.work["extensions"] == 0
+    assert res.work["nfev"] >= res.work["steps"] > 0
     period = 2 * np.pi / 2e5
     cycles = res.transient_time / period
     assert cycles == pytest.approx(round(cycles), abs=1e-9)
