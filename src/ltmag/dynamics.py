@@ -85,6 +85,15 @@ class DriveModulation:
     amplitude_field: float = 0.0
     omega_signal: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("constant", "sine_field"):
+            raise InvalidConfigError(f"unknown modulation kind {self.kind!r}")
+        for name in ("delta0", "bias_field", "amplitude_field"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfigError(f"{name} must be finite")
+        if self.kind == "sine_field" and not 0 < self.omega_signal < math.inf:
+            raise InvalidConfigError("omega_signal must be finite and > 0")
+
     @classmethod
     def constant(cls, delta: float) -> "DriveModulation":
         return cls(kind="constant", delta0=delta)
@@ -92,8 +101,6 @@ class DriveModulation:
     @classmethod
     def sine_field(cls, bias_field: float, amplitude_field: float,
                    omega_signal: float) -> "DriveModulation":
-        if not 0.0 < omega_signal < math.inf:
-            raise InvalidConfigError("omega_signal must be finite and > 0")
         return cls(kind="sine_field", bias_field=bias_field,
                    amplitude_field=amplitude_field,
                    omega_signal=omega_signal)
@@ -101,11 +108,9 @@ class DriveModulation:
     def detuning(self, t: float, config: ModelConfig) -> float:
         if self.kind == "constant":
             return self.delta0
-        if self.kind == "sine_field":
-            b = (self.bias_field + self.amplitude_field
-                 * math.cos(self.omega_signal * t))
-            return b_field_to_detuning(b, config.constants)
-        raise InvalidConfigError(f"unknown modulation kind {self.kind!r}")
+        b = (self.bias_field + self.amplitude_field
+             * math.cos(self.omega_signal * t))
+        return b_field_to_detuning(b, config.constants)
 
 
 @dataclass(frozen=True)
@@ -235,8 +240,10 @@ def _sanitize(t: np.ndarray, states: np.ndarray) -> TimeSeries:
 
     Occupations may stray from [0, 1] and n below 0 by no more than the
     accumulated tolerance; such excursions are clamped (and logged),
-    anything larger is an integration failure.
+    anything larger, or any non-finite state, is an integration failure.
     """
+    if not np.all(np.isfinite(states)):
+        raise StiffnessError("trajectory is not finite")
     occ = states[:, :7]
     n = states[:, 9]
     occ_tol = max(_ATOL, 10.0 * _RTOL)
@@ -393,6 +400,9 @@ def step_response(config: ModelConfig, delta_before: float,
     photon number floored at ``seed_n`` (default: max of the old steady
     value and 1e-6, since turn-on from an ideal dark state never starts).
     Reports the times to cover 63.2% and 90% of the photon-number span.
+    From a dark start they grow about 9.9 us per decade of smaller seed:
+    baseline 0 -> 1e8 rad/s gives t_63 = 14.76 / 24.63 / 34.50 us for
+    seed_n = 1e-3 / 1e-6 / 1e-9.
 
     One continuous LSODA run visits checkpoints spaced h0 / 2000, where
     h0 is the first horizon.  The horizon doubles until both targets are
@@ -493,10 +503,10 @@ def ac_response(config: ModelConfig, bias_field: float,
         raise InvalidConfigError("demodulation needs at least 10 periods")
     if samples_per_period < 8:
         raise InvalidConfigError("need at least 8 samples per period")
-    if not 0.0 < amplitude_field < math.inf:
+    modulation = DriveModulation.sine_field(bias_field, amplitude_field,
+                                            omega_signal)
+    if not amplitude_field > 0.0:
         raise InvalidConfigError("amplitude_field must be finite and > 0")
-    if not 0.0 < omega_signal < math.inf:
-        raise InvalidConfigError("omega_signal must be finite and > 0")
 
     biased = with_bias_field(config, bias_field)
     ss_bias = solve_steady_state(biased)
@@ -515,8 +525,6 @@ def ac_response(config: ModelConfig, bias_field: float,
 
     seed = max(ss_bias.n, DEFAULT_SEED_N)
     y0 = state_from_populations(ss_bias.aligned, seed)
-    modulation = DriveModulation.sine_field(bias_field, amplitude_field,
-                                            omega_signal)
     t_k = transient + np.arange(n_samples) * (periods * period / n_samples)
     with _lsoda(config, y0, 0.0, modulation, atol=_AC_ATOL,
                 max_step=period / samples_per_period) as solver:

@@ -4,9 +4,9 @@ The level occupations and the ground-spin coherence obey a linear system
 at fixed photon number n, because n only enters through the stimulated
 rates G*n.  The full steady state is therefore found in two stages:
 
-1. ``populations_at_fixed_n`` solves the 9x9 linear system (seven
-   occupations plus Re/Im of the ground coherence) with the trace
-   constraint replacing one redundant rate equation;
+1. ``_fixed_n`` solves the 9x9 linear system of one sub-ensemble (seven
+   occupations plus Re/Im of the ground coherence, the trace constraint
+   replacing one redundant rate equation) for one or more right-hand sides;
 2. ``solve_steady_state`` finds the photon number at which the net gain
    crosses zero.  The stimulated exchange 2<->3 and 5<->6 is a rank-2
    term, M(n) = M0 - s W W^T with s = G*n and W = [e2 - e3, e5 - e6], so
@@ -27,15 +27,14 @@ rates G*n.  The full steady state is therefore found in two stages:
    from the lasing n in one continuous LSODA run, which returns the
    same crossing times from a root an ulp or two off.
 
-If the zero-photon gain is not positive there is no lasing solution and
-the n = 0 branch is returned, reusing the populations of that decision.
-Right at threshold (0 < g0 <= 1e-8 * kappa) the root is set by the
-rounding of kappa rather than by the model, so there the same bracket
-runs on the direct gain of full fixed-n solves instead.  On every call
-the populations are re-solved directly at the root: they pass the
-fixed-n residual check and the occupation bounds, and their net gain
-must lie within 1e-8 * kappa of zero, which checks the closed form
-independently of it.
+If the zero-photon gain of that solve is not positive there is no lasing
+solution and the n = 0 branch is returned with its populations.  Right
+at threshold (0 < g0 <= 1e-8 * kappa) the root is set by the rounding of
+kappa rather than by the model, so there the same bracket runs on the
+direct gain of full fixed-n solves instead.  Above threshold the
+populations are re-solved directly at the root: they pass the fixed-n
+residual check and the occupation bounds, and their net gain must lie
+within 1e-8 * kappa of zero, which checks the closed form independently.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (ConvergenceError, DegenerateConfigError, NotLasableError)
+from .errors import (ConvergenceError, DegenerateConfigError,
+                     InvalidConfigError, NotLasableError)
 from .model import ModelConfig, with_drive, with_pump
 
 BELOW_THRESHOLD = "below_threshold"
@@ -97,20 +97,10 @@ class PopulationState:
         return (self.rho11 + self.rho22 + self.rho33 + self.rho44
                 + self.rho55 + self.rho66 + self.rho77)
 
-    def coherence_mag(self) -> float:
-        return float(np.hypot(self.rho14_re, self.rho14_im))
-
     def as_array(self) -> np.ndarray:
         return np.array([self.rho11, self.rho22, self.rho33, self.rho44,
                          self.rho55, self.rho66, self.rho77,
                          self.rho14_re, self.rho14_im])
-
-    @classmethod
-    def from_array(cls, v) -> "PopulationState":
-        v = np.asarray(v, dtype=float)
-        if v.shape != (9,):
-            raise ValueError(f"expected 9 components, got shape {v.shape}")
-        return cls(*v.tolist())
 
 
 # Column names of a population state, in the state-vector order.
@@ -205,29 +195,62 @@ def _max_rate(config: ModelConfig, n: float) -> float:
     return max(rates)
 
 
-def _solve_linear(a: np.ndarray, rhs: np.ndarray | None = None
-                  ) -> np.ndarray:
+# Right-hand sides of the n = 0 solve: the trace vector (alone, A v = 0
+# with unit trace) and the columns of W (see the module docstring).
+_ZERO_N_RHS = np.zeros((9, 3))
+_ZERO_N_RHS[0, 0] = 1.0
+_ZERO_N_RHS[[1, 4], [1, 2]] = 1.0
+_ZERO_N_RHS[[2, 5], [1, 2]] = -1.0
+_TRACE_RHS = _ZERO_N_RHS[:, 0].copy()
+
+
+def _solve_linear(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve M v = rhs, where M is A with the first row replaced by the
-    trace constraint; ``rhs`` is (9,) or (9, k).  The default solves
-    A v = 0 with unit trace.  One step of iterative refinement keeps the
-    residual near machine precision; rank-deficient systems (pump-free
-    configurations) fall back to the least-squares minimum-norm solution.
+    trace constraint; ``rhs`` is (9,) or (9, k).  One step of iterative
+    refinement keeps the residual near machine precision.  Singular
+    systems, and each column left non-finite by a nearly singular one
+    (pump-free configurations), fall back to the least-squares
+    minimum-norm solution, so every column comes out as if solved alone.
     """
-    if rhs is None:
-        rhs = np.zeros(9)
-        rhs[0] = 1.0
     m = a.copy()
     m[0, :] = 0.0
     m[0, :7] = 1.0
     try:
         v = np.linalg.solve(m, rhs)
-        resid = rhs - m @ v
-        v = v + np.linalg.solve(m, resid)
-        if not np.all(np.isfinite(v)):
-            raise np.linalg.LinAlgError("non-finite solution")
+        v = v + np.linalg.solve(m, rhs - m @ v)
     except np.linalg.LinAlgError:
-        v = np.linalg.lstsq(m, rhs, rcond=None)[0]
+        return np.linalg.lstsq(m, rhs, rcond=None)[0]
+    finite = np.all(np.isfinite(v), axis=0)
+    if not np.all(finite):
+        v = np.where(finite, v, np.linalg.lstsq(m, rhs, rcond=None)[0])
     return v
+
+
+def _fixed_n(config: ModelConfig, n: float, delta: float,
+             rhs: np.ndarray = _TRACE_RHS) -> tuple:
+    """The one fixed-n population solve of a sub-ensemble.  ``rhs`` is
+    ``_TRACE_RHS`` or has it as column 0; returns the population state
+    of that column, the raw solution and the state's residual relative
+    to ``_max_rate``.  Raises as ``populations_at_fixed_n`` does."""
+    if not (0.0 <= n < math.inf and math.isfinite(delta)):
+        raise InvalidConfigError("need a finite photon number n >= 0 and a "
+                                 f"finite delta, got n={n!r}, delta={delta!r}")
+    d = config.drive
+    if config.rates.all_zero() and d.pump12 == d.pump45 == d.omega == 0.0:
+        raise DegenerateConfigError("all transition rates and drives are "
+                                    "zero; occupations are undetermined")
+    a = rate_matrix(config, n, delta)
+    if not np.all(np.isfinite(a)):
+        raise ConvergenceError("rate matrix is not finite",
+                               detail={"n": n, "delta": delta})
+    x = _solve_linear(a, rhs)
+    v = x.reshape(9, -1)[:, 0]
+    residual = float(np.max(np.abs(a @ v))) / _max_rate(config, n)
+    if residual > _LINEAR_RESIDUAL_RTOL:
+        raise ConvergenceError(
+            "fixed-n linear solve residual above tolerance",
+            detail={"residual": residual, "n": n, "delta": delta})
+    return PopulationState(*v.tolist()), x, residual
 
 
 def populations_at_fixed_n(config: ModelConfig, n: float,
@@ -235,28 +258,14 @@ def populations_at_fixed_n(config: ModelConfig, n: float,
     """Steady occupations of one sub-ensemble at frozen photon number.
 
     ``delta`` defaults to the configured drive detuning.  Raises
-    DegenerateConfigError when every transition rate, pump, and drive is
-    zero (the occupation split is then undetermined), and
-    ConvergenceError when the linear solve fails its residual check.
+    InvalidConfigError (a ValueError) for a negative or non-finite n or
+    a non-finite delta, DegenerateConfigError when every rate, pump and
+    drive is zero (the occupation split is undetermined), and
+    ConvergenceError when the rate matrix is not finite or the solve
+    fails its residual check.
     """
-    if n < 0.0:
-        raise ValueError(f"photon number must be >= 0, got {n!r}")
-    if config.rates.all_zero() and config.drive.pump12 == 0.0 \
-            and config.drive.pump45 == 0.0 and config.drive.omega == 0.0:
-        raise DegenerateConfigError(
-            "all transition rates and drives are zero; occupations are "
-            "undetermined")
-    if delta is None:
-        delta = config.drive.delta
-    a = rate_matrix(config, n, delta)
-    v = _solve_linear(a)
-    scale = _max_rate(config, n)
-    residual = float(np.max(np.abs(a @ v))) / scale
-    if residual > _LINEAR_RESIDUAL_RTOL:
-        raise ConvergenceError(
-            "fixed-n linear solve residual above tolerance",
-            detail={"residual": residual, "n": n, "delta": delta})
-    return PopulationState(*v.tolist())
+    return _fixed_n(config, n,
+                    config.drive.delta if delta is None else delta)[0]
 
 
 def _ensembles(config: ModelConfig) -> tuple[tuple[float, float], ...]:
@@ -269,22 +278,21 @@ def _ensembles(config: ModelConfig) -> tuple[tuple[float, float], ...]:
             (1.0 - ori.aligned_fraction, ori.off_axis_detuning))
 
 
-def _gain_of_state(state: PopulationState, gain_coupling: float) -> float:
-    return gain_coupling * ((state.rho22 - state.rho33)
-                            + (state.rho55 - state.rho66))
-
-
-def _ensemble_states(config: ModelConfig, n: float
-                     ) -> tuple[tuple[PopulationState, ...], float]:
-    """Direct fixed-n populations of every sub-ensemble and the net gain."""
+def _ensemble_states(config: ModelConfig, n: float,
+                     rhs: np.ndarray = _TRACE_RHS):
+    """Fixed-n solves of every sub-ensemble: the population states, the
+    net gain, the largest residual and the raw solutions."""
     g = config.derived.gain_coupling
-    states = []
-    total = 0.0
+    states, solutions = [], []
+    total = residual = 0.0
     for weight, delta in _ensembles(config):
-        state = populations_at_fixed_n(config, n, delta=delta)
+        state, x, r = _fixed_n(config, n, delta, rhs)
         states.append(state)
-        total += weight * _gain_of_state(state, g)
-    return tuple(states), total - config.cavity.kappa
+        solutions.append(x)
+        total += weight * (g * ((state.rho22 - state.rho33)
+                                + (state.rho55 - state.rho66)))
+        residual = max(residual, r)
+    return tuple(states), total - config.cavity.kappa, residual, solutions
 
 
 def net_gain(config: ModelConfig, n: float) -> float:
@@ -296,19 +304,12 @@ def net_gain(config: ModelConfig, n: float) -> float:
     return _ensemble_states(config, n)[1]
 
 
-def _closed_form_gain(config: ModelConfig):
-    """Net gain as a function of n from one n = 0 factorization per
-    sub-ensemble (see the module docstring)."""
+def _closed_form_gain(config: ModelConfig, solutions):
+    """Net gain as a function of n from the n = 0 solutions for
+    ``_ZERO_N_RHS``, one per sub-ensemble (see the module docstring)."""
     g = config.derived.gain_coupling
-    # Right-hand sides: the trace vector and the columns of W (the
-    # stimulated exchange 2<->3 and 5<->6 enters as -G*n * W W^T).
-    rhs = np.zeros((9, 3))
-    rhs[0, 0] = 1.0
-    rhs[[1, 4], [1, 2]] = 1.0
-    rhs[[2, 5], [1, 2]] = -1.0
     terms = []
-    for weight, delta in _ensembles(config):
-        x = _solve_linear(rate_matrix(config, 0.0, delta), rhs)
+    for (weight, _), x in zip(_ensembles(config), solutions):
         # rows: W^T applied to M0^-1 [e1, W]
         w = x[[1, 4]] - x[[2, 5]]
         (z0, c00, c01), (z1, c10, c11) = w.tolist()
@@ -439,25 +440,6 @@ def _gain_root(gain) -> float:
                        maxiter=200)
 
 
-def _steady_result(config: ModelConfig, n: float, branch: str,
-                   states: tuple[PopulationState, ...],
-                   gain: float) -> SteadyStateResult:
-    if branch == LASING \
-            and abs(gain) > _GAIN_RESIDUAL_RTOL * config.cavity.kappa:
-        raise ConvergenceError(
-            "gain residual at the photon-number root above tolerance",
-            detail={"n": n, "gain_residual": gain})
-    weights, deltas = zip(*_ensembles(config))
-    residual = 0.0
-    for state, delta in zip(states, deltas):
-        a = rate_matrix(config, n, delta)
-        r = float(np.max(np.abs(a @ state.as_array())))
-        residual = max(residual, r / _max_rate(config, n))
-    return SteadyStateResult(n=n, branch=branch, net_gain=gain,
-                             residual=residual, populations=states,
-                             weights=weights, detunings=deltas)
-
-
 def _gain_partials(config: ModelConfig, result: SteadyStateResult
                    ) -> tuple[float, float]:
     """(dg/dn, dg/d delta) of the net gain at a lasing root, where delta
@@ -498,22 +480,32 @@ def _gain_partials(config: ModelConfig, result: SteadyStateResult
 def solve_steady_state(config: ModelConfig) -> SteadyStateResult:
     """Self-consistent photon number and populations.
 
-    Zero-photon net gain <= 0 selects the dark branch (exactly zero gain
-    included, so marginal configurations report below_threshold).  Above
-    threshold, the bracket [0, n_hi] is expanded geometrically and the
-    root of the closed-form gain located to relative precision 1e-12 in
-    n (on the direct gain when g0 <= 1e-8 * kappa); the direct gain at
-    the root must be below 1e-8 * kappa.
+    One n = 0 solve per sub-ensemble gives the dark populations, the
+    zero-photon net gain g0 and the closed-form gain.  g0 <= 0 selects
+    the dark branch (exactly zero gain included).  Above threshold, the
+    bracket [0, n_hi] is expanded geometrically and the root of the
+    closed-form gain located to relative precision 1e-12 in n (on the
+    direct gain when g0 <= 1e-8 * kappa); the direct gain at the root
+    must be below 1e-8 * kappa.  ``residual`` is the fixed-n kernel's.
     """
-    states, g0 = _ensemble_states(config, 0.0)
-    if g0 <= 0.0:
-        return _steady_result(config, 0.0, BELOW_THRESHOLD, states, g0)
-    if g0 <= _GAIN_RESIDUAL_RTOL * config.cavity.kappa:
-        n_root = _gain_root(lambda n: net_gain(config, n))
-    else:
-        n_root = _gain_root(_closed_form_gain(config))
-    states, gain = _ensemble_states(config, n_root)
-    return _steady_result(config, n_root, LASING, states, gain)
+    states, gain, residual, solutions = _ensemble_states(config, 0.0,
+                                                         _ZERO_N_RHS)
+    n, branch = 0.0, BELOW_THRESHOLD
+    if gain > 0.0:
+        if gain <= _GAIN_RESIDUAL_RTOL * config.cavity.kappa:
+            n = _gain_root(lambda x: net_gain(config, x))
+        else:
+            n = _gain_root(_closed_form_gain(config, solutions))
+        states, gain, residual, _ = _ensemble_states(config, n)
+        branch = LASING
+        if abs(gain) > _GAIN_RESIDUAL_RTOL * config.cavity.kappa:
+            raise ConvergenceError(
+                "gain residual at the photon-number root above tolerance",
+                detail={"n": n, "gain_residual": gain})
+    weights, deltas = zip(*_ensembles(config))
+    return SteadyStateResult(n=n, branch=branch, net_gain=gain,
+                             residual=residual, populations=states,
+                             weights=weights, detunings=deltas)
 
 
 def threshold_pump(config: ModelConfig, delta: float | None = None) -> float:

@@ -66,7 +66,8 @@ def _config(name, mode, delta):
 def test_closed_form_gain_root_equals_brentq(name, mode, delta, factor):
     cfg = _config(name, mode, delta)
     cfg = with_pump(cfg, factor * threshold_pump(cfg))
-    gain = steady._closed_form_gain(cfg)
+    solutions = steady._ensemble_states(cfg, 0.0, steady._ZERO_N_RHS)[3]
+    gain = steady._closed_form_gain(cfg, solutions)
     hi = 1e-6
     while gain(hi) > 0.0:
         hi *= 4.0

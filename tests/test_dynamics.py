@@ -396,6 +396,39 @@ def test_sine_field_rejects_bad_omega(omega):
         DriveModulation.sine_field(1e-4, 1e-9, omega)
 
 
+@pytest.mark.parametrize("fields", [
+    dict(kind="pulse"),
+    dict(kind="constant", delta0=math.nan),
+    dict(kind="constant", delta0=-math.inf),
+    dict(kind="sine_field", bias_field=math.nan, amplitude_field=1e-9,
+         omega_signal=2e5),
+    dict(kind="sine_field", bias_field=1e-4, amplitude_field=math.inf,
+         omega_signal=2e5),
+    dict(kind="sine_field", bias_field=1e-4, amplitude_field=1e-9),
+])
+def test_modulation_rejects_bad_fields(fields):
+    with pytest.raises(InvalidConfigError):
+        DriveModulation(**fields)
+
+
+def test_non_finite_trajectory_raises(baseline_config):
+    ss = solve_steady_state(with_drive(baseline_config, delta=1e8))
+    y0 = state_from_populations(ss.aligned, ss.n)
+    with pytest.raises(InvalidConfigError):
+        integrate(baseline_config, y0, (0.0, 1e-6),
+                  DriveModulation.constant(math.nan))
+    # a NaN detuning set past the constructor, and a NaN start, reach
+    # the trajectory check
+    nan_mod = DriveModulation.constant(0.0)
+    object.__setattr__(nan_mod, "delta0", math.nan)
+    nan_start = y0.copy()
+    nan_start[7] = math.nan
+    for y, mod in ((y0, nan_mod),
+                   (nan_start, DriveModulation.constant(1e8))):
+        with pytest.raises(StiffnessError, match="not finite"):
+            integrate(baseline_config, y, (0.0, 1e-6), mod)
+
+
 def test_time_domain_rejects_four_orientation(baseline_config):
     four = dataclasses.replace(
         baseline_config,

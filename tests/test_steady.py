@@ -1,6 +1,7 @@
 """Steady-state solvers: fixed-n populations, gain root, thresholds."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -173,9 +174,7 @@ def test_population_state_invariants():
     with pytest.raises(ConvergenceError):
         PopulationState(0.5, 0, 0, 0.5, 0, 0, 0, 0.6, 0.5)
     state = PopulationState(0.5, 0, 0, 0.5, 0, 0, 0, 0.1, -0.2)
-    assert state.coherence_mag() == pytest.approx(np.hypot(0.1, 0.2))
-    arr = state.as_array()
-    assert PopulationState.from_array(arr) == state
+    assert PopulationState(*state.as_array().tolist()) == state
 
 
 def test_population_column_names():
@@ -196,6 +195,28 @@ def test_explicit_delta_overrides_drive(baseline_config):
 def test_negative_photon_number_rejected(baseline_config):
     with pytest.raises(ValueError):
         populations_at_fixed_n(baseline_config, -1e-6)
+    with pytest.raises(ValueError):
+        net_gain(baseline_config, -1e-6)
+
+
+# n = 1e300 overflows G*n in the rate matrix
+@pytest.mark.parametrize("call, n, delta, error", [
+    (populations_at_fixed_n, math.nan, None, InvalidConfigError),
+    (populations_at_fixed_n, math.inf, None, InvalidConfigError),
+    (populations_at_fixed_n, 1e300, None, ConvergenceError),
+    (populations_at_fixed_n, 0.0, math.nan, InvalidConfigError),
+    (populations_at_fixed_n, 0.0, math.inf, InvalidConfigError),
+    (populations_at_fixed_n, 0.0, -math.inf, InvalidConfigError),
+    (net_gain, math.nan, None, InvalidConfigError),
+    (net_gain, math.inf, None, InvalidConfigError),
+    (net_gain, 1e300, None, ConvergenceError),
+])
+def test_bad_fixed_n_inputs_raise_typed_errors_quietly(
+        baseline_config, capfd, call, n, delta, error):
+    args = (n,) if delta is None else (n, delta)
+    with pytest.raises(error):
+        call(baseline_config, *args)
+    assert capfd.readouterr() == ("", "")
 
 
 # Nine evenly spaced photon numbers from 0 up to 1e-3 .. 10.
@@ -264,6 +285,29 @@ def test_steady_state_invariants(baseline_config, mode, delta, pump, omega):
         # exact zeros may come out as rounding noise of either sign
         occ = state.as_array()[:7]
         assert np.all(occ >= -1e-12) and np.all(occ <= 1.0 + 1e-12)
+
+
+@settings(max_examples=300, **_PROPERTY)
+@given(mode=_MODES, delta=_DETUNINGS, pump=_drive_rate(4e6),
+       omega=_drive_rate(1e7))
+def test_steady_state_matches_fixed_n_kernel(baseline_config, mode, delta,
+                                             pump, omega):
+    cfg = with_drive(with_pump(_with_mode(baseline_config, mode), pump),
+                     delta=delta, omega=omega)
+    ss = solve_steady_state(cfg)
+    # the residual recomputed from the rate matrix at the returned state
+    residual = max(
+        float(np.max(np.abs(steady.rate_matrix(cfg, ss.n, d)
+                            @ state.as_array()))) / steady._max_rate(cfg, ss.n)
+        for state, d in zip(ss.populations, ss.detunings))
+    assert ss.residual == residual
+    direct = populations_at_fixed_n(cfg, ss.n)
+    if ss.branch == LASING:
+        assert ss.aligned == direct
+    else:
+        # column 0 of the three-column n = 0 solve, not a one-column solve
+        np.testing.assert_allclose(ss.aligned.as_array(), direct.as_array(),
+                                   rtol=0.0, atol=1e-14)
 
 
 def test_tiny_drive_rates_are_rejected(baseline_config):
