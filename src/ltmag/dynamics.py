@@ -7,22 +7,24 @@ State vector layout (length 10):
 
 The occupation/coherence block is linear at fixed n (see
 ``steady.rate_matrix``); the photon equation dn/dt = g(y) * n makes the
-system bilinear.  The system is stiff (rates span up to six orders of
-magnitude), so integration uses LSODA (ODEPACK; Hindmarsh, ODEPACK,
-1983; Petzold, SIAM J. Sci. Stat. Comput. 4, 136, 1983) with the
-analytic Jacobian.  LSODA switches between Adams and BDF formulas on its
-own and takes BDF on nearly every step here.
+system bilinear.  ``_system`` builds the rate matrix once per run and
+adds the n- and time-dependent terms on each call.  The system is stiff
+(rates span up to six orders of magnitude), so integration uses LSODA
+(ODEPACK; Hindmarsh, ODEPACK, 1983; Petzold, SIAM J. Sci. Stat.
+Comput. 4, 136, 1983) with the analytic Jacobian.  LSODA switches
+between Adams and BDF formulas on its own and, from a first step at the
+fastest rate (``_lsoda``), takes BDF on nearly every step here.
 
 Each public call makes one continuous run (``_lsoda``, on
 ``scipy.integrate.ode``) and advances it to the times it needs:
 ``integrate`` one internal step at a time, ``step_response`` to a grid
 of checkpoints, ``ac_response`` to its sample times.  Every advance
 continues the same ODEPACK state, so the integrator never restarts, and
-its step loop runs in compiled code that calls back only ``rhs`` and
-``jacobian``.  A failed advance, or a run past ``_MAX_STEPS`` steps,
-raises ``StiffnessError``.  ``scipy.integrate`` is imported on the first
-integration, not with the package, so the steady-state path loads no
-scipy module.
+its step loop runs in compiled code that calls back only the two
+closures of ``_system``.  A failed advance, or a run past ``_MAX_STEPS``
+steps, raises ``StiffnessError``.  ``scipy.integrate`` is imported on
+the first integration, not with the package, so the steady-state path
+loads no scipy module.
 
 Time-domain operations are defined for single_orientation configurations;
 a four_orientation ensemble would need parallel copies of the level block.
@@ -43,7 +45,7 @@ from .errors import (ConvergenceError, DegenerateStepError,
 from .model import (ModelConfig, b_field_to_detuning, with_bias_field,
                     with_drive)
 from .steady import (POPULATION_NAMES, PopulationState, _brent_root,
-                     rate_matrix, solve_steady_state)
+                     _max_rate, rate_matrix, solve_steady_state)
 
 logger = logging.getLogger("ltmag.dynamics")
 
@@ -196,43 +198,74 @@ def _require_single_orientation(config: ModelConfig, what: str) -> None:
             f"{what} supports single_orientation configurations only")
 
 
+# W W^T of the stimulated exchange (see ``steady``), padded to 10 x 10
+_WWT = np.zeros((10, 10))
+_WWT[1:3, 1:3] = _WWT[4:6, 4:6] = [[1.0, -1.0], [-1.0, 1.0]]
+
+
+def _system(config: ModelConfig, modulation: DriveModulation):
+    """The ``(rhs, jacobian)`` pair of one run, as functions of (t, y).
+
+    A(n, delta) = A(0, delta0) - G n W W^T + (delta - delta0) D, with
+    W W^T the stimulated exchange (``_WWT``, see ``steady``) and D the
+    rotation of (Re, Im) rho14.  A(0, delta0) is built once, delta0
+    being the constant detuning or 0 for ``sine_field``; each call adds
+    the exchange, the rotation (sine drive only) and the photon row to
+    one product with it.
+    """
+    g = config.derived.gain_coupling
+    kappa = config.cavity.kappa
+    sine = modulation.kind == "sine_field"
+    a0 = np.zeros((10, 10))
+    a0[:9, :9] = rate_matrix(config, 0.0, 0.0 if sine else modulation.delta0)
+
+    def f(t, y):
+        _, y1, y2, _, y4, y5, _, y7, y8, n = y.tolist()
+        d23, d56, gn = y1 - y2, y4 - y5, g * n
+        dy = a0.dot(y)
+        dy[1] -= gn * d23
+        dy[2] += gn * d23
+        dy[4] -= gn * d56
+        dy[5] += gn * d56
+        if sine:
+            delta = modulation.detuning(t, config)
+            dy[7] -= delta * y8
+            dy[8] += delta * y7
+        dy[9] = (g * (d23 + d56) - kappa) * n
+        return dy
+
+    def jac(t, y):
+        _, y1, y2, _, y4, y5, _, _, _, n = y.tolist()
+        d23, d56, gn = y1 - y2, y4 - y5, g * n
+        j = a0 - gn * _WWT
+        if sine:
+            delta = modulation.detuning(t, config)
+            j[7, 8] -= delta
+            j[8, 7] += delta
+        # d/dn of the stimulated exchange terms, and the photon row
+        j[1, 9], j[2, 9] = -g * d23, g * d23
+        j[4, 9], j[5, 9] = -g * d56, g * d56
+        j[9, 1] = j[9, 4] = gn
+        j[9, 2] = j[9, 5] = -gn
+        j[9, 9] = g * (d23 + d56) - kappa
+        return j
+
+    return f, jac
+
+
 def rhs(t: float, y: np.ndarray, config: ModelConfig,
         modulation: DriveModulation) -> np.ndarray:
-    """Full right-hand side at time t.
+    """Full right-hand side at time t, as integrated (``_system``).
 
     The occupation block conserves the trace exactly and dn/dt vanishes
     identically at n = 0.
     """
-    g = config.derived.gain_coupling
-    delta = modulation.detuning(t, config)
-    a = rate_matrix(config, y[9], delta)
-    dy = np.empty(10)
-    dy[:9] = a @ y[:9]
-    net = g * ((y[1] - y[2]) + (y[4] - y[5])) - config.cavity.kappa
-    dy[9] = net * y[9]
-    return dy
+    return _system(config, modulation)[0](t, y)
 
 
 def jacobian(t: float, y: np.ndarray, config: ModelConfig,
              modulation: DriveModulation) -> np.ndarray:
-    g = config.derived.gain_coupling
-    delta = modulation.detuning(t, config)
-    a = rate_matrix(config, y[9], delta)
-    jac = np.zeros((10, 10))
-    jac[:9, :9] = a
-    # d/dn of the stimulated exchange terms
-    jac[1, 9] = -g * (y[1] - y[2])
-    jac[2, 9] = g * (y[1] - y[2])
-    jac[4, 9] = -g * (y[4] - y[5])
-    jac[5, 9] = g * (y[4] - y[5])
-    # photon row
-    gn = g * y[9]
-    jac[9, 1] = gn
-    jac[9, 2] = -gn
-    jac[9, 4] = gn
-    jac[9, 5] = -gn
-    jac[9, 9] = g * ((y[1] - y[2]) + (y[4] - y[5])) - config.cavity.kappa
-    return jac
+    return _system(config, modulation)[1](t, y)
 
 
 def _sanitize(t: np.ndarray, states: np.ndarray) -> TimeSeries:
@@ -289,15 +322,16 @@ def _lsoda(config: ModelConfig, y0: np.ndarray, t0: float,
            max_step: float = 0.0):
     """One continuous LSODA run of the full system from (t0, y0), with
     the analytic Jacobian, for ``_advance`` to continue; ``max_step`` 0
-    means unbounded."""
+    means unbounded.  The first step is 1 / ``steady._max_rate`` at y0:
+    from LSODA's own, sized on an rhs that nearly vanishes at a steady
+    start, ``ac_response(high_sensitivity, 170e-6, 1e-9, 2e6)`` took
+    500,000 Adams steps without one Jacobian."""
     from scipy.integrate import ode
 
-    solver = ode(rhs, jacobian).set_integrator(
+    solver = ode(*_system(config, modulation)).set_integrator(
         "lsoda", rtol=_RTOL, atol=atol, max_step=max_step,
-        nsteps=_MAX_STEPS)
+        first_step=1.0 / _max_rate(config, y0[9]), nsteps=_MAX_STEPS)
     solver.set_initial_value(np.array(y0, dtype=float), t0)
-    solver.set_f_params(config, modulation)
-    solver.set_jac_params(config, modulation)
     with warnings.catch_warnings():
         # scipy reports a failed call only by this warning; _advance
         # raises StiffnessError for it instead

@@ -9,13 +9,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from ltmag import (ConvergenceError, DegenerateStepError, DriveModulation,
                    InvalidConfigError, NoSignalError, OrientationModel,
                    StiffnessError, ac_response, derive_constants, integrate,
-                   output_power, solve_steady_state, step_response,
+                   output_power, preset, solve_steady_state, step_response,
                    with_bias_field, with_drive, with_pump)
 from ltmag import dynamics, steady
 from ltmag.dynamics import (DEFAULT_SEED_N, TIMESERIES_COLUMNS, jacobian,
@@ -25,6 +27,12 @@ from ltmag.dynamics import (DEFAULT_SEED_N, TIMESERIES_COLUMNS, jacobian,
 def _steady_state_vector(config, delta):
     ss = solve_steady_state(with_drive(config, delta=delta))
     return state_from_populations(ss.aligned, ss.n)
+
+
+def _first_step(config, y0):
+    # the first step of the library's LSODA runs (``dynamics._lsoda``),
+    # passed to the stock solver so that both start alike
+    return 1.0 / steady._max_rate(config, y0[9])
 
 
 def test_rhs_vanishes_at_steady_state(baseline_config):
@@ -76,6 +84,56 @@ def test_jacobian_matches_finite_differences(baseline_config):
                            atol=1e-6 * np.max(np.abs(jac)))
 
 
+def _dense_system(t, y, config, modulation):
+    """Right-hand side and Jacobian from the whole ``rate_matrix`` at
+    (n, delta(t)), built anew on every call: the oracle of the affine
+    system that ``dynamics._system`` builds once per run."""
+    g = config.derived.gain_coupling
+    a = steady.rate_matrix(config, y[9], modulation.detuning(t, config))
+    d23, d56 = y[1] - y[2], y[4] - y[5]
+    net = g * (d23 + d56) - config.cavity.kappa
+    dy = np.append(a @ y[:9], net * y[9])
+    jac = np.zeros((10, 10))
+    jac[:9, :9] = a
+    jac[[1, 2, 4, 5], 9] = -g * d23, g * d23, -g * d56, g * d56
+    gn = g * y[9]
+    jac[9, [1, 2, 4, 5]] = gn, -gn, gn, -gn
+    jac[9, 9] = net
+    return dy, jac, np.abs(a) @ np.abs(y[:9])
+
+
+# Bounded, reproducible property runs, as in test_steady.py.
+_PROPERTY = dict(deadline=None, derandomize=True, database=None)
+
+
+@settings(max_examples=300, **_PROPERTY)
+@given(name=st.sampled_from(["baseline", "high_sensitivity"]),
+       sine=st.booleans(),
+       occupations=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
+       coherence=st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2),
+       n=st.floats(0.0, 10.0), t=st.floats(0.0, 1e-3),
+       delta=st.floats(-3e8, 3e8), field=st.floats(-3e-4, 3e-4),
+       amplitude=st.floats(1e-12, 1e-6), omega=st.floats(1e3, 1e8))
+def test_affine_system_matches_rate_matrix(name, sine, occupations,
+                                           coherence, n, t, delta, field,
+                                           amplitude, omega):
+    config = preset(name)
+    mod = (DriveModulation.sine_field(field, amplitude, omega) if sine
+           else DriveModulation.constant(delta))
+    y = np.array([*occupations, *coherence, n])
+    f, jac = dynamics._system(config, mod)
+    dy, dense_jac, scale = _dense_system(t, y, config, mod)
+    ours = f(t, y)
+    assert np.all(np.abs(ours[:9] - dy[:9]) <= 1e-14 * scale)
+    # the photon row and every Jacobian entry are the same floating-point
+    # operations in both, so they agree bit for bit
+    assert ours[9] == dy[9]
+    assert np.array_equal(jac(t, y), dense_jac)
+    # the public functions are the integrator's closures
+    assert np.array_equal(rhs(t, y, config, mod), ours)
+    assert np.array_equal(jacobian(t, y, config, mod), jac(t, y))
+
+
 def test_integrate_from_steady_state_is_flat(baseline_config):
     cfg = with_drive(baseline_config, delta=1e8)
     ss = solve_steady_state(cfg)
@@ -93,7 +151,8 @@ def test_integrate_rows_are_stock_lsoda_steps(baseline_config):
     y0 = _steady_state_vector(baseline_config, 0.0)
     series = integrate(after, y0, (0.0, 2e-7), mod)
     sol = solve_ivp(rhs, (0.0, 2e-7), y0, method="LSODA", rtol=1e-10,
-                    atol=1e-14, jac=jacobian, args=(after, mod))
+                    atol=1e-14, jac=jacobian, args=(after, mod),
+                    first_step=_first_step(after, y0))
     assert series.t[-1] == 2e-7
     assert np.array_equal(series.t, sol.t)
     assert np.allclose(series.states, sol.y.T, rtol=1e-12, atol=1e-18)
@@ -178,6 +237,7 @@ def _stock_step_oracle(config, delta_before, delta_after, horizon, method):
     y0 = state_from_populations(ss_before.aligned, seed)
     sol = solve_ivp(rhs, (0.0, horizon), y0, method=method, rtol=1e-10,
                     atol=1e-14, jac=jacobian, dense_output=True,
+                    first_step=_first_step(after, y0),
                     args=(after, DriveModulation.constant(delta_after)))
     assert sol.success
     crossings = []
@@ -199,6 +259,8 @@ def test_step_response_extensions_match_restart_oracle(
     # final horizon, the first one doubled once per extension
     extensions = res.work["extensions"]
     assert extensions >= 1
+    # LSODA left Adams mode: BDF steps form Jacobians
+    assert res.work["njev"] > 0
     horizon = res.series.t[-1]
     assert horizon == 20.0 * dynamics._singlet_cycle_time(
         baseline_config) * 2 ** extensions
@@ -246,7 +308,7 @@ def _stock_ac_oracle(config, ours, method):
     sol = solve_ivp(rhs, (0.0, t_k[-1]), y0, method=method, rtol=1e-10,
                     atol=1e-16, jac=jacobian, t_eval=t_k,
                     max_step=period / ours.samples_per_period,
-                    args=(config, mod))
+                    first_step=_first_step(config, y0), args=(config, mod))
     assert sol.success
     spectrum = np.fft.rfft(sol.y[9])
     return (float(np.abs(2.0 * spectrum[ours.periods] / n_samples)),
@@ -268,6 +330,29 @@ def test_lsoda_matches_stock_bdf_oracle(baseline_config, high_sens_config):
         n_signal, n_mean = _stock_ac_oracle(high_sens_config, ours, "BDF")
         assert ours.n_signal == pytest.approx(n_signal, rel=1e-3)
         assert ours.n_mean == pytest.approx(n_mean, rel=1e-3)
+
+
+def test_ac_response_leaves_adams_mode(high_sens_config):
+    # From LSODA's default first step, sized on an rhs that nearly
+    # vanishes at the steady start, this call took 500,000 Adams steps
+    # to t = 3.1e-7 s without one Jacobian and raised StiffnessError.
+    res = ac_response(high_sens_config, bias_field=170e-6,
+                      amplitude_field=1e-9, omega_signal=2e6)
+    assert res.work["njev"] > 0
+
+
+def test_ac_scan_never_stalls_in_adams_mode(high_sens_config, monkeypatch):
+    # 40 frequencies at two bias fields; from LSODA's default first step
+    # 5 of these 80 runs stalled in Adams mode until the step cap (11
+    # with the affine rhs).  Each completed run takes a few thousand
+    # steps.
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 60_000)
+    for bias in (164e-6, 170e-6):
+        for omega in np.geomspace(2e4, 2e7, 40):
+            res = ac_response(high_sens_config, bias_field=bias,
+                              amplitude_field=1e-9,
+                              omega_signal=float(omega))
+            assert res.work["njev"] > 0
 
 
 @pytest.mark.filterwarnings("error")
@@ -338,6 +423,8 @@ def test_ac_response_frozen_values(high_sens_config):
     assert res.work["checkpoints"] == res.periods * res.samples_per_period
     assert res.work["extensions"] == 0
     assert res.work["nfev"] >= res.work["steps"] > 0
+    # LSODA left Adams mode: BDF steps form Jacobians
+    assert res.work["njev"] > 0
     period = 2 * np.pi / 2e5
     cycles = res.transient_time / period
     assert cycles == pytest.approx(round(cycles), abs=1e-9)
