@@ -18,9 +18,10 @@ central differences with Richardson extrapolation (method
 ``dc_finite_difference``).  Every field scan (the d.c. curve, both field
 searches, the sweeps' ``dn_dB`` and ``eta_dc`` cells) takes the implicit
 slope (``dc_implicit``): the net gain g(n, delta) vanishes at a lasing
-root, so dn/d delta = -(dg/d delta) / (dg/dn), one extra linear solve in
-place of a stencil of steady states.  The two agree to about 1e-11 relative;
-the finite differences are the oracle of the implicit slope.
+root, so dn/d delta = -(dg/d delta) / (dg/dn), with both partials taken
+from the steady state's own n = 0 solve in place of a stencil of steady
+states.  The two agree to about 1e-11 relative; the finite differences
+are the oracle of the implicit slope.
 
 Near the zero-crossing of the slope (the bottom of the symmetric output
 dip) the sensitivity genuinely diverges; that is reported by an explicit
@@ -44,7 +45,7 @@ from .dynamics import ac_response
 from .errors import (BelowThresholdError, ConvergenceError,
                      InvalidConfigError, PhysicsDomainError)
 from .model import ModelConfig, with_bias_field
-from .steady import SteadyStateResult, _gain_partials, solve_steady_state
+from .steady import SteadyStateResult, solve_steady_state
 
 METHOD_DC = "dc_finite_difference"
 METHOD_DC_IMPLICIT = "dc_implicit"
@@ -194,10 +195,13 @@ def dc_sensitivity(config: ModelConfig, b_field: float, *,
                    h0: float | None = None) -> SensitivityResult:
     """Shot-noise d.c. sensitivity at a bias field.
 
-    Raises BelowThresholdError when there is no output at the bias.  A
-    vanishing slope (symmetry point of the output curve) is reported as
-    a diverged result with eta = +inf and no ``fd_rel_error``.
+    Raises InvalidConfigError unless ``h0`` (first step, T) is None or
+    finite and > 0, and BelowThresholdError when there is no output at
+    the bias.  A vanishing slope (symmetry point of the output curve) is
+    reported as a diverged result with eta = +inf and no ``fd_rel_error``.
     """
+    if h0 is not None and not 0.0 < h0 < math.inf:
+        raise InvalidConfigError(f"h0 must be finite and > 0, got {h0!r}")
     ss = solve_steady_state(with_bias_field(config, b_field))
     if ss.n <= 0.0:
         raise BelowThresholdError(
@@ -229,19 +233,16 @@ def _dc_point(config: ModelConfig, b_field: float
 def _dc_at_state(point: ModelConfig, ss: SteadyStateResult, b_field: float
                  ) -> SensitivityResult | None:
     """Implicit-slope d.c. sensitivity at an already solved steady state
-    ``ss`` of ``point``, or None where it is dark or its gain partials
-    do not converge.
+    ``ss`` of ``point``, or None where it is dark or its gain does not
+    fall with n (dg/dn < 0 at every true lasing root).
 
-    dn/dB = -(dg/d delta) / (dg/dn) / (field per detuning) from the gain
-    partials at the root.  The slope is exactly 0.0 at a symmetry point,
+    dn/dB = -(dg/d delta) / (dg/dn) / (field per detuning) from
+    ``ss.gain_partials``.  The slope is exactly 0.0 at a symmetry point,
     which is then reported as diverged.
     """
-    if ss.n <= 0.0:
+    if ss.gain_partials is None or not ss.gain_partials[0] < 0.0:
         return None
-    try:
-        dg_dn, dg_dd = _gain_partials(point, ss)
-    except ConvergenceError:
-        return None
+    dg_dn, dg_dd = ss.gain_partials
     slope = -dg_dd / dg_dn / point.derived.field_per_detuning
     shot = _shot_factor(point, ss.n)
     diverged = slope == 0.0

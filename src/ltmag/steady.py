@@ -2,39 +2,37 @@
 
 The level occupations and the ground-spin coherence obey a linear system
 at fixed photon number n, because n only enters through the stimulated
-rates G*n.  The full steady state is therefore found in two stages:
+rates G*n.  ``_fixed_n`` solves the 9x9 system of one sub-ensemble
+(seven occupations plus Re/Im of the ground coherence, the trace
+constraint replacing one redundant rate equation) and checks its
+residual.  The stimulated exchange 2<->3 and 5<->6 is a rank-2 term,
+M(n) = M0 - s W W^T with s = G*n and W = [e2 - e3, e5 - e6], so
+``solve_steady_state`` makes one solve per sub-ensemble, at n = 0:
+X = M0^-1 [e1, W, E], E = [e8, e9] the coherence rows, gives
+z0 = W^T X e1 and C = W^T X W.  By the Sherman-Morrison-Woodbury
+identity (W. W. Hager, *SIAM Review* 31, 221, 1989), with
+y = (I - s C)^-1 z0:
 
-1. ``_fixed_n`` solves the 9x9 linear system of one sub-ensemble (seven
-   occupations plus Re/Im of the ground coherence, the trace constraint
-   replacing one redundant rate equation) for one or more right-hand sides;
-2. ``solve_steady_state`` finds the photon number at which the net gain
-   crosses zero.  The stimulated exchange 2<->3 and 5<->6 is a rank-2
-   term, M(n) = M0 - s W W^T with s = G*n and W = [e2 - e3, e5 - e6], so
-   one factorization of the n = 0 matrix against the trace vector and
-   the two columns of W gives z0 = W^T M0^-1 e1 and C = W^T M0^-1 W.  By
-   the Sherman-Morrison-Woodbury identity each sub-ensemble's inversion
-   is then 1^T (I - s C)^-1 z0 = (a + b s) / (1 - tr(C) s + det(C) s^2),
-   and the root of the weighted sum of these ratios minus kappa is
-   bracketed and refined on that cheap rational function by
-   ``_brent_root``, a line-for-line port of scipy's ``brentq`` (Brent's
-   method; R. P. Brent, *Algorithms for Minimization without
-   Derivatives*, 1973, ch. 4).  Net gain decreases monotonically with n
-   (stimulated emission burns the inversion), so a bracketed scalar root
-   is enough.  The port performs scipy's floating-point operations in
-   scipy's order, so every root is bit-identical to ``brentq``'s while
-   the steady-state path loads no scipy module.  The time domain does
-   not depend on those last bits: ``dynamics.step_response`` starts
-   from the lasing n in one continuous LSODA run, which returns the
-   same crossing times from a root an ulp or two off.
+- the inversion is 1^T y = (a + b s) / (1 - tr(C) s + det(C) s^2);
+- the populations are v = X e1 + s (X W) y;
+- dM/dn = -G W W^T gives dg/dn = G^2 1^T C (I - s C)^-1 W^T v, and
+  dM/d delta, nonzero only in the coherence rows, gives
+  dg/d delta = G 1^T (I - s C)^-1 W^T X E u, u = (Im rho14, -Re rho14),
+  for the aligned sub-ensemble only (implicit differentiation at a
+  root: Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008).
 
-If the zero-photon gain of that solve is not positive there is no lasing
-solution and the n = 0 branch is returned with its populations.  Right
-at threshold (0 < g0 <= 1e-8 * kappa) the root is set by the rounding of
-kappa rather than by the model, so there the same bracket runs on the
-direct gain of full fixed-n solves instead.  Above threshold the
-populations are re-solved directly at the root: they pass the fixed-n
-residual check and the occupation bounds, and their net gain must lie
-within 1e-8 * kappa of zero, which checks the closed form independently.
+A zero-photon gain g0 <= 0 gives the dark branch.  Otherwise the root
+of the weighted inversions times G minus kappa is bracketed and refined
+on that rational function by ``_brent_root``, a line-for-line port of
+scipy's ``brentq`` (R. P. Brent, *Algorithms for Minimization without
+Derivatives*, 1973, ch. 4): net gain falls monotonically with n, and
+the port's roots are bit-identical to ``brentq``'s while the steady
+path loads no scipy module.  Right at threshold (g0 <= 1e-8 * kappa)
+the root is set by the rounding of kappa, so the bracket runs on the
+direct gain of full fixed-n solves instead.  Either way the populations
+at the root pass the fixed-n residual check against the rate matrix at
+the root and the occupation bounds, and their net gain must lie within
+1e-8 * kappa of zero, which checks the closed form independently.
 """
 
 from __future__ import annotations
@@ -116,6 +114,9 @@ class SteadyStateResult:
     ``branch`` is ``"below_threshold"`` exactly when ``n == 0``.
     ``residual`` is the largest occupation/coherence rate at the solution
     relative to the largest rate constant in the system.
+    ``gain_partials`` is (dg/dn, dg/d delta) of the net gain at a lasing
+    root, delta being the drive detuning (the off-axis detuning does not
+    follow it), and None on the dark branch.
     """
 
     n: float
@@ -125,6 +126,7 @@ class SteadyStateResult:
     populations: tuple[PopulationState, ...]
     weights: tuple[float, ...]
     detunings: tuple[float, ...]
+    gain_partials: tuple[float, float] | None
 
     @property
     def aligned(self) -> PopulationState:
@@ -196,11 +198,13 @@ def _max_rate(config: ModelConfig, n: float) -> float:
 
 
 # Right-hand sides of the n = 0 solve: the trace vector (alone, A v = 0
-# with unit trace) and the columns of W (see the module docstring).
-_ZERO_N_RHS = np.zeros((9, 3))
+# with unit trace), the columns of W and e8, e9 (see the module
+# docstring).
+_ZERO_N_RHS = np.zeros((9, 5))
 _ZERO_N_RHS[0, 0] = 1.0
 _ZERO_N_RHS[[1, 4], [1, 2]] = 1.0
 _ZERO_N_RHS[[2, 5], [1, 2]] = -1.0
+_ZERO_N_RHS[[7, 8], [3, 4]] = 1.0
 _TRACE_RHS = _ZERO_N_RHS[:, 0].copy()
 
 
@@ -230,8 +234,8 @@ def _fixed_n(config: ModelConfig, n: float, delta: float,
              rhs: np.ndarray = _TRACE_RHS) -> tuple:
     """The one fixed-n population solve of a sub-ensemble.  ``rhs`` is
     ``_TRACE_RHS`` or has it as column 0; returns the population state
-    of that column, the raw solution and the state's residual relative
-    to ``_max_rate``.  Raises as ``populations_at_fixed_n`` does."""
+    of that column and its residual (see ``_checked_state``) and the raw
+    solution.  Raises as ``populations_at_fixed_n`` does."""
     if not (0.0 <= n < math.inf and math.isfinite(delta)):
         raise InvalidConfigError("need a finite photon number n >= 0 and a "
                                  f"finite delta, got n={n!r}, delta={delta!r}")
@@ -244,13 +248,21 @@ def _fixed_n(config: ModelConfig, n: float, delta: float,
         raise ConvergenceError("rate matrix is not finite",
                                detail={"n": n, "delta": delta})
     x = _solve_linear(a, rhs)
-    v = x.reshape(9, -1)[:, 0]
+    return (*_checked_state(config, n, delta, a, x.reshape(9, -1)[:, 0]),
+            x)
+
+
+def _checked_state(config: ModelConfig, n: float, delta: float,
+                   a: np.ndarray, v: np.ndarray) -> tuple:
+    """The population state of ``v``, a solution for the rate matrix
+    ``a`` at (n, delta), and its residual max|a v| relative to
+    ``_max_rate``; raises ConvergenceError above tolerance."""
     residual = float(np.max(np.abs(a @ v))) / _max_rate(config, n)
     if residual > _LINEAR_RESIDUAL_RTOL:
         raise ConvergenceError(
             "fixed-n linear solve residual above tolerance",
             detail={"residual": residual, "n": n, "delta": delta})
-    return PopulationState(*v.tolist()), x, residual
+    return PopulationState(*v.tolist()), residual
 
 
 def populations_at_fixed_n(config: ModelConfig, n: float,
@@ -286,7 +298,7 @@ def _ensemble_states(config: ModelConfig, n: float,
     states, solutions = [], []
     total = residual = 0.0
     for weight, delta in _ensembles(config):
-        state, x, r = _fixed_n(config, n, delta, rhs)
+        state, r, x = _fixed_n(config, n, delta, rhs)
         states.append(state)
         solutions.append(x)
         total += weight * (g * ((state.rho22 - state.rho33)
@@ -310,9 +322,9 @@ def _closed_form_gain(config: ModelConfig, solutions):
     g = config.derived.gain_coupling
     terms = []
     for (weight, _), x in zip(_ensembles(config), solutions):
-        # rows: W^T applied to M0^-1 [e1, W]
-        w = x[[1, 4]] - x[[2, 5]]
-        (z0, c00, c01), (z1, c10, c11) = w.tolist()
+        # rows: W^T applied to M0^-1 [e1, W, E]
+        (z0, c00, c01, *_), (z1, c10, c11, *_) = (
+            x[[1, 4]] - x[[2, 5]]).tolist()
         terms.append((weight * g, z0 + z1,
                       (c10 - c11) * z0 + (c01 - c00) * z1,
                       -(c00 + c11), c00 * c11 - c01 * c10))
@@ -440,63 +452,66 @@ def _gain_root(gain) -> float:
                        maxiter=200)
 
 
-def _gain_partials(config: ModelConfig, result: SteadyStateResult
-                   ) -> tuple[float, float]:
-    """(dg/dn, dg/d delta) of the net gain at a lasing root, where delta
-    is the drive detuning; the off-axis detuning does not follow it.
-
-    Differentiating M v = e1 keeps the trace row, so M dv = -(dM) v with
-    dM/dn = -G W W^T (see the module docstring) and dM/d delta nonzero
-    only in the coherence rows.  One two-column solve per sub-ensemble
-    on the matrix at the root gives both derivatives of v, and G W^T of
-    them the partials (implicit differentiation at a root: Griewank &
-    Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 15).
-    Raises ConvergenceError when dg/dn is not negative, which a lasing
-    root of a gain decreasing in n rules out.
-    """
+def _lasing_states(config: ModelConfig, n: float, solutions):
+    """Populations, net gain, largest residual and gain partials at a
+    lasing root n, from the n = 0 solutions for ``_ZERO_N_RHS`` (see the
+    module docstring).  Raises as ``populations_at_fixed_n`` does."""
     g = config.derived.gain_coupling
-    dg_dn = dg_dd = 0.0
-    for k, (state, weight, delta) in enumerate(zip(
-            result.populations, result.weights, result.detunings)):
-        rhs = np.zeros((9, 2))
-        rhs[1, 0] = g * (state.rho22 - state.rho33)
-        rhs[2, 0] = -rhs[1, 0]
-        rhs[4, 0] = g * (state.rho55 - state.rho66)
-        rhs[5, 0] = -rhs[4, 0]
+    s = g * n
+    states = []
+    total = residual = dg_dn = dg_dd = 0.0
+    for k, ((weight, delta), x) in enumerate(zip(_ensembles(config),
+                                                 solutions)):
+        (z0, c00, c01, f00, f01), (z1, c10, c11, f10, f11) = (
+            x[[1, 4]] - x[[2, 5]]).tolist()
+        det = (1.0 - s * c00) * (1.0 - s * c11) - s * s * c01 * c10
+
+        def solve_2x2(p0, p1):
+            # (I - s C)^-1 p
+            return (((1.0 - s * c11) * p0 + s * c01 * p1) / det,
+                    (s * c10 * p0 + (1.0 - s * c00) * p1) / det)
+
+        y0, y1 = solve_2x2(z0, z1)
+        state, r = _checked_state(
+            config, n, delta, rate_matrix(config, n, delta),
+            x[:, 0] + s * (y0 * x[:, 1] + y1 * x[:, 2]))
+        states.append(state)
+        residual = max(residual, r)
+        t0, t1 = state.rho22 - state.rho33, state.rho55 - state.rho66
+        total += weight * (g * (t0 + t1))
+        r0, r1 = solve_2x2(t0, t1)
+        dg_dn += weight * g * g * ((c00 + c10) * r0 + (c01 + c11) * r1)
         if k == 0:
-            rhs[7, 1] = state.rho14_im
-            rhs[8, 1] = -state.rho14_re
-        x = _solve_linear(rate_matrix(config, result.n, delta), rhs)
-        dn, dd = ((x[1] - x[2]) + (x[4] - x[5])).tolist()
-        dg_dn += weight * g * dn
-        dg_dd += weight * g * dd
-    if not dg_dn < 0.0:
-        raise ConvergenceError(
-            "net gain does not decrease with n at the root",
-            detail={"n": result.n, "dg_dn": dg_dn})
-    return dg_dn, dg_dd
+            u0, u1 = state.rho14_im, -state.rho14_re
+            d0, d1 = solve_2x2(f00 * u0 + f01 * u1, f10 * u0 + f11 * u1)
+            dg_dd = weight * g * (d0 + d1)
+    return (tuple(states), total - config.cavity.kappa, residual,
+            (dg_dn, dg_dd))
 
 
 def solve_steady_state(config: ModelConfig) -> SteadyStateResult:
     """Self-consistent photon number and populations.
 
     One n = 0 solve per sub-ensemble gives the dark populations, the
-    zero-photon net gain g0 and the closed-form gain.  g0 <= 0 selects
-    the dark branch (exactly zero gain included).  Above threshold, the
-    bracket [0, n_hi] is expanded geometrically and the root of the
-    closed-form gain located to relative precision 1e-12 in n (on the
-    direct gain when g0 <= 1e-8 * kappa); the direct gain at the root
-    must be below 1e-8 * kappa.  ``residual`` is the fixed-n kernel's.
+    zero-photon net gain g0, the closed-form gain and, at a lasing root,
+    the populations and ``gain_partials``.  g0 <= 0 selects the dark
+    branch (exactly zero gain included).  Above threshold, the bracket
+    [0, n_hi] is expanded geometrically and the root of the closed-form
+    gain located to relative precision 1e-12 in n (on the direct gain
+    when g0 <= 1e-8 * kappa); the net gain of the populations at the
+    root must be below 1e-8 * kappa.  ``residual`` is the fixed-n
+    kernel's.
     """
     states, gain, residual, solutions = _ensemble_states(config, 0.0,
                                                          _ZERO_N_RHS)
-    n, branch = 0.0, BELOW_THRESHOLD
+    n, branch, partials = 0.0, BELOW_THRESHOLD, None
     if gain > 0.0:
         if gain <= _GAIN_RESIDUAL_RTOL * config.cavity.kappa:
             n = _gain_root(lambda x: net_gain(config, x))
         else:
             n = _gain_root(_closed_form_gain(config, solutions))
-        states, gain, residual, _ = _ensemble_states(config, n)
+        states, gain, residual, partials = _lasing_states(config, n,
+                                                          solutions)
         branch = LASING
         if abs(gain) > _GAIN_RESIDUAL_RTOL * config.cavity.kappa:
             raise ConvergenceError(
@@ -505,7 +520,8 @@ def solve_steady_state(config: ModelConfig) -> SteadyStateResult:
     weights, deltas = zip(*_ensembles(config))
     return SteadyStateResult(n=n, branch=branch, net_gain=gain,
                              residual=residual, populations=states,
-                             weights=weights, detunings=deltas)
+                             weights=weights, detunings=deltas,
+                             gain_partials=partials)
 
 
 def threshold_pump(config: ModelConfig, delta: float | None = None) -> float:

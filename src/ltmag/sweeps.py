@@ -57,8 +57,11 @@ class SweepAxis:
     scale: str = "linear"
 
     def __post_init__(self):
-        if self.points < 1:
-            raise InvalidConfigError("axis needs at least one point")
+        if not (isinstance(self.points, (int, np.integer))
+                and self.points >= 1
+                and np.isfinite([self.start, self.stop]).all()):
+            raise InvalidConfigError("axis needs finite endpoints and a "
+                                     "whole number of points >= 1")
         if self.scale not in ("linear", "log"):
             raise InvalidConfigError(
                 f"axis scale must be linear or log, got {self.scale!r}")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from ltmag import (BELOW_THRESHOLD, OUTPUTS, ConvergenceError,
                    LevelRates, NotLasableError, OrientationModel,
                    find_operating_point, net_gain,
                    populations_at_fixed_n, solve_steady_state,
-                   threshold_pump, with_drive, with_pump)
-from ltmag import steady
+                   threshold_pump, with_bias_field, with_drive, with_pump)
+from ltmag import sensitivity, steady
 from ltmag.dynamics import TIMESERIES_COLUMNS
 from ltmag.model import MIN_DRIVE_RATE
 from ltmag.steady import PopulationState
@@ -301,13 +302,82 @@ def test_steady_state_matches_fixed_n_kernel(baseline_config, mode, delta,
                             @ state.as_array()))) / steady._max_rate(cfg, ss.n)
         for state, d in zip(ss.populations, ss.detunings))
     assert ss.residual == residual
+    # dark: column 0 of the five-column n = 0 solve; lasing: the rank-2
+    # update of that solve, not a one-column solve at the root
     direct = populations_at_fixed_n(cfg, ss.n)
-    if ss.branch == LASING:
-        assert ss.aligned == direct
-    else:
-        # column 0 of the three-column n = 0 solve, not a one-column solve
-        np.testing.assert_allclose(ss.aligned.as_array(), direct.as_array(),
-                                   rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(ss.aligned.as_array(), direct.as_array(),
+                               rtol=0.0, atol=1e-14)
+
+
+def _partials_by_solve(cfg, ss):
+    """(dg/dn, dg/d delta) at a lasing root by one two-column solve per
+    sub-ensemble on the rate matrix at the root: M dv = -(dM) v, with
+    dM/dn = -G W W^T and dM/d delta nonzero only in the coherence rows
+    (of the aligned sub-ensemble; the off-axis detuning is fixed)."""
+    g = cfg.derived.gain_coupling
+    dg_dn = dg_dd = 0.0
+    for k, (state, weight, delta) in enumerate(zip(
+            ss.populations, ss.weights, ss.detunings)):
+        rhs = np.zeros((9, 2))
+        rhs[1, 0] = g * (state.rho22 - state.rho33)
+        rhs[2, 0] = -rhs[1, 0]
+        rhs[4, 0] = g * (state.rho55 - state.rho66)
+        rhs[5, 0] = -rhs[4, 0]
+        if k == 0:
+            rhs[7, 1] = state.rho14_im
+            rhs[8, 1] = -state.rho14_re
+        x = steady._solve_linear(steady.rate_matrix(cfg, ss.n, delta), rhs)
+        dn, dd = ((x[1] - x[2]) + (x[4] - x[5])).tolist()
+        dg_dn += weight * g * dn
+        dg_dd += weight * g * dd
+    return dg_dn, dg_dd
+
+
+# The example is the operating point of `baseline`: lasing by the
+# rounding of kappa only, so its root is found on the direct gain.
+@settings(max_examples=200, **_PROPERTY)
+@given(mode=_MODES, delta=_DETUNINGS, pump=st.floats(2e5, 4e6))
+@example(mode="single_orientation", delta=0.0, pump=1046142.826574039)
+def test_lasing_state_from_the_zero_n_solve(baseline_config, mode, delta,
+                                            pump):
+    cfg = with_drive(with_pump(_with_mode(baseline_config, mode), pump),
+                     delta=delta)
+    ss = solve_steady_state(cfg)
+    for state, d in zip(ss.populations, ss.detunings):
+        np.testing.assert_allclose(
+            state.as_array(), populations_at_fixed_n(cfg, ss.n, d).as_array(),
+            rtol=0.0, atol=1e-14)
+    if ss.branch != LASING:
+        assert ss.gain_partials is None
+        return
+    # relative, down to the smallest normal double: a detuning near
+    # 1e-300 gives a subnormal dg/d delta, whose products lose bits
+    for value, oracle in zip(ss.gain_partials, _partials_by_solve(cfg, ss)):
+        assert value == pytest.approx(oracle, rel=1e-12,
+                                      abs=sys.float_info.min)
+
+
+@pytest.mark.parametrize("mode", ["single_orientation", "four_orientation"])
+def test_one_linear_solve_per_sub_ensemble(high_sens_config, mode,
+                                           monkeypatch):
+    calls = []
+    real = steady._solve_linear
+
+    def counted(a, rhs):
+        calls.append(rhs.shape)
+        return real(a, rhs)
+
+    monkeypatch.setattr(steady, "_solve_linear", counted)
+    cfg = _with_mode(high_sens_config, mode)
+    b = 200e-6
+    ss = solve_steady_state(with_bias_field(cfg, b))
+    assert ss.branch == LASING
+    ensembles = len(ss.populations)
+    assert len(calls) == ensembles
+    calls.clear()
+    # the implicit slope takes its gain partials from that one solve
+    assert sensitivity._dc_point(cfg, b).n == ss.n
+    assert len(calls) == ensembles
 
 
 def test_tiny_drive_rates_are_rejected(baseline_config):

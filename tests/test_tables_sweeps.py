@@ -8,7 +8,7 @@ import pytest
 from ltmag import (Column, ConvergenceError, InvalidConfigError,
                    OutputTable, SweepAxis, SweepSpec, dc_sensitivity_curve,
                    run_sweep, solve_steady_state, with_drive)
-from ltmag import sensitivity, sweeps
+from ltmag import sensitivity, steady, sweeps
 
 
 def _sample_table():
@@ -80,8 +80,11 @@ def test_axis_values_and_validation():
     assert np.allclose(log.values(), [1e6, 1e7, 1e8])
     single = SweepAxis("pump", 2e6, 9e9, 1)
     assert single.values().tolist() == [2e6]
-    with pytest.raises(InvalidConfigError):
-        SweepAxis("drive.delta", -1e8, 1e8, 0)
+    for start, stop, points in ((-1e8, 1e8, 0), (0, 1, 2.5), (0, 1, 3.0),
+                                (math.nan, 1, 3), (0, math.inf, 3),
+                                (-math.inf, 0, 3)):
+        with pytest.raises(InvalidConfigError):
+            SweepAxis("drive.delta", start, stop, points)
     with pytest.raises(InvalidConfigError):
         SweepAxis("cavity.kappa", -1.0, 1e8, 3, scale="log")
     with pytest.raises(InvalidConfigError):
@@ -169,29 +172,28 @@ def test_sweep_builds_a_pool_only_at_the_threshold(baseline_config,
 
 def test_sweep_eta_dc_reuses_the_point_solve(high_sens_config, monkeypatch):
     calls = []
-    partials = []
+    solves = []
     real = sweeps.solve_steady_state
-    real_partials = sensitivity._gain_partials
+    real_solve = steady._solve_linear
 
     def counted(config):
         calls.append(config.drive.delta)
         return real(config)
 
-    def counted_partials(config, ss):
-        partials.append(config.drive.delta)
-        return real_partials(config, ss)
+    def counted_solve(a, rhs):
+        solves.append(rhs.shape)
+        return real_solve(a, rhs)
 
     monkeypatch.setattr(sweeps, "solve_steady_state", counted)
     monkeypatch.setattr(sensitivity, "solve_steady_state", counted)
-    monkeypatch.setattr(sensitivity, "_gain_partials", counted_partials)
+    monkeypatch.setattr(steady, "_solve_linear", counted_solve)
     axis = SweepAxis("b_field", -300e-6, 300e-6, 10)
     table = run_sweep(high_sens_config,
                       SweepSpec(axis1=axis, outputs=("n", "dn_dB", "eta_dc")),
                       parallel=False)
     assert len(calls) == 10
-    # one slope per lasing point serves both d.c. outputs
-    lasing = sum(n > 0.0 for n in table.column_values("n"))
-    assert len(partials) == lasing
+    # the point's one n = 0 solve serves both d.c. outputs
+    assert len(solves) == 10
     monkeypatch.undo()
     # the d.c. curve solves at the same detunings, so the cells are equal
     curve = dc_sensitivity_curve(high_sens_config, axis.values())
