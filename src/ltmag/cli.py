@@ -20,7 +20,7 @@ import re
 import sys
 
 from . import __about__
-from .configio import (config_digest, get_param, param_unit, resolve_config,
+from .configio import (get_param, param_unit, provenance, resolve_config,
                        save_config, set_param)
 from .dynamics import ac_response, step_response
 from .errors import ConvergenceError, InvalidConfigError, LtmagError
@@ -89,11 +89,9 @@ def _emit(table: OutputTable, args) -> None:
 
 
 def _provenance(args, config) -> dict[str, str]:
-    prov = {"config_digest": config_digest(config)[:12],
-            "generator": f"ltmag {__about__.__version__}"}
     if args.preset:
-        prov["preset"] = args.preset
-    return prov
+        return provenance(config, preset=args.preset)
+    return provenance(config)
 
 
 def _cmd_steady_state(args) -> OutputTable:

@@ -7,12 +7,15 @@ Two on-disk formats carry the same schema:
   numbers, and
 * a JSON mirror where each physical value is ``{"value": x, "unit": u}``.
 
-Units are fixed per field and validated on read; a config written with
+The file extension picks the format.  The INI reader only splits each
+value into number and unit text; ``config_from_dict`` converts and
+checks both formats.  Units are fixed per field; a config written with
 the wrong unit string is rejected rather than converted.  Overrides use
 dotted paths matching the section names (``drive.omega=3.67e6``).
 
 These paths, plus the derived ``b_field`` and ``pump``, form the one
 parameter registry (``param_unit``, ``get_param``, ``set_param``).
+``provenance`` builds every output table's header.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import io
 import json
 import os
 
+from . import __about__
 from .constants import PhysicalConstants
 from .errors import InvalidConfigError
 from .model import (RATE_FIELDS, CavityGeometry, DriveSettings, LevelRates,
@@ -158,17 +162,18 @@ def _parse_value(section: str, name: str, payload) -> object:
     if not isinstance(payload, dict) or set(payload) != {"value", "unit"}:
         raise InvalidConfigError(
             f"{section}.{name} must be {{'value': x, 'unit': u}}")
+    try:
+        value = float(payload["value"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(
+            f"{section}.{name}: bad numeric value "
+            f"{payload['value']!r}") from exc
     expected = "1" if unit is None else unit
     if payload["unit"] != expected:
         raise InvalidConfigError(
             f"{section}.{name}: unit must be {expected!r}, "
             f"got {payload['unit']!r}")
-    try:
-        return float(payload["value"])
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigError(
-            f"{section}.{name}: bad numeric value "
-            f"{payload['value']!r}") from exc
+    return value
 
 
 def config_from_dict(data: dict) -> ModelConfig:
@@ -234,69 +239,48 @@ def _ini_parse(text: str) -> ModelConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise InvalidConfigError(f"malformed config file: {exc}") from exc
-    doc: dict = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise InvalidConfigError(f"unknown config section [{section}]")
-        sec: dict = {}
-        for name, raw in parser[section].items():
-            unit = param_unit(f"{section}.{name}")
-            raw = raw.strip()
-            if unit == "str":
-                sec[name] = raw
-                continue
-            if section == "gain" and raw.lower() == "none":
-                sec[name] = None
-                continue
-            pieces = raw.split()
-            if not pieces:
-                raise InvalidConfigError(f"{section}.{name}: empty value")
-            if len(pieces) == 1:
-                value_str, unit_str = pieces[0], "1"
-            else:
-                value_str = pieces[0]
-                unit_str = " ".join(pieces[1:])
-            try:
-                value = float(value_str)
-            except ValueError as exc:
-                raise InvalidConfigError(
-                    f"{section}.{name}: bad number {value_str!r}") from exc
-            sec[name] = {"value": value, "unit": unit_str}
-        doc[section] = sec
-    return config_from_dict(doc)
+    return config_from_dict(
+        {section: {name: _ini_value(section, name, raw.strip())
+                   for name, raw in parser[section].items()}
+         for section in parser.sections()})
 
 
-def save_config(config: ModelConfig, path: str | os.PathLike,
-                fmt: str | None = None) -> None:
-    fmt = fmt or _format_for(path)
-    if fmt == "json":
+def _ini_value(section: str, name: str, raw: str):
+    """The JSON form of one INI value; ``config_from_dict`` checks it."""
+    if _SCHEMA.get(section, {}).get(name) == "str":
+        return raw
+    if section == "gain" and raw.lower() == "none":
+        return None
+    value, *unit = raw.split() or [""]
+    return {"value": value, "unit": " ".join(unit) or "1"}
+
+
+def save_config(config: ModelConfig, path: str | os.PathLike) -> None:
+    """Write config as JSON or INI, chosen by the file extension."""
+    if _format_for(path) == "json":
         text = json.dumps(config_to_dict(config), indent=2, sort_keys=True)
         text += "\n"
-    elif fmt == "ini":
-        text = _ini_dump(config)
     else:
-        raise InvalidConfigError(f"unknown config format {fmt!r}")
+        text = _ini_dump(config)
     with open(path, "w", encoding="utf-8") as fp:
         fp.write(text)
 
 
-def load_config(path: str | os.PathLike,
-                fmt: str | None = None) -> ModelConfig:
-    fmt = fmt or _format_for(path)
+def load_config(path: str | os.PathLike) -> ModelConfig:
+    """Read a JSON or INI config, chosen by the file extension."""
+    fmt = _format_for(path)
     try:
         with open(path, "r", encoding="utf-8") as fp:
             text = fp.read()
     except OSError as exc:
         raise InvalidConfigError(f"cannot read config: {exc}") from exc
-    if fmt == "json":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfigError(f"malformed JSON config: {exc}") from exc
-        return config_from_dict(data)
     if fmt == "ini":
         return _ini_parse(text)
-    raise InvalidConfigError(f"unknown config format {fmt!r}")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidConfigError(f"malformed JSON config: {exc}") from exc
+    return config_from_dict(data)
 
 
 def _format_for(path: str | os.PathLike) -> str:
@@ -330,6 +314,13 @@ def apply_overrides(config: ModelConfig, overrides) -> ModelConfig:
                 f"override path {key!r} must be section.field")
         cfg = set_param(cfg, key, value)
     return cfg
+
+
+def provenance(config: ModelConfig, **extra: str) -> dict[str, str]:
+    """Provenance header of an output table: the generator, the first 12
+    hex digits of ``config_digest`` and the ``extra`` keys."""
+    return {"generator": f"ltmag {__about__.__version__}",
+            "config_digest": config_digest(config)[:12], **extra}
 
 
 def config_digest(config: ModelConfig) -> str:

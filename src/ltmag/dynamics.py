@@ -46,6 +46,7 @@ from .model import (ModelConfig, b_field_to_detuning, with_bias_field,
                     with_drive)
 from .steady import (POPULATION_NAMES, PopulationState, _brent_root,
                      _max_rate, rate_matrix, solve_steady_state)
+from .tables import Column, OutputTable
 
 logger = logging.getLogger("ltmag.dynamics")
 
@@ -139,17 +140,16 @@ class TimeSeries:
         return float(np.max(np.abs(self.occupations.sum(axis=1) - 1.0)))
 
     def to_csv(self, config: ModelConfig) -> str:
-        """CSV with columns t, rho11..rho77, rho14_re, rho14_im, n, P_out_W
-        (seconds and watts)."""
+        """``OutputTable`` CSV with the plain header t, rho11..rho77,
+        rho14_re, rho14_im, n, P_out_W (seconds and watts) and no
+        provenance lines; P_out_W is max(n, 0) * N * kappa * h nu."""
         d = config.derived
         scale = d.n_centers * config.cavity.kappa * d.photon_energy
-        lines = [",".join(TIMESERIES_COLUMNS)]
-        for ti, row in zip(self.t, self.states):
-            vals = [repr(float(ti))]
-            vals += [repr(float(x)) for x in row]
-            vals.append(repr(float(max(row[9], 0.0) * scale)))
-            lines.append(",".join(vals))
-        return "\n".join(lines) + "\n"
+        return OutputTable(
+            columns=[Column(name, "") for name in TIMESERIES_COLUMNS],
+            rows=[(ti, *row, max(row[9], 0.0) * scale)
+                  for ti, row in zip(self.t.tolist(), self.states.tolist())],
+        ).to_csv()
 
 
 @dataclass(frozen=True)
@@ -533,10 +533,11 @@ def ac_response(config: ModelConfig, bias_field: float,
     relative weight of higher harmonics of the signal frequency.
     """
     _require_single_orientation(config, "ac_response")
-    if periods < 10:
-        raise InvalidConfigError("demodulation needs at least 10 periods")
-    if samples_per_period < 8:
-        raise InvalidConfigError("need at least 8 samples per period")
+    if not (isinstance(periods, (int, np.integer)) and periods >= 10
+            and isinstance(samples_per_period, (int, np.integer))
+            and samples_per_period >= 8):
+        raise InvalidConfigError("demodulation needs whole numbers of at "
+                                 "least 10 periods, 8 samples per period")
     modulation = DriveModulation.sine_field(bias_field, amplitude_field,
                                             omega_signal)
     if not amplitude_field > 0.0:

@@ -3,7 +3,8 @@
 Each experiment is a named, fixed recipe (grid, preset, outputs) so that
 results are comparable across runs and machines; the names are stable
 identifiers used by the command line.  All experiments return a dict of
-named OutputTables.
+named OutputTables, each headed by ``configio.provenance`` with the
+experiment's name.
 
 * ``fig1b``  output vs pump rate, on resonance and detuned (baseline)
 * ``fig2a``  output map over detuning x pump (baseline)
@@ -17,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import __about__
-from .configio import apply_overrides, config_digest
+from .configio import apply_overrides, provenance
 from .errors import InvalidConfigError
 from .model import (ModelConfig, detuning_to_b_field, output_power, preset,
                     with_drive, with_pump)
@@ -30,44 +30,32 @@ from .sweeps import SweepAxis, SweepSpec, run_sweep
 from .tables import Column, OutputTable
 
 
-def _provenance(name: str, config: ModelConfig) -> dict[str, str]:
-    return {
-        "experiment": name,
-        "config_digest": config_digest(config)[:12],
-        "generator": f"ltmag {__about__.__version__}",
-    }
-
-
-def _exp_fig1b(config: ModelConfig) -> dict[str, OutputTable]:
+def _exp_fig1b(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
     """Photon output vs pump rate, on resonance and at 1e8 rad/s detuning."""
     spec = SweepSpec(SweepAxis("pump", 0.0, 4e6, 161))
-    prov = _provenance("fig1b", config)
     return {name: run_sweep(with_drive(config, delta=delta), spec,
                             provenance=prov)
             for name, delta in (("on_resonance", 0.0),
                                 ("detuned_100MHz", 1e8))}
 
 
-def _exp_fig2a(config: ModelConfig) -> dict[str, OutputTable]:
+def _exp_fig2a(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
     """Output map over the detuning x pump plane (both pumps paired)."""
     spec = SweepSpec(
         axis1=SweepAxis("drive.delta", -1.5e8, 1.5e8, 61),
         axis2=SweepAxis("pump", 0.0, 4e6, 41),
         outputs=("n", "P_out", "branch"))
-    table = run_sweep(config, spec, provenance=_provenance("fig2a", config))
-    return {"map": table}
+    return {"map": run_sweep(config, spec, provenance=prov)}
 
 
-def _exp_fig2b(config: ModelConfig) -> dict[str, OutputTable]:
+def _exp_fig2b(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
     """Output vs detuning with the pump parked at the operating point."""
     op = find_operating_point(config)
     cfg = with_pump(config, op)
-    prov = _provenance("fig2b", config)
-    prov["operating_point_pump"] = repr(op)
     table = OutputTable(columns=(Column("delta", "rad/s"),
                                  Column("b_field", "T"),
                                  Column("n", "1"), Column("P_out", "W")),
-                        provenance=prov)
+                        provenance=dict(prov, operating_point_pump=repr(op)))
     for delta in np.linspace(-1.5e8, 1.5e8, 301):
         point = with_drive(cfg, delta=float(delta))
         ss = solve_steady_state(point)
@@ -91,19 +79,17 @@ def _sensitivity_table(config: ModelConfig, b_grid: np.ndarray,
     return table
 
 
-def _exp_fig3a(config: ModelConfig) -> dict[str, OutputTable]:
+def _exp_fig3a(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
     """d.c. sensitivity across the bias-field window."""
     b_grid = np.linspace(-300e-6, 300e-6, 121)
-    return {"sensitivity": _sensitivity_table(
-        config, b_grid, _provenance("fig3a", config))}
+    return {"sensitivity": _sensitivity_table(config, b_grid, prov)}
 
 
-def _exp_fig3b(config: ModelConfig) -> dict[str, OutputTable]:
+def _exp_fig3b(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
     """a.c. sensitivity vs signal frequency at a 164 uT bias, 1 nT test
     signal, including the quasistatic reference level."""
     bias = 164e-6
     amplitude = 1e-9
-    prov = _provenance("fig3b", config)
     signal_qs = AcSignalModel(bias_field=bias, amplitude_field=amplitude,
                               omega_signal=2e4)
     qs = ac_sensitivity(config, signal_qs, method=METHOD_AC_QUASISTATIC)
@@ -126,10 +112,9 @@ def _exp_fig3b(config: ModelConfig) -> dict[str, OutputTable]:
     return {"rolloff": table}
 
 
-def _exp_fig4(config: ModelConfig) -> dict[str, OutputTable]:
+def _exp_fig4(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
     """Sensitivity curves with the weak excited-state crossing enabled."""
     report = l27_robustness(config)
-    prov = _provenance("fig4", config)
     out: dict[str, OutputTable] = {}
     curves = {0.0: report.base_curve}
     curves.update(report.curves)
@@ -179,4 +164,4 @@ def experiment(name: str, config: ModelConfig | None = None,
     cfg = config if config is not None else preset(preset_name)
     if overrides:
         cfg = apply_overrides(cfg, overrides)
-    return fn(cfg)
+    return fn(cfg, provenance(cfg, experiment=name))

@@ -244,8 +244,9 @@ def output_power(n: float, config: ModelConfig) -> float:
     Every cavity loss event is counted as useful output:
     P = n * N_centers * kappa * h nu.
     """
-    if n < 0.0:
-        raise InvalidConfigError(f"photon number must be >= 0, got {n!r}")
+    if not (math.isfinite(n) and n >= 0.0):
+        raise InvalidConfigError(
+            f"photon number must be finite and >= 0, got {n!r}")
     d = config.derived
     return n * d.n_centers * config.cavity.kappa * d.photon_energy
 

@@ -405,6 +405,8 @@ def optimize_sensitivity(config: ModelConfig, *,
     proposals are clipped and penalized.  The search is deterministic and
     the returned point is never worse than the start.
     """
+    if not vary:
+        raise InvalidConfigError("optimize needs at least one knob to vary")
     for path in vary:
         value = get_param(config, path)
         if path in ("b_field", "drive.delta") or not (

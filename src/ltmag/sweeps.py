@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __about__
-from .configio import config_digest, get_param, param_unit, set_param
+from .configio import get_param, param_unit, set_param
+from .configio import provenance as config_provenance
 from .errors import ConvergenceError, InvalidConfigError, PhysicsDomainError
 from .model import ModelConfig, output_power
 from .sensitivity import _dc_at_state
@@ -143,7 +143,9 @@ def run_sweep(config: ModelConfig, spec: SweepSpec, *, parallel: bool = True,
               provenance: dict | None = None) -> OutputTable:
     """Evaluate the sweep grid and return one row per point, in a process
     pool when ``parallel`` is set and the grid has ``POOL_MIN_POINTS``
-    points or more."""
+    points or more.  ``provenance`` is the table header from
+    ``configio.provenance`` (built here when not given); the sweep adds
+    its kind, axes and outputs."""
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 else [])
     grids = [[(axis.path, float(v)) for v in axis.values()] for axis in axes]
     payloads = [(config, point, spec.outputs)
@@ -159,13 +161,7 @@ def run_sweep(config: ModelConfig, spec: SweepSpec, *, parallel: bool = True,
     else:
         rows = [_eval_point(p) for p in payloads]
 
-    prov = {
-        "generator": f"ltmag {__about__.__version__}",
-        "kind": "sweep",
-        "axes": " x ".join(a.path for a in axes),
-        "outputs": ",".join(spec.outputs),
-        **(provenance or {}),
-    }
-    if "config_digest" not in prov:
-        prov["config_digest"] = config_digest(config)[:12]
+    prov = dict(provenance or config_provenance(config), kind="sweep",
+                axes=" x ".join(a.path for a in axes),
+                outputs=",".join(spec.outputs))
     return OutputTable(columns=tuple(columns), rows=rows, provenance=prov)

@@ -272,6 +272,14 @@ def test_optimize_smoke(tmp_path, capsys):
         == "rad/s"
 
 
+def test_optimize_empty_vary_is_config_error(capsys):
+    code, out, err = _run(capsys, "optimize", "--preset", "high_sensitivity",
+                          "--vary", "")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_experiment_to_directory(tmp_path, capsys):
     out_dir = tmp_path / "results"
     code, out, _ = _run(capsys, "experiment", "--name", "fig1b",

@@ -72,6 +72,21 @@ def test_unknown_field_rejected(tmp_path, baseline_config):
         path.write_text(json.dumps(data))
         with pytest.raises(InvalidConfigError, match=rf"\[{section}\]"):
             load_config(path)
+    path = tmp_path / "cfg.ini"
+    save_config(baseline_config, path)
+    text = path.read_text()
+    for section, line in (("cavity", "finesse = 1.0"), ("gain", "foo = 1.0")):
+        path.write_text(text.replace(f"[{section}]\n",
+                                     f"[{section}]\n{line}\n"))
+        with pytest.raises(InvalidConfigError, match=rf"\[{section}\]"):
+            load_config(path)
+    path.write_text(text + "\n[lens]\nfocus = 1.0\n")
+    with pytest.raises(InvalidConfigError, match="lens"):
+        load_config(path)
+    # unit words may be spaced freely, as before
+    path.write_text(text.replace(" J s\n", " J  s\n"))
+    assert "J  s" in path.read_text()
+    assert load_config(path) == baseline_config
 
 
 def test_ini_empty_value_rejected(tmp_path, baseline_config):

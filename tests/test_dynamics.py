@@ -453,13 +453,13 @@ def test_ac_response_dark_everywhere_raises(high_sens_config):
 
 
 def test_ac_response_validates_resolution(high_sens_config):
-    with pytest.raises(InvalidConfigError):
-        ac_response(high_sens_config, bias_field=164e-6,
-                    amplitude_field=1e-9, omega_signal=2e5, periods=4)
-    with pytest.raises(InvalidConfigError):
-        ac_response(high_sens_config, bias_field=164e-6,
-                    amplitude_field=1e-9, omega_signal=2e5,
-                    samples_per_period=4)
+    # whole numbers of at least 10 periods and 8 samples per period
+    for bad in ({"periods": 4}, {"periods": 10.5}, {"periods": math.inf},
+                {"samples_per_period": 4}, {"samples_per_period": 8.5},
+                {"samples_per_period": math.nan}):
+        with pytest.raises(InvalidConfigError):
+            ac_response(high_sens_config, bias_field=164e-6,
+                        amplitude_field=1e-9, omega_signal=2e5, **bad)
 
 
 @pytest.mark.parametrize("amplitude, omega", [

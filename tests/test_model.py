@@ -123,8 +123,9 @@ def test_output_power(baseline_config):
     assert output_power(0.5, baseline_config) == pytest.approx(0.5 * p1,
                                                                rel=1e-15)
     assert output_power(0.0, baseline_config) == 0.0
-    with pytest.raises(InvalidConfigError):
-        output_power(-1e-9, baseline_config)
+    for bad in (-1e-9, math.nan, math.inf):
+        with pytest.raises(InvalidConfigError):
+            output_power(bad, baseline_config)
 
 
 def test_invalid_rates():

@@ -238,6 +238,9 @@ def test_optimize_sensitivity_rejects_unknown_knob(high_sens_config):
                  "gain.coupling_override", "b_field", "drive.delta"):
         with pytest.raises(InvalidConfigError):
             optimize_sensitivity(high_sens_config, vary=(path,))
+    # and there must be at least one knob
+    with pytest.raises(InvalidConfigError):
+        optimize_sensitivity(high_sens_config, vary=())
 
 
 def test_optimize_sensitivity_rejects_zero_start(high_sens_config):
