@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outputs", type=_comma_list, default=argparse.SUPPRESS,
                    help=f"comma list of {','.join(OUTPUTS)}")
     p.add_argument("--serial", action="store_true",
-                   help="disable parallel evaluation")
+                   help="no effect: every grid runs in one process")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("response", help="photon response to a detuning step")

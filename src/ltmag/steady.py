@@ -33,6 +33,21 @@ direct gain of full fixed-n solves instead.  Either way the populations
 at the root pass the fixed-n residual check against the rate matrix at
 the root and the occupation bounds, and their net gain must lie within
 1e-8 * kappa of zero, which checks the closed form independently.
+
+``_steady_states`` does the same for the points of a sweep at once:
+their n = 0 matrices go through one stacked ``np.linalg.solve`` with the
+same refinement step, and the algebra above runs on arrays.  With
+p = -tr(C) and q = det(C), the root is that of the quadratic
+A s^2 + B s + c = 0, A = kappa q, B = kappa p - G b, c = kappa - G a,
+taken in the sign-safe form q' = -(B + sgn(B) sqrt(B^2 - 4 A c)) / 2,
+s = c / q' or q' / A (Press et al., *Numerical Recipes*, 3rd ed., 5.6),
+which never subtracts nearly equal numbers; with A > 0 and c < 0 (g0 >
+0) it is the one positive root, and it agrees with the Brent root to
+its 1e-12 tolerance.  Each point passes the residual, occupation-bound
+and net-gain checks above.  A point that does not is left to
+``solve_steady_state``, and so is a four_orientation point, one with
+A <= 0, one at 0 < g0 <= 1e-8 * kappa, one with a non-finite matrix or
+solution, and every point of a stack whose solve raises LinAlgError.
 """
 
 from __future__ import annotations
@@ -208,6 +223,22 @@ _ZERO_N_RHS[[7, 8], [3, 4]] = 1.0
 _TRACE_RHS = _ZERO_N_RHS[:, 0].copy()
 
 
+def _trace_system(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` (one rate matrix or a stack of them) with the first
+    row replaced by the trace constraint."""
+    m = a.copy()
+    m[..., 0, :] = 0.0
+    m[..., 0, :7] = 1.0
+    return m
+
+
+def _refined_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` plus one step of iterative refinement; ``m``
+    may be a stack of matrices sharing ``rhs``."""
+    v = np.linalg.solve(m, rhs)
+    return v + np.linalg.solve(m, rhs - m @ v)
+
+
 def _solve_linear(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve M v = rhs, where M is A with the first row replaced by the
     trace constraint; ``rhs`` is (9,) or (9, k).  One step of iterative
@@ -216,12 +247,9 @@ def _solve_linear(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     (pump-free configurations), fall back to the least-squares
     minimum-norm solution, so every column comes out as if solved alone.
     """
-    m = a.copy()
-    m[0, :] = 0.0
-    m[0, :7] = 1.0
+    m = _trace_system(a)
     try:
-        v = np.linalg.solve(m, rhs)
-        v = v + np.linalg.solve(m, rhs - m @ v)
+        v = _refined_solve(m, rhs)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(m, rhs, rcond=None)[0]
     finite = np.all(np.isfinite(v), axis=0)
@@ -452,6 +480,17 @@ def _gain_root(gain) -> float:
                        maxiter=200)
 
 
+def _woodbury_solver(s, c00, c01, c10, c11):
+    """p -> (I - s C)^-1 p for the 2x2 matrix C, on floats or arrays."""
+    det = (1.0 - s * c00) * (1.0 - s * c11) - s * s * c01 * c10
+
+    def solve_2x2(p0, p1):
+        return (((1.0 - s * c11) * p0 + s * c01 * p1) / det,
+                (s * c10 * p0 + (1.0 - s * c00) * p1) / det)
+
+    return solve_2x2
+
+
 def _lasing_states(config: ModelConfig, n: float, solutions):
     """Populations, net gain, largest residual and gain partials at a
     lasing root n, from the n = 0 solutions for ``_ZERO_N_RHS`` (see the
@@ -464,13 +503,7 @@ def _lasing_states(config: ModelConfig, n: float, solutions):
                                                  solutions)):
         (z0, c00, c01, f00, f01), (z1, c10, c11, f10, f11) = (
             x[[1, 4]] - x[[2, 5]]).tolist()
-        det = (1.0 - s * c00) * (1.0 - s * c11) - s * s * c01 * c10
-
-        def solve_2x2(p0, p1):
-            # (I - s C)^-1 p
-            return (((1.0 - s * c11) * p0 + s * c01 * p1) / det,
-                    (s * c10 * p0 + (1.0 - s * c00) * p1) / det)
-
+        solve_2x2 = _woodbury_solver(s, c00, c01, c10, c11)
         y0, y1 = solve_2x2(z0, z1)
         state, r = _checked_state(
             config, n, delta, rate_matrix(config, n, delta),
@@ -522,6 +555,92 @@ def solve_steady_state(config: ModelConfig) -> SteadyStateResult:
                              residual=residual, populations=states,
                              weights=weights, detunings=deltas,
                              gain_partials=partials)
+
+
+def _steady_states(configs) -> list[SteadyStateResult | None]:
+    """``solve_steady_state`` of many points from one stacked n = 0 solve.
+
+    The points' rate matrices are solved together, and the rest is the
+    2x2 algebra of the module docstring on arrays, with the root of the
+    quadratic.  Every check of the per-point path is made.  None marks a
+    point that this does not certify (see the module docstring), for the
+    caller to solve with ``solve_steady_state``.
+    """
+    results = [None] * len(configs)
+    index = [i for i, c in enumerate(configs)
+             if c.orientation.mode == "single_orientation"]
+    if not index:
+        return results
+    points = [configs[i] for i in index]
+    a0 = np.array([rate_matrix(c, 0.0, c.drive.delta) for c in points])
+    finite = np.isfinite(a0).all(axis=(1, 2))
+    a0[~finite] = np.eye(9)  # solved, never certified
+    try:
+        x = _refined_solve(_trace_system(a0), _ZERO_N_RHS)
+    except np.linalg.LinAlgError:
+        return results
+    g = np.array([c.derived.gain_coupling for c in points])
+    kappa = np.array([c.cavity.kappa for c in points])
+    rate0 = np.array([_max_rate(c, 0.0) for c in points])
+    # rows: W^T applied to M0^-1 [e1, W, E]
+    (z0, c00, c01, f00, f01), (z1, c10, c11, f10, f11) = np.moveaxis(
+        x[:, [1, 4]] - x[:, [2, 5]], 0, -1)
+    slack = PopulationState._BOUND_SLACK
+
+    def checked(v, s):
+        # residual of A(n) v = A0 v - s W (W^T v), passed checks, net gain
+        t0, t1 = v[:, 1] - v[:, 2], v[:, 4] - v[:, 5]
+        av = np.einsum("kij,kj->ki", a0, v)
+        av[:, [1, 2, 4, 5]] -= s[:, None] * np.stack([t0, -t0, t1, -t1], 1)
+        residual = np.abs(av).max(axis=1) / np.maximum(rate0, s)
+        occ = v[:, :7]
+        passed = ((residual <= _LINEAR_RESIDUAL_RTOL)
+                  & (occ >= -slack).all(axis=1)
+                  & (occ <= 1.0 + slack).all(axis=1)
+                  & (v[:, 7] ** 2 + v[:, 8] ** 2 <= 0.25 + slack))
+        return residual, passed, g * (t0 + t1) - kappa
+
+    with np.errstate(all="ignore"):
+        v0 = x[:, :, 0]
+        residual, ok, gain = checked(v0, np.zeros(len(points)))
+        ok &= finite & np.isfinite(x).all(axis=(1, 2))
+        lasing = gain > 0.0
+        # kappa q s^2 + (kappa p - G b) s + (kappa - G a) = 0, by the
+        # sign-safe form of Numerical Recipes (3rd ed.), section 5.6
+        qa = kappa * (c00 * c11 - c01 * c10)
+        qb = kappa * -(c00 + c11) - g * ((c10 - c11) * z0 + (c01 - c00) * z1)
+        qc = kappa - g * (z0 + z1)
+        root = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        n = np.where(lasing, np.where(qb >= 0.0, qc / root, root / qa) / g,
+                     0.0)
+        ok &= ~lasing | ((gain > _GAIN_RESIDUAL_RTOL * kappa) & (qa > 0.0)
+                         & (n > 0.0) & (n < _BRACKET_CAP / 4.0))
+        s = g * n
+        solve_2x2 = _woodbury_solver(s, c00, c01, c10, c11)
+        y0, y1 = solve_2x2(z0, z1)
+        v = x[:, :, 0] + s[:, None] * (y0[:, None] * x[:, :, 1]
+                                       + y1[:, None] * x[:, :, 2])
+        residual_n, passed, gain_n = checked(v, s)
+        ok &= ~lasing | (passed & (np.abs(gain_n)
+                                   <= _GAIN_RESIDUAL_RTOL * kappa))
+        r0, r1 = solve_2x2(v[:, 1] - v[:, 2], v[:, 4] - v[:, 5])
+        dg_dn = g * g * ((c00 + c10) * r0 + (c01 + c11) * r1)
+        u0, u1 = v[:, 8], -v[:, 7]
+        d0, d1 = solve_2x2(f00 * u0 + f01 * u1, f10 * u0 + f11 * u1)
+        dg_dd = g * (d0 + d1)
+    states = np.where(lasing[:, None], v, v0).tolist()
+    residual = np.where(lasing, residual_n, residual).tolist()
+    gain = np.where(lasing, gain_n, gain).tolist()
+    n, lasing = n.tolist(), lasing.tolist()
+    dg_dn, dg_dd = dg_dn.tolist(), dg_dd.tolist()
+    for k in np.flatnonzero(ok).tolist():
+        results[index[k]] = SteadyStateResult(
+            n=n[k], branch=LASING if lasing[k] else BELOW_THRESHOLD,
+            net_gain=gain[k], residual=residual[k],
+            populations=(PopulationState(*states[k]),), weights=(1.0,),
+            detunings=(points[k].drive.delta,),
+            gain_partials=(dg_dn[k], dg_dd[k]) if lasing[k] else None)
+    return results
 
 
 def threshold_pump(config: ModelConfig, delta: float | None = None) -> float:

@@ -7,10 +7,17 @@ detuning from a bias field in tesla) and ``pump`` (both branch pump
 rates together).  With two axes the second one varies fastest.  The
 d.c. outputs ``dn_dB`` and ``eta_dc`` share one implicit slope per
 point, so a ``b_field`` axis gives ``dc_sensitivity_curve``'s values
-(with ``n`` = 0.0 and both cells absent at dark points).  Only grids of
-``POOL_MIN_POINTS`` points or more run in a process pool, and not with
-``parallel=False`` (``--serial`` on the command line); values and row
-order do not depend on the backend.  Points where a solver raises a
+to 1e-12 relative (with ``n`` = 0.0 and both cells absent at dark
+points).
+
+Every grid runs in one process.  ``steady._steady_states`` solves the
+steady states of up to ``CHUNK_POINTS`` points at a time from one
+stacked n = 0 solve, with a closed-form photon-number root: branches
+and absent cells are those of per-point ``solve_steady_state`` calls,
+and numbers agree with theirs to 1e-12 relative.  A point the batch
+cannot certify is solved by ``solve_steady_state`` itself.
+``parallel=False`` (``--serial`` on the command line) is
+accepted and changes nothing.  Points where a solver raises a
 physics-domain or convergence error keep their axis cells and leave
 the value cells absent.
 """
@@ -18,7 +25,6 @@ the value cells absent.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +34,13 @@ from .configio import provenance as config_provenance
 from .errors import ConvergenceError, InvalidConfigError, PhysicsDomainError
 from .model import ModelConfig, output_power
 from .sensitivity import _dc_at_state
-from .steady import POPULATION_NAMES, solve_steady_state
+from .steady import POPULATION_NAMES, _steady_states, solve_steady_state
 from .tables import Column, OutputTable
 
-# Smallest grid that runs in a process pool.  Serial and pooled runs of a
-# `baseline` n,P_out,branch grid on two CPUs take equal time near 400
-# points; below that, starting the pool costs more than it saves.
-POOL_MIN_POINTS = 400
+# Grid points whose steady states are solved in one stack.  It bounds
+# the memory of a large grid: stacked whole, the 2,501-point fig2a map
+# peaked 7.3 MiB higher in RSS than in chunks of 256.
+CHUNK_POINTS = 256
 
 # output name -> columns it contributes
 OUTPUTS: dict[str, tuple[Column, ...]] = {
@@ -58,6 +64,7 @@ class SweepAxis:
 
     def __post_init__(self):
         if not (isinstance(self.points, (int, np.integer))
+                and not isinstance(self.points, bool)
                 and self.points >= 1
                 and np.isfinite([self.start, self.stop]).all()):
             raise InvalidConfigError("axis needs finite endpoints and a "
@@ -103,24 +110,19 @@ class SweepSpec:
             raise InvalidConfigError("sweep needs at least one output")
 
 
-def _eval_point(payload) -> tuple:
-    """Evaluate all requested outputs at one grid point.
-
-    Module-level so process pools can pickle it.  Physics-domain and
-    convergence errors at a point yield absent value cells.
-    """
-    config, assignments, outputs = payload
-    cells: list = [value for _, value in assignments]
-    for path, value in assignments:
-        config = set_param(config, path, value)
-    try:
-        ss = solve_steady_state(config)
-    except (PhysicsDomainError, ConvergenceError):
-        for name in outputs:
-            cells.extend([None] * len(OUTPUTS[name]))
-        return tuple(cells)
+def _eval_point(config: ModelConfig, ss, outputs) -> tuple:
+    """Value cells of one grid point from its batched steady state ``ss``,
+    or from ``solve_steady_state`` when the batch left it None.
+    Physics-domain and convergence errors of that solve yield absent
+    value cells."""
+    if ss is None:
+        try:
+            ss = solve_steady_state(config)
+        except (PhysicsDomainError, ConvergenceError):
+            return (None,) * sum(len(OUTPUTS[name]) for name in outputs)
     dc = (_dc_at_state(config, ss, get_param(config, "b_field"))
           if "dn_dB" in outputs or "eta_dc" in outputs else None)
+    cells: list = []
     for name in outputs:
         if name == "n":
             cells.append(ss.n)
@@ -141,27 +143,44 @@ def _eval_point(payload) -> tuple:
 
 def run_sweep(config: ModelConfig, spec: SweepSpec, *, parallel: bool = True,
               provenance: dict | None = None) -> OutputTable:
-    """Evaluate the sweep grid and return one row per point, in a process
-    pool when ``parallel`` is set and the grid has ``POOL_MIN_POINTS``
-    points or more.  ``provenance`` is the table header from
+    """Evaluate the sweep grid and return one row per point.
+
+    The grid runs in this process, in chunks of ``CHUNK_POINTS`` points
+    whose steady states come from one stacked solve (``parallel`` is
+    accepted and ignored).  ``provenance`` is the table header from
     ``configio.provenance`` (built here when not given); the sweep adds
     its kind, axes and outputs."""
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 else [])
     grids = [[(axis.path, float(v)) for v in axis.values()] for axis in axes]
-    payloads = [(config, point, spec.outputs)
-                for point in itertools.product(*grids)]
     columns = [axis.column() for axis in axes]
     for name in spec.outputs:
         columns.extend(OUTPUTS[name])
 
-    if parallel and len(payloads) >= POOL_MIN_POINTS:
-        chunk = max(1, len(payloads) // 64)
-        with ProcessPoolExecutor() as pool:
-            rows = list(pool.map(_eval_point, payloads, chunksize=chunk))
-    else:
-        rows = [_eval_point(p) for p in payloads]
+    grid = itertools.product(*grids)
+    rows = []
+    while chunk := list(itertools.islice(grid, CHUNK_POINTS)):
+        points = []
+        for assignments in chunk:
+            point = config
+            for path, value in assignments:
+                point = set_param(point, path, value)
+            points.append(point)
+        for assignments, point, ss in zip(chunk, points,
+                                          _steady_states(points)):
+            rows.append(tuple(value for _, value in assignments)
+                        + _eval_point(point, ss, spec.outputs))
 
     prov = dict(provenance or config_provenance(config), kind="sweep",
                 axes=" x ".join(a.path for a in axes),
                 outputs=",".join(spec.outputs))
     return OutputTable(columns=tuple(columns), rows=rows, provenance=prov)
+
+
+def __getattr__(name):
+    # The library starts no process pool.  The name stays resolvable,
+    # imported on first lookup, because perfbench/tracing.py looks it up;
+    # ROADMAP item 1 deletes it.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,9 @@
-"""Which calls load scipy.
+"""Which calls load scipy and the process-pool modules.
 
 The steady state, the threshold, the d.c. sensitivity and the d.c.
-field scans need only numpy; each runs in a fresh interpreter here, so
-that a module imported by an earlier test cannot hide an import.
+field scans need only numpy, and no sweep loads ``multiprocessing``;
+each runs in a fresh interpreter here, so that a module imported by an
+earlier test cannot hide an import.
 """
 
 import os
@@ -64,3 +65,21 @@ def test_time_domain_loads_scipy_integrate_on_first_integration():
         print("scipy.integrate" in sys.modules)
     """)
     assert out.strip() == "True"
+
+
+def test_sweep_loads_no_process_pool():
+    out = _run("""
+        import sys
+        import ltmag
+        spec = ltmag.SweepSpec(ltmag.SweepAxis("drive.delta", 0.0, 1e8, 20),
+                               ltmag.SweepAxis("pump", 1e6, 2e6, 20))
+        table = ltmag.run_sweep(ltmag.preset("baseline"), spec)
+        assert len(table.rows) == 400
+        print(sorted(k for k in sys.modules
+                     if k.split(".")[0] == "multiprocessing"
+                     or k == "concurrent.futures.process"))
+        # unused by the library, but perfbench/tracing.py looks it up
+        from concurrent.futures import ProcessPoolExecutor
+        assert ltmag.sweeps.ProcessPoolExecutor is ProcessPoolExecutor
+    """)
+    assert out.strip() == "[]"

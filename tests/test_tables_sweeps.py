@@ -1,14 +1,25 @@
 """Output tables (CSV/JSON) and parameter sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ltmag import (Column, ConvergenceError, InvalidConfigError,
-                   OutputTable, SweepAxis, SweepSpec, dc_sensitivity_curve,
-                   run_sweep, solve_steady_state, with_drive)
+                   OrientationModel, OutputTable, SweepAxis, SweepSpec,
+                   dc_sensitivity_curve, find_operating_point, net_gain,
+                   preset, run_sweep, solve_steady_state, with_drive,
+                   with_pump)
 from ltmag import sensitivity, steady, sweeps
+from ltmag.configio import set_param
+from ltmag.steady import POPULATION_NAMES
+
+# Bounded, reproducible property runs: fixed example counts, no timing
+# deadline and no example database.
+_PROPERTY = dict(deadline=None, derandomize=True, database=None)
 
 
 def _sample_table():
@@ -82,7 +93,8 @@ def test_axis_values_and_validation():
     assert single.values().tolist() == [2e6]
     for start, stop, points in ((-1e8, 1e8, 0), (0, 1, 2.5), (0, 1, 3.0),
                                 (math.nan, 1, 3), (0, math.inf, 3),
-                                (-math.inf, 0, 3)):
+                                (-math.inf, 0, 3), (0, 1, True),
+                                (0, 1, np.True_)):
         with pytest.raises(InvalidConfigError):
             SweepAxis("drive.delta", start, stop, points)
     with pytest.raises(InvalidConfigError):
@@ -123,7 +135,7 @@ def test_sweep_two_axes_order_and_parallel_equivalence(baseline_config):
     serial = run_sweep(baseline_config, spec, parallel=False)
     parallel = run_sweep(baseline_config, spec, parallel=True)
     assert serial.rows == parallel.rows
-    assert len(serial.rows) == 400 >= sweeps.POOL_MIN_POINTS
+    assert len(serial.rows) == 400
     # axis2 varies fastest: the first twenty rows share the axis1 value
     first = [row[0] for row in serial.rows[:20]]
     assert all(v == first[0] for v in first)
@@ -131,78 +143,43 @@ def test_sweep_two_axes_order_and_parallel_equivalence(baseline_config):
     assert pumps == sorted(pumps)
 
 
-class _PoolRecorder:
-    """Stands in for ProcessPoolExecutor: records each pool it builds and
-    maps in this process."""
-
-    built = []
-
-    def __init__(self):
-        self.built.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, payloads, chunksize=1):
-        return map(fn, payloads)
-
-
-def test_sweep_builds_a_pool_only_at_the_threshold(baseline_config,
-                                                   monkeypatch):
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", _PoolRecorder)
-    monkeypatch.setattr(_PoolRecorder, "built", [])
-    threshold = sweeps.POOL_MIN_POINTS
-
-    def sweep(points, parallel):
-        spec = SweepSpec(SweepAxis("pump", 0.0, 4e6, points),
-                         outputs=("n",))
-        return run_sweep(baseline_config, spec, parallel=parallel)
-
-    below = sweep(threshold - 1, parallel=True)
-    assert _PoolRecorder.built == []
-    at = sweep(threshold, parallel=True)
-    assert len(_PoolRecorder.built) == 1
-    assert len(below.rows) == threshold - 1 and len(at.rows) == threshold
-    sweep(threshold, parallel=False)
-    assert len(_PoolRecorder.built) == 1
-
-
 def test_sweep_eta_dc_reuses_the_point_solve(high_sens_config, monkeypatch):
     calls = []
     solves = []
     real = sweeps.solve_steady_state
-    real_solve = steady._solve_linear
+    real_solve = steady._refined_solve
 
     def counted(config):
         calls.append(config.drive.delta)
         return real(config)
 
-    def counted_solve(a, rhs):
-        solves.append(rhs.shape)
-        return real_solve(a, rhs)
+    def counted_solve(m, rhs):
+        solves.append(m.shape)
+        return real_solve(m, rhs)
 
     monkeypatch.setattr(sweeps, "solve_steady_state", counted)
     monkeypatch.setattr(sensitivity, "solve_steady_state", counted)
-    monkeypatch.setattr(steady, "_solve_linear", counted_solve)
+    monkeypatch.setattr(steady, "_refined_solve", counted_solve)
     axis = SweepAxis("b_field", -300e-6, 300e-6, 10)
     table = run_sweep(high_sens_config,
                       SweepSpec(axis1=axis, outputs=("n", "dn_dB", "eta_dc")),
                       parallel=False)
-    assert len(calls) == 10
-    # the point's one n = 0 solve serves both d.c. outputs
-    assert len(solves) == 10
+    # one stacked n = 0 solve serves every point and both d.c. outputs
+    assert calls == []
+    assert solves == [(10, 9, 9)]
     monkeypatch.undo()
-    # the d.c. curve solves at the same detunings, so the cells are equal
+    # the d.c. curve solves at the same detunings, one point at a time
     curve = dc_sensitivity_curve(high_sens_config, axis.values())
-    expected = [None if res is None else res.eta for res in curve]
-    assert table.column_values("eta_dc") == expected
-    assert table.column_values("dn_dB") == [
-        None if res is None else res.slope_dn_db for res in curve]
-    assert None in expected and expected.count(None) < len(expected)
-    dark = [n for n, eta in zip(table.column_values("n"), expected)
+    for name, attr in (("eta_dc", "eta"), ("dn_dB", "slope_dn_db")):
+        cells = table.column_values(name)
+        expected = [None if res is None else getattr(res, attr)
+                    for res in curve]
+        assert [c is None for c in cells] == [e is None for e in expected]
+        assert cells == [None if e is None else pytest.approx(e, rel=1e-10)
+                         for e in expected]
+    assert None in cells and cells.count(None) < len(cells)
+    dark = [n for n, eta in zip(table.column_values("n"),
+                                table.column_values("eta_dc"))
             if eta is None]
     assert dark == [0.0] * len(dark)
 
@@ -222,17 +199,27 @@ def test_sweep_dark_points_leave_cells_absent(baseline_config):
 
 def test_sweep_unconverged_point_leaves_cells_absent(baseline_config,
                                                     monkeypatch):
+    real_batch = sweeps._steady_states
     real = sweeps.solve_steady_state
+    alone = []
+
+    def uncertified(configs):
+        # the batch leaves the middle point to the per-point solve
+        return [None if c.drive.delta == 5e7 else ss
+                for c, ss in zip(configs, real_batch(configs))]
 
     def flaky(config):
+        alone.append(config.drive.delta)
         if config.drive.delta == 5e7:
             raise ConvergenceError("forced failure")
         return real(config)
 
+    monkeypatch.setattr(sweeps, "_steady_states", uncertified)
     monkeypatch.setattr(sweeps, "solve_steady_state", flaky)
     spec = SweepSpec(axis1=SweepAxis("drive.delta", 0.0, 1e8, 3),
                      outputs=("n", "P_out", "branch", "populations"))
     table = run_sweep(baseline_config, spec, parallel=False)
+    assert alone == [5e7]
     failed = table.rows[1]
     assert failed[0] == 5e7
     assert all(cell is None for cell in failed[1:])
@@ -255,3 +242,117 @@ def test_sweep_populations_output(baseline_config):
     table = run_sweep(baseline_config, spec, parallel=False)
     occ = [table.column_values(f"rho{k}{k}")[0] for k in range(1, 8)]
     assert sum(occ) == pytest.approx(1.0, abs=1e-10)
+
+
+_ALL_OUTPUTS = tuple(sweeps.OUTPUTS)
+
+# path -> (start, stop, scale) of a drawn axis
+_ORACLE_AXES = {
+    "drive.delta": (-3e8, 3e8, "linear"),
+    "pump": (0.0, 2e7, "linear"),
+    "cavity.kappa": (1e5, 1e11, "log"),
+    "drive.omega": (0.0, 2e7, "linear"),
+}
+
+
+def _per_point_sweep(config, spec):
+    """``run_sweep`` with every point left to ``solve_steady_state``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sweeps, "_steady_states",
+                  lambda configs: [None] * len(configs))
+        return run_sweep(config, spec)
+
+
+@st.composite
+def _oracle_axis(draw, path):
+    lo, hi, scale = _ORACLE_AXES[path]
+    if scale == "log":
+        start, stop = sorted(draw(st.floats(np.log10(lo), np.log10(hi)))
+                             for _ in range(2))
+        start, stop = 10.0 ** start, 10.0 ** stop
+    else:
+        # whole rad/s, so that no rate falls below MIN_DRIVE_RATE
+        start, stop = sorted(float(round(draw(st.floats(lo, hi))))
+                             for _ in range(2))
+    return SweepAxis(path, start, stop, draw(st.integers(1, 6)), scale)
+
+
+@st.composite
+def _oracle_grids(draw):
+    paths = draw(st.permutations(sorted(_ORACLE_AXES)))
+    axis2 = (draw(_oracle_axis(paths[1])) if draw(st.booleans())
+             else None)
+    return SweepSpec(draw(_oracle_axis(paths[0])), axis2, _ALL_OUTPUTS)
+
+
+@settings(max_examples=40, **_PROPERTY)
+@given(name=st.sampled_from(["baseline", "high_sensitivity"]),
+       mode=st.sampled_from(["single_orientation", "four_orientation"]),
+       spec=_oracle_grids())
+# straddles threshold, with a pump-free point
+@example(name="baseline", mode="single_orientation",
+         spec=SweepSpec(SweepAxis("pump", 0.0, 4e6, 9),
+                        SweepAxis("drive.delta", 0.0, 1.5e8, 3),
+                        _ALL_OUTPUTS))
+@example(name="baseline", mode="four_orientation",
+         spec=SweepSpec(SweepAxis("drive.delta", -1e8, 1e8, 5),
+                        outputs=_ALL_OUTPUTS))
+@example(name="high_sensitivity", mode="single_orientation",
+         spec=SweepSpec(SweepAxis("b_field", -3e-4, 3e-4, 13),
+                        outputs=_ALL_OUTPUTS))
+def test_batched_rows_match_per_point_rows(name, mode, spec):
+    config = dataclasses.replace(preset(name),
+                                 orientation=OrientationModel(mode=mode))
+    batched = run_sweep(config, spec)
+    alone = _per_point_sweep(config, spec)
+    columns = [c.name for c in batched.columns]
+    axes = [a.path for a in (spec.axis1, spec.axis2) if a is not None]
+    assert len(batched.rows) == len(alone.rows)
+    for row, oracle in zip(batched.rows, alone.rows):
+        assert [c is None for c in row] == [c is None for c in oracle]
+        point = config
+        for path, value in zip(axes, row):
+            point = set_param(point, path, value)
+        for column, value, expected in zip(columns, row, oracle):
+            if value is None or column in axes or column == "branch":
+                assert value == expected
+            elif column in ("n", "P_out"):
+                assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+            elif column in POPULATION_NAMES:
+                assert value == pytest.approx(expected, rel=0.0, abs=1e-12)
+            elif column == "net_gain":
+                assert abs(value - expected) <= 1e-8 * point.cavity.kappa
+            else:  # dn_dB, eta_dc
+                assert value == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+def test_batch_falls_back_per_point(baseline_config, monkeypatch):
+    alone = []
+    real = sweeps.solve_steady_state
+
+    def counted(config):
+        alone.append(config)
+        return real(config)
+
+    monkeypatch.setattr(sweeps, "solve_steady_state", counted)
+    axis = SweepAxis("drive.delta", -1e8, 1e8, 5)
+    run_sweep(baseline_config, SweepSpec(axis))
+    assert alone == []
+    four = dataclasses.replace(
+        baseline_config, orientation=OrientationModel(mode="four_orientation"))
+    run_sweep(four, SweepSpec(axis))
+    assert len(alone) == 5
+    # right at threshold the root is taken on the direct gain, per point
+    alone.clear()
+    op = find_operating_point(baseline_config)
+    tol = steady._GAIN_RESIDUAL_RTOL * baseline_config.cavity.kappa
+    for factor in (1.0, 1.0 + 1e-11, 1.0 + 1e-10):
+        if 0.0 < net_gain(with_pump(baseline_config, op * factor), 0.0) <= tol:
+            break
+    else:
+        pytest.fail("no pump with 0 < g0 <= tolerance near the threshold")
+    table = run_sweep(baseline_config,
+                      SweepSpec(SweepAxis("pump", op * factor, op * factor, 1),
+                                outputs=("n", "branch")))
+    assert len(alone) == 1
+    assert table.rows[0][1:] == (real(alone[0]).n, "lasing")
