@@ -129,8 +129,7 @@ def _cmd_sweep(args) -> OutputTable:
     spec = SweepSpec(axis1=_parse_axis(args.axis1),
                      axis2=_parse_axis(args.axis2) if args.axis2 else None,
                      **_given(args, "outputs"))
-    return run_sweep(config, spec, parallel=not args.serial,
-                     provenance=_provenance(args, config))
+    return run_sweep(config, spec, provenance=_provenance(args, config))
 
 
 def _cmd_response(args) -> OutputTable:
@@ -274,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis2", metavar="PATH:START:STOP:POINTS[:log]")
     p.add_argument("--outputs", type=_comma_list, default=argparse.SUPPRESS,
                    help=f"comma list of {','.join(OUTPUTS)}")
-    p.add_argument("--serial", action="store_true",
-                   help="no effect: every grid runs in one process")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("response", help="photon response to a detuning step")

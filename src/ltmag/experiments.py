@@ -12,6 +12,9 @@ experiment's name.
 * ``fig3a``  d.c. sensitivity vs bias field (high_sensitivity)
 * ``fig3b``  a.c. sensitivity vs signal frequency at a fixed bias
 * ``fig4``   sensitivity-curve robustness to the weak crossing L27
+
+Every grid goes through ``steady.solve_steady_states``; a point whose
+solve does not converge leaves its value cells absent.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .model import (ModelConfig, detuning_to_b_field, output_power, preset,
 from .sensitivity import (AcSignalModel, METHOD_AC_QUASISTATIC,
                           ac_sensitivity, dc_sensitivity_curve,
                           l27_robustness)
-from .steady import find_operating_point, solve_steady_state
+from .steady import find_operating_point, solve_steady_states
 from .sweeps import SweepAxis, SweepSpec, run_sweep
 from .tables import Column, OutputTable
 
@@ -56,33 +59,28 @@ def _exp_fig2b(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
                                  Column("b_field", "T"),
                                  Column("n", "1"), Column("P_out", "W")),
                         provenance=dict(prov, operating_point_pump=repr(op)))
-    for delta in np.linspace(-1.5e8, 1.5e8, 301):
-        point = with_drive(cfg, delta=float(delta))
-        ss = solve_steady_state(point)
-        table.append((float(delta),
-                      detuning_to_b_field(float(delta), cfg.constants),
-                      ss.n, output_power(ss.n, point)))
+    points = (with_drive(cfg, delta=delta)
+              for delta in np.linspace(-1.5e8, 1.5e8, 301).tolist())
+    for point, ss in solve_steady_states(points):
+        delta = point.drive.delta
+        n = None if ss is None else ss.n
+        table.append((delta, detuning_to_b_field(delta, cfg.constants), n,
+                      None if n is None else output_power(n, point)))
     return {"profile": table}
-
-
-def _sensitivity_table(config: ModelConfig, b_grid: np.ndarray,
-                       prov: dict) -> OutputTable:
-    table = OutputTable(columns=(Column("b_field", "T"), Column("n", "1"),
-                                 Column("dn_dB", "1/T"),
-                                 Column("eta_dc", "T/sqrt(Hz)")),
-                        provenance=prov)
-    for b, res in zip(b_grid, dc_sensitivity_curve(config, b_grid)):
-        if res is None:
-            table.append((float(b), None, None, None))
-        else:
-            table.append((float(b), res.n, res.slope_dn_db, res.eta))
-    return table
 
 
 def _exp_fig3a(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
     """d.c. sensitivity across the bias-field window."""
     b_grid = np.linspace(-300e-6, 300e-6, 121)
-    return {"sensitivity": _sensitivity_table(config, b_grid, prov)}
+    table = OutputTable(columns=(Column("b_field", "T"), Column("n", "1"),
+                                 Column("dn_dB", "1/T"),
+                                 Column("eta_dc", "T/sqrt(Hz)")),
+                        provenance=prov)
+    for b, res in zip(b_grid, dc_sensitivity_curve(config, b_grid)):
+        cells = ((None,) * 3 if res is None
+                 else (res.n, res.slope_dn_db, res.eta))
+        table.append((float(b), *cells))
+    return {"sensitivity": table}
 
 
 def _exp_fig3b(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
@@ -123,10 +121,7 @@ def _exp_fig4(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
                                      Column("eta_dc", "T/sqrt(Hz)")),
                             provenance=dict(prov, l27_ratio=repr(ratio)))
         for b, res in zip(report.b_grid, curve):
-            if res is None:
-                table.append((float(b), None))
-            else:
-                table.append((float(b), res.eta))
+            table.append((float(b), None if res is None else res.eta))
         out[f"ratio_{ratio:g}"] = table
     summary = OutputTable(columns=(Column("l27_ratio", "1"),
                                    Column("common_points", "1"),

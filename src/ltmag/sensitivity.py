@@ -16,12 +16,13 @@ level in the demodulated band.
 The slope dn/dB has two evaluators.  ``dc_sensitivity`` takes adaptive
 central differences with Richardson extrapolation (method
 ``dc_finite_difference``).  Every field scan (the d.c. curve, both field
-searches, the sweeps' ``dn_dB`` and ``eta_dc`` cells) takes the implicit
-slope (``dc_implicit``): the net gain g(n, delta) vanishes at a lasing
-root, so dn/d delta = -(dg/d delta) / (dg/dn), with both partials taken
-from the steady state's own n = 0 solve in place of a stencil of steady
-states.  The two agree to about 1e-11 relative; the finite differences
-are the oracle of the implicit slope.
+searches, the sweeps' ``dn_dB`` and ``eta_dc`` cells) solves its steady
+states through the grid evaluator ``steady.solve_steady_states`` and
+takes the implicit slope (``dc_implicit``): the net gain g(n, delta)
+vanishes at a lasing root, so dn/d delta = -(dg/d delta) / (dg/dn),
+with both partials taken from the steady state's own n = 0 solve in
+place of a stencil of steady states.  The two agree to about 1e-11
+relative; the finite differences are the oracle of the implicit slope.
 
 Near the zero-crossing of the slope (the bottom of the symmetric output
 dip) the sensitivity genuinely diverges; that is reported by an explicit
@@ -45,7 +46,8 @@ from .dynamics import ac_response
 from .errors import (BelowThresholdError, ConvergenceError,
                      InvalidConfigError, PhysicsDomainError)
 from .model import ModelConfig, with_bias_field
-from .steady import SteadyStateResult, solve_steady_state
+from .steady import (SteadyStateResult, solve_steady_state,
+                     solve_steady_states)
 
 METHOD_DC = "dc_finite_difference"
 METHOD_DC_IMPLICIT = "dc_implicit"
@@ -215,21 +217,6 @@ def dc_sensitivity(config: ModelConfig, b_field: float, *,
         diverged=diverged, fd_step=step, fd_rel_error=rel_err)
 
 
-def _dc_point(config: ModelConfig, b_field: float
-              ) -> SensitivityResult | None:
-    """d.c. sensitivity from the implicit slope at a bias field, or None
-    where the point is dark or its solve does not converge: the one rule
-    of every field scan.  Solves the steady state at the bias and hands
-    it to ``_dc_at_state``.
-    """
-    point = with_bias_field(config, b_field)
-    try:
-        ss = solve_steady_state(point)
-    except ConvergenceError:
-        return None
-    return _dc_at_state(point, ss, b_field)
-
-
 def _dc_at_state(point: ModelConfig, ss: SteadyStateResult, b_field: float
                  ) -> SensitivityResult | None:
     """Implicit-slope d.c. sensitivity at an already solved steady state
@@ -254,14 +241,17 @@ def _dc_at_state(point: ModelConfig, ss: SteadyStateResult, b_field: float
 
 def dc_sensitivity_curve(config: ModelConfig, b_grid
                          ) -> list[SensitivityResult | None]:
-    """dc_sensitivity over a field grid.
+    """Implicit-slope d.c. sensitivity (``dc_implicit``) over a field
+    grid, whose steady states come from ``steady.solve_steady_states``.
 
     Points that are below threshold or whose solve does not converge are
     reported as None (absent), never as zero sensitivity; diverged points
-    keep their flag.
+    keep their flag.  This is the one rule of every field scan.
     """
-    return [_dc_point(config, float(b))
-            for b in np.asarray(b_grid, dtype=float)]
+    b_grid = np.asarray(b_grid, dtype=float).tolist()
+    points = (with_bias_field(config, b) for b in b_grid)
+    return [None if ss is None else _dc_at_state(point, ss, b)
+            for b, (point, ss) in zip(b_grid, solve_steady_states(points))]
 
 
 def ac_sensitivity(config: ModelConfig, signal: AcSignalModel, *,
@@ -309,6 +299,13 @@ def sensitivity_from_harmonic(config: ModelConfig, signal: AcSignalModel,
         excess_noise=signal.excess_noise)
 
 
+def _check_window(b_min: float, b_max: float) -> None:
+    """The field window of both searches: finite, with b_max > b_min."""
+    if not -math.inf < b_min < b_max < math.inf:
+        raise InvalidConfigError(
+            f"need b_max > b_min, both finite, got [{b_min!r}, {b_max!r}]")
+
+
 def find_bias_point(config: ModelConfig, b_min: float,
                     b_max: float) -> SensitivityResult:
     """Bias field maximizing |dn/dB| inside [b_min, b_max], and
@@ -317,16 +314,14 @@ def find_bias_point(config: ModelConfig, b_min: float,
     Searches a coarse grid of implicit slopes, then repeatedly zooms
     around the best point.  The output-vs-field curve is symmetric in B,
     so two mirror maximizers can exist; exact ties are broken toward
-    positive field.
+    positive field.  Raises InvalidConfigError unless the window is
+    finite with b_max > b_min.
     """
-    if b_max <= b_min:
-        raise InvalidConfigError("need b_max > b_min")
-
+    _check_window(b_min, b_max)
     lo, hi = float(b_min), float(b_max)
     points = _BIAS_COARSE_POINTS
     for _ in range(_BIAS_REFINE_ROUNDS):
-        results = [_dc_point(config, float(b))
-                   for b in np.linspace(lo, hi, points)]
+        results = dc_sensitivity_curve(config, np.linspace(lo, hi, points))
         scored = [(abs(r.slope_dn_db), r.b_field)
                   for r in results if r is not None]
         if not scored:
@@ -353,14 +348,20 @@ def best_eta_over_field(config: ModelConfig, b_min: float,
     Returns (eta, b), with eta from ``dc_sensitivity`` at b.  Coarse
     grid scan of the implicit-slope sensitivity followed by golden-section
     refinement between the neighbours of the best grid point.  Raises
-    BelowThresholdError when nothing in the window lases.
+    InvalidConfigError unless the window is finite with b_max > b_min,
+    and BelowThresholdError when nothing in the window lases.
     """
+    _check_window(b_min, b_max)
+
+    def etas_at(grid):
+        return [math.inf if res is None else res.eta
+                for res in dc_sensitivity_curve(config, grid)]
+
     def eta_at(b):
-        res = _dc_point(config, float(b))
-        return math.inf if res is None else res.eta
+        return etas_at([b])[0]
 
     grid = np.linspace(b_min, b_max, _ETA_GRID_POINTS)
-    etas = np.asarray([eta_at(b) for b in grid])
+    etas = np.asarray(etas_at(grid))
     if not np.any(np.isfinite(etas)):
         raise BelowThresholdError(
             "no finite sensitivity anywhere in the field window")
@@ -476,25 +477,15 @@ def l27_robustness(config: ModelConfig,
         return dc_sensitivity_curve(cfg, b_grid)
 
     base = curve_for(0.0)
-    curves = {}
-    max_dev = {}
-    med_dev = {}
-    common = {}
+    curves, max_dev, med_dev, common = {}, {}, {}, {}
     for ratio in ratios:
-        cur = curve_for(ratio)
-        curves[ratio] = cur
-        devs = []
-        for rb, rv in zip(base, cur):
-            if rb is None or rv is None or rb.diverged or rv.diverged:
-                continue
-            devs.append(abs(rv.eta - rb.eta) / rb.eta)
+        curves[ratio] = cur = curve_for(ratio)
+        devs = [abs(rv.eta - rb.eta) / rb.eta for rb, rv in zip(base, cur)
+                if not (rb is None or rv is None
+                        or rb.diverged or rv.diverged)]
         common[ratio] = len(devs)
-        if devs:
-            max_dev[ratio] = float(max(devs))
-            med_dev[ratio] = float(np.median(devs))
-        else:
-            max_dev[ratio] = math.inf
-            med_dev[ratio] = math.inf
+        max_dev[ratio] = float(max(devs)) if devs else math.inf
+        med_dev[ratio] = float(np.median(devs)) if devs else math.inf
     return RobustnessReport(b_grid=b_grid, ratios=tuple(ratios),
                             base_curve=tuple(base), curves=curves,
                             max_rel_dev=max_dev, median_rel_dev=med_dev,

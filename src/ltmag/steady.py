@@ -34,7 +34,7 @@ at the root pass the fixed-n residual check against the rate matrix at
 the root and the occupation bounds, and their net gain must lie within
 1e-8 * kappa of zero, which checks the closed form independently.
 
-``_steady_states`` does the same for the points of a sweep at once:
+``_steady_states`` does the same for a chunk of grid points at once:
 their n = 0 matrices go through one stacked ``np.linalg.solve`` with the
 same refinement step, and the algebra above runs on arrays.  With
 p = -tr(C) and q = det(C), the root is that of the quadratic
@@ -44,14 +44,16 @@ s = c / q' or q' / A (Press et al., *Numerical Recipes*, 3rd ed., 5.6),
 which never subtracts nearly equal numbers; with A > 0 and c < 0 (g0 >
 0) it is the one positive root, and it agrees with the Brent root to
 its 1e-12 tolerance.  Each point passes the residual, occupation-bound
-and net-gain checks above.  A point that does not is left to
-``solve_steady_state``, and so is a four_orientation point, one with
-A <= 0, one at 0 < g0 <= 1e-8 * kappa, one with a non-finite matrix or
-solution, and every point of a stack whose solve raises LinAlgError.
+and net-gain checks above.  A point that does not is left uncertified,
+and so is a four_orientation point, one with A <= 0, one at
+0 < g0 <= 1e-8 * kappa, one with a non-finite matrix or solution, and
+every point of a stack whose solve raises LinAlgError.  The grid
+evaluator ``solve_steady_states`` solves those with ``solve_steady_state``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -71,6 +73,10 @@ _LINEAR_RESIDUAL_RTOL = 1e-10
 _GAIN_RESIDUAL_RTOL = 1e-8
 _N_ROOT_RTOL = 1e-12
 _BRACKET_CAP = 1e12
+
+# Points per stack of ``solve_steady_states``: stacked whole, the
+# 2,501-point fig2a map peaked 7.3 MiB higher in RSS than in chunks.
+CHUNK_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -641,6 +647,29 @@ def _steady_states(configs) -> list[SteadyStateResult | None]:
             detunings=(points[k].drive.delta,),
             gain_partials=(dg_dn[k], dg_dd[k]) if lasing[k] else None)
     return results
+
+
+def solve_steady_states(configs):
+    """The grid evaluator: yields (config, ``solve_steady_state(config)``)
+    for each of ``configs``, an iterable, in order, with None where that
+    solve raises ConvergenceError; every other error propagates.
+
+    Configs are pulled ``CHUNK_POINTS`` at a time.  A chunk of two or
+    more goes through ``_steady_states``, and a point it leaves
+    uncertified, like a chunk of one, through ``solve_steady_state``
+    (one point solves faster alone than as a stack of one).
+    """
+    configs = iter(configs)
+    while chunk := list(itertools.islice(configs, CHUNK_POINTS)):
+        batch = _steady_states(chunk) if len(chunk) > 1 else [None]
+        for config, ss in zip(chunk, batch):
+            if ss is None:
+                try:
+                    ss = solve_steady_state(config)
+                except ConvergenceError:
+                    pass
+            yield config, ss
+        del chunk, batch  # hold one chunk of configs while pulling the next
 
 
 def threshold_pump(config: ModelConfig, delta: float | None = None) -> float:

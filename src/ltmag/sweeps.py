@@ -7,40 +7,29 @@ detuning from a bias field in tesla) and ``pump`` (both branch pump
 rates together).  With two axes the second one varies fastest.  The
 d.c. outputs ``dn_dB`` and ``eta_dc`` share one implicit slope per
 point, so a ``b_field`` axis gives ``dc_sensitivity_curve``'s values
-to 1e-12 relative (with ``n`` = 0.0 and both cells absent at dark
-points).
+exactly (with ``n`` = 0.0 and both cells absent at dark points).
 
-Every grid runs in one process.  ``steady._steady_states`` solves the
-steady states of up to ``CHUNK_POINTS`` points at a time from one
-stacked n = 0 solve, with a closed-form photon-number root: branches
-and absent cells are those of per-point ``solve_steady_state`` calls,
-and numbers agree with theirs to 1e-12 relative.  A point the batch
-cannot certify is solved by ``solve_steady_state`` itself.
-``parallel=False`` (``--serial`` on the command line) is
-accepted and changes nothing.  Points where a solver raises a
-physics-domain or convergence error keep their axis cells and leave
-the value cells absent.
+Every grid goes through ``steady.solve_steady_states``, which pulls the
+lazily built point configs one chunk at a time.  Points whose solve
+does not converge keep their axis cells and leave the value cells
+absent.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .configio import get_param, param_unit, set_param
 from .configio import provenance as config_provenance
-from .errors import ConvergenceError, InvalidConfigError, PhysicsDomainError
+from .errors import InvalidConfigError
 from .model import ModelConfig, output_power
 from .sensitivity import _dc_at_state
-from .steady import POPULATION_NAMES, _steady_states, solve_steady_state
+from .steady import POPULATION_NAMES, solve_steady_states
 from .tables import Column, OutputTable
-
-# Grid points whose steady states are solved in one stack.  It bounds
-# the memory of a large grid: stacked whole, the 2,501-point fig2a map
-# peaked 7.3 MiB higher in RSS than in chunks of 256.
-CHUNK_POINTS = 256
 
 # output name -> columns it contributes
 OUTPUTS: dict[str, tuple[Column, ...]] = {
@@ -111,15 +100,10 @@ class SweepSpec:
 
 
 def _eval_point(config: ModelConfig, ss, outputs) -> tuple:
-    """Value cells of one grid point from its batched steady state ``ss``,
-    or from ``solve_steady_state`` when the batch left it None.
-    Physics-domain and convergence errors of that solve yield absent
-    value cells."""
+    """Value cells of one grid point from its steady state ``ss``; all
+    absent where ``ss`` is None (the solve did not converge)."""
     if ss is None:
-        try:
-            ss = solve_steady_state(config)
-        except (PhysicsDomainError, ConvergenceError):
-            return (None,) * sum(len(OUTPUTS[name]) for name in outputs)
+        return (None,) * sum(len(OUTPUTS[name]) for name in outputs)
     dc = (_dc_at_state(config, ss, get_param(config, "b_field"))
           if "dn_dB" in outputs or "eta_dc" in outputs else None)
     cells: list = []
@@ -141,34 +125,27 @@ def _eval_point(config: ModelConfig, ss, outputs) -> tuple:
     return tuple(cells)
 
 
-def run_sweep(config: ModelConfig, spec: SweepSpec, *, parallel: bool = True,
+def run_sweep(config: ModelConfig, spec: SweepSpec, *,
               provenance: dict | None = None) -> OutputTable:
     """Evaluate the sweep grid and return one row per point.
 
-    The grid runs in this process, in chunks of ``CHUNK_POINTS`` points
-    whose steady states come from one stacked solve (``parallel`` is
-    accepted and ignored).  ``provenance`` is the table header from
-    ``configio.provenance`` (built here when not given); the sweep adds
-    its kind, axes and outputs."""
+    ``provenance`` is the table header from ``configio.provenance``
+    (built here when not given); the sweep adds its kind, axes and
+    outputs."""
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 else [])
     grids = [[(axis.path, float(v)) for v in axis.values()] for axis in axes]
     columns = [axis.column() for axis in axes]
     for name in spec.outputs:
         columns.extend(OUTPUTS[name])
 
-    grid = itertools.product(*grids)
-    rows = []
-    while chunk := list(itertools.islice(grid, CHUNK_POINTS)):
-        points = []
-        for assignments in chunk:
-            point = config
-            for path, value in assignments:
-                point = set_param(point, path, value)
-            points.append(point)
-        for assignments, point, ss in zip(chunk, points,
-                                          _steady_states(points)):
-            rows.append(tuple(value for _, value in assignments)
-                        + _eval_point(point, ss, spec.outputs))
+    grid, axis_cells = itertools.tee(itertools.product(*grids))
+    points = (reduce(lambda point, pv: set_param(point, *pv), assignments,
+                     config)
+              for assignments in grid)
+    rows = [tuple(value for _, value in assignments)
+            + _eval_point(point, ss, spec.outputs)
+            for assignments, (point, ss) in zip(axis_cells,
+                                                solve_steady_states(points))]
 
     prov = dict(provenance or config_provenance(config), kind="sweep",
                 axes=" x ".join(a.path for a in axes),

@@ -47,7 +47,7 @@ class OutputTable:
 
     def _check_row(self, row) -> None:
         if len(row) != len(self.columns):
-            raise ValueError(
+            raise InvalidConfigError(
                 f"row has {len(row)} cells, table has "
                 f"{len(self.columns)} columns")
 
@@ -118,11 +118,21 @@ class OutputTable:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidConfigError(f"malformed JSON table: {exc}") from exc
-        columns = tuple(Column(c["name"], c["unit"])
-                        for c in doc.get("columns", ()))
-        rows = [tuple(row) for row in doc.get("rows", ())]
-        return cls(columns=columns, rows=rows,
-                   provenance=dict(doc.get("provenance", {})))
+        if not isinstance(doc, dict):
+            raise InvalidConfigError("JSON table must be an object")
+        rows = doc.get("rows", [])
+        if not (isinstance(rows, list)
+                and all(isinstance(row, list) for row in rows)):
+            raise InvalidConfigError("JSON table rows must be lists")
+        try:
+            columns = tuple(Column(c["name"], c["unit"])
+                            for c in doc.get("columns", ()))
+            provenance = dict(doc.get("provenance", {}))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidConfigError(
+                f"malformed JSON table header: {exc!r}") from exc
+        return cls(columns=columns, rows=[tuple(row) for row in rows],
+                   provenance=provenance)
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":

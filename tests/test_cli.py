@@ -117,7 +117,7 @@ def test_sweep_rows_and_out_file(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, out, _ = _run(capsys, "sweep", "--axis1",
                         "drive.delta:0:1e8:5", "--outputs", "n,branch",
-                        "--serial", "--out", str(out_path))
+                        "--out", str(out_path))
     assert code == 0 and out == ""
     table = OutputTable.from_csv(out_path.read_text())
     assert len(table.rows) == 5

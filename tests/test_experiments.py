@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ltmag import (EXPERIMENT_NAMES, InvalidConfigError, experiment,
-                   find_operating_point, preset)
+from ltmag import (EXPERIMENT_NAMES, ConvergenceError, InvalidConfigError,
+                   experiment, find_operating_point, preset,
+                   solve_steady_state, with_drive, with_pump)
+from ltmag import steady
 
 
 def test_experiment_registry():
@@ -66,6 +68,28 @@ def test_fig2b_profile_dip():
     op = float(table.provenance["operating_point_pump"])
     assert op == pytest.approx(find_operating_point(preset("baseline")),
                                rel=1e-9)
+    # the batch leaves the knife edge to the per-point solve
+    center = with_drive(with_pump(preset("baseline"), op), delta=0.0)
+    assert ns[mid] == solve_steady_state(center).n
+
+
+def test_fig2b_unconverged_point_leaves_cells_absent(monkeypatch):
+    real_batch, real = steady._steady_states, steady.solve_steady_state
+
+    def uncertified(configs):
+        return [None if c.drive.delta == 0.0 else ss
+                for c, ss in zip(configs, real_batch(configs))]
+
+    def flaky(config):
+        if config.drive.delta == 0.0:
+            raise ConvergenceError("forced failure")
+        return real(config)
+
+    monkeypatch.setattr(steady, "_steady_states", uncertified)
+    monkeypatch.setattr(steady, "solve_steady_state", flaky)
+    rows = experiment("fig2b")["profile"].rows
+    assert rows[150] == (0.0, 0.0, None, None)
+    assert all(None not in row for row in rows[:150] + rows[151:])
 
 
 def test_fig3a_sensitivity_valley():

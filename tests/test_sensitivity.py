@@ -15,7 +15,7 @@ from ltmag import (AcSignalModel, BelowThresholdError, ConvergenceError,
                    dc_sensitivity, dc_sensitivity_curve, find_bias_point,
                    l27_robustness, optimize_sensitivity, with_bias_field,
                    with_drive, with_pump)
-from ltmag import sensitivity
+from ltmag import steady
 
 BIAS = 164e-6
 
@@ -67,16 +67,26 @@ def test_dc_curve_marks_dark_points_absent(high_sens_config):
 
 def test_dc_curve_marks_unconverged_points_absent(high_sens_config,
                                                  monkeypatch):
-    real = sensitivity.solve_steady_state
+    real_batch = steady._steady_states
+    real = steady.solve_steady_state
     failing = with_bias_field(high_sens_config, 200e-6).drive.delta
+    alone = []
+
+    def uncertified(configs):
+        # the batch leaves the failing point to the per-point solve
+        return [None if c.drive.delta == failing else ss
+                for c, ss in zip(configs, real_batch(configs))]
 
     def flaky(config):
+        alone.append(config.drive.delta)
         if config.drive.delta == failing:
             raise ConvergenceError("forced failure")
         return real(config)
 
-    monkeypatch.setattr(sensitivity, "solve_steady_state", flaky)
+    monkeypatch.setattr(steady, "_steady_states", uncertified)
+    monkeypatch.setattr(steady, "solve_steady_state", flaky)
     curve = dc_sensitivity_curve(high_sens_config, [164e-6, 200e-6, 280e-6])
+    assert alone == [failing]
     assert curve[1] is None
     assert curve[0].b_field == 164e-6 and curve[2].b_field == 280e-6
 
@@ -96,7 +106,7 @@ def test_implicit_slope_matches_finite_differences(name, mode, magnitude,
                               orientation=OrientationModel(mode=mode))
     b = sign * magnitude
     fd = dc_sensitivity(cfg, b)
-    implicit = sensitivity._dc_point(cfg, b)
+    implicit = dc_sensitivity_curve(cfg, [b])[0]
     assert implicit.method == METHOD_DC_IMPLICIT
     assert implicit.fd_step is None and implicit.fd_rel_error is None
     assert implicit.n == fd.n
@@ -105,12 +115,12 @@ def test_implicit_slope_matches_finite_differences(name, mode, magnitude,
         <= fd.fd_rel_error * abs(fd.slope_dn_db)
     # the output curve is even in B, so its slope is odd; mirroring the
     # field flips the sign of every coherence term, so exactly
-    assert sensitivity._dc_point(cfg, -b).slope_dn_db \
+    assert dc_sensitivity_curve(cfg, [-b])[0].slope_dn_db \
         == -implicit.slope_dn_db
 
 
 def test_implicit_slope_vanishes_at_symmetry_point(baseline_config):
-    res = sensitivity._dc_point(baseline_config, 0.0)
+    res = dc_sensitivity_curve(baseline_config, [0.0])[0]
     assert res.n > 0.0
     assert res.slope_dn_db == 0.0
     assert res.diverged
@@ -118,7 +128,7 @@ def test_implicit_slope_vanishes_at_symmetry_point(baseline_config):
 
 
 def test_implicit_result_holds_python_floats(high_sens_config):
-    res = sensitivity._dc_point(high_sens_config, BIAS)
+    res = dc_sensitivity_curve(high_sens_config, [BIAS])[0]
     for value in (res.eta, res.b_field, res.n, res.slope_dn_db,
                   res.shot_factor):
         assert type(value) is float
@@ -210,6 +220,15 @@ def test_best_eta_over_field(high_sens_config):
     at_bias = dc_sensitivity(high_sens_config, BIAS).eta
     assert eta < at_bias
     assert eta == dc_sensitivity(high_sens_config, b).eta
+
+
+@pytest.mark.parametrize("window", [(300e-6, 100e-6), (200e-6, 200e-6),
+                                    (0.0, math.inf), (math.nan, 300e-6)])
+def test_field_searches_reject_reversed_and_empty_windows(high_sens_config,
+                                                          window):
+    for search in (find_bias_point, best_eta_over_field):
+        with pytest.raises(InvalidConfigError, match="b_max > b_min"):
+            search(high_sens_config, *window)
 
 
 def test_best_eta_over_field_dark_window(high_sens_config):

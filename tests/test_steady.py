@@ -1,6 +1,7 @@
 """Steady-state solvers: fixed-n populations, gain root, thresholds."""
 
 import dataclasses
+import itertools
 import math
 import sys
 
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 from ltmag import (BELOW_THRESHOLD, OUTPUTS, ConvergenceError,
                    DegenerateConfigError, InvalidConfigError, LASING,
                    LevelRates, NotLasableError, OrientationModel,
-                   find_operating_point, net_gain,
+                   dc_sensitivity_curve, find_operating_point, net_gain,
                    populations_at_fixed_n, solve_steady_state,
                    threshold_pump, with_bias_field, with_drive, with_pump)
-from ltmag import sensitivity, steady
+from ltmag import steady
 from ltmag.dynamics import TIMESERIES_COLUMNS
 from ltmag.model import MIN_DRIVE_RATE
 from ltmag.steady import PopulationState
@@ -50,13 +51,16 @@ def test_unpumped_unmixed_splits_ground_states(baseline_config):
         assert abs(occ) < 1e-8
 
 
-def test_all_zero_rates_is_degenerate(baseline_config):
+def _all_zero(config):
     zero = LevelRates(L21=0, L23=0, L31=0, L54=0, L56=0, L64=0,
                       L57=0, L71=0, L74=0, L27=0, gamma14=0)
-    cfg = dataclasses.replace(
-        with_drive(with_pump(baseline_config, 0.0), omega=0.0), rates=zero)
+    return dataclasses.replace(
+        with_drive(with_pump(config, 0.0), omega=0.0), rates=zero)
+
+
+def test_all_zero_rates_is_degenerate(baseline_config):
     with pytest.raises(DegenerateConfigError):
-        populations_at_fixed_n(cfg, 0.0)
+        populations_at_fixed_n(_all_zero(baseline_config), 0.0)
 
 
 def test_no_pump_means_loss_only_gain(baseline_config):
@@ -376,7 +380,7 @@ def test_one_linear_solve_per_sub_ensemble(high_sens_config, mode,
     assert len(calls) == ensembles
     calls.clear()
     # the implicit slope takes its gain partials from that one solve
-    assert sensitivity._dc_point(cfg, b).n == ss.n
+    assert dc_sensitivity_curve(cfg, [b])[0].n == ss.n
     assert len(calls) == ensembles
 
 
@@ -388,3 +392,84 @@ def test_tiny_drive_rates_are_rejected(baseline_config):
         for valid in (0.0, MIN_DRIVE_RATE):
             cfg = with_drive(baseline_config, **{name: valid})
             assert getattr(cfg.drive, name) == valid
+
+
+# --- the grid evaluator, steady.solve_steady_states ---
+
+
+def _detuned(config, count):
+    return [with_drive(config, delta=d)
+            for d in np.linspace(-1.5e8, 1.5e8, count).tolist()]
+
+
+def test_grid_evaluator_keeps_order_across_a_chunk_boundary(baseline_config,
+                                                            monkeypatch):
+    configs = _detuned(baseline_config, steady.CHUNK_POINTS + 1)
+    stacks, alone = [], []
+    real_batch, real = steady._steady_states, steady.solve_steady_state
+
+    def batch(chunk):
+        stacks.append(len(chunk))
+        return real_batch(chunk)
+
+    def single(config):
+        alone.append(config)
+        return real(config)
+
+    monkeypatch.setattr(steady, "_steady_states", batch)
+    monkeypatch.setattr(steady, "solve_steady_state", single)
+    out = list(steady.solve_steady_states(iter(configs)))
+    # one stack, then the one-point chunk solved alone
+    assert stacks == [steady.CHUNK_POINTS]
+    assert alone[-1] is configs[-1]
+    assert all(c is config for (c, _), config in zip(out, configs))
+    assert len(out) == len(configs)
+    monkeypatch.undo()
+    for config, ss in out:
+        assert ss.n == pytest.approx(solve_steady_state(config).n,
+                                     rel=1e-12, abs=0.0)
+    assert out[-1][1] == solve_steady_state(configs[-1])
+
+
+def test_grid_evaluator_pulls_one_chunk_at_a_time(baseline_config):
+    pulled = []
+
+    def endless():
+        for k in itertools.count():
+            pulled.append(k)
+            yield with_drive(baseline_config, delta=1e5 * k)
+
+    first = list(itertools.islice(steady.solve_steady_states(endless()), 3))
+    assert len(first) == 3
+    assert len(pulled) == steady.CHUNK_POINTS
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_grid_evaluator_gives_none_where_the_solve_fails(baseline_config,
+                                                         monkeypatch, count):
+    configs = _detuned(baseline_config, count)
+    failing = configs[count // 2]
+    real_batch, real = steady._steady_states, steady.solve_steady_state
+
+    def uncertified(chunk):
+        return [None if c is failing else ss
+                for c, ss in zip(chunk, real_batch(chunk))]
+
+    def flaky(config):
+        if config is failing:
+            raise ConvergenceError("forced failure")
+        return real(config)
+
+    monkeypatch.setattr(steady, "_steady_states", uncertified)
+    monkeypatch.setattr(steady, "solve_steady_state", flaky)
+    out = list(steady.solve_steady_states(configs))
+    assert all(c is config for (c, _), config in zip(out, configs))
+    assert [ss is None for _, ss in out] == [c is failing for c in configs]
+
+
+@pytest.mark.parametrize("neighbours", [0, 1])
+def test_grid_evaluator_lets_a_degenerate_config_raise(baseline_config,
+                                                       neighbours):
+    configs = [baseline_config] * neighbours + [_all_zero(baseline_config)]
+    with pytest.raises(DegenerateConfigError):
+        list(steady.solve_steady_states(configs))
