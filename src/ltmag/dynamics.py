@@ -12,8 +12,9 @@ adds the n- and time-dependent terms on each call.  The system is stiff
 (rates span up to six orders of magnitude), so integration uses LSODA
 (ODEPACK; Hindmarsh, ODEPACK, 1983; Petzold, SIAM J. Sci. Stat.
 Comput. 4, 136, 1983) with the analytic Jacobian.  LSODA switches
-between Adams and BDF formulas on its own and, from a first step at the
-fastest rate (``_lsoda``), takes BDF on nearly every step here.
+between Adams and BDF formulas on its own and, from a first step of ten
+times the fastest rate's time (``_lsoda``), takes BDF on nearly every
+step here.
 
 Each public call makes one continuous run (``_lsoda``, on
 ``scipy.integrate.ode``) and advances it to the times it needs:
@@ -44,7 +45,7 @@ from .errors import (ConvergenceError, DegenerateStepError,
                      InvalidConfigError, NoSignalError, StiffnessError)
 from .model import (ModelConfig, b_field_to_detuning, with_bias_field,
                     with_drive)
-from .steady import (POPULATION_NAMES, PopulationState, _brent_root,
+from .steady import (_WWT, POPULATION_NAMES, PopulationState, _brent_root,
                      _max_rate, rate_matrix, solve_steady_state)
 from .tables import Column, OutputTable
 
@@ -66,6 +67,9 @@ _TRACE_TOL = 1e-9
 _RTOL, _ATOL, _AC_ATOL = 1e-10, 1e-14, 1e-16
 _MAX_STEPS = 500_000
 _MAX_DOUBLINGS = 10
+
+# LSODA's first step, in units of the fastest rate's time (see _lsoda)
+_FIRST_STEP_RATES = 10.0
 
 # samples of a step response's trajectory; its checkpoints are spaced
 # (first horizon) / (_OUTPUT_POINTS - 1)
@@ -199,8 +203,7 @@ def _require_single_orientation(config: ModelConfig, what: str) -> None:
 
 
 # W W^T of the stimulated exchange (see ``steady``), padded to 10 x 10
-_WWT = np.zeros((10, 10))
-_WWT[1:3, 1:3] = _WWT[4:6, 4:6] = [[1.0, -1.0], [-1.0, 1.0]]
+_WWT = np.pad(_WWT, (0, 1))
 
 
 def _system(config: ModelConfig, modulation: DriveModulation):
@@ -322,15 +325,23 @@ def _lsoda(config: ModelConfig, y0: np.ndarray, t0: float,
            max_step: float = 0.0):
     """One continuous LSODA run of the full system from (t0, y0), with
     the analytic Jacobian, for ``_advance`` to continue; ``max_step`` 0
-    means unbounded.  The first step is 1 / ``steady._max_rate`` at y0:
-    from LSODA's own, sized on an rhs that nearly vanishes at a steady
-    start, ``ac_response(high_sensitivity, 170e-6, 1e-9, 2e6)`` took
-    500,000 Adams steps without one Jacobian."""
+    means unbounded.
+
+    The first step is 10 / ``steady._max_rate`` at y0.  LSODA starts in
+    Adams mode, and a steady start gives it almost nothing to size a
+    step on, so too short a first step can trap it there: from LSODA's
+    own, ``ac_response(high_sensitivity, 170e-6, 1e-9, 2e6)`` took
+    500,000 Adams steps without one Jacobian; from 1 / max rate, 9 of
+    156 calls ``ac_response(high_sensitivity, b, 1e-9, w)`` near
+    164 uT still did (to t = 2.8e-7 s), and which ones depended on the
+    last bits of the steady start.  From 10 / max rate none does.
+    """
     from scipy.integrate import ode
 
     solver = ode(*_system(config, modulation)).set_integrator(
         "lsoda", rtol=_RTOL, atol=atol, max_step=max_step,
-        first_step=1.0 / _max_rate(config, y0[9]), nsteps=_MAX_STEPS)
+        first_step=_FIRST_STEP_RATES / _max_rate(config, y0[9]),
+        nsteps=_MAX_STEPS)
     solver.set_initial_value(np.array(y0, dtype=float), t0)
     with warnings.catch_warnings():
         # scipy reports a failed call only by this warning; _advance

@@ -239,6 +239,21 @@ def _dc_at_state(point: ModelConfig, ss: SteadyStateResult, b_field: float
         method=METHOD_DC_IMPLICIT, diverged=diverged)
 
 
+def _field_grid(b_grid) -> np.ndarray:
+    """``b_grid`` as a one-dimensional float array; raises
+    InvalidConfigError for anything else (a scalar, a nested or ragged
+    grid, a value that is not a number)."""
+    try:
+        grid = np.asarray(b_grid, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"b_grid is not a grid of fields: {exc}"
+                                 ) from exc
+    if grid.ndim != 1:
+        raise InvalidConfigError("b_grid must be a one-dimensional sequence "
+                                 f"of fields, got shape {grid.shape}")
+    return grid
+
+
 def dc_sensitivity_curve(config: ModelConfig, b_grid
                          ) -> list[SensitivityResult | None]:
     """Implicit-slope d.c. sensitivity (``dc_implicit``) over a field
@@ -246,9 +261,11 @@ def dc_sensitivity_curve(config: ModelConfig, b_grid
 
     Points that are below threshold or whose solve does not converge are
     reported as None (absent), never as zero sensitivity; diverged points
-    keep their flag.  This is the one rule of every field scan.
+    keep their flag.  This is the one rule of every field scan.  Raises
+    InvalidConfigError unless ``b_grid`` is a one-dimensional sequence of
+    fields.
     """
-    b_grid = np.asarray(b_grid, dtype=float).tolist()
+    b_grid = _field_grid(b_grid).tolist()
     points = (with_bias_field(config, b) for b in b_grid)
     return [None if ss is None else _dc_at_state(point, ss, b)
             for b, (point, ss) in zip(b_grid, solve_steady_states(points))]
@@ -466,11 +483,12 @@ def l27_robustness(config: ModelConfig,
     deviation for a ratio is measured against the L27 = 0 curve on the
     points where both are finite.  Ratio 0 reproduces the base curve
     identically.  ``max_rel_dev`` is +inf for a ratio with no common
-    lasing points left.
+    lasing points left.  Raises InvalidConfigError unless ``b_grid`` is
+    a one-dimensional sequence of fields.
     """
     if b_grid is None:
         b_grid = np.linspace(-300e-6, 300e-6, 61)
-    b_grid = np.asarray(b_grid, dtype=float)
+    b_grid = _field_grid(b_grid)
 
     def curve_for(ratio):
         cfg = set_param(config, "rates.L27", ratio * config.rates.L57)

@@ -7,7 +7,7 @@ rates G*n.  ``_fixed_n`` solves the 9x9 system of one sub-ensemble
 constraint replacing one redundant rate equation) and checks its
 residual.  The stimulated exchange 2<->3 and 5<->6 is a rank-2 term,
 M(n) = M0 - s W W^T with s = G*n and W = [e2 - e3, e5 - e6], so
-``solve_steady_state`` makes one solve per sub-ensemble, at n = 0:
+``solve_steady_state`` needs one solve per sub-ensemble, at n = 0:
 X = M0^-1 [e1, W, E], E = [e8, e9] the coherence rows, gives
 z0 = W^T X e1 and C = W^T X W.  By the Sherman-Morrison-Woodbury
 identity (W. W. Hager, *SIAM Review* 31, 221, 1989), with
@@ -21,29 +21,44 @@ y = (I - s C)^-1 z0:
   for the aligned sub-ensemble only (implicit differentiation at a
   root: Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008).
 
-A zero-photon gain g0 <= 0 gives the dark branch.  Otherwise the root
-of the weighted inversions times G minus kappa is bracketed and refined
-on that rational function by ``_brent_root``, a line-for-line port of
-scipy's ``brentq`` (R. P. Brent, *Algorithms for Minimization without
-Derivatives*, 1973, ch. 4): net gain falls monotonically with n, and
-the port's roots are bit-identical to ``brentq``'s while the steady
-path loads no scipy module.  Right at threshold (g0 <= 1e-8 * kappa)
-the root is set by the rounding of kappa, so the bracket runs on the
-direct gain of full fixed-n solves instead.  Either way the populations
-at the root pass the fixed-n residual check against the rate matrix at
-the root and the occupation bounds, and their net gain must lie within
-1e-8 * kappa of zero, which checks the closed form independently.
+The detuning is a second rank-2 term: M0(delta) = M0(0) + delta E J E^T,
+J = [[0, -1], [1, 0]] rotating (Re, Im) rho14.  ``_device`` keeps
+X0 = M0(0)^-1 [e1, W, E], one ``_solve_linear`` of
+``rate_matrix(c, 0, 0)``, in a bounded ``functools.lru_cache`` keyed by
+the fields that matrix reads (level rates, pumps, Rabi rate), with
+read-only arrays.  With Y = X0 E and K = I + delta J E^T Y, the same
+identity gives X(delta) = X0 - delta Y K^-1 J E^T X0: a 2x2 solve on
+floats (``_zero_n_solution``), exact at delta = 0, with a direct solve
+where K is singular.  Every detuning of a device, and both
+sub-ensembles of four_orientation, share one factorization.
+
+A zero-photon gain g0 <= 0 gives the dark branch.  Otherwise, with
+p = -tr(C) and q = det(C), n solves A s^2 + B s + c = 0, A = kappa q,
+B = kappa p - G b, c = kappa - G a.  ``_photon_root`` takes the root in
+the sign-safe form q' = -(B + sgn(B) sqrt(B^2 - 4 A c)) / 2,
+s = c / q' or q' / A (Press et al., *Numerical Recipes*, 3rd ed., 5.6),
+which never subtracts nearly equal numbers; with A > 0 and c < 0 it is
+the one positive root, and the single-orientation n.  A four_orientation
+gain, a weighted sum of two such ratios, is no quadratic; its root, and
+one the quadratic does not give in (0, 2.5e11), is bracketed and refined
+on the rational gain by ``_brent_root``, a line-for-line port of scipy's
+``brentq`` (R. P. Brent, *Algorithms for Minimization without
+Derivatives*, 1973, ch. 4): net gain falls monotonically with n, and the
+port's roots are bit-identical to ``brentq``'s while the steady path
+loads no scipy module.  The two roots agree to Brent's 1e-12 tolerance.
+Right at threshold (g0 <= 1e-8 * kappa) the root is set by the rounding
+of kappa, so the bracket runs on the direct gain of full fixed-n solves
+instead; ``threshold_pump`` brackets the n = 0 gain in the pump.  The
+populations at n = 0 and at the root pass the fixed-n residual check
+against the rate matrix there (built from the cached A(0, 0) to the
+last bit of ``rate_matrix``) and the occupation bounds, and the net gain
+at the root must lie within 1e-8 * kappa of zero, which checks the
+closed form independently.
 
 ``_steady_states`` does the same for a chunk of grid points at once:
 their n = 0 matrices go through one stacked ``np.linalg.solve`` with the
-same refinement step, and the algebra above runs on arrays.  With
-p = -tr(C) and q = det(C), the root is that of the quadratic
-A s^2 + B s + c = 0, A = kappa q, B = kappa p - G b, c = kappa - G a,
-taken in the sign-safe form q' = -(B + sgn(B) sqrt(B^2 - 4 A c)) / 2,
-s = c / q' or q' / A (Press et al., *Numerical Recipes*, 3rd ed., 5.6),
-which never subtracts nearly equal numbers; with A > 0 and c < 0 (g0 >
-0) it is the one positive root, and it agrees with the Brent root to
-its 1e-12 tolerance.  Each point passes the residual, occupation-bound
+same refinement step, and the algebra above runs on arrays, with the
+same ``_photon_root``.  Each point passes the residual, occupation-bound
 and net-gain checks above.  A point that does not is left uncertified,
 and so is a four_orientation point, one with A <= 0, one at
 0 < g0 <= 1e-8 * kappa, one with a non-finite matrix or solution, and
@@ -53,6 +68,7 @@ evaluator ``solve_steady_states`` solves those with ``solve_steady_state``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -77,6 +93,10 @@ _BRACKET_CAP = 1e12
 # Points per stack of ``solve_steady_states``: stacked whole, the
 # 2,501-point fig2a map peaked 7.3 MiB higher in RSS than in chunks.
 CHUNK_POINTS = 256
+
+# Devices (rates, pumps and Rabi rate) whose n = 0 factorization
+# ``_device`` keeps for ``solve_steady_state``.
+DEVICE_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -162,49 +182,71 @@ def rate_matrix(config: ModelConfig, n: float, delta: float) -> np.ndarray:
     by construction (every loss term reappears as a gain elsewhere), and
     the coherence rows do not feed back into the trace.
     """
-    r = config.rates
     d = config.drive
-    gn = config.derived.gain_coupling * n
-    gamma = r.gamma14 + 0.5 * (d.pump12 + d.pump45)
+    return _shifted(_device_matrix(config.rates, d.pump12, d.pump45, d.omega),
+                    config.derived.gain_coupling * n, delta)
+
+
+def _device_matrix(r, pump12: float, pump45: float,
+                   omega: float) -> np.ndarray:
+    """``rate_matrix`` without its stimulated (G n) and detuning terms."""
+    gamma = r.gamma14 + 0.5 * (pump12 + pump45)
     a = np.zeros((9, 9))
     # rho11: pumped out, refilled by decays and the singlet, driven by Im rho14
-    a[0, 0] = -d.pump12
+    a[0, 0] = -pump12
     a[0, 1] = r.L21
     a[0, 2] = r.L31
     a[0, 6] = r.L71
-    a[0, 8] = -2.0 * d.omega
+    a[0, 8] = -2.0 * omega
     # rho22: pump in, decays out, stimulated exchange with rho33
-    a[1, 0] = d.pump12
-    a[1, 1] = -(r.L21 + r.L23 + r.L27) - gn
-    a[1, 2] = gn
+    a[1, 0] = pump12
+    a[1, 1] = -(r.L21 + r.L23 + r.L27)
     # rho33
-    a[2, 1] = r.L23 + gn
-    a[2, 2] = -r.L31 - gn
+    a[2, 1] = r.L23
+    a[2, 2] = -r.L31
     # rho44
-    a[3, 3] = -d.pump45
+    a[3, 3] = -pump45
     a[3, 4] = r.L54
     a[3, 5] = r.L64
     a[3, 6] = r.L74
-    a[3, 8] = 2.0 * d.omega
+    a[3, 8] = 2.0 * omega
     # rho55
-    a[4, 3] = d.pump45
-    a[4, 4] = -(r.L54 + r.L56 + r.L57) - gn
-    a[4, 5] = gn
+    a[4, 3] = pump45
+    a[4, 4] = -(r.L54 + r.L56 + r.L57)
     # rho66
-    a[5, 4] = r.L56 + gn
-    a[5, 5] = -r.L64 - gn
+    a[5, 4] = r.L56
+    a[5, 5] = -r.L64
     # rho77: fed by both intersystem crossings
     a[6, 1] = r.L27
     a[6, 4] = r.L57
     a[6, 6] = -(r.L71 + r.L74)
     # Re rho14
     a[7, 7] = -gamma
-    a[7, 8] = -delta
     # Im rho14: driven by the ground-state population difference
-    a[8, 0] = d.omega
-    a[8, 3] = -d.omega
-    a[8, 7] = delta
+    a[8, 0] = omega
+    a[8, 3] = -omega
     a[8, 8] = -gamma
+    return a
+
+
+# W W^T of the stimulated exchange (see the module docstring), and its
+# nonzero entries as flat indices and values
+_WWT = np.zeros((9, 9))
+_WWT[1:3, 1:3] = _WWT[4:6, 4:6] = [[1.0, -1.0], [-1.0, 1.0]]
+_WWT_AT = np.flatnonzero(_WWT)
+_WWT_VALUES = _WWT.ravel()[_WWT_AT]
+
+
+def _shifted(a: np.ndarray, gn: float, delta: float) -> np.ndarray:
+    """A copy of ``a``, the matrix of ``_device_matrix`` or A(0, 0), with
+    the stimulated exchange G n = ``gn`` and the detuning added: A(n,
+    delta), equal to the last bit to a ``rate_matrix`` built whole."""
+    a = a.copy()
+    if gn:  # at n = 0, as for every batched point, it would add zeros
+        # the nonzero entries only: an overflowed gn gives inf, not inf * 0
+        a.flat[_WWT_AT] -= gn * _WWT_VALUES
+    a[7, 8] = -delta
+    a[8, 7] = delta
     return a
 
 
@@ -264,35 +306,38 @@ def _solve_linear(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return v
 
 
-def _fixed_n(config: ModelConfig, n: float, delta: float,
-             rhs: np.ndarray = _TRACE_RHS) -> tuple:
-    """The one fixed-n population solve of a sub-ensemble.  ``rhs`` is
-    ``_TRACE_RHS`` or has it as column 0; returns the population state
-    of that column and its residual (see ``_checked_state``) and the raw
-    solution.  Raises as ``populations_at_fixed_n`` does."""
+def _reject_degenerate(rates, pump12: float, pump45: float,
+                       omega: float) -> None:
+    if rates.all_zero() and pump12 == pump45 == omega == 0.0:
+        raise DegenerateConfigError("all transition rates and drives are "
+                                    "zero; occupations are undetermined")
+
+
+def _fixed_n(config: ModelConfig, n: float,
+             delta: float) -> PopulationState:
+    """The one fixed-n population solve of a sub-ensemble, checked by
+    ``_checked_state``.  Raises as ``populations_at_fixed_n`` does."""
     if not (0.0 <= n < math.inf and math.isfinite(delta)):
         raise InvalidConfigError("need a finite photon number n >= 0 and a "
                                  f"finite delta, got n={n!r}, delta={delta!r}")
     d = config.drive
-    if config.rates.all_zero() and d.pump12 == d.pump45 == d.omega == 0.0:
-        raise DegenerateConfigError("all transition rates and drives are "
-                                    "zero; occupations are undetermined")
+    _reject_degenerate(config.rates, d.pump12, d.pump45, d.omega)
     a = rate_matrix(config, n, delta)
     if not np.all(np.isfinite(a)):
         raise ConvergenceError("rate matrix is not finite",
                                detail={"n": n, "delta": delta})
-    x = _solve_linear(a, rhs)
-    return (*_checked_state(config, n, delta, a, x.reshape(9, -1)[:, 0]),
-            x)
+    return _checked_state(config, n, delta, a,
+                          _solve_linear(a, _TRACE_RHS))[0]
 
 
 def _checked_state(config: ModelConfig, n: float, delta: float,
                    a: np.ndarray, v: np.ndarray) -> tuple:
     """The population state of ``v``, a solution for the rate matrix
     ``a`` at (n, delta), and its residual max|a v| relative to
-    ``_max_rate``; raises ConvergenceError above tolerance."""
-    residual = float(np.max(np.abs(a @ v))) / _max_rate(config, n)
-    if residual > _LINEAR_RESIDUAL_RTOL:
+    ``_max_rate``; raises ConvergenceError above tolerance or where
+    ``v`` is not finite."""
+    residual = float(abs(a @ v).max()) / _max_rate(config, n)
+    if not residual <= _LINEAR_RESIDUAL_RTOL:  # NaN fails too
         raise ConvergenceError(
             "fixed-n linear solve residual above tolerance",
             detail={"residual": residual, "n": n, "delta": delta})
@@ -311,7 +356,7 @@ def populations_at_fixed_n(config: ModelConfig, n: float,
     fails its residual check.
     """
     return _fixed_n(config, n,
-                    config.drive.delta if delta is None else delta)[0]
+                    config.drive.delta if delta is None else delta)
 
 
 def _ensembles(config: ModelConfig) -> tuple[tuple[float, float], ...]:
@@ -324,41 +369,82 @@ def _ensembles(config: ModelConfig) -> tuple[tuple[float, float], ...]:
             (1.0 - ori.aligned_fraction, ori.off_axis_detuning))
 
 
-def _ensemble_states(config: ModelConfig, n: float,
-                     rhs: np.ndarray = _TRACE_RHS):
-    """Fixed-n solves of every sub-ensemble: the population states, the
-    net gain, the largest residual and the raw solutions."""
-    g = config.derived.gain_coupling
-    states, solutions = [], []
-    total = residual = 0.0
-    for weight, delta in _ensembles(config):
-        state, r, x = _fixed_n(config, n, delta, rhs)
-        states.append(state)
-        solutions.append(x)
-        total += weight * (g * ((state.rho22 - state.rho33)
-                                + (state.rho55 - state.rho66)))
-        residual = max(residual, r)
-    return tuple(states), total - config.cavity.kappa, residual, solutions
-
-
 def net_gain(config: ModelConfig, n: float) -> float:
     """Photon growth rate d(ln n)/dt at frozen photon number (rad/s).
 
     Weighted over sub-ensembles in four_orientation mode, minus the
     cavity loss.
     """
-    return _ensemble_states(config, n)[1]
+    g = config.derived.gain_coupling
+    total = 0.0
+    for weight, delta in _ensembles(config):
+        state = _fixed_n(config, n, delta)
+        total += weight * (g * ((state.rho22 - state.rho33)
+                                + (state.rho55 - state.rho66)))
+    return total - config.cavity.kappa
 
 
-def _closed_form_gain(config: ModelConfig, solutions):
-    """Net gain as a function of n from the n = 0 solutions for
-    ``_ZERO_N_RHS``, one per sub-ensemble (see the module docstring)."""
+def _w_rows(x: np.ndarray) -> tuple:
+    """W^T x as two tuples of floats."""
+    return tuple(map(tuple, (x[[1, 4]] - x[[2, 5]]).tolist()))
+
+
+@functools.lru_cache(maxsize=DEVICE_CACHE_SIZE)
+def _device(rates, pump12: float, pump45: float, omega: float) -> tuple:
+    """The n = 0 factorization that every detuning of a device shares.
+
+    Keyed by the fields ``rate_matrix(c, 0, 0)`` reads, it returns that
+    matrix A(0, 0) and X0 = M(0)^-1 [e1, W, E] (``_solve_linear``) as
+    read-only arrays, with W^T X0 and the coherence rows X0[7:9] as
+    tuples of floats.  Raises as ``populations_at_fixed_n`` does at
+    n = delta = 0 (an exception is not cached).
+    """
+    _reject_degenerate(rates, pump12, pump45, omega)
+    a = _shifted(_device_matrix(rates, pump12, pump45, omega), 0.0, 0.0)
+    a.flags.writeable = False
+    if not np.all(np.isfinite(a)):
+        raise ConvergenceError("rate matrix is not finite",
+                               detail={"n": 0.0, "delta": 0.0})
+    x = _solve_linear(a, _ZERO_N_RHS)
+    x.flags.writeable = False
+    return a, x, _w_rows(x), tuple(map(tuple, x[7:9].tolist()))
+
+
+_NO_UPDATE = ((0.0,) * 5,) * 2
+
+
+def _zero_n_solution(config: ModelConfig, delta: float) -> tuple:
+    """The n = 0 solve of one sub-ensemble at detuning ``delta``:
+    (A(0, 0), X, Q, W^T X(delta)) with X(delta) = X + X[:, 3:5] Q.
+
+    X is the device's cached X0 and Q the detuning update of the module
+    docstring, taken on floats; where K is singular X is X(delta) solved
+    directly and Q is zero.  Raises as ``populations_at_fixed_n`` does.
+    """
+    d = config.drive
+    a, x, wx, (r7, r8) = _device(config.rates, d.pump12, d.pump45, d.omega)
+    # K = I + delta J X0[7:9, 3:5], J = [[0, -1], [1, 0]]
+    k00, k01 = 1.0 - delta * r8[3], -delta * r8[4]
+    k10, k11 = delta * r7[3], 1.0 + delta * r7[4]
+    det = k00 * k11 - k01 * k10
+    if not (det != 0.0 and math.isfinite(det)):
+        x = _solve_linear(_shifted(a, 0.0, delta), _ZERO_N_RHS)
+        return a, x, _NO_UPDATE, _w_rows(x)
+    # Q = -delta K^-1 J X0[7:9], with J X0[7:9] = [-X0[8]; X0[7]]
+    h = -delta / det
+    q0 = [h * (-k11 * v - k01 * u) for u, v in zip(r7, r8)]
+    q1 = [h * (k10 * v + k00 * u) for u, v in zip(r7, r8)]
+    return a, x, (q0, q1), [[w + row[3] * u + row[4] * v
+                             for w, u, v in zip(row, q0, q1)] for row in wx]
+
+
+def _closed_form_gain(config: ModelConfig, wxs):
+    """Net gain as a function of n from W^T X(delta) of each
+    sub-ensemble's n = 0 solution (see the module docstring)."""
     g = config.derived.gain_coupling
     terms = []
-    for (weight, _), x in zip(_ensembles(config), solutions):
-        # rows: W^T applied to M0^-1 [e1, W, E]
-        (z0, c00, c01, *_), (z1, c10, c11, *_) = (
-            x[[1, 4]] - x[[2, 5]]).tolist()
+    for (weight, _), ((z0, c00, c01, *_), (z1, c10, c11, *_)) in zip(
+            _ensembles(config), wxs):
         terms.append((weight * g, z0 + z1,
                       (c10 - c11) * z0 + (c01 - c00) * z1,
                       -(c00 + c11), c00 * c11 - c01 * c10))
@@ -372,6 +458,26 @@ def _closed_form_gain(config: ModelConfig, solutions):
         return total - kappa
 
     return gain
+
+
+def _photon_root(g, kappa, wx, xp):
+    """(A, n): the leading coefficient A of the photon-number quadratic
+    A s^2 + B s + c = 0, s = G n, and its root n in the sign-safe form of
+    the module docstring, from W^T X(delta) ``wx``; on floats (``xp`` is
+    ``math``) or on arrays (``numpy``, under ``np.errstate``).  With
+    A > 0 and c < 0 (g0 > 0) n is the one positive root; on floats it is
+    nan where A or the discriminant is not positive."""
+    (z0, c00, c01, *_), (z1, c10, c11, *_) = wx
+    qa = kappa * (c00 * c11 - c01 * c10)
+    qb = kappa * -(c00 + c11) - g * ((c10 - c11) * z0 + (c01 - c00) * z1)
+    qc = kappa - g * (z0 + z1)
+    disc = qb * qb - 4.0 * qa * qc
+    if xp is math and not (qa > 0.0 and disc > 0.0):
+        return qa, math.nan
+    root = -0.5 * (qb + xp.copysign(xp.sqrt(disc), qb))
+    if xp is math:
+        return qa, (qc / root if qb >= 0.0 else root / qa) / g
+    return qa, np.where(qb >= 0.0, qc / root, root / qa) / g
 
 
 def _root_error(message: str, iterations: int, bracket, x: float,
@@ -497,23 +603,26 @@ def _woodbury_solver(s, c00, c01, c10, c11):
     return solve_2x2
 
 
-def _lasing_states(config: ModelConfig, n: float, solutions):
-    """Populations, net gain, largest residual and gain partials at a
-    lasing root n, from the n = 0 solutions for ``_ZERO_N_RHS`` (see the
-    module docstring).  Raises as ``populations_at_fixed_n`` does."""
+def _states(config: ModelConfig, n: float, solutions):
+    """Populations, net gain, largest residual and gain partials at
+    photon number n, from the n = 0 solutions of ``_zero_n_solution``
+    (see the module docstring).  Raises as ``populations_at_fixed_n``
+    does."""
     g = config.derived.gain_coupling
     s = g * n
     states = []
     total = residual = dg_dn = dg_dd = 0.0
-    for k, ((weight, delta), x) in enumerate(zip(_ensembles(config),
-                                                 solutions)):
-        (z0, c00, c01, f00, f01), (z1, c10, c11, f10, f11) = (
-            x[[1, 4]] - x[[2, 5]]).tolist()
+    for k, ((weight, delta), (a, x, (q0, q1), wx)) in enumerate(
+            zip(_ensembles(config), solutions)):
+        (z0, c00, c01, f00, f01), (z1, c10, c11, f10, f11) = wx
         solve_2x2 = _woodbury_solver(s, c00, c01, c10, c11)
         y0, y1 = solve_2x2(z0, z1)
+        # v = X(delta) p = X (p + [0, 0, 0, Q p]), p = [1, s y0, s y1, 0, 0]
+        p1, p2 = s * y0, s * y1
         state, r = _checked_state(
-            config, n, delta, rate_matrix(config, n, delta),
-            x[:, 0] + s * (y0 * x[:, 1] + y1 * x[:, 2]))
+            config, n, delta, _shifted(a, s, delta),
+            x @ np.array((1.0, p1, p2, q0[0] + q0[1] * p1 + q0[2] * p2,
+                          q1[0] + q1[1] * p1 + q1[2] * p2)))
         states.append(state)
         residual = max(residual, r)
         t0, t1 = state.rho22 - state.rho33, state.rho55 - state.rho66
@@ -531,28 +640,36 @@ def _lasing_states(config: ModelConfig, n: float, solutions):
 def solve_steady_state(config: ModelConfig) -> SteadyStateResult:
     """Self-consistent photon number and populations.
 
-    One n = 0 solve per sub-ensemble gives the dark populations, the
-    zero-photon net gain g0, the closed-form gain and, at a lasing root,
-    the populations and ``gain_partials``.  g0 <= 0 selects the dark
-    branch (exactly zero gain included).  Above threshold, the bracket
-    [0, n_hi] is expanded geometrically and the root of the closed-form
-    gain located to relative precision 1e-12 in n (on the direct gain
-    when g0 <= 1e-8 * kappa); the net gain of the populations at the
-    root must be below 1e-8 * kappa.  ``residual`` is the fixed-n
-    kernel's.
+    One n = 0 solution per sub-ensemble, from the device's cached
+    factorization and the detuning update, gives the dark populations,
+    the zero-photon net gain g0, the closed-form gain and, at a lasing
+    root, the populations and ``gain_partials``.  g0 <= 0 selects the
+    dark branch (exactly zero gain included).  Above threshold, a
+    single-orientation root is the quadratic's; a four_orientation root,
+    or one the quadratic does not give, is located to relative precision
+    1e-12 in n by expanding the bracket [0, n_hi] geometrically, on the
+    closed-form gain (on the direct gain when g0 <= 1e-8 * kappa).  The
+    net gain of the populations at the root must be below 1e-8 * kappa.
+    ``residual`` is the fixed-n kernel's.
     """
-    states, gain, residual, solutions = _ensemble_states(config, 0.0,
-                                                         _ZERO_N_RHS)
+    solutions = [_zero_n_solution(config, delta)
+                 for _, delta in _ensembles(config)]
+    states, gain, residual, _ = _states(config, 0.0, solutions)
     n, branch, partials = 0.0, BELOW_THRESHOLD, None
     if gain > 0.0:
-        if gain <= _GAIN_RESIDUAL_RTOL * config.cavity.kappa:
+        kappa = config.cavity.kappa
+        if gain <= _GAIN_RESIDUAL_RTOL * kappa:
             n = _gain_root(lambda x: net_gain(config, x))
         else:
-            n = _gain_root(_closed_form_gain(config, solutions))
-        states, gain, residual, partials = _lasing_states(config, n,
-                                                          solutions)
+            if len(solutions) == 1:
+                n = _photon_root(config.derived.gain_coupling, kappa,
+                                 solutions[0][3], math)[1]
+            if not 0.0 < n < _BRACKET_CAP / 4.0:
+                n = _gain_root(_closed_form_gain(
+                    config, [wx for *_, wx in solutions]))
+        states, gain, residual, partials = _states(config, n, solutions)
         branch = LASING
-        if abs(gain) > _GAIN_RESIDUAL_RTOL * config.cavity.kappa:
+        if not abs(gain) <= _GAIN_RESIDUAL_RTOL * kappa:
             raise ConvergenceError(
                 "gain residual at the photon-number root above tolerance",
                 detail={"n": n, "gain_residual": gain})
@@ -589,8 +706,8 @@ def _steady_states(configs) -> list[SteadyStateResult | None]:
     kappa = np.array([c.cavity.kappa for c in points])
     rate0 = np.array([_max_rate(c, 0.0) for c in points])
     # rows: W^T applied to M0^-1 [e1, W, E]
-    (z0, c00, c01, f00, f01), (z1, c10, c11, f10, f11) = np.moveaxis(
-        x[:, [1, 4]] - x[:, [2, 5]], 0, -1)
+    wx = np.moveaxis(x[:, [1, 4]] - x[:, [2, 5]], 0, -1)
+    (z0, c00, c01, f00, f01), (z1, c10, c11, f10, f11) = wx
     slack = PopulationState._BOUND_SLACK
 
     def checked(v, s):
@@ -611,14 +728,8 @@ def _steady_states(configs) -> list[SteadyStateResult | None]:
         residual, ok, gain = checked(v0, np.zeros(len(points)))
         ok &= finite & np.isfinite(x).all(axis=(1, 2))
         lasing = gain > 0.0
-        # kappa q s^2 + (kappa p - G b) s + (kappa - G a) = 0, by the
-        # sign-safe form of Numerical Recipes (3rd ed.), section 5.6
-        qa = kappa * (c00 * c11 - c01 * c10)
-        qb = kappa * -(c00 + c11) - g * ((c10 - c11) * z0 + (c01 - c00) * z1)
-        qc = kappa - g * (z0 + z1)
-        root = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
-        n = np.where(lasing, np.where(qb >= 0.0, qc / root, root / qa) / g,
-                     0.0)
+        qa, n = _photon_root(g, kappa, wx, np)
+        n = np.where(lasing, n, 0.0)
         ok &= ~lasing | ((gain > _GAIN_RESIDUAL_RTOL * kappa) & (qa > 0.0)
                          & (n > 0.0) & (n < _BRACKET_CAP / 4.0))
         s = g * n

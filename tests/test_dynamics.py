@@ -32,7 +32,7 @@ def _steady_state_vector(config, delta):
 def _first_step(config, y0):
     # the first step of the library's LSODA runs (``dynamics._lsoda``),
     # passed to the stock solver so that both start alike
-    return 1.0 / steady._max_rate(config, y0[9])
+    return dynamics._FIRST_STEP_RATES / steady._max_rate(config, y0[9])
 
 
 def test_rhs_vanishes_at_steady_state(baseline_config):
@@ -353,6 +353,23 @@ def test_ac_scan_never_stalls_in_adams_mode(high_sens_config, monkeypatch):
                               amplitude_field=1e-9,
                               omega_signal=float(omega))
             assert res.work["njev"] > 0
+
+
+def test_ac_scan_around_the_benchmark_bias_never_stalls(high_sens_config,
+                                                       monkeypatch):
+    # From a first step of 1 / max rate, 9 of these fields (164 uT moved
+    # by -9, -1 and +7 parts in 1e9, at each frequency) stalled in Adams
+    # mode to t = 2.8e-7 s and raised StiffnessError; the last bits of
+    # the steady start decide which ones.  The coarse grid spans the
+    # lasing window of the d.c. searches.
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 60_000)
+    fields = [164e-6 * (1.0 + k * 1e-9) for k in range(-10, 11)]
+    fields += np.linspace(150e-6, 300e-6, 11).tolist()
+    for omega in (2e4, 2e6, 2e7):
+        for bias in fields:
+            res = ac_response(high_sens_config, bias_field=bias,
+                              amplitude_field=1e-9, omega_signal=omega)
+            assert res.work["njev"] > 0 and res.n_signal > 0.0
 
 
 @pytest.mark.filterwarnings("error")

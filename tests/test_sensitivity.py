@@ -65,6 +65,16 @@ def test_dc_curve_marks_dark_points_absent(high_sens_config):
     assert curve[2].eta < curve[3].eta
 
 
+@pytest.mark.parametrize("grid", [164e-6, [[164e-6, 200e-6]],
+                                  [[164e-6], [200e-6, 280e-6]], ["164e-6x"]])
+def test_field_scans_reject_a_grid_that_is_not_one_dimensional(
+        high_sens_config, grid):
+    with pytest.raises(InvalidConfigError, match="b_grid"):
+        dc_sensitivity_curve(high_sens_config, grid)
+    with pytest.raises(InvalidConfigError, match="b_grid"):
+        l27_robustness(high_sens_config, ratios=(0.01,), b_grid=grid)
+
+
 def test_dc_curve_marks_unconverged_points_absent(high_sens_config,
                                                  monkeypatch):
     real_batch = steady._steady_states

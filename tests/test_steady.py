@@ -17,8 +17,9 @@ from ltmag import (BELOW_THRESHOLD, OUTPUTS, ConvergenceError,
                    populations_at_fixed_n, solve_steady_state,
                    threshold_pump, with_bias_field, with_drive, with_pump)
 from ltmag import steady
+from ltmag.configio import _UNITS, get_param, set_param
 from ltmag.dynamics import TIMESERIES_COLUMNS
-from ltmag.model import MIN_DRIVE_RATE
+from ltmag.model import MIN_DRIVE_RATE, RATE_FIELDS, preset
 from ltmag.steady import PopulationState
 
 # Bounded, reproducible property runs: fixed example counts, no timing
@@ -372,16 +373,133 @@ def test_one_linear_solve_per_sub_ensemble(high_sens_config, mode,
         return real(a, rhs)
 
     monkeypatch.setattr(steady, "_solve_linear", counted)
+    steady._device.cache_clear()
     cfg = _with_mode(high_sens_config, mode)
     b = 200e-6
     ss = solve_steady_state(with_bias_field(cfg, b))
     assert ss.branch == LASING
-    ensembles = len(ss.populations)
-    assert len(calls) == ensembles
-    calls.clear()
-    # the implicit slope takes its gain partials from that one solve
+    # both sub-ensembles share the device's one n = 0 factorization
+    assert calls == [(9, 5)]
+    # the implicit slope takes its gain partials from that solve, and a
+    # second field of the same device makes none
     assert dc_sensitivity_curve(cfg, [b])[0].n == ss.n
-    assert len(calls) == ensembles
+    assert solve_steady_state(with_bias_field(cfg, 1.5 * b)).n > 0.0
+    assert calls == [(9, 5)]
+
+
+# The detuning update against a direct solve at each detuning, over the
+# pumps and Rabi rates that the presets and the benchmark span.
+@settings(max_examples=400, **_PROPERTY)
+@given(name=st.sampled_from(["baseline", "high_sensitivity"]),
+       delta=st.floats(-1e10, 1e10), pump=st.floats(1e4, 4e6),
+       omega=_drive_rate(1e7))
+@example(name="baseline", delta=0.0, pump=1e6, omega=0.0)
+def test_detuning_update_matches_direct_solve(name, delta, pump, omega):
+    cfg = with_drive(with_pump(preset(name), pump), omega=omega)
+    a, x, q, wx = steady._zero_n_solution(cfg, delta)
+    updated = x + x[:, 3:5] @ np.array(q)
+    direct = steady._solve_linear(steady.rate_matrix(cfg, 0.0, delta),
+                                  steady._ZERO_N_RHS)
+    error = np.abs(updated - direct)
+    assert np.max(error) <= 2e-15 * np.max(np.abs(direct))
+    # column by column, the update's rounding scales with X0: the
+    # coherence columns of X(delta) shrink as 1 / delta, those of X0 not
+    base = np.max(np.abs(x), axis=0)
+    assert np.all(error <= 1e-14 * np.maximum(np.max(np.abs(direct), axis=0),
+                                              base))
+    # W^T X(delta), the rows every later step reads
+    w_direct = direct[[1, 4]] - direct[[2, 5]]
+    assert np.all(np.abs(np.array(wx) - w_direct) <= 1e-14 * np.maximum(
+        np.max(np.abs(w_direct), axis=0), base))
+    assert np.array_equal(a, steady.rate_matrix(cfg, 0.0, 0.0))
+
+
+def test_device_cache_is_read_only_and_bounded(baseline_config):
+    steady._device.cache_clear()
+    d = baseline_config.drive
+    a, x, wx, rows = steady._device(baseline_config.rates, d.pump12,
+                                    d.pump45, d.omega)
+    for array in (a, x):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    assert isinstance(wx, tuple) and isinstance(rows, tuple)
+    # every detuning shares the cached arrays; A(n, delta) is a copy
+    solution = steady._zero_n_solution(baseline_config, 1e8)
+    assert solution[0] is a and solution[1] is x
+    assert steady._shifted(a, 0.5, 1e8).flags.writeable
+    for k in range(steady.DEVICE_CACHE_SIZE + 5):
+        solve_steady_state(with_drive(baseline_config, omega=1e6 + k))
+    info = steady._device.cache_info()
+    assert info.maxsize == steady.DEVICE_CACHE_SIZE
+    assert info.currsize == steady.DEVICE_CACHE_SIZE
+
+
+def test_singular_detuning_update_falls_back_to_a_direct_solve(
+        baseline_config, monkeypatch):
+    delta = 1e8
+    d = baseline_config.drive
+    a, x, wx, (r7, r8) = steady._device(baseline_config.rates, d.pump12,
+                                        d.pump45, d.omega)
+    # coherence rows that make K = I + delta J X0[7:9, 3:5] singular
+    rows = (r7, (*r8[:3], 1.0 / delta, 0.0))
+    monkeypatch.setattr(steady, "_device", lambda *key: (a, x, wx, rows))
+    _, direct, q, w_direct = steady._zero_n_solution(baseline_config, delta)
+    assert q == steady._NO_UPDATE
+    expected = steady._solve_linear(
+        steady.rate_matrix(baseline_config, 0.0, delta), steady._ZERO_N_RHS)
+    assert np.array_equal(direct, expected)
+    assert np.array_equal(np.array(w_direct),
+                          expected[[1, 4]] - expected[[2, 5]])
+
+
+def test_non_finite_solution_fails_the_residual_check(baseline_config,
+                                                     monkeypatch):
+    d = baseline_config.drive
+    a, x, wx, rows = steady._device(baseline_config.rates, d.pump12,
+                                    d.pump45, d.omega)
+    x = x.copy()
+    x[1, 0] = math.nan
+    monkeypatch.setattr(steady, "_device", lambda *key: (a, x, wx, rows))
+    with pytest.raises(ConvergenceError, match="residual"):
+        solve_steady_state(baseline_config)
+
+
+def test_overflowing_rates_raise_a_typed_error(baseline_config):
+    cfg = set_param(set_param(baseline_config, "rates.L21", 1e308),
+                    "rates.L23", 1e308)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        solve_steady_state(cfg)
+
+
+def _changed(config, path):
+    """``config`` with the registry path ``path`` moved off its value."""
+    value = get_param(config, path)
+    if value is None or value == 0.0:
+        return set_param(config, path, 2.5e5)
+    try:
+        return set_param(config, path, 0.5 * value)
+    except InvalidConfigError:  # an upper bound such as a fraction <= 1
+        return set_param(config, path, 1.5 * value)
+
+
+@pytest.mark.parametrize("name", ["baseline", "high_sensitivity"])
+def test_device_cache_misses_exactly_when_the_matrix_changes(name):
+    cfg = preset(name)
+    a00 = steady.rate_matrix(cfg, 0.0, 0.0)
+    steady._device.cache_clear()
+    solve_steady_state(cfg)
+    missed = set()
+    for path in [p for p, unit in _UNITS.items() if unit != "str"]:
+        changed = _changed(cfg, path)
+        misses = steady._device.cache_info().misses
+        steady._zero_n_solution(changed, 0.0)
+        if steady._device.cache_info().misses > misses:
+            missed.add(path)
+        moved = not np.array_equal(steady.rate_matrix(changed, 0.0, 0.0),
+                                   a00)
+        assert (path in missed) == moved, path
+    assert missed == {"pump", "drive.pump12", "drive.pump45", "drive.omega",
+                      *(f"rates.{field}" for field in RATE_FIELDS)}
 
 
 def test_tiny_drive_rates_are_rejected(baseline_config):
