@@ -31,8 +31,8 @@ from . import __about__
 from .constants import PhysicalConstants
 from .errors import InvalidConfigError
 from .model import (RATE_FIELDS, CavityGeometry, DriveSettings, LevelRates,
-                    ModelConfig, OrientationModel, detuning_to_b_field,
-                    preset, with_bias_field, with_pump)
+                    ModelConfig, OrientationModel, b_field_to_detuning,
+                    detuning_to_b_field, preset, with_drive)
 
 # (section, field) -> unit string; None marks dimensionless numbers and
 # "str" marks plain tokens.
@@ -109,27 +109,49 @@ def get_param(config: ModelConfig, path: str):
     return getattr(getattr(config, section), name)
 
 
+def _convert(path: str, value):
+    """The value of a parameter path from a number or its text: a string
+    for a token path, None for ``"none"`` on the gain override, a float
+    otherwise.  Raises InvalidConfigError for an unknown path or a value
+    that is not a number."""
+    unit = param_unit(path)
+    if unit == "str":
+        return str(value)
+    if (path == "gain.coupling_override" and isinstance(value, str)
+            and value.lower() == "none"):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"{path}: bad number {value!r}") from exc
+
+
+# The paths that set the drive alone, and the DriveSettings fields each sets
+_DRIVE_FIELDS = {"drive.pump12": ("pump12",), "drive.pump45": ("pump45",),
+                 "drive.omega": ("omega",), "drive.delta": ("delta",),
+                 "pump": ("pump12", "pump45"), "b_field": ("delta",)}
+DRIVE_PATHS = frozenset(_DRIVE_FIELDS)
+
+
+def drive_changes(path: str, value, constants: PhysicalConstants) -> dict:
+    """The DriveSettings fields that setting the drive path ``path`` (one
+    of ``DRIVE_PATHS``) to ``value`` changes; a ``b_field`` is converted
+    with ``constants``."""
+    value = _convert(path, value)
+    if path == "b_field":
+        value = b_field_to_detuning(value, constants)
+    return dict.fromkeys(_DRIVE_FIELDS[path], value)
+
+
 def set_param(config: ModelConfig, path: str, value) -> ModelConfig:
     """Copy of config with one parameter path set.
 
     Numbers may be given as strings; ``"none"`` clears the gain override.
     """
-    unit = param_unit(path)
-    if unit == "str":
-        value = str(value)
-    elif (path == "gain.coupling_override" and isinstance(value, str)
-          and value.lower() == "none"):
-        value = None
-    else:
-        try:
-            value = float(value)
-        except (TypeError, ValueError) as exc:
-            raise InvalidConfigError(
-                f"{path}: bad number {value!r}") from exc
-    if path == "b_field":
-        return with_bias_field(config, value)
-    if path == "pump":
-        return with_pump(config, value)
+    if path in DRIVE_PATHS:
+        return with_drive(config,
+                          **drive_changes(path, value, config.constants))
+    value = _convert(path, value)
     if path == "gain.coupling_override":
         return dataclasses.replace(config, gain_coupling_override=value)
     section, _, name = path.partition(".")
@@ -162,14 +184,9 @@ def _parse_value(section: str, name: str, payload) -> object:
     if not isinstance(payload, dict) or set(payload) != {"value", "unit"}:
         raise InvalidConfigError(
             f"{section}.{name} must be {{'value': x, 'unit': u}}")
-    try:
-        value = float(payload["value"])
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigError(
-            f"{section}.{name}: bad numeric value "
-            f"{payload['value']!r}") from exc
+    value = _convert(f"{section}.{name}", payload["value"])
     expected = "1" if unit is None else unit
-    if payload["unit"] != expected:
+    if value is not None and payload["unit"] != expected:
         raise InvalidConfigError(
             f"{section}.{name}: unit must be {expected!r}, "
             f"got {payload['unit']!r}")
@@ -249,8 +266,6 @@ def _ini_value(section: str, name: str, raw: str):
     """The JSON form of one INI value; ``config_from_dict`` checks it."""
     if _SCHEMA.get(section, {}).get(name) == "str":
         return raw
-    if section == "gain" and raw.lower() == "none":
-        return None
     value, *unit = raw.split() or [""]
     return {"value": value, "unit": " ".join(unit) or "1"}
 

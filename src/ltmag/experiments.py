@@ -19,6 +19,8 @@ solve does not converge leaves its value cells absent.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .configio import apply_overrides, provenance
@@ -59,13 +61,12 @@ def _exp_fig2b(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
                                  Column("b_field", "T"),
                                  Column("n", "1"), Column("P_out", "W")),
                         provenance=dict(prov, operating_point_pump=repr(op)))
-    points = (with_drive(cfg, delta=delta)
-              for delta in np.linspace(-1.5e8, 1.5e8, 301).tolist())
-    for point, ss in solve_steady_states(points):
-        delta = point.drive.delta
+    deltas = np.linspace(-1.5e8, 1.5e8, 301).tolist()
+    points = ((cfg, replace(cfg.drive, delta=delta)) for delta in deltas)
+    for delta, ss in zip(deltas, solve_steady_states(points)):
         n = None if ss is None else ss.n
         table.append((delta, detuning_to_b_field(delta, cfg.constants), n,
-                      None if n is None else output_power(n, point)))
+                      None if n is None else output_power(n, cfg)))
     return {"profile": table}
 
 

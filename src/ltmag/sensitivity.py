@@ -45,7 +45,7 @@ from .configio import get_param, set_param
 from .dynamics import ac_response
 from .errors import (BelowThresholdError, ConvergenceError,
                      InvalidConfigError, PhysicsDomainError)
-from .model import ModelConfig, with_bias_field
+from .model import ModelConfig, b_field_to_detuning, with_bias_field
 from .steady import (SteadyStateResult, solve_steady_state,
                      solve_steady_states)
 
@@ -266,9 +266,10 @@ def dc_sensitivity_curve(config: ModelConfig, b_grid
     fields.
     """
     b_grid = _field_grid(b_grid).tolist()
-    points = (with_bias_field(config, b) for b in b_grid)
-    return [None if ss is None else _dc_at_state(point, ss, b)
-            for b, (point, ss) in zip(b_grid, solve_steady_states(points))]
+    points = ((config, replace(config.drive, delta=b_field_to_detuning(
+        b, config.constants))) for b in b_grid)
+    return [None if ss is None else _dc_at_state(config, ss, b)
+            for b, ss in zip(b_grid, solve_steady_states(points))]
 
 
 def ac_sensitivity(config: ModelConfig, signal: AcSignalModel, *,

@@ -55,12 +55,12 @@ last bit of ``rate_matrix``) and the occupation bounds, and the net gain
 at the root must lie within 1e-8 * kappa of zero, which checks the
 closed form independently.
 
-``_steady_states`` does the same for a chunk of grid points at once:
-their n = 0 matrices go through one stacked ``np.linalg.solve`` with the
-same refinement step, and the algebra above runs on arrays, with the
-same ``_photon_root``.  Each point passes the residual, occupation-bound
-and net-gain checks above.  A point that does not is left uncertified,
-and so is a four_orientation point, one with A <= 0, one at
+``_steady_states`` does the same for a chunk of grid points at once: it
+factors the chunk's distinct devices in one stacked ``np.linalg.solve``
+with the same refinement step, and each point takes its detuning update
+and the algebra above on arrays, in the order of the single-point path.
+A point that fails a check above is left uncertified, and so is a
+four_orientation point, one with A <= 0 or a singular K, one at
 0 < g0 <= 1e-8 * kappa, one with a non-finite matrix or solution, and
 every point of a stack whose solve raises LinAlgError.  The grid
 evaluator ``solve_steady_states`` solves those with ``solve_steady_state``.
@@ -71,13 +71,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import (ConvergenceError, DegenerateConfigError,
                      InvalidConfigError, NotLasableError)
-from .model import ModelConfig, with_drive, with_pump
+from .model import RATE_FIELDS, ModelConfig, with_drive, with_pump
 
 BELOW_THRESHOLD = "below_threshold"
 LASING = "lasing"
@@ -680,40 +680,44 @@ def solve_steady_state(config: ModelConfig) -> SteadyStateResult:
                              gain_partials=partials)
 
 
-def _steady_states(configs) -> list[SteadyStateResult | None]:
-    """``solve_steady_state`` of many points from one stacked n = 0 solve.
-
-    The points' rate matrices are solved together, and the rest is the
-    2x2 algebra of the module docstring on arrays, with the root of the
-    quadratic.  Every check of the per-point path is made.  None marks a
-    point that this does not certify (see the module docstring), for the
-    caller to solve with ``solve_steady_state``.
+def _steady_states(points) -> list[SteadyStateResult | None]:
+    """``solve_steady_state`` of many (config, drive) points, from one
+    stacked n = 0 solve of their distinct devices (keyed as ``_device``
+    is) and the rest of the module docstring's algebra on arrays.  None
+    marks a point that this does not certify, for the caller to solve
+    with ``solve_steady_state``.
     """
-    results = [None] * len(configs)
-    index = [i for i, c in enumerate(configs)
-             if c.orientation.mode == "single_orientation"]
+    results = [None] * len(points)
+    index, devices, where, scalars = [], {}, [], []
+    for i, (c, d) in enumerate(points):
+        if c.orientation.mode == "single_orientation":
+            index.append(i)
+            key = (c.rates, d.pump12, d.pump45, d.omega)
+            where.append(devices.setdefault(key, len(devices)))
+            scalars.append((d.delta, c.derived.gain_coupling, c.cavity.kappa))
     if not index:
         return results
-    points = [configs[i] for i in index]
-    a0 = np.array([rate_matrix(c, 0.0, c.drive.delta) for c in points])
-    finite = np.isfinite(a0).all(axis=(1, 2))
-    a0[~finite] = np.eye(9)  # solved, never certified
+    a = np.array([_shifted(_device_matrix(*k), 0.0, 0.0) for k in devices])
+    finite = np.isfinite(a).all(axis=(1, 2))
+    a[~finite] = np.eye(9)  # solved, never certified
     try:
-        x = _refined_solve(_trace_system(a0), _ZERO_N_RHS)
+        x = _refined_solve(_trace_system(a), _ZERO_N_RHS)
     except np.linalg.LinAlgError:
         return results
-    g = np.array([c.derived.gain_coupling for c in points])
-    kappa = np.array([c.cavity.kappa for c in points])
-    rate0 = np.array([_max_rate(c, 0.0) for c in points])
-    # rows: W^T applied to M0^-1 [e1, W, E]
-    wx = np.moveaxis(x[:, [1, 4]] - x[:, [2, 5]], 0, -1)
-    (z0, c00, c01, f00, f01), (z1, c10, c11, f10, f11) = wx
+    top = np.array([max(*(getattr(r, f) for f in RATE_FIELDS), *drive)
+                    for r, *drive in devices])
+    # from here on, one row per point
+    ok = (finite & np.isfinite(x).all(axis=(1, 2)))[where]
+    x, a, top = x[where], a[where], top[where]
+    delta, g, kappa = np.array(scalars).T
+    a[:, 7, 8], a[:, 8, 7] = -delta, delta  # A(0, delta)
+    rate0 = np.maximum(top, np.maximum(np.abs(delta), kappa))  # _max_rate
     slack = PopulationState._BOUND_SLACK
 
     def checked(v, s):
-        # residual of A(n) v = A0 v - s W (W^T v), passed checks, net gain
+        # residual of A(n) v = A(0, delta) v - s W W^T v, checks, net gain
         t0, t1 = v[:, 1] - v[:, 2], v[:, 4] - v[:, 5]
-        av = np.einsum("kij,kj->ki", a0, v)
+        av = np.einsum("kij,kj->ki", a, v)
         av[:, [1, 2, 4, 5]] -= s[:, None] * np.stack([t0, -t0, t1, -t1], 1)
         residual = np.abs(av).max(axis=1) / np.maximum(rate0, s)
         occ = v[:, :7]
@@ -724,9 +728,24 @@ def _steady_states(configs) -> list[SteadyStateResult | None]:
         return residual, passed, g * (t0 + t1) - kappa
 
     with np.errstate(all="ignore"):
+        # Q = [q0; q1] and W^T X(delta) as ``_zero_n_solution`` takes them
+        r7, r8, d = x[:, 7], x[:, 8], delta[:, None]
+        k00, k01 = 1.0 - d * r8[:, 3:4], -d * r8[:, 4:5]
+        k10, k11 = d * r7[:, 3:4], 1.0 + d * r7[:, 4:5]
+        det = k00 * k11 - k01 * k10
+        ok &= (det[:, 0] != 0.0) & np.isfinite(det[:, 0])
+        q0 = -d / det * (-k11 * r8 - k01 * r7)
+        q1 = -d / det * (k10 * r8 + k00 * r7)
+        wx = x[:, [1, 4]] - x[:, [2, 5]]
+        wx = np.moveaxis(wx + wx[:, :, 3:4] * q0[:, None]
+                         + wx[:, :, 4:5] * q1[:, None], 0, -1)
+        (z0, c00, c01, f00, f01), (z1, c10, c11, f10, f11) = wx
+        # X(delta) e1, X(delta) W
+        x = (x[:, :, :3] + x[:, :, 3:4] * q0[:, None, :3]
+             + x[:, :, 4:5] * q1[:, None, :3])
         v0 = x[:, :, 0]
-        residual, ok, gain = checked(v0, np.zeros(len(points)))
-        ok &= finite & np.isfinite(x).all(axis=(1, 2))
+        residual, passed, gain = checked(v0, np.zeros(len(index)))
+        ok &= passed
         lasing = gain > 0.0
         qa, n = _photon_root(g, kappa, wx, np)
         n = np.where(lasing, n, 0.0)
@@ -735,8 +754,8 @@ def _steady_states(configs) -> list[SteadyStateResult | None]:
         s = g * n
         solve_2x2 = _woodbury_solver(s, c00, c01, c10, c11)
         y0, y1 = solve_2x2(z0, z1)
-        v = x[:, :, 0] + s[:, None] * (y0[:, None] * x[:, :, 1]
-                                       + y1[:, None] * x[:, :, 2])
+        v = v0 + s[:, None] * (y0[:, None] * x[:, :, 1]
+                               + y1[:, None] * x[:, :, 2])
         residual_n, passed, gain_n = checked(v, s)
         ok &= ~lasing | (passed & (np.abs(gain_n)
                                    <= _GAIN_RESIDUAL_RTOL * kappa))
@@ -748,39 +767,40 @@ def _steady_states(configs) -> list[SteadyStateResult | None]:
     states = np.where(lasing[:, None], v, v0).tolist()
     residual = np.where(lasing, residual_n, residual).tolist()
     gain = np.where(lasing, gain_n, gain).tolist()
-    n, lasing = n.tolist(), lasing.tolist()
+    n, lasing, delta = n.tolist(), lasing.tolist(), delta.tolist()
     dg_dn, dg_dd = dg_dn.tolist(), dg_dd.tolist()
     for k in np.flatnonzero(ok).tolist():
         results[index[k]] = SteadyStateResult(
             n=n[k], branch=LASING if lasing[k] else BELOW_THRESHOLD,
             net_gain=gain[k], residual=residual[k],
             populations=(PopulationState(*states[k]),), weights=(1.0,),
-            detunings=(points[k].drive.delta,),
+            detunings=(delta[k],),
             gain_partials=(dg_dn[k], dg_dd[k]) if lasing[k] else None)
     return results
 
 
-def solve_steady_states(configs):
-    """The grid evaluator: yields (config, ``solve_steady_state(config)``)
-    for each of ``configs``, an iterable, in order, with None where that
-    solve raises ConvergenceError; every other error propagates.
+def solve_steady_states(points):
+    """The grid evaluator: yields ``solve_steady_state`` of each of
+    ``points``, an iterable of (config, drive) pairs, the DriveSettings
+    drive replacing the config's own, in order; None where that solve
+    raises ConvergenceError; every other error propagates.
 
-    Configs are pulled ``CHUNK_POINTS`` at a time.  A chunk of two or
-    more goes through ``_steady_states``, and a point it leaves
-    uncertified, like a chunk of one, through ``solve_steady_state``
-    (one point solves faster alone than as a stack of one).
+    Points are pulled ``CHUNK_POINTS`` at a time into ``_steady_states``.
+    A point it leaves uncertified, like a chunk of one (which solves
+    faster alone than as a stack of one), is built into its config and
+    solved by ``solve_steady_state``.
     """
-    configs = iter(configs)
-    while chunk := list(itertools.islice(configs, CHUNK_POINTS)):
+    points = iter(points)
+    while chunk := list(itertools.islice(points, CHUNK_POINTS)):
         batch = _steady_states(chunk) if len(chunk) > 1 else [None]
-        for config, ss in zip(chunk, batch):
+        for (config, drive), ss in zip(chunk, batch):
             if ss is None:
                 try:
-                    ss = solve_steady_state(config)
+                    ss = solve_steady_state(replace(config, drive=drive))
                 except ConvergenceError:
                     pass
-            yield config, ss
-        del chunk, batch  # hold one chunk of configs while pulling the next
+            yield ss
+        del chunk, batch  # hold one chunk of points while pulling the next
 
 
 def threshold_pump(config: ModelConfig, delta: float | None = None) -> float:

@@ -10,23 +10,27 @@ point, so a ``b_field`` axis gives ``dc_sensitivity_curve``'s values
 exactly (with ``n`` = 0.0 and both cells absent at dark points).
 
 Every grid goes through ``steady.solve_steady_states``, which pulls the
-lazily built point configs one chunk at a time.  Points whose solve
-does not converge keep their axis cells and leave the value cells
-absent.
+lazily built points one chunk at a time and factors each distinct
+device of a chunk once.  A point is the config of its non-drive
+assignments, rebuilt only where they change, and the DriveSettings of
+its drive assignments (``configio.DRIVE_PATHS``), applied after the
+others, so a ``b_field`` value is converted with the point's own
+constants.  Points whose solve does not converge keep their axis cells
+and leave the value cells absent.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
 
-from .configio import get_param, param_unit, set_param
+from .configio import DRIVE_PATHS, drive_changes, param_unit, set_param
 from .configio import provenance as config_provenance
 from .errors import InvalidConfigError
-from .model import ModelConfig, output_power
+from .model import ModelConfig, detuning_to_b_field, output_power
 from .sensitivity import _dc_at_state
 from .steady import POPULATION_NAMES, solve_steady_states
 from .tables import Column, OutputTable
@@ -99,12 +103,30 @@ class SweepSpec:
             raise InvalidConfigError("sweep needs at least one output")
 
 
-def _eval_point(config: ModelConfig, ss, outputs) -> tuple:
-    """Value cells of one grid point from its steady state ``ss``; all
-    absent where ``ss`` is None (the solve did not converge)."""
+def _points(config: ModelConfig, grid):
+    """(config, drive) of each grid point, a tuple of (path, value)
+    assignments (see the module docstring)."""
+    key = point = None
+    for assignments in grid:
+        other = [pv for pv in assignments if pv[0] not in DRIVE_PATHS]
+        if other != key:
+            key = other
+            point = reduce(lambda c, pv: set_param(c, *pv), other, config)
+        changes = {}
+        for path, value in assignments:
+            if path in DRIVE_PATHS:
+                changes.update(drive_changes(path, value, point.constants))
+        yield point, replace(point.drive, **changes)
+
+
+def _eval_point(config: ModelConfig, drive, ss, outputs) -> tuple:
+    """Value cells of one grid point, ``config`` with ``drive``, from its
+    steady state ``ss``; all absent where ``ss`` is None (the solve did
+    not converge)."""
     if ss is None:
         return (None,) * sum(len(OUTPUTS[name]) for name in outputs)
-    dc = (_dc_at_state(config, ss, get_param(config, "b_field"))
+    dc = (_dc_at_state(config, ss,
+                       detuning_to_b_field(drive.delta, config.constants))
           if "dn_dB" in outputs or "eta_dc" in outputs else None)
     cells: list = []
     for name in outputs:
@@ -139,13 +161,11 @@ def run_sweep(config: ModelConfig, spec: SweepSpec, *,
         columns.extend(OUTPUTS[name])
 
     grid, axis_cells = itertools.tee(itertools.product(*grids))
-    points = (reduce(lambda point, pv: set_param(point, *pv), assignments,
-                     config)
-              for assignments in grid)
+    points, solved = itertools.tee(_points(config, grid))
     rows = [tuple(value for _, value in assignments)
-            + _eval_point(point, ss, spec.outputs)
-            for assignments, (point, ss) in zip(axis_cells,
-                                                solve_steady_states(points))]
+            + _eval_point(*point, ss, spec.outputs)
+            for assignments, point, ss in zip(
+                axis_cells, points, solve_steady_states(solved))]
 
     prov = dict(provenance or config_provenance(config), kind="sweep",
                 axes=" x ".join(a.path for a in axes),

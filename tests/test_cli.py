@@ -132,6 +132,13 @@ def test_sweep_bad_axis(capsys):
         assert code == 1 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("axis", ["pump:0:2e-300:5", "drive.omega:-1e6:1e6:3",
+                                  "b_field:0:1e300:3"])
+def test_sweep_invalid_grid_values_are_config_errors(capsys, axis):
+    code, out, err = _run(capsys, "sweep", "--axis1", axis)
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
 def test_response_summary_and_timeseries(tmp_path, capsys):
     ts_path = tmp_path / "series.csv"
     code, out, _ = _run(capsys, "response", "--delta-before", "0",

@@ -76,9 +76,9 @@ def test_fig2b_profile_dip():
 def test_fig2b_unconverged_point_leaves_cells_absent(monkeypatch):
     real_batch, real = steady._steady_states, steady.solve_steady_state
 
-    def uncertified(configs):
-        return [None if c.drive.delta == 0.0 else ss
-                for c, ss in zip(configs, real_batch(configs))]
+    def uncertified(points):
+        return [None if drive.delta == 0.0 else ss
+                for (_, drive), ss in zip(points, real_batch(points))]
 
     def flaky(config):
         if config.drive.delta == 0.0:

@@ -82,10 +82,10 @@ def test_dc_curve_marks_unconverged_points_absent(high_sens_config,
     failing = with_bias_field(high_sens_config, 200e-6).drive.delta
     alone = []
 
-    def uncertified(configs):
+    def uncertified(points):
         # the batch leaves the failing point to the per-point solve
-        return [None if c.drive.delta == failing else ss
-                for c, ss in zip(configs, real_batch(configs))]
+        return [None if drive.delta == failing else ss
+                for (_, drive), ss in zip(points, real_batch(points))]
 
     def flaky(config):
         alone.append(config.drive.delta)

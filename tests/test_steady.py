@@ -516,13 +516,19 @@ def test_tiny_drive_rates_are_rejected(baseline_config):
 
 
 def _detuned(config, count):
-    return [with_drive(config, delta=d)
+    """(config, drive) points of ``count`` detunings."""
+    return [(config, dataclasses.replace(config.drive, delta=d))
             for d in np.linspace(-1.5e8, 1.5e8, count).tolist()]
+
+
+def _built(point):
+    config, drive = point
+    return dataclasses.replace(config, drive=drive)
 
 
 def test_grid_evaluator_keeps_order_across_a_chunk_boundary(baseline_config,
                                                             monkeypatch):
-    configs = _detuned(baseline_config, steady.CHUNK_POINTS + 1)
+    points = _detuned(baseline_config, steady.CHUNK_POINTS + 1)
     stacks, alone = [], []
     real_batch, real = steady._steady_states, steady.solve_steady_state
 
@@ -536,17 +542,18 @@ def test_grid_evaluator_keeps_order_across_a_chunk_boundary(baseline_config,
 
     monkeypatch.setattr(steady, "_steady_states", batch)
     monkeypatch.setattr(steady, "solve_steady_state", single)
-    out = list(steady.solve_steady_states(iter(configs)))
-    # one stack, then the one-point chunk solved alone
+    out = list(steady.solve_steady_states(iter(points)))
+    # one stack, then the one-point chunk built and solved alone
     assert stacks == [steady.CHUNK_POINTS]
-    assert alone[-1] is configs[-1]
-    assert all(c is config for (c, _), config in zip(out, configs))
-    assert len(out) == len(configs)
+    assert alone == [_built(points[-1])]
+    assert len(out) == len(points)
     monkeypatch.undo()
-    for config, ss in out:
+    for point, ss in zip(points, out):
+        config = _built(point)
+        assert ss.detunings == (config.drive.delta,)
         assert ss.n == pytest.approx(solve_steady_state(config).n,
                                      rel=1e-12, abs=0.0)
-    assert out[-1][1] == solve_steady_state(configs[-1])
+    assert out[-1] == solve_steady_state(_built(points[-1]))
 
 
 def test_grid_evaluator_pulls_one_chunk_at_a_time(baseline_config):
@@ -555,7 +562,8 @@ def test_grid_evaluator_pulls_one_chunk_at_a_time(baseline_config):
     def endless():
         for k in itertools.count():
             pulled.append(k)
-            yield with_drive(baseline_config, delta=1e5 * k)
+            yield baseline_config, dataclasses.replace(
+                baseline_config.drive, delta=1e5 * k)
 
     first = list(itertools.islice(steady.solve_steady_states(endless()), 3))
     assert len(first) == 3
@@ -565,29 +573,68 @@ def test_grid_evaluator_pulls_one_chunk_at_a_time(baseline_config):
 @pytest.mark.parametrize("count", [1, 3])
 def test_grid_evaluator_gives_none_where_the_solve_fails(baseline_config,
                                                          monkeypatch, count):
-    configs = _detuned(baseline_config, count)
-    failing = configs[count // 2]
+    points = _detuned(baseline_config, count)
+    failing = points[count // 2][1].delta
     real_batch, real = steady._steady_states, steady.solve_steady_state
 
     def uncertified(chunk):
-        return [None if c is failing else ss
-                for c, ss in zip(chunk, real_batch(chunk))]
+        return [None if d.delta == failing else ss
+                for (_, d), ss in zip(chunk, real_batch(chunk))]
 
     def flaky(config):
-        if config is failing:
+        if config.drive.delta == failing:
             raise ConvergenceError("forced failure")
         return real(config)
 
     monkeypatch.setattr(steady, "_steady_states", uncertified)
     monkeypatch.setattr(steady, "solve_steady_state", flaky)
-    out = list(steady.solve_steady_states(configs))
-    assert all(c is config for (c, _), config in zip(out, configs))
-    assert [ss is None for _, ss in out] == [c is failing for c in configs]
+    out = list(steady.solve_steady_states(points))
+    assert [ss is None for ss in out] == [d.delta == failing
+                                          for _, d in points]
 
 
 @pytest.mark.parametrize("neighbours", [0, 1])
 def test_grid_evaluator_lets_a_degenerate_config_raise(baseline_config,
                                                        neighbours):
-    configs = [baseline_config] * neighbours + [_all_zero(baseline_config)]
+    zero = _all_zero(baseline_config)
+    points = ([(baseline_config, baseline_config.drive)] * neighbours
+              + [(zero, zero.drive)])
     with pytest.raises(DegenerateConfigError):
-        list(steady.solve_steady_states(configs))
+        list(steady.solve_steady_states(points))
+
+
+def _stacked_solves(monkeypatch):
+    """The leading dimension of every stacked ``_refined_solve``."""
+    stacks = []
+    real = steady._refined_solve
+
+    def counted(m, rhs):
+        if m.ndim == 3:
+            stacks.append(len(m))
+        return real(m, rhs)
+
+    monkeypatch.setattr(steady, "_refined_solve", counted)
+    return stacks
+
+
+def test_grid_evaluator_factors_each_device_once_per_chunk(baseline_config,
+                                                           monkeypatch):
+    # fig2a order: detuning outer, 41 pumps inner, so that every chunk
+    # holds more devices than the single-call cache keeps
+    pumps = np.linspace(0.0, 4e6, 41).tolist()
+    points = [(baseline_config, dataclasses.replace(
+        baseline_config.drive, pump12=p, pump45=p, delta=d))
+        for d in np.linspace(-1.5e8, 1.5e8, 13).tolist() for p in pumps]
+    assert len(pumps) > steady.DEVICE_CACHE_SIZE
+    stacks = _stacked_solves(monkeypatch)
+    out = list(steady.solve_steady_states(points))
+    size = steady.CHUNK_POINTS
+    assert stacks == [len({d.pump12 for _, d in points[k:k + size]})
+                      for k in range(0, len(points), size)]
+    assert stacks[0] == len(pumps)
+    assert None not in out
+    # a field sweep is one device, factored once
+    stacks.clear()
+    assert None not in steady.solve_steady_states(
+        _detuned(baseline_config, 50))
+    assert stacks == [1]

@@ -1,6 +1,7 @@
 """Output tables (CSV/JSON) and parameter sweeps."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -15,7 +16,7 @@ from ltmag import (Column, ConvergenceError, InvalidConfigError,
                    preset, run_sweep, solve_steady_state, with_drive,
                    with_pump)
 from ltmag import steady, sweeps
-from ltmag.configio import set_param
+from ltmag.configio import DRIVE_PATHS, param_unit, set_param
 from ltmag.steady import POPULATION_NAMES
 
 # Bounded, reproducible property runs: fixed example counts, no timing
@@ -187,9 +188,10 @@ def test_sweep_eta_dc_reuses_the_point_solve(high_sens_config, monkeypatch):
     axis = SweepAxis("b_field", -300e-6, 300e-6, 10)
     table = run_sweep(high_sens_config,
                       SweepSpec(axis1=axis, outputs=("n", "dn_dB", "eta_dc")))
-    # one stacked n = 0 solve serves every point and both d.c. outputs
+    # the points share one device: one n = 0 factorization serves every
+    # point and both d.c. outputs
     assert calls == []
-    assert solves == [(10, 9, 9)]
+    assert solves == [(1, 9, 9)]
     monkeypatch.undo()
     # the d.c. curve solves the same points through the same evaluator
     curve = dc_sensitivity_curve(high_sens_config, axis.values())
@@ -223,10 +225,10 @@ def test_sweep_unconverged_point_leaves_cells_absent(baseline_config,
     real = steady.solve_steady_state
     alone = []
 
-    def uncertified(configs):
+    def uncertified(points):
         # the batch leaves the middle point to the per-point solve
-        return [None if c.drive.delta == 5e7 else ss
-                for c, ss in zip(configs, real_batch(configs))]
+        return [None if drive.delta == 5e7 else ss
+                for (_, drive), ss in zip(points, real_batch(points))]
 
     def flaky(config):
         alone.append(config.drive.delta)
@@ -256,6 +258,54 @@ def test_sweep_b_field_axis_is_symmetric(baseline_config):
     assert ns[1] == pytest.approx(ns[-2], rel=1e-9)
 
 
+# two values per path, for the point builder below
+_POINT_VALUES = {"cavity.kappa": (1e6, 3e6), "pump": (1e6, 2e6),
+                 "drive.pump45": (5e5, 7e5), "drive.omega": (1e6, 2e6),
+                 "b_field": (-1e-4, 2e-4),
+                 "constants.mu_bohr": (9.2e-24, 9.3e-24)}
+
+
+@pytest.mark.parametrize("paths", [
+    ("cavity.kappa", "pump"), ("pump", "cavity.kappa"),
+    ("pump", "drive.pump45"), ("drive.omega", "b_field"),
+    ("constants.mu_bohr", "b_field"), ("b_field", "constants.mu_bohr")])
+def test_sweep_points_equal_set_param_chains(baseline_config, paths):
+    grid = list(itertools.product(
+        *[[(path, v) for v in _POINT_VALUES[path]] for path in paths]))
+    points = list(sweeps._points(baseline_config, grid))
+    for assignments, (config, drive) in zip(grid, points):
+        built = dataclasses.replace(config, drive=drive)
+        chained = baseline_config
+        for path, value in assignments:
+            chained = set_param(chained, path, value)
+        if paths[0] == "b_field":
+            # drive paths come last: the field is converted with the
+            # point's own constants
+            chained = set_param(chained, "b_field", assignments[0][1])
+        assert built == chained
+    # a config is rebuilt only where its non-drive assignments change
+    others = [[pv for pv in a if pv[0] not in DRIVE_PATHS]
+              for a in grid]
+    rebuilt = sum(1 for a, b in zip([None] + others, others) if a != b)
+    assert len({id(config) for config, _ in points}) == rebuilt
+
+
+# grid values that no point config may take: a pump below the drive-rate
+# floor, a negative Rabi rate, a field whose detuning overflows
+_INVALID_AXES = (SweepAxis("pump", 0.0, 2e-300, 5),
+                 SweepAxis("drive.omega", -1e6, 1e6, 3),
+                 SweepAxis("b_field", 0.0, 1e300, 3))
+
+
+@pytest.mark.parametrize("axis", _INVALID_AXES, ids=lambda a: a.path)
+def test_sweep_rejects_invalid_grid_values(baseline_config, axis):
+    with pytest.raises(InvalidConfigError):
+        run_sweep(baseline_config, SweepSpec(axis))
+    with pytest.raises(InvalidConfigError):
+        run_sweep(baseline_config,
+                  SweepSpec(SweepAxis("drive.delta", 0.0, 1e8, 3), axis))
+
+
 def test_sweep_populations_output(baseline_config):
     spec = SweepSpec(axis1=SweepAxis("drive.delta", 1e8, 1e8, 1),
                      outputs=("populations",))
@@ -269,7 +319,9 @@ _ALL_OUTPUTS = tuple(sweeps.OUTPUTS)
 # path -> (start, stop, scale) of a drawn axis
 _ORACLE_AXES = {
     "drive.delta": (-3e8, 3e8, "linear"),
+    "b_field": (-1e-3, 1e-3, "linear"),
     "pump": (0.0, 2e7, "linear"),
+    "drive.pump12": (0.0, 2e7, "linear"),
     "cavity.kappa": (1e5, 1e11, "log"),
     "drive.omega": (0.0, 2e7, "linear"),
 }
@@ -279,7 +331,7 @@ def _per_point_sweep(config, spec):
     """``run_sweep`` with every point left to ``solve_steady_state``."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(steady, "_steady_states",
-                  lambda configs: [None] * len(configs))
+                  lambda points: [None] * len(points))
         return run_sweep(config, spec)
 
 
@@ -291,8 +343,9 @@ def _oracle_axis(draw, path):
                              for _ in range(2))
         start, stop = 10.0 ** start, 10.0 ** stop
     else:
-        # whole rad/s, so that no rate falls below MIN_DRIVE_RATE
-        start, stop = sorted(float(round(draw(st.floats(lo, hi))))
+        # rates in whole rad/s, so that none falls below MIN_DRIVE_RATE
+        whole = round if param_unit(path) == "rad/s" else float
+        start, stop = sorted(float(whole(draw(st.floats(lo, hi))))
                              for _ in range(2))
     return SweepAxis(path, start, stop, draw(st.integers(1, 6)), scale)
 
@@ -320,6 +373,11 @@ def _oracle_grids(draw):
 @example(name="high_sensitivity", mode="single_orientation",
          spec=SweepSpec(SweepAxis("b_field", -3e-4, 3e-4, 13),
                         outputs=_ALL_OUTPUTS))
+# fig2a order, over more than one chunk: a chunk holds more devices than
+# the single-call cache keeps
+@example(name="baseline", mode="single_orientation",
+         spec=SweepSpec(SweepAxis("drive.delta", -1.5e8, 1.5e8, 7),
+                        SweepAxis("pump", 0.0, 4e6, 41), _ALL_OUTPUTS))
 def test_batched_rows_match_per_point_rows(name, mode, spec):
     config = dataclasses.replace(preset(name),
                                  orientation=OrientationModel(mode=mode))
