@@ -378,6 +378,10 @@ def _oracle_grids(draw):
 @example(name="baseline", mode="single_orientation",
          spec=SweepSpec(SweepAxis("drive.delta", -1.5e8, 1.5e8, 7),
                         SweepAxis("pump", 0.0, 4e6, 41), _ALL_OUTPUTS))
+# the pump-free, unmixed corner is a singular device in the chunk's stack
+@example(name="baseline", mode="single_orientation",
+         spec=SweepSpec(SweepAxis("drive.omega", 0.0, 1e7, 5),
+                        SweepAxis("pump", 0.0, 4e6, 9), _ALL_OUTPUTS))
 def test_batched_rows_match_per_point_rows(name, mode, spec):
     config = dataclasses.replace(preset(name),
                                  orientation=OrientationModel(mode=mode))
