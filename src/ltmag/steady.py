@@ -2,9 +2,9 @@
 
 The level occupations and the ground-spin coherence obey a linear system
 at fixed photon number n, because n only enters through the stimulated
-rates G*n.  ``populations_at_fixed_n`` solves the 9x9 system of one
-sub-ensemble (seven occupations plus Re/Im of the ground coherence, the
-trace constraint replacing one redundant rate equation) and checks its
+rates G*n.  ``_fixed_n`` solves the 9x9 system of one sub-ensemble
+(seven occupations plus Re/Im of the ground coherence, the trace
+constraint replacing one redundant rate equation) and checks its
 residual.  The stimulated exchange 2<->3 and 5<->6 is a rank-2 term,
 M(n) = M0 - s W W^T with s = G*n and W = [e2 - e3, e5 - e6], so
 ``solve_steady_state`` needs one solve per sub-ensemble, at n = 0:
@@ -55,15 +55,15 @@ last bit of ``rate_matrix``) and the occupation bounds, and the net gain
 at the root must lie within 1e-8 * kappa of zero, which checks the
 closed form independently.
 
-``_steady_states`` does the same for a chunk of grid points at once:
-one stacked ``np.linalg.solve``, with the same refinement step, factors
-the chunk's distinct devices (where it is singular, each is factored
-alone as ``_device`` does), and each point takes its detuning update and
-the algebra above on arrays, in the order of the single-point path.  A
-four_orientation or degenerate point is left uncertified, and so is one
-that fails a check above, one with A <= 0 or a singular K, one at
-0 < g0 <= 1e-8 * kappa and one with a non-finite matrix or solution;
-the grid evaluator ``solve_steady_states`` solves them one by one.
+``_steady_states`` does the same for a chunk of grid points at once: it
+factors the chunk's distinct devices in one stacked ``np.linalg.solve``
+with the same refinement step, and each point takes its detuning update
+and the algebra above on arrays, in the order of the single-point path.
+A point that fails a check above is left uncertified, and so is a
+four_orientation point, one with A <= 0 or a singular K, one at
+0 < g0 <= 1e-8 * kappa, one with a non-finite matrix or solution, and
+every point of a stack whose solve raises LinAlgError.  The grid
+evaluator ``solve_steady_states`` solves those with ``solve_steady_state``.
 """
 
 from __future__ import annotations
@@ -306,14 +306,28 @@ def _solve_linear(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return v
 
 
-def _degenerate(rates, pump12: float, pump45: float, omega: float) -> bool:
-    return rates.all_zero() and pump12 == pump45 == omega == 0.0
-
-
-def _reject_degenerate(*device) -> None:
-    if _degenerate(*device):
+def _reject_degenerate(rates, pump12: float, pump45: float,
+                       omega: float) -> None:
+    if rates.all_zero() and pump12 == pump45 == omega == 0.0:
         raise DegenerateConfigError("all transition rates and drives are "
                                     "zero; occupations are undetermined")
+
+
+def _fixed_n(config: ModelConfig, n: float,
+             delta: float) -> PopulationState:
+    """The one fixed-n population solve of a sub-ensemble, checked by
+    ``_checked_state``.  Raises as ``populations_at_fixed_n`` does."""
+    if not (0.0 <= n < math.inf and math.isfinite(delta)):
+        raise InvalidConfigError("need a finite photon number n >= 0 and a "
+                                 f"finite delta, got n={n!r}, delta={delta!r}")
+    d = config.drive
+    _reject_degenerate(config.rates, d.pump12, d.pump45, d.omega)
+    a = rate_matrix(config, n, delta)
+    if not np.all(np.isfinite(a)):
+        raise ConvergenceError("rate matrix is not finite",
+                               detail={"n": n, "delta": delta})
+    return _checked_state(config, n, delta, a,
+                          _solve_linear(a, _TRACE_RHS))[0]
 
 
 def _checked_state(config: ModelConfig, n: float, delta: float,
@@ -334,7 +348,6 @@ def populations_at_fixed_n(config: ModelConfig, n: float,
                            delta: float | None = None) -> PopulationState:
     """Steady occupations of one sub-ensemble at frozen photon number.
 
-    The one fixed-n population solve, checked by ``_checked_state``.
     ``delta`` defaults to the configured drive detuning.  Raises
     InvalidConfigError (a ValueError) for a negative or non-finite n or
     a non-finite delta, DegenerateConfigError when every rate, pump and
@@ -342,18 +355,8 @@ def populations_at_fixed_n(config: ModelConfig, n: float,
     ConvergenceError when the rate matrix is not finite or the solve
     fails its residual check.
     """
-    delta = config.drive.delta if delta is None else delta
-    if not (0.0 <= n < math.inf and math.isfinite(delta)):
-        raise InvalidConfigError("need a finite photon number n >= 0 and a "
-                                 f"finite delta, got n={n!r}, delta={delta!r}")
-    d = config.drive
-    _reject_degenerate(config.rates, d.pump12, d.pump45, d.omega)
-    a = rate_matrix(config, n, delta)
-    if not np.all(np.isfinite(a)):
-        raise ConvergenceError("rate matrix is not finite",
-                               detail={"n": n, "delta": delta})
-    return _checked_state(config, n, delta, a,
-                          _solve_linear(a, _TRACE_RHS))[0]
+    return _fixed_n(config, n,
+                    config.drive.delta if delta is None else delta)
 
 
 def _ensembles(config: ModelConfig) -> tuple[tuple[float, float], ...]:
@@ -375,7 +378,7 @@ def net_gain(config: ModelConfig, n: float) -> float:
     g = config.derived.gain_coupling
     total = 0.0
     for weight, delta in _ensembles(config):
-        state = populations_at_fixed_n(config, n, delta)
+        state = _fixed_n(config, n, delta)
         total += weight * (g * ((state.rho22 - state.rho33)
                                 + (state.rho55 - state.rho66)))
     return total - config.cavity.kappa
@@ -695,19 +698,16 @@ def _steady_states(points) -> list[SteadyStateResult | None]:
     if not index:
         return results
     a = np.array([_shifted(_device_matrix(*k), 0.0, 0.0) for k in devices])
-    usable = np.isfinite(a).all(axis=(1, 2))
-    usable &= [not _degenerate(*k) for k in devices]
-    a[~usable] = np.eye(9)  # solved, never certified
+    finite = np.isfinite(a).all(axis=(1, 2))
+    a[~finite] = np.eye(9)  # solved, never certified
     try:
         x = _refined_solve(_trace_system(a), _ZERO_N_RHS)
     except np.linalg.LinAlgError:
-        x = None
-    if x is None or not np.isfinite(x).all():  # each alone, as in _device
-        x = np.array([_solve_linear(m, _ZERO_N_RHS) for m in a])
+        return results
     top = np.array([max(*(getattr(r, f) for f in RATE_FIELDS), *drive)
                     for r, *drive in devices])
     # from here on, one row per point
-    ok = (usable & np.isfinite(x).all(axis=(1, 2)))[where]
+    ok = (finite & np.isfinite(x).all(axis=(1, 2)))[where]
     x, a, top = x[where], a[where], top[where]
     delta, g, kappa = np.array(scalars).T
     a[:, 7, 8], a[:, 8, 7] = -delta, delta  # A(0, delta)
@@ -744,7 +744,7 @@ def _steady_states(points) -> list[SteadyStateResult | None]:
         x = (x[:, :, :3] + x[:, :, 3:4] * q0[:, None, :3]
              + x[:, :, 4:5] * q1[:, None, :3])
         v0 = x[:, :, 0]
-        _, passed, gain = checked(v0, np.zeros(len(index)))
+        residual, passed, gain = checked(v0, np.zeros(len(index)))
         ok &= passed
         lasing = gain > 0.0
         qa, n = _photon_root(g, kappa, wx, np)
@@ -756,7 +756,7 @@ def _steady_states(points) -> list[SteadyStateResult | None]:
         y0, y1 = solve_2x2(z0, z1)
         v = v0 + s[:, None] * (y0[:, None] * x[:, :, 1]
                                + y1[:, None] * x[:, :, 2])
-        residual, passed, gain_n = checked(v, s)
+        residual_n, passed, gain_n = checked(v, s)
         ok &= ~lasing | (passed & (np.abs(gain_n)
                                    <= _GAIN_RESIDUAL_RTOL * kappa))
         r0, r1 = solve_2x2(v[:, 1] - v[:, 2], v[:, 4] - v[:, 5])
@@ -764,8 +764,9 @@ def _steady_states(points) -> list[SteadyStateResult | None]:
         u0, u1 = v[:, 8], -v[:, 7]
         d0, d1 = solve_2x2(f00 * u0 + f01 * u1, f10 * u0 + f11 * u1)
         dg_dd = g * (d0 + d1)
-    # a dark point has s = 0, so its second pass repeats the first
-    states, residual, gain = v.tolist(), residual.tolist(), gain_n.tolist()
+    states = np.where(lasing[:, None], v, v0).tolist()
+    residual = np.where(lasing, residual_n, residual).tolist()
+    gain = np.where(lasing, gain_n, gain).tolist()
     n, lasing, delta = n.tolist(), lasing.tolist(), delta.tolist()
     dg_dn, dg_dd = dg_dn.tolist(), dg_dd.tolist()
     for k in np.flatnonzero(ok).tolist():

@@ -603,22 +603,6 @@ def test_grid_evaluator_lets_a_degenerate_config_raise(baseline_config,
         list(steady.solve_steady_states(points))
 
 
-def test_grid_evaluator_factors_a_singular_device_as_a_single_call(
-        baseline_config):
-    # pump-free and unmixed: the stack of the chunk's devices is singular
-    drive = dataclasses.replace(baseline_config.drive, pump12=0.0,
-                                pump45=0.0, omega=0.0, delta=3e7)
-    points = (_detuned(baseline_config, steady.CHUNK_POINTS - 1)
-              + [(baseline_config, drive)])
-    out = steady._steady_states(points)
-    assert None not in out
-    alone = solve_steady_state(_built(points[-1]))
-    assert (out[-1].branch, out[-1].n) == (alone.branch, alone.n)
-    np.testing.assert_allclose(out[-1].aligned.as_array(),
-                               alone.aligned.as_array(), rtol=0.0,
-                               atol=1e-12)
-
-
 def _stacked_solves(monkeypatch):
     """The leading dimension of every stacked ``_refined_solve``."""
     stacks = []

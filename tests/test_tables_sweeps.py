@@ -378,7 +378,8 @@ def _oracle_grids(draw):
 @example(name="baseline", mode="single_orientation",
          spec=SweepSpec(SweepAxis("drive.delta", -1.5e8, 1.5e8, 7),
                         SweepAxis("pump", 0.0, 4e6, 41), _ALL_OUTPUTS))
-# the pump-free, unmixed corner is a singular device in the chunk's stack
+# the pump-free, unmixed corner makes the chunk's stacked solve singular,
+# so the chunk is solved point by point
 @example(name="baseline", mode="single_orientation",
          spec=SweepSpec(SweepAxis("drive.omega", 0.0, 1e7, 5),
                         SweepAxis("pump", 0.0, 4e6, 9), _ALL_OUTPUTS))
