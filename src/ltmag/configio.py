@@ -287,7 +287,7 @@ def load_config(path: str | os.PathLike) -> ModelConfig:
     try:
         with open(path, "r", encoding="utf-8") as fp:
             text = fp.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfigError(f"cannot read config: {exc}") from exc
     if fmt == "ini":
         return _ini_parse(text)
@@ -310,24 +310,19 @@ def _format_for(path: str | os.PathLike) -> str:
 
 
 def apply_overrides(config: ModelConfig, overrides) -> ModelConfig:
-    """Apply ``section.field=value`` overrides (strings or a mapping)."""
-    if isinstance(overrides, dict):
-        items = list(overrides.items())
-    else:
-        items = []
-        for entry in overrides:
-            if "=" not in entry:
-                raise InvalidConfigError(
-                    f"override {entry!r} must look like section.field=value")
-            key, _, value = entry.partition("=")
-            items.append((key.strip(), value.strip()))
+    """Apply an iterable of ``section.field=value`` strings in order."""
     cfg = config
-    for key, value in items:
+    for entry in overrides:
+        if "=" not in entry:
+            raise InvalidConfigError(
+                f"override {entry!r} must look like section.field=value")
+        key, _, value = entry.partition("=")
+        key = key.strip()
         # the derived paths have no section and are not overridable
         if "." not in key:
             raise InvalidConfigError(
                 f"override path {key!r} must be section.field")
-        cfg = set_param(cfg, key, value)
+        cfg = set_param(cfg, key, value.strip())
     return cfg
 
 

@@ -130,7 +130,7 @@ class TimeSeries:
     def __post_init__(self):
         if self.states.ndim != 2 or self.states.shape[1] != 10 \
                 or self.states.shape[0] != self.t.shape[0]:
-            raise ValueError("states must have shape (len(t), 10)")
+            raise InvalidConfigError("states must have shape (len(t), 10)")
 
     @property
     def occupations(self) -> np.ndarray:

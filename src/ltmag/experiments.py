@@ -24,12 +24,13 @@ from dataclasses import replace
 import numpy as np
 
 from .configio import apply_overrides, provenance
+from .dynamics import ac_response
 from .errors import InvalidConfigError
 from .model import (ModelConfig, detuning_to_b_field, output_power, preset,
                     with_drive, with_pump)
 from .sensitivity import (AcSignalModel, METHOD_AC_QUASISTATIC,
                           ac_sensitivity, dc_sensitivity_curve,
-                          l27_robustness)
+                          l27_robustness, sensitivity_from_harmonic)
 from .steady import find_operating_point, solve_steady_states
 from .sweeps import SweepAxis, SweepSpec, run_sweep
 from .tables import Column, OutputTable
@@ -99,8 +100,6 @@ def _exp_fig3b(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
                                  Column("distortion", "1"),
                                  Column("phase", "rad")),
                         provenance=prov)
-    from .dynamics import ac_response
-    from .sensitivity import sensitivity_from_harmonic
     for omega in np.geomspace(2e4, 2e7, 10):
         signal = AcSignalModel(bias_field=bias, amplitude_field=amplitude,
                                omega_signal=float(omega))

@@ -147,18 +147,18 @@ class RobustnessReport:
     common_points: dict
 
 
-def _slope_dn_db(config: ModelConfig, b_field: float,
-                 h0: float | None = None):
+def _slope_dn_db(config: ModelConfig, b_field: float):
     """Adaptive central-difference slope with Richardson extrapolation.
 
-    Halves the step until the two-point Richardson error estimate is below
-    ``_SLOPE_TARGET_REL``; shrinks further if a stencil point falls below
-    threshold (the slope at a point near the lasing edge must be
-    one-sided in field but the stencil must stay on the lasing branch).
+    Starts at the step max(1e-3 |B|, 1e-9 T) and halves it until the
+    two-point Richardson error estimate is below ``_SLOPE_TARGET_REL``;
+    shrinks further if a stencil point falls below threshold (the slope
+    at a point near the lasing edge must be one-sided in field but the
+    stencil must stay on the lasing branch).
     Returns (slope, step, relative error); the error is None when the
     measured slope is too small to distinguish from root-solver noise.
     """
-    h = h0 if h0 is not None else max(1e-3 * abs(b_field), 1e-9)
+    h = max(1e-3 * abs(b_field), 1e-9)
     for _ in range(_MAX_HALVINGS):
         n_m2, n_m1, n_p1, n_p2 = (
             solve_steady_state(with_bias_field(config, b_field + s)).n
@@ -193,28 +193,31 @@ def _ac_eta(config: ModelConfig, signal: AcSignalModel, n_signal: float,
         / (config.derived.n_centers * config.cavity.kappa))
 
 
-def dc_sensitivity(config: ModelConfig, b_field: float, *,
-                   h0: float | None = None) -> SensitivityResult:
-    """Shot-noise d.c. sensitivity at a bias field.
+def _dc_result(config: ModelConfig, b_field: float, n: float, slope: float,
+               method: str, diverged: bool, **fd) -> SensitivityResult:
+    """d.c. result: eta = shot factor / |slope|, or +inf when diverged."""
+    shot = _shot_factor(config, n)
+    return SensitivityResult(
+        eta=math.inf if diverged else shot / abs(slope), b_field=b_field,
+        n=n, slope_dn_db=slope, shot_factor=shot, method=method,
+        diverged=diverged, **fd)
 
-    Raises InvalidConfigError unless ``h0`` (first step, T) is None or
-    finite and > 0, and BelowThresholdError when there is no output at
-    the bias.  A vanishing slope (symmetry point of the output curve) is
-    reported as a diverged result with eta = +inf and no ``fd_rel_error``.
+
+def dc_sensitivity(config: ModelConfig, b_field: float) -> SensitivityResult:
+    """Shot-noise d.c. sensitivity at a bias field, from the adaptive
+    finite-difference slope (first step max(1e-3 |B|, 1e-9 T)).
+
+    Raises BelowThresholdError when there is no output at the bias.  A
+    vanishing slope (symmetry point of the output curve) is reported as a
+    diverged result with eta = +inf and no ``fd_rel_error``.
     """
-    if h0 is not None and not 0.0 < h0 < math.inf:
-        raise InvalidConfigError(f"h0 must be finite and > 0, got {h0!r}")
     ss = solve_steady_state(with_bias_field(config, b_field))
     if ss.n <= 0.0:
         raise BelowThresholdError(
             f"no optical output at B = {b_field:.6e} T")
-    shot = _shot_factor(config, ss.n)
-    slope, step, rel_err = _slope_dn_db(config, b_field, h0=h0)
-    diverged = rel_err is None
-    return SensitivityResult(
-        eta=math.inf if diverged else shot / abs(slope), b_field=b_field,
-        n=ss.n, slope_dn_db=slope, shot_factor=shot, method=METHOD_DC,
-        diverged=diverged, fd_step=step, fd_rel_error=rel_err)
+    slope, step, rel_err = _slope_dn_db(config, b_field)
+    return _dc_result(config, b_field, ss.n, slope, METHOD_DC,
+                      rel_err is None, fd_step=step, fd_rel_error=rel_err)
 
 
 def _dc_at_state(point: ModelConfig, ss: SteadyStateResult, b_field: float
@@ -231,12 +234,8 @@ def _dc_at_state(point: ModelConfig, ss: SteadyStateResult, b_field: float
         return None
     dg_dn, dg_dd = ss.gain_partials
     slope = -dg_dd / dg_dn / point.derived.field_per_detuning
-    shot = _shot_factor(point, ss.n)
-    diverged = slope == 0.0
-    return SensitivityResult(
-        eta=math.inf if diverged else shot / abs(slope), b_field=b_field,
-        n=ss.n, slope_dn_db=slope, shot_factor=shot,
-        method=METHOD_DC_IMPLICIT, diverged=diverged)
+    return _dc_result(point, b_field, ss.n, slope, METHOD_DC_IMPLICIT,
+                      slope == 0.0)
 
 
 def _field_grid(b_grid) -> np.ndarray:

@@ -306,26 +306,29 @@ def _solve_linear(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return v
 
 
-def _reject_degenerate(rates, pump12: float, pump45: float,
-                       omega: float) -> None:
+def _checked_matrix(rates, pump12: float, pump45: float, omega: float,
+                    n: float, gn: float, delta: float) -> np.ndarray:
+    """A(n, delta) of a device, G n = ``gn``, as ``rate_matrix`` builds
+    it; raises as ``populations_at_fixed_n`` does."""
     if rates.all_zero() and pump12 == pump45 == omega == 0.0:
         raise DegenerateConfigError("all transition rates and drives are "
                                     "zero; occupations are undetermined")
-
-
-def _fixed_n(config: ModelConfig, n: float,
-             delta: float) -> PopulationState:
-    """The one fixed-n population solve of a sub-ensemble, checked by
-    ``_checked_state``.  Raises as ``populations_at_fixed_n`` does."""
-    if not (0.0 <= n < math.inf and math.isfinite(delta)):
-        raise InvalidConfigError("need a finite photon number n >= 0 and a "
-                                 f"finite delta, got n={n!r}, delta={delta!r}")
-    d = config.drive
-    _reject_degenerate(config.rates, d.pump12, d.pump45, d.omega)
-    a = rate_matrix(config, n, delta)
+    a = _shifted(_device_matrix(rates, pump12, pump45, omega), gn, delta)
     if not np.all(np.isfinite(a)):
         raise ConvergenceError("rate matrix is not finite",
                                detail={"n": n, "delta": delta})
+    return a
+
+
+def _fixed_n(config: ModelConfig, n: float, delta: float) -> PopulationState:
+    """The one fixed-n population solve of a sub-ensemble at a config's
+    detuning ``delta``; raises as ``populations_at_fixed_n`` does."""
+    if not 0.0 <= n < math.inf:
+        raise InvalidConfigError(
+            f"need a finite photon number n >= 0, got n={n!r}")
+    d = config.drive
+    a = _checked_matrix(config.rates, d.pump12, d.pump45, d.omega, n,
+                        config.derived.gain_coupling * n, delta)
     return _checked_state(config, n, delta, a,
                           _solve_linear(a, _TRACE_RHS))[0]
 
@@ -344,19 +347,16 @@ def _checked_state(config: ModelConfig, n: float, delta: float,
     return PopulationState(*v.tolist()), residual
 
 
-def populations_at_fixed_n(config: ModelConfig, n: float,
-                           delta: float | None = None) -> PopulationState:
-    """Steady occupations of one sub-ensemble at frozen photon number.
+def populations_at_fixed_n(config: ModelConfig, n: float) -> PopulationState:
+    """Steady occupations of one sub-ensemble at frozen photon number and
+    the drive detuning (``with_drive(config, delta=d)`` for another).
 
-    ``delta`` defaults to the configured drive detuning.  Raises
-    InvalidConfigError (a ValueError) for a negative or non-finite n or
-    a non-finite delta, DegenerateConfigError when every rate, pump and
-    drive is zero (the occupation split is undetermined), and
-    ConvergenceError when the rate matrix is not finite or the solve
-    fails its residual check.
+    Raises InvalidConfigError (a ValueError) for a negative or non-finite
+    n, DegenerateConfigError when every rate, pump and drive is zero (the
+    occupation split is undetermined), and ConvergenceError when the rate
+    matrix is not finite or the solve fails its residual check.
     """
-    return _fixed_n(config, n,
-                    config.drive.delta if delta is None else delta)
+    return _fixed_n(config, n, config.drive.delta)
 
 
 def _ensembles(config: ModelConfig) -> tuple[tuple[float, float], ...]:
@@ -399,12 +399,8 @@ def _device(rates, pump12: float, pump45: float, omega: float) -> tuple:
     tuples of floats.  Raises as ``populations_at_fixed_n`` does at
     n = delta = 0 (an exception is not cached).
     """
-    _reject_degenerate(rates, pump12, pump45, omega)
-    a = _shifted(_device_matrix(rates, pump12, pump45, omega), 0.0, 0.0)
+    a = _checked_matrix(rates, pump12, pump45, omega, 0.0, 0.0, 0.0)
     a.flags.writeable = False
-    if not np.all(np.isfinite(a)):
-        raise ConvergenceError("rate matrix is not finite",
-                               detail={"n": 0.0, "delta": 0.0})
     x = _solve_linear(a, _ZERO_N_RHS)
     x.flags.writeable = False
     return a, x, _w_rows(x), tuple(map(tuple, x[7:9].tolist()))

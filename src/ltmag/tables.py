@@ -5,13 +5,16 @@ header row ``name [unit]`` per column, then data rows.  Dimensionless
 columns carry the unit ``1``; text columns no bracket.  Absent cells
 (points where a solver legitimately had no answer) are empty fields in
 CSV and null in JSON, never zeros.  Numbers are written with full
-round-trip precision and ``.`` as the decimal separator.
+round-trip precision and ``.`` as the decimal separator; a non-finite
+one, which JSON has no literal for, as its CSV text (``inf``, ``-inf``,
+``nan``) in a JSON string, read back as the float.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -108,9 +111,11 @@ class OutputTable:
             "provenance": dict(sorted(self.provenance.items())),
             "columns": [{"name": c.name, "unit": c.unit}
                         for c in self.columns],
-            "rows": [list(row) for row in self.rows],
+            "rows": [[_cell_to_text(c) if isinstance(c, float)
+                      and not math.isfinite(c) else c for c in row]
+                     for row in self.rows],
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "OutputTable":
@@ -131,7 +136,9 @@ class OutputTable:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidConfigError(
                 f"malformed JSON table header: {exc!r}") from exc
-        return cls(columns=columns, rows=[tuple(row) for row in rows],
+        return cls(columns=columns,
+                   rows=[tuple(float(c) if c in ("inf", "-inf", "nan")
+                               else c for c in row) for row in rows],
                    provenance=provenance)
 
     def render(self, fmt: str) -> str:

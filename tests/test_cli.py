@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, output formats, file handling."""
 
 import json
+import math
 
 import pytest
 
@@ -20,6 +21,13 @@ def _run(capsys, *argv):
 
 def _table(out):
     return OutputTable.from_csv(out)
+
+
+def _strict_json(text):
+    """``json.loads`` that rejects the non-standard Infinity and NaN."""
+    def reject(token):
+        raise ValueError(f"not RFC 8259 JSON: {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 def test_steady_state_stdout(capsys):
@@ -100,6 +108,16 @@ def test_config_file_input(tmp_path, capsys):
 def test_missing_config_file(capsys):
     code, _, err = _run(capsys, "steady-state", "--config", "/nope.json")
     assert code == 1 and "cannot read config" in err
+
+
+@pytest.mark.parametrize("suffix", [".json", ".ini"])
+def test_non_utf8_config_file_is_a_config_error(tmp_path, capsys, suffix):
+    path = tmp_path / f"cfg{suffix}"
+    path.write_bytes(b"\xff\xfe" + "[rates]\n".encode("utf-16-le"))
+    code, out, err = _run(capsys, "steady-state", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read config")
+    assert len(err.splitlines()) == 1
 
 
 def test_unknown_subcommand(capsys):
@@ -208,6 +226,26 @@ def test_sensitivity_dc_point_and_grid(capsys):
     # 100 uT is dark: n reads 0.0 and both d.c. cells are absent
     assert grid.rows[0][1:] == (0.0, None, None)
     assert all(eta > 0.0 for eta in grid.column_values("eta_dc")[1:])
+
+
+def test_json_tables_write_non_finite_cells_as_strict_json(tmp_path,
+                                                          capsys):
+    # eta_dc diverges at B = 0; fig4's ratio-0.1 curve has no common points
+    code, out, _ = _run(capsys, "sweep", "--preset", "baseline", "--axis1",
+                        "b_field:-1e-6:1e-6:3", "--outputs", "n,eta_dc",
+                        "--format", "json")
+    assert code == 0
+    assert _strict_json(out)["rows"][1][2] == "inf"
+    assert OutputTable.from_json(out).column_values("eta_dc")[1] == math.inf
+    code, _, _ = _run(capsys, "experiment", "--name", "fig4", "--format",
+                      "json", "--out", str(tmp_path))
+    assert code == 0
+    text = (tmp_path / "fig4_summary.json").read_text()
+    _strict_json(text)
+    row = dict(zip(("ratio", "common", "max", "median"),
+                   OutputTable.from_json(text).rows[-1]))
+    assert row == {"ratio": 0.1, "common": 0, "max": math.inf,
+                   "median": math.inf}
 
 
 def test_sensitivity_dc_dark_is_physics_exit(capsys):

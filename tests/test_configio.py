@@ -118,11 +118,6 @@ def test_override_mode_and_gain(baseline_config):
     assert cleared.gain_coupling_override is None
 
 
-def test_override_mapping_form(baseline_config):
-    cfg = apply_overrides(baseline_config, {"drive.delta": 1e8})
-    assert cfg.drive.delta == 1e8
-
-
 def test_override_rejects_bad_paths(baseline_config):
     for bad in ["omega=5e6", "drive.phase=1", "drive.omega", "drive.omega=x",
                 "b_field=1e-4", "pump=1e6"]:

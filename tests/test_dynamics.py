@@ -559,6 +559,11 @@ def test_timeseries_csv_round_trip(baseline_config):
     assert body.shape[1] == len(TIMESERIES_COLUMNS)
 
 
+def test_timeseries_shape_error_is_typed():
+    with pytest.raises(InvalidConfigError):
+        dynamics.TimeSeries(np.zeros(3), np.zeros((3, 9)))
+
+
 def test_modulation_kinds(baseline_config):
     sine = DriveModulation.sine_field(bias_field=1e-4,
                                       amplitude_field=1e-6,

@@ -302,14 +302,3 @@ def test_l27_large_ratio_kills_lasing(high_sens_config):
     assert rep.common_points[0.1] == 0
     assert rep.max_rel_dev[0.1] == math.inf
 
-
-@pytest.mark.parametrize("h0", [0.0, -1e-6, math.nan, math.inf])
-def test_dc_sensitivity_rejects_bad_initial_step(high_sens_config, h0):
-    with pytest.raises(InvalidConfigError):
-        dc_sensitivity(high_sens_config, BIAS, h0=h0)
-
-
-def test_dc_sensitivity_respects_initial_step(high_sens_config):
-    loose = dc_sensitivity(high_sens_config, BIAS, h0=2e-6)
-    tight = dc_sensitivity(high_sens_config, BIAS, h0=1e-7)
-    assert loose.eta == pytest.approx(tight.eta, rel=1e-3)

@@ -69,6 +69,22 @@ def test_table_from_json_rejects_malformed_documents(doc):
         OutputTable.from_json(doc)
 
 
+def test_table_json_writes_non_finite_cells_as_csv_text():
+    t = OutputTable(columns=(Column("x", "1"),),
+                    rows=[(math.inf,), (-math.inf,), (math.nan,), (None,)])
+
+    def reject(token):
+        raise ValueError(f"not RFC 8259 JSON: {token}")
+
+    doc = json.loads(t.to_json(), parse_constant=reject)
+    csv_cells = t.to_csv().splitlines()[1:]
+    assert doc["rows"] == [[c or None] for c in csv_cells]
+    assert doc["rows"] == [["inf"], ["-inf"], ["nan"], [None]]
+    back = OutputTable.from_json(t.to_json()).column_values("x")
+    assert back[:2] == [math.inf, -math.inf]
+    assert math.isnan(back[2]) and back[3] is None
+
+
 def test_table_short_row_is_a_config_error_in_both_formats():
     t = _sample_table()
     short = t.to_csv().rstrip("\n").rpartition(",")[0] + "\n"
