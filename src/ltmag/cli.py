@@ -7,9 +7,10 @@ an output directory.  A d.c. sensitivity curve is a ``b_field`` sweep
 with outputs ``n,dn_dB,eta_dc``; options left out keep the library's
 defaults; negative values may be written ``-1e8``.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 numerical
-non-convergence, 3 physics-domain condition (e.g. the configuration
-cannot lase at the requested point).
+Exit codes: 0 success, 1 usage or configuration error or an output
+file that cannot be written, 2 numerical non-convergence, 3
+physics-domain condition (e.g. the configuration cannot lase at the
+requested point).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import re
 import sys
 
 from . import __about__
-from .configio import (get_param, param_unit, provenance, resolve_config,
-                       save_config, set_param)
+from .configio import (_format_for, get_param, param_unit, provenance,
+                       resolve_config, save_config, set_param)
 from .dynamics import ac_response, step_response
 from .errors import ConvergenceError, InvalidConfigError, LtmagError
 from .experiments import EXPERIMENT_NAMES, experiment
@@ -209,6 +210,8 @@ def _cmd_operating_point(args) -> OutputTable:
 
 def _cmd_optimize(args) -> OutputTable:
     config = _config_from(args)
+    if args.save_config:
+        _format_for(args.save_config)  # fail on the extension before searching
     outcome = optimize_sensitivity(
         config, b_window=(args.b_min, args.b_max),
         **_given(args, "vary", "bounds_decades", "max_evaluations"))
@@ -360,6 +363,9 @@ def main(argv=None) -> int:
                   if isinstance(exc, ConvergenceError) else "")
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

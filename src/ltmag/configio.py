@@ -277,8 +277,11 @@ def save_config(config: ModelConfig, path: str | os.PathLike) -> None:
         text += "\n"
     else:
         text = _ini_dump(config)
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.write(text)
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot write config: {exc}") from exc
 
 
 def load_config(path: str | os.PathLike) -> ModelConfig:

@@ -412,8 +412,6 @@ def _first_crossing(config: ModelConfig, t: np.ndarray, states: np.ndarray,
     dn/dt (the photon row of ``rhs``) at the bracket's ends."""
     n = states[:, 9]
     f = n - target if rising else target - n
-    if f[0] >= 0.0:
-        return float(t[0])
     idx = np.flatnonzero(f >= 0.0)
     if idx.size == 0:
         return None

@@ -58,31 +58,31 @@ def _exp_fig2b(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
     """Output vs detuning with the pump parked at the operating point."""
     op = find_operating_point(config)
     cfg = with_pump(config, op)
-    table = OutputTable(columns=(Column("delta", "rad/s"),
-                                 Column("b_field", "T"),
-                                 Column("n", "1"), Column("P_out", "W")),
-                        provenance=dict(prov, operating_point_pump=repr(op)))
     deltas = np.linspace(-1.5e8, 1.5e8, 301).tolist()
     points = ((cfg, replace(cfg.drive, delta=delta)) for delta in deltas)
+    rows = []
     for delta, ss in zip(deltas, solve_steady_states(points)):
         n = None if ss is None else ss.n
-        table.append((delta, detuning_to_b_field(delta, cfg.constants), n,
-                      None if n is None else output_power(n, cfg)))
-    return {"profile": table}
+        rows.append((delta, detuning_to_b_field(delta, cfg.constants), n,
+                     None if n is None else output_power(n, cfg)))
+    return {"profile": OutputTable(
+        columns=(Column("delta", "rad/s"), Column("b_field", "T"),
+                 Column("n", "1"), Column("P_out", "W")),
+        rows=rows, provenance=dict(prov, operating_point_pump=repr(op)))}
 
 
 def _exp_fig3a(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
     """d.c. sensitivity across the bias-field window."""
     b_grid = np.linspace(-300e-6, 300e-6, 121)
-    table = OutputTable(columns=(Column("b_field", "T"), Column("n", "1"),
-                                 Column("dn_dB", "1/T"),
-                                 Column("eta_dc", "T/sqrt(Hz)")),
-                        provenance=prov)
+    rows = []
     for b, res in zip(b_grid, dc_sensitivity_curve(config, b_grid)):
         cells = ((None,) * 3 if res is None
                  else (res.n, res.slope_dn_db, res.eta))
-        table.append((float(b), *cells))
-    return {"sensitivity": table}
+        rows.append((float(b), *cells))
+    return {"sensitivity": OutputTable(
+        columns=(Column("b_field", "T"), Column("n", "1"),
+                 Column("dn_dB", "1/T"), Column("eta_dc", "T/sqrt(Hz)")),
+        rows=rows, provenance=prov)}
 
 
 def _exp_fig3b(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
@@ -93,21 +93,20 @@ def _exp_fig3b(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
     signal_qs = AcSignalModel(bias_field=bias, amplitude_field=amplitude,
                               omega_signal=2e4)
     qs = ac_sensitivity(config, signal_qs, method=METHOD_AC_QUASISTATIC)
-    table = OutputTable(columns=(Column("omega", "rad/s"),
-                                 Column("eta_ac", "T/sqrt(Hz)"),
-                                 Column("eta_quasistatic", "T/sqrt(Hz)"),
-                                 Column("n_signal", "1"),
-                                 Column("distortion", "1"),
-                                 Column("phase", "rad")),
-                        provenance=prov)
+    rows = []
     for omega in np.geomspace(2e4, 2e7, 10):
         signal = AcSignalModel(bias_field=bias, amplitude_field=amplitude,
                                omega_signal=float(omega))
         hr = ac_response(config, bias, amplitude, float(omega))
         res = sensitivity_from_harmonic(config, signal, hr)
-        table.append((float(omega), res.eta, qs.eta, res.n_signal,
-                      hr.distortion, hr.phase))
-    return {"rolloff": table}
+        rows.append((float(omega), res.eta, qs.eta, res.n_signal,
+                     hr.distortion, hr.phase))
+    return {"rolloff": OutputTable(
+        columns=(Column("omega", "rad/s"), Column("eta_ac", "T/sqrt(Hz)"),
+                 Column("eta_quasistatic", "T/sqrt(Hz)"),
+                 Column("n_signal", "1"), Column("distortion", "1"),
+                 Column("phase", "rad")),
+        rows=rows, provenance=prov)}
 
 
 def _exp_fig4(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
@@ -117,22 +116,18 @@ def _exp_fig4(config: ModelConfig, prov: dict) -> dict[str, OutputTable]:
     curves = {0.0: report.base_curve}
     curves.update(report.curves)
     for ratio, curve in sorted(curves.items()):
-        table = OutputTable(columns=(Column("b_field", "T"),
-                                     Column("eta_dc", "T/sqrt(Hz)")),
-                            provenance=dict(prov, l27_ratio=repr(ratio)))
-        for b, res in zip(report.b_grid, curve):
-            table.append((float(b), None if res is None else res.eta))
-        out[f"ratio_{ratio:g}"] = table
-    summary = OutputTable(columns=(Column("l27_ratio", "1"),
-                                   Column("common_points", "1"),
-                                   Column("max_rel_dev", "1"),
-                                   Column("median_rel_dev", "1")),
-                          provenance=prov)
-    for ratio in report.ratios:
-        summary.append((float(ratio), report.common_points[ratio],
-                        report.max_rel_dev[ratio],
-                        report.median_rel_dev[ratio]))
-    out["summary"] = summary
+        rows = [(float(b), None if res is None else res.eta)
+                for b, res in zip(report.b_grid, curve)]
+        out[f"ratio_{ratio:g}"] = OutputTable(
+            columns=(Column("b_field", "T"), Column("eta_dc", "T/sqrt(Hz)")),
+            rows=rows, provenance=dict(prov, l27_ratio=repr(ratio)))
+    rows = [(float(ratio), report.common_points[ratio],
+             report.max_rel_dev[ratio], report.median_rel_dev[ratio])
+            for ratio in report.ratios]
+    out["summary"] = OutputTable(
+        columns=(Column("l27_ratio", "1"), Column("common_points", "1"),
+                 Column("max_rel_dev", "1"), Column("median_rel_dev", "1")),
+        rows=rows, provenance=prov)
     return out
 
 

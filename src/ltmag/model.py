@@ -179,7 +179,8 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class DerivedQuantities:
-    """Quantities computed from a ModelConfig, cached on the config."""
+    """Quantities computed from a ModelConfig's device, never its drive,
+    and cached on the config; every drive of one device shares them."""
 
     n_centers: float              # usable centers in the medium
     lase_frequency: float         # Hz, c / vacuum_wavelength
@@ -187,8 +188,6 @@ class DerivedQuantities:
     gain_coupling: float          # G used by solvers (rad/s)
     gain_coupling_formula: float  # G from the geometry formula (rad/s)
     quality_factor: float         # 2 pi nu / kappa
-    coherence_decay: float        # gamma14 + (pump12 + pump45) / 2 (rad/s)
-    field_per_detuning: float     # T per (rad/s)
 
 
 def derive_constants(config: ModelConfig) -> DerivedQuantities:
@@ -220,9 +219,6 @@ def derive_constants(config: ModelConfig) -> DerivedQuantities:
         gain_coupling=g_used,
         gain_coupling_formula=g_formula,
         quality_factor=2.0 * math.pi * nu / cav.kappa,
-        coherence_decay=(config.rates.gamma14
-                         + 0.5 * (config.drive.pump12 + config.drive.pump45)),
-        field_per_detuning=cst.field_per_detuning,
     )
 
 

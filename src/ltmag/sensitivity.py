@@ -233,7 +233,7 @@ def _dc_at_state(point: ModelConfig, ss: SteadyStateResult, b_field: float
     if ss.gain_partials is None or not ss.gain_partials[0] < 0.0:
         return None
     dg_dn, dg_dd = ss.gain_partials
-    slope = -dg_dd / dg_dn / point.derived.field_per_detuning
+    slope = -dg_dd / dg_dn / point.constants.field_per_detuning
     return _dc_result(point, b_field, ss.n, slope, METHOD_DC_IMPLICIT,
                       slope == 0.0)
 
@@ -329,7 +329,8 @@ def find_bias_point(config: ModelConfig, b_min: float,
     ``dc_sensitivity`` there.
 
     Searches a coarse grid of implicit slopes, then repeatedly zooms
-    around the best point.  The output-vs-field curve is symmetric in B,
+    around the best point; each zoom is clipped to the window, so the
+    result never leaves it.  The output-vs-field curve is symmetric in B,
     so two mirror maximizers can exist; exact ties are broken toward
     positive field.  Raises InvalidConfigError unless the window is
     finite with b_max > b_min.
@@ -353,7 +354,8 @@ def find_bias_point(config: ModelConfig, b_min: float,
         tied = [sb for sb in scored if sb[0] >= top * (1.0 - 1e-9)]
         best = max(tied, key=lambda sb: (sb[1] > 0.0, sb[1]))
         width = (hi - lo) / (points - 1)
-        lo, hi = best[1] - width, best[1] + width
+        lo = max(best[1] - width, float(b_min))
+        hi = min(best[1] + width, float(b_max))
         points = 21
     return dc_sensitivity(config, best[1])
 

@@ -70,8 +70,6 @@ class SweepAxis:
         _axis_unit(self.path)  # validates the path
 
     def values(self) -> np.ndarray:
-        if self.points == 1:
-            return np.array([self.start], dtype=float)
         if self.scale == "log":
             return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)

@@ -46,18 +46,10 @@ class OutputTable:
     def __post_init__(self):
         self.columns = tuple(self.columns)
         for row in self.rows:
-            self._check_row(row)
-
-    def _check_row(self, row) -> None:
-        if len(row) != len(self.columns):
-            raise InvalidConfigError(
-                f"row has {len(row)} cells, table has "
-                f"{len(self.columns)} columns")
-
-    def append(self, row) -> None:
-        row = tuple(row)
-        self._check_row(row)
-        self.rows.append(row)
+            if len(row) != len(self.columns):
+                raise InvalidConfigError(
+                    f"row has {len(row)} cells, table has "
+                    f"{len(self.columns)} columns")
 
     def column_index(self, name: str) -> int:
         for i, col in enumerate(self.columns):

@@ -8,7 +8,8 @@ import pytest
 from ltmag import (BelowThresholdError, ConvergenceError,
                    InvalidConfigError, LtmagError, NotLasableError,
                    OutputTable, PhysicsDomainError, StiffnessError,
-                   find_operating_point, preset, save_config)
+                   experiment, find_operating_point, preset, save_config,
+                   with_drive)
 from ltmag import cli
 from ltmag.cli import main
 
@@ -340,3 +341,71 @@ def test_experiment_stdout_sections(capsys):
     code, out, _ = _run(capsys, "experiment", "--name", "fig1b")
     assert code == 0
     assert out.count("## ") == 2
+
+
+def _one_error_line(code, out, err):
+    """Exit 1 with a single ``error:`` line on stderr and no table."""
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_steady_state_unwritable_out_is_one_error_line(tmp_path, capsys):
+    _one_error_line(*_run(capsys, "steady-state", "--out",
+                          str(tmp_path / "missing" / "x.csv")))
+
+
+def test_response_unwritable_timeseries_is_one_error_line(tmp_path,
+                                                          capsys):
+    _one_error_line(*_run(capsys, "response", "--delta-before", "1e8",
+                          "--delta-after", "0", "--timeseries",
+                          str(tmp_path / "missing" / "t.csv")))
+
+
+def test_experiment_unwritable_out_is_one_error_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    _one_error_line(*_run(capsys, "experiment", "--name", "fig1b", "--out",
+                          str(blocker / "dir")))
+
+
+def test_optimize_unwritable_save_config_is_one_error_line(tmp_path,
+                                                           capsys):
+    _one_error_line(*_run(capsys, "optimize", "--preset", "high_sensitivity",
+                          "--vary", "pump", "--bounds-decades", "0.2",
+                          "--b-min", "100e-6", "--b-max", "300e-6",
+                          "--max-evaluations", "2", "--save-config",
+                          str(tmp_path / "missing" / "x.json")))
+
+
+def test_optimize_checks_save_config_extension_before_searching(
+        tmp_path, capsys, monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("the search ran")
+    monkeypatch.setattr(cli, "optimize_sensitivity", search)
+    _one_error_line(*_run(capsys, "optimize", "--preset", "high_sensitivity",
+                          "--save-config", str(tmp_path / "out.yaml")))
+
+
+def _experiment_stdout(tables):
+    return "".join(f"## {key}\n{table.to_csv()}"
+                   for key, table in tables.items())
+
+
+def test_experiment_with_preset_matches_library(capsys):
+    code, out, err = _run(capsys, "experiment", "--name", "fig1b",
+                          "--preset", "high_sensitivity")
+    assert code == 0 and err == ""
+    assert out == _experiment_stdout(
+        experiment("fig1b", config=preset("high_sensitivity")))
+
+
+def test_experiment_with_config_file_matches_library(tmp_path, capsys):
+    cfg = with_drive(preset("baseline"), omega=5e6)
+    path = tmp_path / "cfg.json"
+    save_config(cfg, path)
+    code, out, err = _run(capsys, "experiment", "--name", "fig1b",
+                          "--config", str(path))
+    assert code == 0 and err == ""
+    assert out == _experiment_stdout(experiment("fig1b", config=cfg))
+    assert out != _experiment_stdout(experiment("fig1b"))

@@ -40,6 +40,11 @@ def test_unknown_extension_rejected(tmp_path, baseline_config):
         save_config(baseline_config, tmp_path / "cfg.yaml")
 
 
+def test_unwritable_path_rejected(tmp_path, baseline_config):
+    with pytest.raises(InvalidConfigError, match="cannot write config"):
+        save_config(baseline_config, tmp_path / "missing" / "cfg.json")
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(InvalidConfigError):
         load_config(tmp_path / "nope.json")

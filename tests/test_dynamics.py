@@ -488,6 +488,12 @@ def test_ac_response_rejects_non_finite_signal(high_sens_config, amplitude,
                     amplitude_field=amplitude, omega_signal=omega)
 
 
+def test_ac_response_rejects_zero_amplitude(high_sens_config):
+    with pytest.raises(InvalidConfigError, match="amplitude_field"):
+        ac_response(high_sens_config, bias_field=164e-6,
+                    amplitude_field=0.0, omega_signal=2e5)
+
+
 @pytest.mark.parametrize("seed", [0.0, -1e-6, math.nan, math.inf])
 def test_step_response_rejects_bad_seed(baseline_config, seed):
     with pytest.raises(InvalidConfigError):

@@ -9,7 +9,7 @@ import pytest
 from ltmag import (CavityGeometry, DriveSettings, InvalidConfigError,
                    LevelRates, OrientationModel, b_field_to_detuning,
                    config_digest, derive_constants, detuning_to_b_field,
-                   output_power, preset)
+                   output_power, preset, rate_matrix)
 from ltmag.configio import set_param
 
 
@@ -46,8 +46,10 @@ def test_derived_scalars(baseline_config):
     assert d.gain_coupling == pytest.approx(3.116447e8, rel=1e-6)
     assert d.quality_factor == pytest.approx(8.85591e8, rel=1e-5)
     assert d.photon_energy == pytest.approx(2.8018e-19, rel=1e-4)
-    assert d.coherence_decay == pytest.approx(
-        baseline_config.rates.gamma14 + baseline_config.drive.pump12,
+    # the ground-coherence decay lives in the rate matrix, not here
+    drive = baseline_config.drive
+    assert rate_matrix(baseline_config, 0.0, 0.0)[7, 7] == pytest.approx(
+        -(baseline_config.rates.gamma14 + 0.5 * (drive.pump12 + drive.pump45)),
         rel=1e-15)
 
 

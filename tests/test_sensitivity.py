@@ -221,6 +221,21 @@ def test_find_bias_point_returns_dc_sensitivity(high_sens_config):
     assert res == dc_sensitivity(high_sens_config, res.b_field)
 
 
+@pytest.mark.parametrize("window", [(100e-6, 140e-6), (160e-6, 300e-6),
+                                    (100e-6, 150e-6), (-300e-6, -160e-6)])
+def test_find_bias_point_stays_inside_an_edge_optimum_window(
+        high_sens_config, window):
+    # the best |slope| of each window lies at one of its edges
+    res = find_bias_point(high_sens_config, *window)
+    assert window[0] <= res.b_field <= window[1]
+    assert res == dc_sensitivity(high_sens_config, res.b_field)
+
+
+def test_find_bias_point_dark_window(high_sens_config):
+    with pytest.raises(BelowThresholdError):
+        find_bias_point(high_sens_config, 0.0, 50e-6)
+
+
 def test_best_eta_over_field(high_sens_config):
     eta, b = best_eta_over_field(high_sens_config, 0.0, 300e-6)
     # the sensitivity keeps improving toward the lasing edge where the

@@ -27,12 +27,12 @@ _PROPERTY = dict(deadline=None, derandomize=True, database=None)
 def _sample_table():
     cols = (Column("delta", "rad/s"), Column("n", "1"),
             Column("branch", ""), Column("ok", ""), Column("count", "1"))
-    t = OutputTable(columns=cols, rows=[],
-                    provenance={"kind": "unit-test", "config_digest": "abc"})
-    t.append((0.0, 4.2e-3, "lasing", True, 3))
-    t.append((1e8, None, "below_threshold", False, 0))
-    t.append((-1e8, math.inf, "lasing", True, -1))
-    return t
+    return OutputTable(columns=cols,
+                       rows=[(0.0, 4.2e-3, "lasing", True, 3),
+                             (1e8, None, "below_threshold", False, 0),
+                             (-1e8, math.inf, "lasing", True, -1)],
+                       provenance={"kind": "unit-test",
+                                   "config_digest": "abc"})
 
 
 def test_table_csv_round_trip():
@@ -117,7 +117,7 @@ def test_table_floats_round_trip_exactly():
 def test_table_rejects_ragged_rows():
     t = _sample_table()
     with pytest.raises(InvalidConfigError):
-        t.append((1.0, 2.0))
+        OutputTable(columns=t.columns, rows=[*t.rows, (1.0, 2.0)])
 
 
 def test_table_render_dispatch():
