@@ -12,16 +12,15 @@ unit annotation says Hz; fields are tesla, powers watts.
 """
 
 from .__about__ import __version__
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import (BelowThresholdError, ConvergenceError,
                      DegenerateConfigError, DegenerateStepError,
                      InvalidConfigError, LtmagError, NoSignalError,
                      NotLasableError, PhysicsDomainError, StiffnessError)
-from .model import (CavityGeometry, DerivedQuantities, DriveSettings,
-                    LevelRates, ModelConfig, OrientationModel, PRESET_NAMES,
-                    b_field_to_detuning, derive_constants,
-                    detuning_to_b_field, output_power, preset,
-                    with_bias_field, with_drive, with_pump)
+from .model import (DEFAULT_CONSTANTS, CavityGeometry, DerivedQuantities,
+                    DriveSettings, LevelRates, ModelConfig, OrientationModel,
+                    PRESET_NAMES, PhysicalConstants, b_field_to_detuning,
+                    derive_constants, detuning_to_b_field, output_power,
+                    preset, with_bias_field, with_drive, with_pump)
 from .steady import (BELOW_THRESHOLD, LASING, PopulationState,
                      SteadyStateResult, find_operating_point, net_gain,
                      populations_at_fixed_n, rate_matrix,
@@ -46,15 +45,15 @@ from .experiments import EXPERIMENT_NAMES, experiment
 
 __all__ = [
     "__version__",
-    # constants and errors
-    "DEFAULT_CONSTANTS", "PhysicalConstants",
+    # errors
     "LtmagError", "InvalidConfigError", "DegenerateConfigError",
     "ConvergenceError", "StiffnessError", "PhysicsDomainError",
     "NotLasableError", "BelowThresholdError", "NoSignalError",
     "DegenerateStepError",
     # model
     "ModelConfig", "LevelRates", "CavityGeometry", "DriveSettings",
-    "OrientationModel", "DerivedQuantities", "preset", "PRESET_NAMES",
+    "OrientationModel", "PhysicalConstants", "DEFAULT_CONSTANTS",
+    "DerivedQuantities", "preset", "PRESET_NAMES",
     "derive_constants", "b_field_to_detuning", "detuning_to_b_field",
     "output_power", "with_drive", "with_pump", "with_bias_field",
     # steady state

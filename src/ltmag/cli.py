@@ -148,7 +148,7 @@ def _cmd_response(args) -> OutputTable:
                  Column("settled", "")),
         rows=[(res.delta_before, res.delta_after, res.seed_n,
                res.n_initial, res.n_final, res.t_63, res.t_90,
-               "true" if res.settled else "false")],
+               res.settled)],
         provenance=_provenance(args, config))
 
 
@@ -175,7 +175,7 @@ _SENS_COLUMNS = (Column("b_field", "T"), Column("n", "1"),
 
 def _sens_row(res) -> tuple:
     return (res.b_field, res.n, res.slope_dn_db, res.eta,
-            "true" if res.diverged else "false", res.method)
+            res.diverged, res.method)
 
 
 def _cmd_sensitivity_dc(args) -> OutputTable:
@@ -221,7 +221,7 @@ def _cmd_optimize(args) -> OutputTable:
             Column("best_eta", "T/sqrt(Hz)"), Column("best_b_field", "T"),
             Column("evaluations", "1"), Column("converged", "")]
     row = [outcome.start_eta, outcome.eta, outcome.b_field,
-           outcome.evaluations, "true" if outcome.converged else "false"]
+           outcome.evaluations, outcome.converged]
     for path in outcome.varied:
         cols.append(Column(f"best_{path}", param_unit(path) or "1"))
         row.append(get_param(outcome.config, path))

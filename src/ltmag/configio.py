@@ -13,6 +13,12 @@ checks both formats.  Units are fixed per field; a config written with
 the wrong unit string is rejected rather than converted.  Overrides use
 dotted paths matching the section names (``drive.omega=3.67e6``).
 
+The schema is derived, not written out: its sections are ModelConfig's
+dataclass-typed fields, each section's fields and units are the ones
+its dataclass declares, in field order, and a section or field without
+a default must be present.  ``gain.coupling_override`` is the one path
+named here, because it is a ModelConfig field rather than a section.
+
 These paths, plus the derived ``b_field`` and ``pump``, form the one
 parameter registry (``param_unit``, ``get_param``, ``set_param``).
 ``provenance`` builds every output table's header.
@@ -26,51 +32,38 @@ import hashlib
 import io
 import json
 import os
+import typing
 
 from . import __about__
-from .constants import PhysicalConstants
 from .errors import InvalidConfigError
-from .model import (RATE_FIELDS, CavityGeometry, DriveSettings, LevelRates,
-                    ModelConfig, OrientationModel, b_field_to_detuning,
+from .model import (ModelConfig, PhysicalConstants, b_field_to_detuning,
                     detuning_to_b_field, preset, with_drive)
 
-# (section, field) -> unit string; None marks dimensionless numbers and
-# "str" marks plain tokens.
+
+def _units(cls) -> dict[str, str | None]:
+    """Field name -> unit of the fields of a dataclass that declare one."""
+    return {f.name: f.metadata["unit"] for f in dataclasses.fields(cls)
+            if "unit" in f.metadata}
+
+
+def _required(cls) -> list[str]:
+    """The fields of a dataclass that have no default."""
+    return [f.name for f in dataclasses.fields(cls)
+            if f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING]
+
+
+# Each section is the dataclass-typed ModelConfig field that holds it
+_SECTION_TYPES = {name: cls for name, cls
+                  in typing.get_type_hints(ModelConfig).items()
+                  if dataclasses.is_dataclass(cls)}
+
+# section -> field -> unit, in the dataclasses' field order, which is
+# also the order of a config file
 _SCHEMA: dict[str, dict[str, str | None]] = {
-    "rates": dict.fromkeys(RATE_FIELDS, "rad/s"),
-    "cavity": {
-        "kappa": "rad/s",
-        "medium_volume": "m^3",
-        "cavity_volume": "m^3",
-        "nv_concentration": None,
-        "nv_fraction": None,
-        "vacuum_wavelength": "m",
-        "refractive_index": None,
-        "emission_bandwidth": "Hz",
-    },
-    "drive": {
-        "pump12": "rad/s",
-        "pump45": "rad/s",
-        "omega": "rad/s",
-        "delta": "rad/s",
-    },
-    "orientation": {
-        "mode": "str",
-        "aligned_fraction": None,
-        "off_axis_detuning": "rad/s",
-    },
-    "constants": {
-        "hbar": "J s",
-        "h": "J s",
-        "c": "m/s",
-        "mu_bohr": "J/T",
-        "g_electron": None,
-        "carbon_site_density": "1/m^3",
-    },
-    "gain": {
-        "coupling_override": "rad/s",
-    },
-}
+    section: _units(cls) for section, cls in _SECTION_TYPES.items()}
+_SCHEMA["gain"] = {
+    "coupling_override": _units(ModelConfig)["gain_coupling_override"]}
 
 # The parameter registry: every readable and settable path and its unit.
 # b_field (stored as drive.delta) and pump (both branch pumps) are
@@ -78,15 +71,6 @@ _SCHEMA: dict[str, dict[str, str | None]] = {
 _UNITS = {f"{section}.{name}": unit for section, fields in _SCHEMA.items()
           for name, unit in fields.items()}
 _UNITS.update(b_field="T", pump="rad/s")
-
-# Each section name is also the ModelConfig attribute that holds it.
-_SECTION_TYPES = {
-    "rates": LevelRates,
-    "cavity": CavityGeometry,
-    "drive": DriveSettings,
-    "orientation": OrientationModel,
-    "constants": PhysicalConstants,
-}
 
 
 def param_unit(path: str) -> str | None:
@@ -199,7 +183,7 @@ def config_from_dict(data: dict) -> ModelConfig:
     unknown = set(data) - set(_SCHEMA)
     if unknown:
         raise InvalidConfigError(f"unknown config sections: {sorted(unknown)}")
-    for required in ("rates", "cavity", "drive"):
+    for required in _required(ModelConfig):
         if required not in data:
             raise InvalidConfigError(f"missing config section [{required}]")
     for section, sec in data.items():
@@ -214,9 +198,8 @@ def config_from_dict(data: dict) -> ModelConfig:
         if section not in data:
             continue
         sec = data[section]
-        known = _SCHEMA[section]
-        missing = set(known) - set(sec)
-        if missing and section in ("rates", "cavity", "drive"):
+        missing = set(_required(cls)) - set(sec)
+        if missing:
             raise InvalidConfigError(
                 f"missing fields in [{section}]: {sorted(missing)}")
         kwargs = {name: _parse_value(section, name, sec[name])
@@ -255,7 +238,9 @@ def _ini_parse(text: str) -> ModelConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise InvalidConfigError(f"malformed config file: {exc}") from exc
+        # one line: configparser puts the offending text on lines of its own
+        raise InvalidConfigError(
+            f"malformed config file: {' '.join(str(exc).split())}") from exc
     return config_from_dict(
         {section: {name: _ini_value(section, name, raw.strip())
                    for name, raw in parser[section].items()}

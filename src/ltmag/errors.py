@@ -55,10 +55,6 @@ class PhysicsDomainError(LtmagError, RuntimeError):
 class NotLasableError(PhysicsDomainError):
     """No pump rate below the search ceiling reaches the lasing threshold."""
 
-    def __init__(self, message: str, pump_ceiling: float | None = None):
-        super().__init__(message)
-        self.pump_ceiling = pump_ceiling
-
 
 class BelowThresholdError(PhysicsDomainError):
     """The operating point is below threshold; there is no light to measure."""

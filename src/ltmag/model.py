@@ -8,6 +8,12 @@ and detuning delta mixes the two ground states (1 and 4) through the
 coherence rho14.  The cavity photon number per center, n, couples to the
 2<->3 and 5<->6 transitions with stimulated rate G * n.
 
+A ModelConfig holds five sections: level rates, cavity, drive,
+orientation and physical constants (SI, CODATA 2018 where applicable).
+Each field declares its unit once, on the dataclass (``_field``);
+``configio`` builds the config file schema and the parameter registry
+from these declarations.
+
 Unit conventions
 ----------------
 * every rate, Rabi rate, detuning, and linewidth named ``*_rate``,
@@ -22,14 +28,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import InvalidConfigError
-
-RATE_FIELDS = ("L21", "L23", "L31", "L54", "L56", "L64",
-               "L57", "L71", "L74", "L27", "gamma14")
 
 # Smallest nonzero pump or Rabi rate (rad/s).  Rates near the bottom of
 # the float range leave the steady-state matrix so badly scaled that its
@@ -37,26 +39,32 @@ RATE_FIELDS = ("L21", "L23", "L31", "L54", "L56", "L64",
 MIN_DRIVE_RATE = 1e-300
 
 
+def _field(unit: str | None, **kwargs):
+    """A config field with its unit: None marks a dimensionless number,
+    "str" a token.  ``kwargs`` go to ``dataclasses.field``."""
+    return field(metadata={"unit": unit}, **kwargs)
+
+
 @dataclass(frozen=True)
 class LevelRates:
-    """Spontaneous and non-radiative rates between the seven levels (rad/s).
+    """Spontaneous and non-radiative rates between the seven levels.
 
     ``Lij`` moves population from level i to level j.  ``gamma14`` is the
     extra dephasing of the ground-spin coherence on top of the pump
     contribution (inhomogeneous broadening, 1/T2*).
     """
 
-    L21: float   # excited m_s=0 decay back to ground
-    L23: float   # feeding of the lower lasing level (m_s=0 branch)
-    L31: float   # fast drain of the lower lasing level
-    L54: float   # excited |m_s|=1 decay back to ground
-    L56: float   # feeding of the lower lasing level (|m_s|=1 branch)
-    L64: float   # fast drain of the lower lasing level
-    L57: float   # intersystem crossing into the singlet
-    L71: float   # singlet decay to m_s=0 ground
-    L74: float   # singlet decay to |m_s|=1 ground
-    L27: float   # optional weak crossing from the m_s=0 excited state
-    gamma14: float
+    L21: float = _field("rad/s")  # excited m_s=0 decay back to ground
+    L23: float = _field("rad/s")  # feeds the lower lasing level (m_s=0)
+    L31: float = _field("rad/s")  # fast drain of the lower lasing level
+    L54: float = _field("rad/s")  # excited |m_s|=1 decay back to ground
+    L56: float = _field("rad/s")  # feeds the lower lasing level (|m_s|=1)
+    L64: float = _field("rad/s")  # fast drain of the lower lasing level
+    L57: float = _field("rad/s")  # intersystem crossing into the singlet
+    L71: float = _field("rad/s")  # singlet decay to m_s=0 ground
+    L74: float = _field("rad/s")  # singlet decay to |m_s|=1 ground
+    L27: float = _field("rad/s")  # weak crossing from the m_s=0 excited state
+    gamma14: float = _field("rad/s")
 
     def __post_init__(self):
         for name in RATE_FIELDS:
@@ -70,18 +78,21 @@ class LevelRates:
                    if name != "gamma14")
 
 
+RATE_FIELDS = tuple(f.name for f in fields(LevelRates))
+
+
 @dataclass(frozen=True)
 class CavityGeometry:
     """Cavity and gain-medium parameters."""
 
-    kappa: float                # photon loss rate (rad/s)
-    medium_volume: float        # m^3 of doped diamond
-    cavity_volume: float        # m^3 mode volume
-    nv_concentration: float     # centers per carbon site (atomic fraction)
-    nv_fraction: float          # usable fraction of those centers
-    vacuum_wavelength: float    # m, lasing transition
-    refractive_index: float
-    emission_bandwidth: float   # Hz, width of the emission band
+    kappa: float = _field("rad/s")             # photon loss rate
+    medium_volume: float = _field("m^3")       # doped diamond
+    cavity_volume: float = _field("m^3")       # mode volume
+    nv_concentration: float = _field(None)     # centers per carbon site
+    nv_fraction: float = _field(None)          # usable fraction of those
+    vacuum_wavelength: float = _field("m")     # lasing transition
+    refractive_index: float = _field(None)
+    emission_bandwidth: float = _field("Hz")   # width of the emission band
 
     def __post_init__(self):
         if self.kappa <= 0.0 or not math.isfinite(self.kappa):
@@ -104,10 +115,10 @@ class CavityGeometry:
 class DriveSettings:
     """Optical pump and microwave drive."""
 
-    pump12: float   # optical pump rate, m_s=0 branch (rad/s)
-    pump45: float   # optical pump rate, |m_s|=1 branch (rad/s)
-    omega: float    # microwave Rabi rate (rad/s)
-    delta: float    # microwave detuning from the spin resonance (rad/s)
+    pump12: float = _field("rad/s")  # optical pump rate, m_s=0 branch
+    pump45: float = _field("rad/s")  # optical pump rate, |m_s|=1 branch
+    omega: float = _field("rad/s")   # microwave Rabi rate
+    delta: float = _field("rad/s")   # detuning from the spin resonance
 
     def __post_init__(self):
         for name in ("pump12", "pump45", "omega"):
@@ -135,9 +146,9 @@ class OrientationModel:
     remainder far off resonance at ``off_axis_detuning``.
     """
 
-    mode: str = "single_orientation"
-    aligned_fraction: float = 0.25
-    off_axis_detuning: float = 1.0e9   # rad/s
+    mode: str = _field("str", default="single_orientation")
+    aligned_fraction: float = _field(None, default=0.25)
+    off_axis_detuning: float = _field("rad/s", default=1.0e9)
 
     def __post_init__(self):
         if self.mode not in ORIENTATION_MODES:
@@ -151,6 +162,38 @@ class OrientationModel:
 
 
 @dataclass(frozen=True)
+class PhysicalConstants:
+    """Fundamental constants used by the model, overridable for testing."""
+
+    hbar: float = _field("J s", default=1.054571817e-34)
+    h: float = _field("J s", default=6.62607015e-34)
+    c: float = _field("m/s", default=2.99792458e8)
+    mu_bohr: float = _field("J/T", default=9.2740100783e-24)
+    g_electron: float = _field(None, default=2.0023)  # electron g-factor
+    # Number density of carbon sites in diamond; NV concentrations are
+    # quoted as an atomic fraction of this.
+    carbon_site_density: float = _field("1/m^3", default=1.76e29)
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not 0.0 < getattr(self, f.name) < math.inf:
+                raise InvalidConfigError(
+                    f"constant {f.name} must be finite and positive")
+
+    @property
+    def field_per_detuning(self) -> float:
+        """T per (rad/s): magnetic field producing unit spin detuning.
+
+        The ground-state spin levels shift by (g mu_B / hbar) B in angular
+        frequency, so B = (hbar / (g mu_B)) * delta.
+        """
+        return self.hbar / (self.g_electron * self.mu_bohr)
+
+
+DEFAULT_CONSTANTS = PhysicalConstants()
+
+
+@dataclass(frozen=True)
 class ModelConfig:
     """Complete, immutable description of one simulated device."""
 
@@ -159,9 +202,9 @@ class ModelConfig:
     drive: DriveSettings
     orientation: OrientationModel = field(default_factory=OrientationModel)
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
-    # When set, solvers use this stimulated coupling G (rad/s) instead of
-    # the value computed from the cavity geometry.
-    gain_coupling_override: float | None = None
+    # When set, solvers use this stimulated coupling G instead of the
+    # value computed from the cavity geometry.
+    gain_coupling_override: float | None = _field("rad/s", default=None)
 
     def __post_init__(self):
         if self.gain_coupling_override is not None:
@@ -183,12 +226,10 @@ class DerivedQuantities:
     and cached on the config; every drive of one device shares them."""
 
     n_centers: float              # usable centers in the medium
-    lase_frequency: float         # Hz, c / vacuum_wavelength
-    photon_energy: float          # J
+    photon_energy: float          # J, h c / vacuum_wavelength
     gain_coupling: float          # G used by solvers (rad/s)
     gain_coupling_formula: float  # G from the geometry formula (rad/s)
     quality_factor: float         # 2 pi nu / kappa
-
 
 def derive_constants(config: ModelConfig) -> DerivedQuantities:
     """Compute ensemble size, gain coupling, and related scalars.
@@ -214,7 +255,6 @@ def derive_constants(config: ModelConfig) -> DerivedQuantities:
               if config.gain_coupling_override is not None else g_formula)
     return DerivedQuantities(
         n_centers=n_centers,
-        lase_frequency=nu,
         photon_energy=cst.h * nu,
         gain_coupling=g_used,
         gain_coupling_formula=g_formula,

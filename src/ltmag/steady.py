@@ -825,8 +825,7 @@ def threshold_pump(config: ModelConfig, delta: float | None = None) -> float:
         hi *= 2.0
         if hi > _BRACKET_CAP:
             raise NotLasableError(
-                f"no lasing threshold below pump {_BRACKET_CAP:.3e} rad/s",
-                pump_ceiling=_BRACKET_CAP)
+                f"no lasing threshold below pump {_BRACKET_CAP:.3e} rad/s")
         g_hi = g(hi)
     lo = 0.0
     # Sanity-check monotonicity on the bracket before trusting the root.

@@ -4,7 +4,9 @@ An axis is any numeric path of the parameter registry in ``configio``:
 a dotted config path (``drive.delta``, ``drive.pump12``, ``cavity.kappa``,
 ...) or one of the derived paths defined there, ``b_field`` (the
 detuning from a bias field in tesla) and ``pump`` (both branch pump
-rates together).  With two axes the second one varies fastest.  The
+rates together).  With two axes the second one varies fastest; two
+axes that set the same config value (``pump`` and ``drive.pump12``,
+``b_field`` and ``drive.delta``, or one path twice) are rejected.  The
 d.c. outputs ``dn_dB`` and ``eta_dc`` share one implicit slope per
 point, so a ``b_field`` axis gives ``dc_sensitivity_curve``'s values
 exactly (with ``n`` = 0.0 and both cells absent at dark points).
@@ -27,7 +29,8 @@ from functools import reduce
 
 import numpy as np
 
-from .configio import DRIVE_PATHS, drive_changes, param_unit, set_param
+from .configio import (_DRIVE_FIELDS, DRIVE_PATHS, drive_changes,
+                       param_unit, set_param)
 from .configio import provenance as config_provenance
 from .errors import InvalidConfigError
 from .model import ModelConfig, detuning_to_b_field, output_power
@@ -99,6 +102,16 @@ class SweepSpec:
                     f"available: {sorted(OUTPUTS)}")
         if not self.outputs:
             raise InvalidConfigError("sweep needs at least one output")
+        if self.axis2 and _writes(self.axis1.path) & _writes(self.axis2.path):
+            raise InvalidConfigError(
+                f"sweep axes {self.axis1.path!r} and {self.axis2.path!r} "
+                "set the same config value")
+
+
+def _writes(path: str) -> set[str]:
+    """The config values an axis on ``path`` sets: the DriveSettings
+    fields of a drive path, any other path itself."""
+    return set(_DRIVE_FIELDS.get(path, (path,)))
 
 
 def _points(config: ModelConfig, grid):

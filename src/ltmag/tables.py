@@ -86,14 +86,8 @@ class OutputTable:
         if not body:
             raise InvalidConfigError("CSV table has no header row")
         columns = tuple(_parse_header(h) for h in body[0].split(","))
-        rows = []
-        for ln in body[1:]:
-            cells = ln.split(",")
-            if len(cells) != len(columns):
-                raise InvalidConfigError(
-                    f"CSV row has {len(cells)} cells, expected "
-                    f"{len(columns)}")
-            rows.append(tuple(_cell_from_text(c) for c in cells))
+        rows = [tuple(_cell_from_text(c) for c in ln.split(","))
+                for ln in body[1:]]
         return cls(columns=columns, rows=rows, provenance=provenance)
 
     # --- JSON ---

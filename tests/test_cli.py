@@ -158,6 +158,16 @@ def test_sweep_invalid_grid_values_are_config_errors(capsys, axis):
     assert code == 1 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("axis1, axis2", [
+    ("pump:1e6:4e6:3", "pump:1e6:2e6:2"),
+    ("b_field:1e-4:2e-4:2", "drive.delta:0:1e8:2"),
+    ("drive.pump12:1e6:4e6:2", "pump:1e6:2e6:2")])
+def test_sweep_axes_that_set_the_same_value_are_config_errors(capsys, axis1,
+                                                              axis2):
+    _one_error_line(*_run(capsys, "sweep", "--axis1", axis1,
+                          "--axis2", axis2, "--outputs", "n"))
+
+
 def test_response_summary_and_timeseries(tmp_path, capsys):
     ts_path = tmp_path / "series.csv"
     code, out, _ = _run(capsys, "response", "--delta-before", "0",
@@ -291,6 +301,25 @@ def test_sensitivity_ac_quasistatic(capsys):
     table = _table(out)
     assert table.rows[0][table.column_index("eta")] \
         == pytest.approx(1.7430e-15, rel=0.002)
+
+
+@pytest.mark.parametrize("argv", [
+    ("response", "--delta-before", "1e8", "--delta-after", "0"),
+    ("sensitivity-dc", "--preset", "high_sensitivity", "--b-field",
+     "1.64e-4"),
+    ("sensitivity-ac", "--preset", "high_sensitivity", "--bias", "164e-6",
+     "--amplitude", "1e-9", "--omega", "2e5", "--method", "ac_quasistatic"),
+    ("optimize", "--preset", "high_sensitivity", "--max-evaluations", "3")],
+    ids=lambda argv: argv[0])
+def test_csv_and_json_tables_read_back_equal_rows(capsys, argv):
+    tables = []
+    for fmt, read in (("csv", OutputTable.from_csv),
+                      ("json", OutputTable.from_json)):
+        code, out, _ = _run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        tables.append(read(out))
+    assert tables[0].columns == tables[1].columns
+    assert tables[0].rows == tables[1].rows
 
 
 def test_operating_point_command(capsys):

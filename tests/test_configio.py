@@ -9,9 +9,16 @@ import pytest
 from ltmag import (InvalidConfigError, apply_overrides, b_field_to_detuning,
                    config_digest, config_from_dict, config_to_dict,
                    load_config, preset, resolve_config, save_config)
+from ltmag.cli import main
 from ltmag.configio import _UNITS, get_param, param_unit, set_param
 
 FLOAT_PATHS = [path for path, unit in _UNITS.items() if unit != "str"]
+
+
+def _perturbed(value):
+    """A valid value of a float field other than ``value``: 0.7 of it, or
+    0.3 for zero and for an unset gain override."""
+    return 0.7 * value if value else 0.3
 
 
 @pytest.mark.parametrize("ext", ["json", "ini", "cfg", "txt"])
@@ -137,6 +144,66 @@ def test_digest_stable_and_sensitive(baseline_config):
     assert len(d1) == 64
     changed = apply_overrides(baseline_config, ["drive.omega=5e6"])
     assert config_digest(changed) != d1
+
+
+@pytest.mark.parametrize("path", list(_UNITS))
+def test_digest_changes_with_every_registry_path(baseline_config, path):
+    value = get_param(baseline_config, path)
+    changed = set_param(baseline_config, path,
+                        "four_orientation" if param_unit(path) == "str"
+                        else _perturbed(value))
+    assert get_param(changed, path) != value
+    assert config_digest(changed) != config_digest(baseline_config)
+
+
+@pytest.mark.parametrize("ext", ["json", "ini"])
+def test_every_float_field_perturbed_round_trips(tmp_path, high_sens_config,
+                                                 ext):
+    cfg = high_sens_config
+    stored = [path for path in FLOAT_PATHS if "." in path]
+    for path in stored:
+        cfg = set_param(cfg, path, _perturbed(get_param(cfg, path)))
+    assert all(get_param(cfg, path) != get_param(high_sens_config, path)
+               for path in stored)
+    path = tmp_path / f"cfg.{ext}"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+
+
+def _json(edit):
+    """The baseline config document after ``edit``, as JSON text."""
+    doc = config_to_dict(preset("baseline"))
+    edit(doc)
+    return json.dumps(doc)
+
+
+# file suffix, text and error message of a malformed config document,
+# one per check of the reader
+_MALFORMED = {
+    "token": (".json", _json(lambda d: d["orientation"].update(mode=5)),
+              "plain string"),
+    "payload": (".json", _json(lambda d: d["cavity"].update(kappa=3e6)),
+                r"must be \{'value': x"),
+    "document": (".json", "[1, 2]", "document must be an object"),
+    "section": (".json", _json(lambda d: d.pop("drive")),
+                r"missing config section \[drive\]"),
+    "fields": (".json", _json(lambda d: d["drive"].pop("omega")),
+               r"missing fields in \[drive\]: \['omega'\]"),
+    "ini": (".ini", "kappa = 3e6 rad/s\n", "malformed config file"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_config_document_is_a_typed_error(tmp_path, capsys, case):
+    suffix, text, message = _MALFORMED[case]
+    path = tmp_path / f"cfg{suffix}"
+    path.write_text(text)
+    with pytest.raises(InvalidConfigError, match=message):
+        load_config(path)
+    code = main(["steady-state", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_resolve_config_precedence(tmp_path, high_sens_config):

@@ -159,6 +159,16 @@ def test_spec_rejects_unknown_output():
         SweepSpec(axis1=axis, outputs=())
 
 
+@pytest.mark.parametrize("paths", [("pump", "pump"),
+                                   ("b_field", "drive.delta"),
+                                   ("drive.pump12", "pump")])
+def test_spec_rejects_axes_that_set_the_same_value(paths):
+    axes = [SweepAxis(path, 1.0, 2.0, 2) for path in paths]
+    for pair in (axes, axes[::-1]):
+        with pytest.raises(InvalidConfigError, match="same config value"):
+            SweepSpec(*pair)
+
+
 def test_sweep_single_axis_matches_direct_solve(baseline_config):
     spec = SweepSpec(axis1=SweepAxis("drive.delta", 0.0, 1e8, 5),
                      outputs=("n", "branch"))
@@ -366,9 +376,14 @@ def _oracle_axis(draw, path):
     return SweepAxis(path, start, stop, draw(st.integers(1, 6)), scale)
 
 
+# axis pairs that set the same config value, which SweepSpec rejects
+_CLASHING_AXES = ({"drive.delta", "b_field"}, {"pump", "drive.pump12"})
+
+
 @st.composite
 def _oracle_grids(draw):
-    paths = draw(st.permutations(sorted(_ORACLE_AXES)))
+    paths = draw(st.permutations(sorted(_ORACLE_AXES)).filter(
+        lambda p: set(p[:2]) not in _CLASHING_AXES))
     axis2 = (draw(_oracle_axis(paths[1])) if draw(st.booleans())
              else None)
     return SweepSpec(draw(_oracle_axis(paths[0])), axis2, _ALL_OUTPUTS)
