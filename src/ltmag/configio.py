@@ -97,17 +97,19 @@ def _convert(path: str, value):
     """The value of a parameter path from a number or its text: a string
     for a token path, None for ``"none"`` on the gain override, a float
     otherwise.  Raises InvalidConfigError for an unknown path or a value
-    that is not a number."""
+    that is not a number; a boolean is not one, though float() takes it."""
     unit = param_unit(path)
     if unit == "str":
         return str(value)
     if (path == "gain.coupling_override" and isinstance(value, str)
             and value.lower() == "none"):
         return None
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigError(f"{path}: bad number {value!r}") from exc
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise InvalidConfigError(f"{path}: bad number {value!r}")
 
 
 # The paths that set the drive alone, and the DriveSettings fields each sets

@@ -43,8 +43,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateStepError,
                      InvalidConfigError, NoSignalError, StiffnessError)
-from .model import (ModelConfig, b_field_to_detuning, with_bias_field,
-                    with_drive)
+from .model import (FINITE, ModelConfig, _check_fields, _field,
+                    b_field_to_detuning, with_bias_field, with_drive)
 from .steady import (_WWT, POPULATION_NAMES, PopulationState, _brent_root,
                      _max_rate, rate_matrix, solve_steady_state)
 from .tables import Column, OutputTable
@@ -87,17 +87,15 @@ class DriveModulation:
     """
 
     kind: str
-    delta0: float = 0.0
-    bias_field: float = 0.0
-    amplitude_field: float = 0.0
-    omega_signal: float = 0.0
+    delta0: float = _field("rad/s", FINITE, default=0.0)
+    bias_field: float = _field("T", FINITE, default=0.0)
+    amplitude_field: float = _field("T", FINITE, default=0.0)
+    omega_signal: float = 0.0  # rad/s
 
     def __post_init__(self):
         if self.kind not in ("constant", "sine_field"):
             raise InvalidConfigError(f"unknown modulation kind {self.kind!r}")
-        for name in ("delta0", "bias_field", "amplitude_field"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidConfigError(f"{name} must be finite")
+        _check_fields(self)
         if self.kind == "sine_field" and not 0 < self.omega_signal < math.inf:
             raise InvalidConfigError("omega_signal must be finite and > 0")
 

@@ -10,9 +10,10 @@ coherence rho14.  The cavity photon number per center, n, couples to the
 
 A ModelConfig holds five sections: level rates, cavity, drive,
 orientation and physical constants (SI, CODATA 2018 where applicable).
-Each field declares its unit once, on the dataclass (``_field``);
-``configio`` builds the config file schema and the parameter registry
-from these declarations.
+Each field declares its unit and the values it accepts once, on the
+dataclass (``_field``); ``_check_fields`` rejects any other value on
+construction, and ``configio`` builds the config file schema and the
+parameter registry from these declarations.
 
 Unit conventions
 ----------------
@@ -27,6 +28,7 @@ Unit conventions
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -38,11 +40,38 @@ from .errors import InvalidConfigError
 # solve gives occupations outside [0, 1] or overflows.
 MIN_DRIVE_RATE = 1e-300
 
+# The values a field accepts: a (test, phrase) pair; NaN fails each test
+FINITE = (math.isfinite, "finite")
+NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
+AT_LEAST_ONE = (lambda v: 1.0 <= v < math.inf, "finite and >= 1")
+FRACTION = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+DRIVE_RATE = (lambda v: v == 0.0 or MIN_DRIVE_RATE <= v < math.inf,
+              f"0 or finite and >= {MIN_DRIVE_RATE:g} rad/s")
 
-def _field(unit: str | None, **kwargs):
-    """A config field with its unit: None marks a dimensionless number,
-    "str" a token.  ``kwargs`` go to ``dataclasses.field``."""
-    return field(metadata={"unit": unit}, **kwargs)
+
+def _field(unit: str | None, valid, **kwargs):
+    """A config field with its unit and the values it accepts: None marks
+    a dimensionless number, "str" a token; ``valid`` is a (test, phrase)
+    pair such as those above.  ``kwargs`` go to ``dataclasses.field``."""
+    return field(metadata={"unit": unit, "valid": valid}, **kwargs)
+
+
+@functools.cache
+def _checks(cls) -> tuple:
+    """(name, test, phrase) of each field of ``cls`` that declares one."""
+    return tuple((f.name, *f.metadata["valid"]) for f in fields(cls)
+                 if "valid" in f.metadata)
+
+
+def _check_fields(self) -> None:
+    """The ``__post_init__`` of a dataclass of ``_field``s: raises
+    InvalidConfigError for the first value, None aside, that its field
+    does not accept."""
+    for name, test, phrase in _checks(type(self)):
+        value = getattr(self, name)
+        if value is not None and not test(value):
+            raise InvalidConfigError(f"{name} must be {phrase}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,24 +83,19 @@ class LevelRates:
     contribution (inhomogeneous broadening, 1/T2*).
     """
 
-    L21: float = _field("rad/s")  # excited m_s=0 decay back to ground
-    L23: float = _field("rad/s")  # feeds the lower lasing level (m_s=0)
-    L31: float = _field("rad/s")  # fast drain of the lower lasing level
-    L54: float = _field("rad/s")  # excited |m_s|=1 decay back to ground
-    L56: float = _field("rad/s")  # feeds the lower lasing level (|m_s|=1)
-    L64: float = _field("rad/s")  # fast drain of the lower lasing level
-    L57: float = _field("rad/s")  # intersystem crossing into the singlet
-    L71: float = _field("rad/s")  # singlet decay to m_s=0 ground
-    L74: float = _field("rad/s")  # singlet decay to |m_s|=1 ground
-    L27: float = _field("rad/s")  # weak crossing from the m_s=0 excited state
-    gamma14: float = _field("rad/s")
+    L21: float = _field("rad/s", NONNEGATIVE)  # excited m_s=0 -> ground
+    L23: float = _field("rad/s", NONNEGATIVE)  # feeds lower lasing level 3
+    L31: float = _field("rad/s", NONNEGATIVE)  # fast drain of level 3
+    L54: float = _field("rad/s", NONNEGATIVE)  # excited |m_s|=1 -> ground
+    L56: float = _field("rad/s", NONNEGATIVE)  # feeds lower lasing level 6
+    L64: float = _field("rad/s", NONNEGATIVE)  # fast drain of level 6
+    L57: float = _field("rad/s", NONNEGATIVE)  # crossing into the singlet
+    L71: float = _field("rad/s", NONNEGATIVE)  # singlet -> m_s=0 ground
+    L74: float = _field("rad/s", NONNEGATIVE)  # singlet -> |m_s|=1 ground
+    L27: float = _field("rad/s", NONNEGATIVE)  # weak m_s=0 excited crossing
+    gamma14: float = _field("rad/s", NONNEGATIVE)
 
-    def __post_init__(self):
-        for name in RATE_FIELDS:
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise InvalidConfigError(
-                    f"rate {name} must be finite and >= 0, got {value!r}")
+    __post_init__ = _check_fields
 
     def all_zero(self) -> bool:
         return all(getattr(self, name) == 0.0 for name in RATE_FIELDS
@@ -85,52 +109,28 @@ RATE_FIELDS = tuple(f.name for f in fields(LevelRates))
 class CavityGeometry:
     """Cavity and gain-medium parameters."""
 
-    kappa: float = _field("rad/s")             # photon loss rate
-    medium_volume: float = _field("m^3")       # doped diamond
-    cavity_volume: float = _field("m^3")       # mode volume
-    nv_concentration: float = _field(None)     # centers per carbon site
-    nv_fraction: float = _field(None)          # usable fraction of those
-    vacuum_wavelength: float = _field("m")     # lasing transition
-    refractive_index: float = _field(None)
-    emission_bandwidth: float = _field("Hz")   # width of the emission band
+    kappa: float = _field("rad/s", POSITIVE)            # photon loss rate
+    medium_volume: float = _field("m^3", POSITIVE)      # doped diamond
+    cavity_volume: float = _field("m^3", POSITIVE)      # mode volume
+    nv_concentration: float = _field(None, FRACTION)    # per carbon site
+    nv_fraction: float = _field(None, FRACTION)         # usable fraction
+    vacuum_wavelength: float = _field("m", POSITIVE)    # lasing transition
+    refractive_index: float = _field(None, AT_LEAST_ONE)
+    emission_bandwidth: float = _field("Hz", POSITIVE)  # emission band width
 
-    def __post_init__(self):
-        if self.kappa <= 0.0 or not math.isfinite(self.kappa):
-            raise InvalidConfigError(f"kappa must be > 0, got {self.kappa!r}")
-        for name in ("medium_volume", "cavity_volume", "vacuum_wavelength",
-                     "emission_bandwidth"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise InvalidConfigError(f"{name} must be finite and > 0")
-        if not 0.0 < self.nv_concentration <= 1.0:
-            raise InvalidConfigError(
-                "nv_concentration is an atomic fraction in (0, 1]")
-        if not 0.0 < self.nv_fraction <= 1.0:
-            raise InvalidConfigError("nv_fraction must be in (0, 1]")
-        if not 1.0 <= self.refractive_index < math.inf:
-            raise InvalidConfigError(
-                "refractive_index must be finite and >= 1")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
 class DriveSettings:
     """Optical pump and microwave drive."""
 
-    pump12: float = _field("rad/s")  # optical pump rate, m_s=0 branch
-    pump45: float = _field("rad/s")  # optical pump rate, |m_s|=1 branch
-    omega: float = _field("rad/s")   # microwave Rabi rate
-    delta: float = _field("rad/s")   # detuning from the spin resonance
+    pump12: float = _field("rad/s", DRIVE_RATE)  # optical pump, m_s=0
+    pump45: float = _field("rad/s", DRIVE_RATE)  # optical pump, |m_s|=1
+    omega: float = _field("rad/s", DRIVE_RATE)   # microwave Rabi rate
+    delta: float = _field("rad/s", FINITE)       # detuning from resonance
 
-    def __post_init__(self):
-        for name in ("pump12", "pump45", "omega"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise InvalidConfigError(f"{name} must be finite and >= 0")
-            if 0.0 < value < MIN_DRIVE_RATE:
-                raise InvalidConfigError(
-                    f"{name} must be 0 or >= {MIN_DRIVE_RATE:g} rad/s, "
-                    f"got {value!r}")
-        if not math.isfinite(self.delta):
-            raise InvalidConfigError("delta must be finite")
+    __post_init__ = _check_fields
 
 
 ORIENTATION_MODES = ("single_orientation", "four_orientation")
@@ -146,39 +146,29 @@ class OrientationModel:
     remainder far off resonance at ``off_axis_detuning``.
     """
 
-    mode: str = _field("str", default="single_orientation")
-    aligned_fraction: float = _field(None, default=0.25)
-    off_axis_detuning: float = _field("rad/s", default=1.0e9)
+    mode: str = _field("str", (ORIENTATION_MODES.__contains__,
+                               f"one of {ORIENTATION_MODES}"),
+                       default="single_orientation")
+    aligned_fraction: float = _field(None, FRACTION, default=0.25)
+    off_axis_detuning: float = _field("rad/s", FINITE, default=1.0e9)
 
-    def __post_init__(self):
-        if self.mode not in ORIENTATION_MODES:
-            raise InvalidConfigError(
-                f"orientation mode must be one of {ORIENTATION_MODES}, "
-                f"got {self.mode!r}")
-        if not 0.0 < self.aligned_fraction <= 1.0:
-            raise InvalidConfigError("aligned_fraction must be in (0, 1]")
-        if not math.isfinite(self.off_axis_detuning):
-            raise InvalidConfigError("off_axis_detuning must be finite")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Fundamental constants used by the model, overridable for testing."""
 
-    hbar: float = _field("J s", default=1.054571817e-34)
-    h: float = _field("J s", default=6.62607015e-34)
-    c: float = _field("m/s", default=2.99792458e8)
-    mu_bohr: float = _field("J/T", default=9.2740100783e-24)
-    g_electron: float = _field(None, default=2.0023)  # electron g-factor
+    hbar: float = _field("J s", POSITIVE, default=1.054571817e-34)
+    h: float = _field("J s", POSITIVE, default=6.62607015e-34)
+    c: float = _field("m/s", POSITIVE, default=2.99792458e8)
+    mu_bohr: float = _field("J/T", POSITIVE, default=9.2740100783e-24)
+    g_electron: float = _field(None, POSITIVE, default=2.0023)  # g-factor
     # Number density of carbon sites in diamond; NV concentrations are
     # quoted as an atomic fraction of this.
-    carbon_site_density: float = _field("1/m^3", default=1.76e29)
+    carbon_site_density: float = _field("1/m^3", POSITIVE, default=1.76e29)
 
-    def __post_init__(self):
-        for f in fields(self):
-            if not 0.0 < getattr(self, f.name) < math.inf:
-                raise InvalidConfigError(
-                    f"constant {f.name} must be finite and positive")
+    __post_init__ = _check_fields
 
     @property
     def field_per_detuning(self) -> float:
@@ -204,13 +194,10 @@ class ModelConfig:
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
     # When set, solvers use this stimulated coupling G instead of the
     # value computed from the cavity geometry.
-    gain_coupling_override: float | None = _field("rad/s", default=None)
+    gain_coupling_override: float | None = _field("rad/s", POSITIVE,
+                                                  default=None)
 
-    def __post_init__(self):
-        if self.gain_coupling_override is not None:
-            if not 0.0 < self.gain_coupling_override < math.inf:
-                raise InvalidConfigError(
-                    "gain_coupling_override must be finite and > 0")
+    __post_init__ = _check_fields
 
     @cached_property
     def derived(self) -> DerivedQuantities:

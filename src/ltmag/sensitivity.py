@@ -45,7 +45,9 @@ from .configio import get_param, set_param
 from .dynamics import ac_response
 from .errors import (BelowThresholdError, ConvergenceError,
                      InvalidConfigError, PhysicsDomainError)
-from .model import ModelConfig, b_field_to_detuning, with_bias_field
+from .model import (AT_LEAST_ONE, FINITE, POSITIVE, ModelConfig,
+                    _check_fields, _field, b_field_to_detuning,
+                    with_bias_field)
 from .steady import (SteadyStateResult, solve_steady_state,
                      solve_steady_states)
 
@@ -77,18 +79,13 @@ DEFAULT_B_WINDOW = (0.0, 300e-6)
 class AcSignalModel:
     """Sinusoidal test-field specification for a.c. sensitivity."""
 
-    bias_field: float        # T
-    amplitude_field: float   # T
-    omega_signal: float      # rad/s
-    excess_noise: float = DEFAULT_EXCESS_NOISE
+    bias_field: float = _field("T", FINITE)
+    amplitude_field: float = _field("T", POSITIVE)
+    omega_signal: float = _field("rad/s", POSITIVE)
+    excess_noise: float = _field(None, AT_LEAST_ONE,
+                                 default=DEFAULT_EXCESS_NOISE)
 
-    def __post_init__(self):
-        if not 0.0 < self.amplitude_field < math.inf:
-            raise InvalidConfigError("amplitude_field must be finite and > 0")
-        if not 0.0 < self.omega_signal < math.inf:
-            raise InvalidConfigError("omega_signal must be finite and > 0")
-        if not 1.0 <= self.excess_noise < math.inf:
-            raise InvalidConfigError("excess_noise must be finite and >= 1")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from ltmag import (InvalidConfigError, apply_overrides, b_field_to_detuning,
                    load_config, preset, resolve_config, save_config)
 from ltmag.cli import main
 from ltmag.configio import _UNITS, get_param, param_unit, set_param
+from ltmag.model import MIN_DRIVE_RATE
 
 FLOAT_PATHS = [path for path, unit in _UNITS.items() if unit != "str"]
 
@@ -190,6 +191,8 @@ _MALFORMED = {
     "fields": (".json", _json(lambda d: d["drive"].pop("omega")),
                r"missing fields in \[drive\]: \['omega'\]"),
     "ini": (".ini", "kappa = 3e6 rad/s\n", "malformed config file"),
+    "boolean": (".json", _json(lambda d: d["cavity"]["kappa"].update(
+        value=True)), "cavity.kappa: bad number True"),
 }
 
 
@@ -271,3 +274,64 @@ def test_every_float_path_rejects_non_finite(baseline_config, path):
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidConfigError):
             set_param(baseline_config, path, bad)
+
+
+def test_booleans_are_not_numbers(baseline_config):
+    for path in FLOAT_PATHS:
+        for bad in (True, False):
+            with pytest.raises(InvalidConfigError, match="bad number"):
+                set_param(baseline_config, path, bad)
+
+
+# The values each registry path must accept and must reject, written out
+# by hand rather than read from the fields' declarations
+_INF, _NAN = math.inf, math.nan
+_RATE = ((0.0, 1e300), (-MIN_DRIVE_RATE, -1.0, _NAN, _INF, -_INF))
+_POSITIVE = ((MIN_DRIVE_RATE, 1e300), (0.0, -1.0, _NAN, _INF, -_INF))
+_FRACTION = ((MIN_DRIVE_RATE, 1.0),
+             (0.0, math.nextafter(1.0, 2.0), -1.0, _NAN, _INF))
+_DRIVE = ((0.0, MIN_DRIVE_RATE, 1e300),
+          (1e-308, -MIN_DRIVE_RATE, -1.0, _NAN, _INF))
+_FINITE = ((0.0, -1e300, 1e300), (_NAN, _INF, -_INF))
+_ACCEPTS = {
+    **{f"rates.{name}": _RATE for name in (
+        "L21", "L23", "L31", "L54", "L56", "L64", "L57", "L71", "L74",
+        "L27", "gamma14")},
+    **{f"cavity.{name}": _POSITIVE for name in (
+        "kappa", "medium_volume", "cavity_volume", "vacuum_wavelength",
+        "emission_bandwidth")},
+    "cavity.nv_concentration": _FRACTION,
+    "cavity.nv_fraction": _FRACTION,
+    "cavity.refractive_index": ((1.0, 1e300),
+                                (math.nextafter(1.0, 0.0), 0.0, _NAN, _INF)),
+    **{f"drive.{name}": _DRIVE for name in ("pump12", "pump45", "omega")},
+    "pump": _DRIVE,
+    "drive.delta": _FINITE,
+    # the detuning of 1e300 T overflows
+    "b_field": ((0.0, -1e-3, 1e-3), (1e300, _NAN, _INF, -_INF)),
+    "orientation.mode": (("single_orientation", "four_orientation"),
+                         ("", "Single_orientation", "four")),
+    "orientation.aligned_fraction": _FRACTION,
+    "orientation.off_axis_detuning": _FINITE,
+    **{f"constants.{name}": _POSITIVE for name in (
+        "hbar", "h", "c", "mu_bohr", "g_electron", "carbon_site_density")},
+    "gain.coupling_override": ((MIN_DRIVE_RATE, 1e300, "none"),
+                               (0.0, -1.0, _NAN, _INF)),
+}
+
+
+def _accepts(config, path, value) -> bool:
+    try:
+        set_param(config, path, value)
+    except InvalidConfigError:
+        return False
+    return True
+
+
+def test_every_path_accepts_exactly_its_tabled_values(baseline_config):
+    assert set(_ACCEPTS) == set(_UNITS)
+    wrong = [(path, value) for path, (good, bad) in _ACCEPTS.items()
+             for value in good if not _accepts(baseline_config, path, value)]
+    wrong += [(path, value) for path, (good, bad) in _ACCEPTS.items()
+              for value in bad if _accepts(baseline_config, path, value)]
+    assert wrong == []

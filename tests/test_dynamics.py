@@ -539,6 +539,39 @@ def test_non_finite_trajectory_raises(baseline_config):
             integrate(baseline_config, y, (0.0, 1e-6), mod)
 
 
+# entries of the second sample of a two-sample trajectory (all population
+# in level 1, n = 1) that break one check of ``_sanitize``
+_BROKEN_SAMPLES = {
+    "trajectory is not finite": {9: math.nan},
+    r"occupation left \[0, 1\]": {0: 1.0 + 1e-6, 1: -1e-6},
+    "photon number went negative": {9: -1e-6},
+    "trace drift": {0: 0.5},
+}
+
+
+def _two_samples(second):
+    states = np.zeros((2, 10))
+    states[:, 0] = states[:, 9] = 1.0
+    for column, value in second.items():
+        states[1, column] = value
+    return states
+
+
+@pytest.mark.parametrize("message", list(_BROKEN_SAMPLES))
+def test_sanitize_rejects_broken_trajectories(message):
+    with pytest.raises(StiffnessError, match=message):
+        dynamics._sanitize(np.array([0.0, 1.0]),
+                           _two_samples(_BROKEN_SAMPLES[message]))
+
+
+def test_sanitize_clamps_excursions_within_tolerance():
+    states = _two_samples({0: 1.0 + 1e-12, 1: -1e-12, 9: -1e-12})
+    series = dynamics._sanitize(np.array([0.0, 1.0]), states)
+    assert series.states[1, 0] == 1.0 and series.states[1, 1] == 0.0
+    assert series.n[1] == 0.0
+    assert states[1, 9] == -1e-12  # clamped on a copy
+
+
 def test_time_domain_rejects_four_orientation(baseline_config):
     four = dataclasses.replace(
         baseline_config,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 
 from ltmag import (AcSignalModel, BelowThresholdError, ConvergenceError,
                    InvalidConfigError, METHOD_AC_QUASISTATIC, METHOD_AC_TIME,
-                   METHOD_DC, METHOD_DC_IMPLICIT, OrientationModel, preset,
+                   METHOD_DC, METHOD_DC_IMPLICIT, OrientationModel,
+                   PhysicsDomainError, detuning_to_b_field, preset,
                    ac_sensitivity, best_eta_over_field,
                    dc_sensitivity, dc_sensitivity_curve, find_bias_point,
                    l27_robustness, optimize_sensitivity, with_bias_field,
                    with_drive, with_pump)
-from ltmag import steady
+from ltmag import sensitivity, steady
 
 BIAS = 164e-6
 
@@ -234,6 +236,27 @@ def test_find_bias_point_stays_inside_an_edge_optimum_window(
 def test_find_bias_point_dark_window(high_sens_config):
     with pytest.raises(BelowThresholdError):
         find_bias_point(high_sens_config, 0.0, 50e-6)
+
+
+def test_find_bias_point_flat_window(high_sens_config):
+    # with no microwave drive the output does not depend on the field
+    with pytest.raises(PhysicsDomainError, match="does not vary"):
+        find_bias_point(with_drive(high_sens_config, omega=0.0), 0.0, 300e-6)
+
+
+def test_slope_that_never_settles_is_a_convergence_error(high_sens_config,
+                                                         monkeypatch):
+    # n = 1 + cbrt(B): at B = 0 each halving of the step h scales the
+    # stencil's slopes by 2**(2/3), so their Richardson error stays a
+    # fixed fraction of the slope and every step is halved
+    def solve(config):
+        b = detuning_to_b_field(config.drive.delta, config.constants)
+        return SimpleNamespace(n=1.0 + np.cbrt(b))
+
+    monkeypatch.setattr(sensitivity, "solve_steady_state", solve)
+    with pytest.raises(ConvergenceError, match="did not stabilize") as info:
+        dc_sensitivity(high_sens_config, 0.0)
+    assert info.value.detail["last_step"] == 1e-9 * 0.5 ** 40
 
 
 def test_best_eta_over_field(high_sens_config):

@@ -149,6 +149,31 @@ def test_not_lasable(baseline_config):
         threshold_pump(heavy_loss, delta=1e8)
 
 
+def test_threshold_pump_rejects_gain_at_zero_pump(baseline_config,
+                                                  monkeypatch):
+    monkeypatch.setattr(steady, "net_gain", lambda config, n: 1.0)
+    with pytest.raises(ConvergenceError, match="gain positive at zero pump"):
+        threshold_pump(baseline_config)
+
+
+def test_threshold_pump_rejects_non_monotone_gain(baseline_config,
+                                                  monkeypatch):
+    # on the first bracket [0, 1e5] the gain is -1 at pumps 0 and 5e4
+    # and +1 elsewhere
+    monkeypatch.setattr(
+        steady, "net_gain",
+        lambda config, n: -1.0 if config.drive.pump12 in (0.0, 5e4) else 1.0)
+    with pytest.raises(ConvergenceError, match="not monotone") as info:
+        threshold_pump(baseline_config)
+    assert info.value.detail["gain_samples"] == [-1.0, 1.0, -1.0, 1.0, 1.0]
+
+
+def test_gain_root_stops_at_the_photon_number_cap():
+    with pytest.raises(ConvergenceError, match="photon-number cap") as info:
+        steady._gain_root(lambda n: 1.0)
+    assert info.value.detail["last_bracket"][1] > steady._BRACKET_CAP
+
+
 def test_four_orientation_weights_and_reduction(baseline_config):
     four = dataclasses.replace(
         baseline_config,

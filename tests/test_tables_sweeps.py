@@ -286,16 +286,17 @@ def test_sweep_b_field_axis_is_symmetric(baseline_config):
 
 # two values per path, for the point builder below
 _POINT_VALUES = {"cavity.kappa": (1e6, 3e6), "pump": (1e6, 2e6),
-                 "drive.pump45": (5e5, 7e5), "drive.omega": (1e6, 2e6),
-                 "b_field": (-1e-4, 2e-4),
+                 "drive.omega": (1e6, 2e6), "b_field": (-1e-4, 2e-4),
                  "constants.mu_bohr": (9.2e-24, 9.3e-24)}
 
 
 @pytest.mark.parametrize("paths", [
     ("cavity.kappa", "pump"), ("pump", "cavity.kappa"),
-    ("pump", "drive.pump45"), ("drive.omega", "b_field"),
+    ("pump", "drive.omega"), ("drive.omega", "b_field"),
     ("constants.mu_bohr", "b_field"), ("b_field", "constants.mu_bohr")])
 def test_sweep_points_equal_set_param_chains(baseline_config, paths):
+    # a grid that run_sweep builds: SweepSpec accepts the pair of axes
+    SweepSpec(*(SweepAxis(path, *_POINT_VALUES[path], 2) for path in paths))
     grid = list(itertools.product(
         *[[(path, v) for v in _POINT_VALUES[path]] for path in paths]))
     points = list(sweeps._points(baseline_config, grid))
