@@ -11,6 +11,8 @@ All rates and frequencies are angular (rad/s) except where a name or
 unit annotation says Hz; fields are tesla, powers watts.
 """
 
+from types import ModuleType as _ModuleType
+
 from .__about__ import __version__
 from .errors import (BelowThresholdError, ConvergenceError,
                      DegenerateConfigError, DegenerateStepError,
@@ -43,35 +45,7 @@ from .tables import Column, OutputTable
 from .sweeps import OUTPUTS, SweepAxis, SweepSpec, run_sweep
 from .experiments import EXPERIMENT_NAMES, experiment
 
-__all__ = [
-    "__version__",
-    # errors
-    "LtmagError", "InvalidConfigError", "DegenerateConfigError",
-    "ConvergenceError", "StiffnessError", "PhysicsDomainError",
-    "NotLasableError", "BelowThresholdError", "NoSignalError",
-    "DegenerateStepError",
-    # model
-    "ModelConfig", "LevelRates", "CavityGeometry", "DriveSettings",
-    "OrientationModel", "PhysicalConstants", "DEFAULT_CONSTANTS",
-    "DerivedQuantities", "preset", "PRESET_NAMES",
-    "derive_constants", "b_field_to_detuning", "detuning_to_b_field",
-    "output_power", "with_drive", "with_pump", "with_bias_field",
-    # steady state
-    "PopulationState", "SteadyStateResult", "BELOW_THRESHOLD", "LASING",
-    "rate_matrix", "populations_at_fixed_n", "net_gain",
-    "solve_steady_state", "threshold_pump", "find_operating_point",
-    # dynamics
-    "DriveModulation", "TimeSeries", "ResponseResult", "HarmonicResult",
-    "rhs", "jacobian", "integrate", "step_response", "ac_response",
-    # sensitivity
-    "SensitivityResult", "AcSignalModel", "OptimizationOutcome",
-    "RobustnessReport", "METHOD_DC", "METHOD_DC_IMPLICIT", "METHOD_AC_TIME",
-    "METHOD_AC_QUASISTATIC", "dc_sensitivity", "dc_sensitivity_curve",
-    "ac_sensitivity", "sensitivity_from_harmonic", "find_bias_point",
-    "best_eta_over_field", "optimize_sensitivity", "l27_robustness",
-    # io, tables, sweeps, experiments
-    "load_config", "save_config", "config_to_dict", "config_from_dict",
-    "apply_overrides", "config_digest", "resolve_config",
-    "Column", "OutputTable", "SweepAxis", "SweepSpec", "run_sweep",
-    "OUTPUTS", "experiment", "EXPERIMENT_NAMES",
-]
+# The public API: every name imported above, the submodules aside
+__all__ = ["__version__", *(name for name, value in list(globals().items())
+                            if not (name.startswith("_")
+                                    or isinstance(value, _ModuleType)))]

@@ -146,7 +146,8 @@ def _cmd_response(args) -> OutputTable:
                  Column("n_initial", "1"), Column("n_final", "1"),
                  Column("t_63", "s"), Column("t_90", "s"),
                  Column("settled", "")),
-        rows=[(res.delta_before, res.delta_after, res.seed_n,
+        # the run starts from the seed, so seed_n and n_initial agree
+        rows=[(res.delta_before, res.delta_after, res.n_initial,
                res.n_initial, res.n_final, res.t_63, res.t_90,
                res.settled)],
         provenance=_provenance(args, config))

@@ -32,12 +32,12 @@ import hashlib
 import io
 import json
 import os
-import typing
 
 from . import __about__
 from .errors import InvalidConfigError
-from .model import (ModelConfig, PhysicalConstants, b_field_to_detuning,
-                    detuning_to_b_field, preset, with_drive)
+from .model import (ModelConfig, PhysicalConstants, _dataclass_fields,
+                    _is_number, b_field_to_detuning, detuning_to_b_field,
+                    preset, with_drive)
 
 
 def _units(cls) -> dict[str, str | None]:
@@ -54,9 +54,7 @@ def _required(cls) -> list[str]:
 
 
 # Each section is the dataclass-typed ModelConfig field that holds it
-_SECTION_TYPES = {name: cls for name, cls
-                  in typing.get_type_hints(ModelConfig).items()
-                  if dataclasses.is_dataclass(cls)}
+_SECTION_TYPES = _dataclass_fields(ModelConfig)
 
 # section -> field -> unit, in the dataclasses' field order, which is
 # also the order of a config file
@@ -75,7 +73,7 @@ _UNITS.update(b_field="T", pump="rad/s")
 
 def param_unit(path: str) -> str | None:
     """Unit of a parameter path; None is dimensionless, "str" a token."""
-    if path not in _UNITS:
+    if not (isinstance(path, str) and path in _UNITS):
         raise InvalidConfigError(f"unknown parameter path {path!r}")
     return _UNITS[path]
 
@@ -94,20 +92,21 @@ def get_param(config: ModelConfig, path: str):
 
 
 def _convert(path: str, value):
-    """The value of a parameter path from a number or its text: a string
-    for a token path, None for ``"none"`` on the gain override, a float
-    otherwise.  Raises InvalidConfigError for an unknown path or a value
-    that is not a number; a boolean is not one, though float() takes it."""
+    """The value of a parameter path from a number or its text: a token
+    as given (its field checks it), None for ``"none"`` on the gain
+    override, a float otherwise.  Raises InvalidConfigError for an
+    unknown path or a value that is neither a number (``_is_number``:
+    a boolean is not one, though float() takes it) nor its text."""
     unit = param_unit(path)
     if unit == "str":
-        return str(value)
+        return value
     if (path == "gain.coupling_override" and isinstance(value, str)
             and value.lower() == "none"):
         return None
-    if not isinstance(value, bool):
+    if type(value) is float or isinstance(value, str) or _is_number(value):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (ValueError, OverflowError):
             pass
     raise InvalidConfigError(f"{path}: bad number {value!r}")
 
@@ -163,9 +162,6 @@ def config_to_dict(config: ModelConfig) -> dict:
 def _parse_value(section: str, name: str, payload) -> object:
     unit = _SCHEMA[section][name]
     if unit == "str":
-        if not isinstance(payload, str):
-            raise InvalidConfigError(
-                f"{section}.{name} must be a plain string")
         return payload
     if not isinstance(payload, dict) or set(payload) != {"value", "unit"}:
         raise InvalidConfigError(

@@ -76,6 +76,9 @@ _FIRST_STEP_RATES = 10.0
 _OUTPUT_POINTS = 2001
 
 
+MODULATION_KINDS = ("constant", "sine_field")
+
+
 @dataclass(frozen=True)
 class DriveModulation:
     """Time dependence of the microwave detuning.
@@ -86,17 +89,16 @@ class DriveModulation:
         test signal, bias_field + amplitude_field * cos(omega_signal t).
     """
 
-    kind: str
+    kind: str = _field("str", (MODULATION_KINDS.__contains__,
+                               f"one of {MODULATION_KINDS}"))
     delta0: float = _field("rad/s", FINITE, default=0.0)
     bias_field: float = _field("T", FINITE, default=0.0)
     amplitude_field: float = _field("T", FINITE, default=0.0)
-    omega_signal: float = 0.0  # rad/s
+    omega_signal: float = _field("rad/s", FINITE, default=0.0)
 
     def __post_init__(self):
-        if self.kind not in ("constant", "sine_field"):
-            raise InvalidConfigError(f"unknown modulation kind {self.kind!r}")
         _check_fields(self)
-        if self.kind == "sine_field" and not 0 < self.omega_signal < math.inf:
+        if self.kind == "sine_field" and not self.omega_signal > 0.0:
             raise InvalidConfigError("omega_signal must be finite and > 0")
 
     @classmethod
@@ -160,11 +162,10 @@ class ResponseResult:
 
     t_63: float
     t_90: float
-    n_initial: float
+    n_initial: float         # the photon number the run starts from
     n_final: float
     delta_before: float
     delta_after: float
-    seed_n: float
     settled: bool
     series: TimeSeries
     work: dict[str, int]     # integrator counters, checkpoints, extensions
@@ -182,8 +183,6 @@ class HarmonicResult:
     bias_field: float
     amplitude_field: float
     transient_time: float
-    periods: int
-    samples_per_period: int
     work: dict[str, int]     # integrator counters, checkpoints, extensions
 
 
@@ -403,11 +402,13 @@ def integrate(config: ModelConfig, y0: np.ndarray,
     return _sanitize(np.array(ts), np.array(ys))
 
 
-def _first_crossing(config: ModelConfig, t: np.ndarray, states: np.ndarray,
-                    target: float, rising: bool) -> float | None:
-    """Earliest time where n(t) crosses ``target``: bracketed on the
-    checkpoints, refined on the cubic Hermite interpolant of n and of
-    dn/dt (the photon row of ``rhs``) at the bracket's ends."""
+def _first_crossing(dydt, t: np.ndarray, states: np.ndarray, target: float,
+                    rising: bool) -> float | None:
+    """Earliest time where n(t) crosses ``target`` on a run's checkpoints
+    ``t`` and ``states``: bracketed on the checkpoints, refined on the
+    cubic Hermite interpolant of n and of dn/dt at the bracket's ends,
+    dn/dt being the last component of the run's own right-hand side
+    ``dydt(t, y)`` (the solver's ``f``, from ``_system``)."""
     n = states[:, 9]
     f = n - target if rising else target - n
     idx = np.flatnonzero(f >= 0.0)
@@ -417,10 +418,8 @@ def _first_crossing(config: ModelConfig, t: np.ndarray, states: np.ndarray,
     t_lo, t_hi = float(t[i - 1]), float(t[i])
     h = t_hi - t_lo
     n_lo, n_hi = float(n[i - 1]), float(n[i])
-    ends = states[i - 1:i + 1]
-    gain = config.derived.gain_coupling * ((ends[:, 1] - ends[:, 2])
-                                           + (ends[:, 4] - ends[:, 5]))
-    d_lo, d_hi = ((gain - config.cavity.kappa) * ends[:, 9] * h).tolist()
+    d_lo, d_hi = (float(dydt(tt, y)[9]) * h
+                  for tt, y in ((t_lo, states[i - 1]), (t_hi, states[i])))
 
     def hermite(tt: float) -> float:
         s = (tt - t_lo) / h
@@ -462,16 +461,15 @@ def step_response(config: ModelConfig, delta_before: float,
     after = with_drive(config, delta=delta_after)
     ss_before = solve_steady_state(before)
     ss_after = solve_steady_state(after)
-    seed = seed_n if seed_n is not None else max(ss_before.n, DEFAULT_SEED_N)
-    if not 0.0 < seed < math.inf:
+    n_i = seed_n if seed_n is not None else max(ss_before.n, DEFAULT_SEED_N)
+    if not 0.0 < n_i < math.inf:
         raise InvalidConfigError("seed_n must be finite and > 0")
-    n_i = seed
     n_f = ss_after.n
     span = n_f - n_i
     if abs(span) <= 1e-9 * max(abs(n_f), abs(n_i)):
         raise DegenerateStepError(
             "steady photon number is unchanged by the step")
-    y0 = state_from_populations(ss_before.aligned, seed)
+    y0 = state_from_populations(ss_before.aligned, n_i)
 
     # The start populations are the before-state's own, whose net gain is
     # <= 0 (dark) or zero up to the root tolerance (lasing), so there is
@@ -494,8 +492,8 @@ def step_response(config: ModelConfig, delta_before: float,
                 _advance(solver, h0 * (j / per_h0))
                 for j in range(len(states), last + 1)]))
             t = h0 * (np.arange(last + 1) / per_h0)
-            t_63, t_90 = (_first_crossing(after, t, states, target, rising)
-                          for target in targets)
+            t_63, t_90 = (_first_crossing(solver.f, t, states, target,
+                                          rising) for target in targets)
             n_end = float(states[-1, 9])
             settled = abs(n_end - n_f) <= 1e-3 * abs(span)
             work = _work(solver)
@@ -516,8 +514,8 @@ def step_response(config: ModelConfig, delta_before: float,
     series = _sanitize(t[::stride], states[::stride])
     return ResponseResult(t_63=t_63, t_90=t_90, n_initial=n_i, n_final=n_f,
                           delta_before=delta_before,
-                          delta_after=delta_after, seed_n=seed,
-                          settled=settled, series=series, work=work)
+                          delta_after=delta_after, settled=settled,
+                          series=series, work=work)
 
 
 def _singlet_cycle_time(config: ModelConfig) -> float:
@@ -591,5 +589,4 @@ def ac_response(config: ModelConfig, bias_field: float,
                           distortion=distortion, omega_signal=omega_signal,
                           bias_field=bias_field,
                           amplitude_field=amplitude_field,
-                          transient_time=transient, periods=periods,
-                          samples_per_period=samples_per_period, work=work)
+                          transient_time=transient, work=work)

@@ -30,6 +30,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
+import typing
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -57,20 +59,55 @@ def _field(unit: str | None, valid, **kwargs):
     return field(metadata={"unit": unit, "valid": valid}, **kwargs)
 
 
+def _is_number(value) -> bool:
+    """A real number that is not a bool (numpy.bool_ is not numbers.Real)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _dataclass_fields(cls) -> dict[str, type]:
+    """Name -> dataclass of each field of ``cls`` annotated with one (or
+    with one or None): ModelConfig's sections, SweepSpec's axes."""
+    hints = {name: next((t for t in typing.get_args(hint)
+                         if t is not type(None)), hint)
+             for name, hint in typing.get_type_hints(cls).items()}
+    return {name: t for name, t in hints.items()
+            if dataclasses.is_dataclass(t)}
+
+
 @functools.cache
 def _checks(cls) -> tuple:
-    """(name, test, phrase) of each field of ``cls`` that declares one."""
-    return tuple((f.name, *f.metadata["valid"]) for f in fields(cls)
-                 if "valid" in f.metadata)
+    """(name, test, phrase, type test, None accepted) of each field of
+    ``cls`` that declares its values (``_field``) or is annotated with a
+    dataclass, whose instances it takes."""
+    sections = _dataclass_fields(cls)
+    checks = []
+    for f in fields(cls):
+        if "valid" in f.metadata:
+            test, phrase = f.metadata["valid"]
+            is_type = (_is_number if f.metadata["unit"] != "str"
+                       else lambda v: isinstance(v, str))
+        elif f.name in sections:
+            test = is_type = sections[f.name].__instancecheck__
+            phrase = f"of type {sections[f.name].__name__}"
+        else:
+            continue
+        checks.append((f.name, test, phrase, is_type, f.default is None))
+    return tuple(checks)
 
 
 def _check_fields(self) -> None:
     """The ``__post_init__`` of a dataclass of ``_field``s: raises
-    InvalidConfigError for the first value, None aside, that its field
-    does not accept."""
-    for name, test, phrase in _checks(type(self)):
+    InvalidConfigError for the first value that its field does not
+    accept.  A number field takes a real number that is not a bool, a
+    token field a str and a field annotated with a dataclass (a
+    ModelConfig section, a sweep axis) an instance of it; the value must
+    also pass the field's test.  None is accepted, untested, only where
+    it is the default.  A float, the common value, goes straight to the
+    test, which for a token or a dataclass field rejects it."""
+    for name, test, phrase, is_type, nullable in _checks(type(self)):
         value = getattr(self, name)
-        if value is not None and not test(value):
+        if not (test(value) if type(value) is float else
+                value is None and nullable or is_type(value) and test(value)):
             raise InvalidConfigError(f"{name} must be {phrase}, got {value!r}")
 
 
@@ -215,7 +252,6 @@ class DerivedQuantities:
     n_centers: float              # usable centers in the medium
     photon_energy: float          # J, h c / vacuum_wavelength
     gain_coupling: float          # G used by solvers (rad/s)
-    gain_coupling_formula: float  # G from the geometry formula (rad/s)
     quality_factor: float         # 2 pi nu / kappa
 
 def derive_constants(config: ModelConfig) -> DerivedQuantities:
@@ -226,8 +262,7 @@ def derive_constants(config: ModelConfig) -> DerivedQuantities:
         G = 3 nu L23 lambda_med^3 N / (4 pi^2 dnu V_cavity)
 
     with lambda_med the wavelength inside the medium and dnu the emission
-    bandwidth in Hz.  ``gain_coupling_override`` replaces G for solver use
-    without touching the formula value.
+    bandwidth in Hz.  ``gain_coupling_override``, when set, replaces it.
     """
     cav = config.cavity
     cst = config.constants
@@ -238,13 +273,11 @@ def derive_constants(config: ModelConfig) -> DerivedQuantities:
     g_formula = (3.0 * nu * config.rates.L23 * wavelength_med ** 3 * n_centers
                  / (4.0 * math.pi ** 2 * cav.emission_bandwidth
                     * cav.cavity_volume))
-    g_used = (config.gain_coupling_override
-              if config.gain_coupling_override is not None else g_formula)
     return DerivedQuantities(
         n_centers=n_centers,
         photon_energy=cst.h * nu,
-        gain_coupling=g_used,
-        gain_coupling_formula=g_formula,
+        gain_coupling=(g_formula if config.gain_coupling_override is None
+                       else config.gain_coupling_override),
         quality_factor=2.0 * math.pi * nu / cav.kappa,
     )
 

@@ -106,7 +106,6 @@ class SensitivityResult:
     b_field: float
     n: float
     slope_dn_db: float
-    shot_factor: float
     method: str
     diverged: bool = False
     fd_step: float | None = None
@@ -180,6 +179,7 @@ def _slope_dn_db(config: ModelConfig, b_field: float):
 
 
 def _shot_factor(config: ModelConfig, n: float) -> float:
+    """sqrt(n / (N_centers kappa)), which eta_dc divides by |dn/dB|."""
     return math.sqrt(n / (config.derived.n_centers * config.cavity.kappa))
 
 
@@ -193,10 +193,9 @@ def _ac_eta(config: ModelConfig, signal: AcSignalModel, n_signal: float,
 def _dc_result(config: ModelConfig, b_field: float, n: float, slope: float,
                method: str, diverged: bool, **fd) -> SensitivityResult:
     """d.c. result: eta = shot factor / |slope|, or +inf when diverged."""
-    shot = _shot_factor(config, n)
     return SensitivityResult(
-        eta=math.inf if diverged else shot / abs(slope), b_field=b_field,
-        n=n, slope_dn_db=slope, shot_factor=shot, method=method,
+        eta=math.inf if diverged else _shot_factor(config, n) / abs(slope),
+        b_field=b_field, n=n, slope_dn_db=slope, method=method,
         diverged=diverged, **fd)
 
 
@@ -306,7 +305,6 @@ def sensitivity_from_harmonic(config: ModelConfig, signal: AcSignalModel,
         eta=_ac_eta(config, signal, harmonic.n_signal, harmonic.n_mean),
         b_field=signal.bias_field, n=harmonic.n_mean,
         slope_dn_db=harmonic.n_signal / signal.amplitude_field,
-        shot_factor=_shot_factor(config, harmonic.n_mean),
         method=METHOD_AC_TIME, diverged=False, n_signal=harmonic.n_signal,
         omega_signal=signal.omega_signal,
         amplitude_field=signal.amplitude_field,

@@ -150,8 +150,10 @@ POPULATION_NAMES = tuple(f.name for f in fields(PopulationState))
 class SteadyStateResult:
     """Self-consistent operating point of the full system.
 
-    ``populations`` holds one entry per sub-ensemble (a single entry in
-    single_orientation mode) with matching ``weights`` and ``detunings``.
+    ``populations`` holds one entry per sub-ensemble, in the order of
+    ``_ensembles(config)``, which gives each one's weight and detuning:
+    the aligned sub-ensemble first (``aligned``), and in four_orientation
+    mode the off-axis one second.
     ``branch`` is ``"below_threshold"`` exactly when ``n == 0``.
     ``residual`` is the largest occupation/coherence rate at the solution
     relative to the largest rate constant in the system.
@@ -165,8 +167,6 @@ class SteadyStateResult:
     net_gain: float
     residual: float
     populations: tuple[PopulationState, ...]
-    weights: tuple[float, ...]
-    detunings: tuple[float, ...]
     gain_partials: tuple[float, float] | None
 
     @property
@@ -669,10 +669,8 @@ def solve_steady_state(config: ModelConfig) -> SteadyStateResult:
             raise ConvergenceError(
                 "gain residual at the photon-number root above tolerance",
                 detail={"n": n, "gain_residual": gain})
-    weights, deltas = zip(*_ensembles(config))
     return SteadyStateResult(n=n, branch=branch, net_gain=gain,
                              residual=residual, populations=states,
-                             weights=weights, detunings=deltas,
                              gain_partials=partials)
 
 
@@ -763,14 +761,13 @@ def _steady_states(points) -> list[SteadyStateResult | None]:
     states = np.where(lasing[:, None], v, v0).tolist()
     residual = np.where(lasing, residual_n, residual).tolist()
     gain = np.where(lasing, gain_n, gain).tolist()
-    n, lasing, delta = n.tolist(), lasing.tolist(), delta.tolist()
+    n, lasing = n.tolist(), lasing.tolist()
     dg_dn, dg_dd = dg_dn.tolist(), dg_dd.tolist()
     for k in np.flatnonzero(ok).tolist():
         results[index[k]] = SteadyStateResult(
             n=n[k], branch=LASING if lasing[k] else BELOW_THRESHOLD,
             net_gain=gain[k], residual=residual[k],
-            populations=(PopulationState(*states[k]),), weights=(1.0,),
-            detunings=(delta[k],),
+            populations=(PopulationState(*states[k]),),
             gain_partials=(dg_dn[k], dg_dd[k]) if lasing[k] else None)
     return results
 

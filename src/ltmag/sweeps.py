@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import reduce
+from numbers import Integral
 
 import numpy as np
 
@@ -33,7 +34,8 @@ from .configio import (_DRIVE_FIELDS, DRIVE_PATHS, drive_changes,
                        param_unit, set_param)
 from .configio import provenance as config_provenance
 from .errors import InvalidConfigError
-from .model import ModelConfig, detuning_to_b_field, output_power
+from .model import (FINITE, ModelConfig, _check_fields, _field,
+                    detuning_to_b_field, output_power)
 from .sensitivity import _dc_at_state
 from .steady import POPULATION_NAMES, solve_steady_states
 from .tables import Column, OutputTable
@@ -52,22 +54,19 @@ OUTPUTS: dict[str, tuple[Column, ...]] = {
 
 @dataclass(frozen=True)
 class SweepAxis:
+    """``points`` values of the parameter path ``path`` from ``start``
+    to ``stop``, both in the path's unit, spaced on a linear or log scale."""
+
     path: str
-    start: float
-    stop: float
-    points: int
-    scale: str = "linear"
+    start: float = _field(None, FINITE)
+    stop: float = _field(None, FINITE)
+    points: int = _field(None, (lambda v: isinstance(v, Integral) and v >= 1,
+                                "a whole number >= 1"))
+    scale: str = _field("str", (("linear", "log").__contains__,
+                                "linear or log"), default="linear")
 
     def __post_init__(self):
-        if not (isinstance(self.points, (int, np.integer))
-                and not isinstance(self.points, bool)
-                and self.points >= 1
-                and np.isfinite([self.start, self.stop]).all()):
-            raise InvalidConfigError("axis needs finite endpoints and a "
-                                     "whole number of points >= 1")
-        if self.scale not in ("linear", "log"):
-            raise InvalidConfigError(
-                f"axis scale must be linear or log, got {self.scale!r}")
+        _check_fields(self)
         if self.scale == "log" and (self.start <= 0.0 or self.stop <= 0.0):
             raise InvalidConfigError("log axis endpoints must be > 0")
         _axis_unit(self.path)  # validates the path
@@ -95,13 +94,16 @@ class SweepSpec:
     outputs: tuple[str, ...] = ("n", "P_out")
 
     def __post_init__(self):
+        _check_fields(self)
+        if not (isinstance(self.outputs, (tuple, list)) and self.outputs):
+            raise InvalidConfigError(
+                "sweep outputs must be a non-empty tuple or list of names, "
+                f"got {self.outputs!r}")
         for name in self.outputs:
-            if name not in OUTPUTS:
+            if not (isinstance(name, str) and name in OUTPUTS):
                 raise InvalidConfigError(
                     f"unknown sweep output {name!r}; "
                     f"available: {sorted(OUTPUTS)}")
-        if not self.outputs:
-            raise InvalidConfigError("sweep needs at least one output")
         if self.axis2 and _writes(self.axis1.path) & _writes(self.axis2.path):
             raise InvalidConfigError(
                 f"sweep axes {self.axis1.path!r} and {self.axis2.path!r} "

@@ -160,8 +160,7 @@ def _cell_from_text(text: str) -> Cell:
     if text == "false":
         return False
     try:
-        value = int(text)
-        return value
+        return int(text)
     except ValueError:
         pass
     try:

@@ -176,6 +176,12 @@ def test_typed_error_when_f_is_nan():
                     rtol=1e-12, xtol=1e-300, maxiter=100)
     assert info.value.detail["iterations"] == 0
     assert info.value.detail["x"] == 2.0
+    # and at the lower end, which is evaluated first
+    with pytest.raises(ConvergenceError, match="NaN") as info:
+        _brent_root(lambda x: math.nan if x < 0.5 else x - 1.0, 0.0, 2.0,
+                    rtol=1e-12, xtol=1e-300, maxiter=100)
+    assert info.value.detail["iterations"] == 0
+    assert info.value.detail["x"] == 0.0
 
 
 def test_zero_at_an_end_point_is_returned():

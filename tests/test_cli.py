@@ -158,6 +158,14 @@ def test_sweep_invalid_grid_values_are_config_errors(capsys, axis):
     assert code == 1 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("--axis1", "pump:0:1e6:0"), ("--axis1", "pump:0:1e6:3:cubic"),
+    ("--axis1", "pump:0:1e6:3", "--outputs", ","),
+    ("--axis1", "pump:0:1e6:3", "--outputs", "n,nope")])
+def test_sweep_rejected_axis_or_outputs_is_one_error_line(capsys, argv):
+    _one_error_line(*_run(capsys, "sweep", *argv))
+
+
 @pytest.mark.parametrize("axis1, axis2", [
     ("pump:1e6:4e6:3", "pump:1e6:2e6:2"),
     ("b_field:1e-4:2e-4:2", "drive.delta:0:1e8:2"),

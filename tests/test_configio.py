@@ -178,11 +178,17 @@ def _json(edit):
     return json.dumps(doc)
 
 
+def test_optional_sections_default_when_left_out():
+    doc = config_to_dict(preset("baseline"))
+    del doc["orientation"], doc["constants"], doc["gain"]
+    assert config_from_dict(doc) == preset("baseline")
+
+
 # file suffix, text and error message of a malformed config document,
 # one per check of the reader
 _MALFORMED = {
     "token": (".json", _json(lambda d: d["orientation"].update(mode=5)),
-              "plain string"),
+              r"mode must be one of \(.*\), got 5"),
     "payload": (".json", _json(lambda d: d["cavity"].update(kappa=3e6)),
                 r"must be \{'value': x"),
     "document": (".json", "[1, 2]", "document must be an object"),

@@ -294,24 +294,27 @@ def test_step_response_logs_extensions_and_reports_them(baseline_config,
     assert detail["n_end"] < 1e-6
 
 
-def _stock_ac_oracle(config, ours, method):
-    """The demodulated response of ``ours`` recomputed from one stock
-    ``solve_ivp`` run over the same transient and sampling grid."""
+def _stock_ac_oracle(config, ours, method, periods=10,
+                     samples_per_period=64):
+    """The demodulated response of ``ours``, from an ``ac_response``
+    call with ``periods`` and ``samples_per_period`` (its defaults here),
+    recomputed from one stock ``solve_ivp`` run over the same transient
+    and sampling grid."""
     ss = solve_steady_state(with_bias_field(config, ours.bias_field))
     y0 = state_from_populations(ss.aligned, max(ss.n, DEFAULT_SEED_N))
     period = 2.0 * math.pi / ours.omega_signal
-    n_samples = ours.periods * ours.samples_per_period
+    n_samples = periods * samples_per_period
     t_k = ours.transient_time + np.arange(n_samples) * (
-        ours.periods * period / n_samples)
+        periods * period / n_samples)
     mod = DriveModulation.sine_field(ours.bias_field, ours.amplitude_field,
                                      ours.omega_signal)
     sol = solve_ivp(rhs, (0.0, t_k[-1]), y0, method=method, rtol=1e-10,
                     atol=1e-16, jac=jacobian, t_eval=t_k,
-                    max_step=period / ours.samples_per_period,
+                    max_step=period / samples_per_period,
                     first_step=_first_step(config, y0), args=(config, mod))
     assert sol.success
     spectrum = np.fft.rfft(sol.y[9])
-    return (float(np.abs(2.0 * spectrum[ours.periods] / n_samples)),
+    return (float(np.abs(2.0 * spectrum[periods] / n_samples)),
             float(spectrum[0].real) / n_samples)
 
 
@@ -401,9 +404,9 @@ def test_step_response_seed_floors_dark_start(baseline_config):
     dim = with_pump(baseline_config, 9e5)
     res = step_response(dim, delta_before=0.0, delta_after=1e8,
                         seed_n=1e-5)
-    assert res.seed_n == pytest.approx(1e-5)
     # below threshold before the step, so the start is the seed itself
     assert res.n_initial == pytest.approx(1e-5)
+    assert res.series.n[0] == 1e-5
     assert res.n_final > 1e-3
 
 
@@ -435,9 +438,8 @@ def test_ac_response_frozen_values(high_sens_config):
     assert res.n_signal == pytest.approx(1.3764e-10, rel=0.01)
     assert res.n_mean > 0.0
     assert res.distortion < 1e-4
-    assert res.periods >= 10
-    assert res.samples_per_period >= 8
-    assert res.work["checkpoints"] == res.periods * res.samples_per_period
+    # the default demodulation grid: 10 periods of 64 samples
+    assert res.work["checkpoints"] == 10 * 64
     assert res.work["extensions"] == 0
     assert res.work["nfev"] >= res.work["steps"] > 0
     # LSODA left Adams mode: BDF steps form Jacobians
@@ -467,6 +469,24 @@ def test_ac_response_dark_everywhere_raises(high_sens_config):
     with pytest.raises(NoSignalError):
         ac_response(high_sens_config, bias_field=50e-6,
                     amplitude_field=1e-9, omega_signal=2e5)
+
+
+def test_ac_response_with_no_sampled_output_raises(high_sens_config,
+                                                    monkeypatch):
+    # lasing at the bias, so only the sampled window can be dark: every
+    # advance of the run returns the zero state
+    monkeypatch.setattr(dynamics, "_advance",
+                        lambda solver, t, **kwargs: np.zeros(10))
+    with pytest.raises(NoSignalError, match="sampled window"):
+        ac_response(high_sens_config, bias_field=164e-6,
+                    amplitude_field=1e-9, omega_signal=2e5)
+
+
+def test_integrate_rejects_a_short_initial_state(baseline_config):
+    y0 = _steady_state_vector(baseline_config, 1e8)
+    with pytest.raises(InvalidConfigError, match="10 components"):
+        integrate(baseline_config, y0[:9], (0.0, 1e-6),
+                  DriveModulation.constant(1e8))
 
 
 def test_ac_response_validates_resolution(high_sens_config):

@@ -4,13 +4,15 @@ import dataclasses
 import math
 import pickle
 
+import numpy as np
 import pytest
 
-from ltmag import (CavityGeometry, DriveSettings, InvalidConfigError,
-                   LevelRates, OrientationModel, b_field_to_detuning,
-                   config_digest, derive_constants, detuning_to_b_field,
-                   output_power, preset, rate_matrix)
-from ltmag.configio import set_param
+from ltmag import (AcSignalModel, CavityGeometry, DriveModulation,
+                   DriveSettings, InvalidConfigError, LevelRates,
+                   OrientationModel, SweepAxis, SweepSpec,
+                   b_field_to_detuning, config_digest, derive_constants,
+                   detuning_to_b_field, output_power, preset, rate_matrix)
+from ltmag.configio import _UNITS, set_param
 
 
 def test_baseline_preset_rates(baseline_config):
@@ -69,7 +71,10 @@ def test_gain_coupling_override(baseline_config):
     lit = dataclasses.replace(baseline_config, gain_coupling_override=3.08e8)
     d = derive_constants(lit)
     assert d.gain_coupling == 3.08e8
-    assert d.gain_coupling_formula == pytest.approx(3.116447e8, rel=1e-6)
+    # the geometry formula's value, which the override replaces
+    formula = derive_constants(
+        dataclasses.replace(lit, gain_coupling_override=None))
+    assert formula.gain_coupling == pytest.approx(3.116447e8, rel=1e-6)
     with pytest.raises(InvalidConfigError):
         dataclasses.replace(baseline_config, gain_coupling_override=-1.0)
 
@@ -165,3 +170,42 @@ def test_invalid_drive_and_orientation():
                        nv_concentration=0.0, nv_fraction=1.0,
                        vacuum_wavelength=709e-9, refractive_index=2.4,
                        emission_bandwidth=24e12)
+
+
+# Values of the wrong type for any field of any record: text that is
+# neither a number nor a token, None, Python's and numpy's booleans and
+# a list
+_WRONG_TYPED = ("x", None, True, np.True_, [1.0])
+
+# The fields whose default, and so a valid value, is None
+_NONE_VALID = {("ModelConfig", "gain_coupling_override"),
+               ("SweepSpec", "axis2")}
+
+_BASE = preset("baseline")
+_RECORDS = (_BASE.rates, _BASE.cavity, _BASE.drive, _BASE.orientation,
+            _BASE.constants, _BASE,
+            AcSignalModel(bias_field=164e-6, amplitude_field=1e-9,
+                          omega_signal=2e5),
+            DriveModulation.sine_field(1e-4, 1e-9, 2e5),
+            SweepAxis("pump", 0.0, 1e6, 3),
+            SweepSpec(SweepAxis("pump", 0.0, 1e6, 3)))
+
+
+@pytest.mark.parametrize("record", _RECORDS,
+                         ids=lambda record: type(record).__name__)
+def test_every_field_rejects_wrong_typed_values(record):
+    for f in dataclasses.fields(record):
+        for value in _WRONG_TYPED:
+            if value is None and (type(record).__name__,
+                                  f.name) in _NONE_VALID:
+                dataclasses.replace(record, **{f.name: None})
+                continue
+            with pytest.raises(InvalidConfigError):
+                dataclasses.replace(record, **{f.name: value})
+
+
+def test_every_registry_path_rejects_wrong_typed_values():
+    for path in _UNITS:
+        for value in _WRONG_TYPED:
+            with pytest.raises(InvalidConfigError):
+                set_param(_BASE, path, value)

@@ -31,7 +31,17 @@ def test_dc_sensitivity_frozen_value(high_sens_config):
     assert res.fd_rel_error is not None and res.fd_rel_error < 1e-3
     # eta is exactly the shot factor over the slope magnitude
     assert res.eta == pytest.approx(
-        res.shot_factor / abs(res.slope_dn_db), rel=1e-12)
+        sensitivity._shot_factor(high_sens_config, res.n)
+        / abs(res.slope_dn_db), rel=1e-12)
+
+
+def test_harmonic_without_signal_is_a_physics_domain_error(
+        high_sens_config):
+    signal = AcSignalModel(bias_field=BIAS, amplitude_field=1e-9,
+                           omega_signal=2e5)
+    flat = SimpleNamespace(n_mean=1e-3, n_signal=0.0)
+    with pytest.raises(PhysicsDomainError, match="amplitude is zero"):
+        sensitivity.sensitivity_from_harmonic(high_sens_config, signal, flat)
 
 
 def test_dc_sensitivity_below_threshold(high_sens_config):
@@ -141,8 +151,7 @@ def test_implicit_slope_vanishes_at_symmetry_point(baseline_config):
 
 def test_implicit_result_holds_python_floats(high_sens_config):
     res = dc_sensitivity_curve(high_sens_config, [BIAS])[0]
-    for value in (res.eta, res.b_field, res.n, res.slope_dn_db,
-                  res.shot_factor):
+    for value in (res.eta, res.b_field, res.n, res.slope_dn_db):
         assert type(value) is float
 
 

@@ -174,14 +174,43 @@ def test_gain_root_stops_at_the_photon_number_cap():
     assert info.value.detail["last_bracket"][1] > steady._BRACKET_CAP
 
 
+def test_photon_root_without_a_positive_leading_coefficient_is_nan():
+    # C = 0 makes the quadratic's leading coefficient A = kappa det(C)
+    # zero, so there is no root to take on floats
+    wx = ((0.5, 0.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0, 0.0))
+    qa, n = steady._photon_root(2.0, 1.0, wx, math)
+    assert qa == 0.0 and math.isnan(n)
+
+
+def test_gain_residual_at_the_root_is_checked(baseline_config, monkeypatch):
+    real = steady._states
+
+    def off(config, n, solutions):
+        # the real populations, with the net gain at a root 1e-6 kappa off
+        states, gain, residual, partials = real(config, n, solutions)
+        if n > 0.0:
+            gain += 1e-6 * config.cavity.kappa
+        return states, gain, residual, partials
+
+    monkeypatch.setattr(steady, "_states", off)
+    cfg = with_drive(baseline_config, delta=1e8)
+    with pytest.raises(ConvergenceError, match="gain residual") as info:
+        solve_steady_state(cfg)
+    monkeypatch.undo()
+    assert info.value.detail["n"] == solve_steady_state(cfg).n
+    assert info.value.detail["gain_residual"] == pytest.approx(
+        1e-6 * cfg.cavity.kappa, rel=1e-3)
+
+
 def test_four_orientation_weights_and_reduction(baseline_config):
     four = dataclasses.replace(
         baseline_config,
         orientation=OrientationModel(mode="four_orientation"))
-    ss = solve_steady_state(with_drive(four, delta=1e8))
+    cfg = with_drive(four, delta=1e8)
+    ss = solve_steady_state(cfg)
     assert len(ss.populations) == 2
-    assert ss.weights == (0.25, 0.75)
-    assert ss.detunings == (1e8, 1e9)
+    # one population per sub-ensemble, with its weight and detuning
+    assert steady._ensembles(cfg) == ((0.25, 1e8), (0.75, 1e9))
     # when the aligned detuning equals the off-axis pin the split is moot
     pinned = with_drive(four, delta=four.orientation.off_axis_detuning)
     single = with_drive(baseline_config,
@@ -325,7 +354,7 @@ def test_steady_state_matches_fixed_n_kernel(baseline_config, mode, delta,
     residual = max(
         float(np.max(np.abs(steady.rate_matrix(cfg, ss.n, d)
                             @ state.as_array()))) / steady._max_rate(cfg, ss.n)
-        for state, d in zip(ss.populations, ss.detunings))
+        for state, (_, d) in zip(ss.populations, steady._ensembles(cfg)))
     assert ss.residual == residual
     # dark: column 0 of the five-column n = 0 solve; lasing: the rank-2
     # update of that solve, not a one-column solve at the root
@@ -341,8 +370,8 @@ def _partials_by_solve(cfg, ss):
     (of the aligned sub-ensemble; the off-axis detuning is fixed)."""
     g = cfg.derived.gain_coupling
     dg_dn = dg_dd = 0.0
-    for k, (state, weight, delta) in enumerate(zip(
-            ss.populations, ss.weights, ss.detunings)):
+    for k, (state, (weight, delta)) in enumerate(zip(
+            ss.populations, steady._ensembles(cfg))):
         rhs = np.zeros((9, 2))
         rhs[1, 0] = g * (state.rho22 - state.rho33)
         rhs[2, 0] = -rhs[1, 0]
@@ -368,7 +397,7 @@ def test_lasing_state_from_the_zero_n_solve(baseline_config, mode, delta,
     cfg = with_drive(with_pump(_with_mode(baseline_config, mode), pump),
                      delta=delta)
     ss = solve_steady_state(cfg)
-    for state, d in zip(ss.populations, ss.detunings):
+    for state, (_, d) in zip(ss.populations, steady._ensembles(cfg)):
         np.testing.assert_allclose(
             state.as_array(),
             populations_at_fixed_n(with_drive(cfg, delta=d), ss.n).as_array(),
@@ -570,10 +599,13 @@ def test_grid_evaluator_keeps_order_across_a_chunk_boundary(baseline_config,
     assert len(out) == len(points)
     monkeypatch.undo()
     for point, ss in zip(points, out):
-        config = _built(point)
-        assert ss.detunings == (config.drive.delta,)
-        assert ss.n == pytest.approx(solve_steady_state(config).n,
-                                     rel=1e-12, abs=0.0)
+        direct = solve_steady_state(_built(point))
+        # Re rho14 is odd in the detuning, so the populations also tell a
+        # point from its mirror image, whose n is the same
+        np.testing.assert_allclose(ss.aligned.as_array(),
+                                   direct.aligned.as_array(), rtol=1e-9,
+                                   atol=1e-14)
+        assert ss.n == pytest.approx(direct.n, rel=1e-12, abs=0.0)
     assert out[-1] == solve_steady_state(_built(points[-1]))
 
 

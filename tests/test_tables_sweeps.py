@@ -63,6 +63,7 @@ def test_table_json_round_trip():
     '{"columns": [{"name": "n", "unit": "1"}], "rows": [5]}',
     '{"columns": [{"name": "n", "unit": "1"}], "rows": [[1.0, 2.0]]}',
     '{"columns": [{"name": "n", "unit": "1"}], "provenance": 5}',
+    '{"columns": [',
 ])
 def test_table_from_json_rejects_malformed_documents(doc):
     with pytest.raises(InvalidConfigError):
@@ -94,6 +95,18 @@ def test_table_short_row_is_a_config_error_in_both_formats():
     doc["rows"][-1].pop()
     with pytest.raises(InvalidConfigError):
         OutputTable.from_json(json.dumps(doc))
+
+
+def test_table_lookups_and_layout_errors():
+    t = _sample_table()
+    with pytest.raises(KeyError):
+        t.column_index("linewidth")
+    with pytest.raises(InvalidConfigError, match="no header row"):
+        OutputTable.from_csv("# kind = empty\n\n")
+    for text in ("a,b", "two\nlines", "#comment"):
+        bad = OutputTable(columns=(Column("label", ""),), rows=[(text,)])
+        with pytest.raises(InvalidConfigError, match="corrupt the CSV"):
+            bad.to_csv()
 
 
 def test_table_absent_cells_stay_absent():
@@ -157,6 +170,40 @@ def test_spec_rejects_unknown_output():
         SweepSpec(axis1=axis, outputs=("n", "linewidth"))
     with pytest.raises(InvalidConfigError):
         SweepSpec(axis1=axis, outputs=())
+
+
+_AXIS = SweepAxis("pump", 0.0, 1e6, 3)
+
+# SweepAxis and SweepSpec arguments of the wrong type
+_WRONG_SWEEPS = {
+    "start_text": lambda: SweepAxis("pump", "0", 1e6, 2),
+    "start_none": lambda: SweepAxis("pump", None, 1e6, 3),
+    "stop_list": lambda: SweepAxis("pump", 0.0, [1e6], 3),
+    "points_none": lambda: SweepAxis("pump", 0.0, 1e6, None),
+    "points_text": lambda: SweepAxis("pump", 0.0, 1e6, "3"),
+    "scale_none": lambda: SweepAxis("pump", 0.0, 1e6, 3, None),
+    "path_list": lambda: SweepAxis(["pump"], 0.0, 1e6, 3),
+    "outputs_none": lambda: SweepSpec(_AXIS, outputs=None),
+    "outputs_nested": lambda: SweepSpec(_AXIS, outputs=[["n"]]),
+    "axis1_text": lambda: SweepSpec("pump:0:1e6:3"),
+    "axis2_text": lambda: SweepSpec(_AXIS, axis2="drive.omega:0:1e6:3"),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRONG_SWEEPS))
+def test_sweep_arguments_of_the_wrong_type_are_config_errors(case):
+    with pytest.raises(InvalidConfigError):
+        _WRONG_SWEEPS[case]()
+
+
+def test_spec_takes_outputs_as_a_tuple_or_list():
+    for outputs in (("n", "P_out"), ["n", "P_out"]):
+        assert list(SweepSpec(_AXIS, outputs=outputs).outputs) \
+            == ["n", "P_out"]
+    # text is not a list of names, even when it names outputs
+    for text in ("n", "n,P_out"):
+        with pytest.raises(InvalidConfigError, match="tuple or list"):
+            SweepSpec(_AXIS, outputs=text)
 
 
 @pytest.mark.parametrize("paths", [("pump", "pump"),

@@ -8,8 +8,10 @@ It prints one ``label sha256`` line per item, then a ``total`` line
 hashing every item in order.  The items are every table of the
 pre-registered experiments as CSV and as JSON, a fixed set of
 command-line runs (exit code and stdout), the reprs of the library's
-steady-state, threshold, sensitivity and field-search results, and both
-presets' config files as JSON and INI with their ``config_digest``.
+steady-state, threshold, sensitivity and field-search results, both
+presets' config files as JSON and INI with their ``config_digest``, and
+a fixed set of invalid command-line runs (``error.*``: exit code and
+stderr), so that a changed error message shows too.
 Running it with ``PYTHONPATH`` set to another tree's ``src`` and
 comparing the lines shows which outputs a change moved.
 """
@@ -18,6 +20,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import os
 import tempfile
 
@@ -33,11 +36,12 @@ def put(label, text):
     print(label, hashlib.sha256(data).hexdigest())
 
 
-def run(label, *argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def run(label, *argv, stream="stdout"):
+    out = {"stdout": io.StringIO(), "stderr": io.StringIO()}
+    with contextlib.redirect_stdout(out["stdout"]), \
+            contextlib.redirect_stderr(out["stderr"]):
         code = cli.main(list(argv))
-    put(label, f"{code}\n{out.getvalue()}")
+    put(label, f"{code}\n{out[stream].getvalue()}")
 
 
 for name in experiments.EXPERIMENT_NAMES:
@@ -91,5 +95,22 @@ with tempfile.TemporaryDirectory() as tmp:
             with open(path, encoding="utf-8") as fp:
                 put(f"config.{name}.{ext}", fp.read())
         put(f"config.{name}.digest", configio.config_digest(cfg))
+
+    mode5 = os.path.join(tmp, "mode5.json")
+    doc = configio.config_to_dict(base)
+    doc["orientation"]["mode"] = 5
+    with open(mode5, "w", encoding="utf-8") as fp:
+        json.dump(doc, fp)
+    for label, *argv in (
+            ("kappa", "steady-state", "--set", "cavity.kappa=-1"),
+            ("mode", "steady-state", "--set", "orientation.mode=x"),
+            ("mode_json", "steady-state", "--config", mode5),
+            ("sweep_points", "sweep", "--axis1", "pump:0:1e6:0"),
+            ("sweep_scale", "sweep", "--axis1", "pump:0:1e6:3:cubic"),
+            ("sweep_output", "sweep", "--axis1", "pump:0:1e6:3",
+             "--outputs", "nope"),
+            ("response", "response", "--delta-before", "0",
+             "--delta-after", "0")):
+        run(f"error.{label}", *argv, stream="stderr")
 
 print("total", total.hexdigest())
