@@ -147,7 +147,7 @@ def _cmd_response(args) -> OutputTable:
                  Column("t_63", "s"), Column("t_90", "s"),
                  Column("settled", "")),
         # the run starts from the seed, so seed_n and n_initial agree
-        rows=[(res.delta_before, res.delta_after, res.n_initial,
+        rows=[(args.delta_before, args.delta_after, res.n_initial,
                res.n_initial, res.n_final, res.t_63, res.t_90,
                res.settled)],
         provenance=_provenance(args, config))
@@ -196,7 +196,7 @@ def _cmd_sensitivity_ac(args) -> OutputTable:
     return OutputTable(
         columns=_SENS_COLUMNS + (Column("omega", "rad/s"),
                                  Column("n_signal", "1")),
-        rows=[_sens_row(res) + (res.omega_signal, res.n_signal)],
+        rows=[_sens_row(res) + (signal.omega_signal, res.n_signal)],
         provenance=_provenance(args, config))
 
 

@@ -43,8 +43,9 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateStepError,
                      InvalidConfigError, NoSignalError, StiffnessError)
-from .model import (FINITE, ModelConfig, _check_fields, _field,
-                    b_field_to_detuning, with_bias_field, with_drive)
+from .model import (FINITE, AcSignalModel, ModelConfig, _check_fields,
+                    _field, _is_number, b_field_to_detuning,
+                    with_bias_field, with_drive)
 from .steady import (_WWT, POPULATION_NAMES, PopulationState, _brent_root,
                      _max_rate, rate_matrix, solve_steady_state)
 from .tables import Column, OutputTable
@@ -76,47 +77,32 @@ _FIRST_STEP_RATES = 10.0
 _OUTPUT_POINTS = 2001
 
 
-MODULATION_KINDS = ("constant", "sine_field")
-
-
 @dataclass(frozen=True)
 class DriveModulation:
-    """Time dependence of the microwave detuning.
+    """Time dependence of the microwave detuning: the constant ``delta0``,
+    or, when ``signal`` is set, the detuning of its test field B(t)
+    (``delta0`` then goes unused)."""
 
-    kinds:
-      * ``constant``: delta = delta0;
-      * ``sine_field``: delta follows a bias magnetic field plus a cosine
-        test signal, bias_field + amplitude_field * cos(omega_signal t).
-    """
-
-    kind: str = _field("str", (MODULATION_KINDS.__contains__,
-                               f"one of {MODULATION_KINDS}"))
     delta0: float = _field("rad/s", FINITE, default=0.0)
-    bias_field: float = _field("T", FINITE, default=0.0)
-    amplitude_field: float = _field("T", FINITE, default=0.0)
-    omega_signal: float = _field("rad/s", FINITE, default=0.0)
+    signal: AcSignalModel | None = None
 
-    def __post_init__(self):
-        _check_fields(self)
-        if self.kind == "sine_field" and not self.omega_signal > 0.0:
-            raise InvalidConfigError("omega_signal must be finite and > 0")
+    __post_init__ = _check_fields
 
     @classmethod
     def constant(cls, delta: float) -> "DriveModulation":
-        return cls(kind="constant", delta0=delta)
+        return cls(delta0=delta)
 
     @classmethod
     def sine_field(cls, bias_field: float, amplitude_field: float,
                    omega_signal: float) -> "DriveModulation":
-        return cls(kind="sine_field", bias_field=bias_field,
-                   amplitude_field=amplitude_field,
-                   omega_signal=omega_signal)
+        return cls(signal=AcSignalModel(bias_field, amplitude_field,
+                                        omega_signal))
 
     def detuning(self, t: float, config: ModelConfig) -> float:
-        if self.kind == "constant":
+        s = self.signal
+        if s is None:
             return self.delta0
-        b = (self.bias_field + self.amplitude_field
-             * math.cos(self.omega_signal * t))
+        b = s.bias_field + s.amplitude_field * math.cos(s.omega_signal * t)
         return b_field_to_detuning(b, config.constants)
 
 
@@ -158,14 +144,13 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class ResponseResult:
-    """Step-response timing extracted from the photon trajectory."""
+    """Step-response timing extracted from the photon trajectory; the
+    step's two detunings are the caller's arguments, not repeated here."""
 
     t_63: float
     t_90: float
     n_initial: float         # the photon number the run starts from
     n_final: float
-    delta_before: float
-    delta_after: float
     settled: bool
     series: TimeSeries
     work: dict[str, int]     # integrator counters, checkpoints, extensions
@@ -209,13 +194,13 @@ def _system(config: ModelConfig, modulation: DriveModulation):
     A(n, delta) = A(0, delta0) - G n W W^T + (delta - delta0) D, with
     W W^T the stimulated exchange (``_WWT``, see ``steady``) and D the
     rotation of (Re, Im) rho14.  A(0, delta0) is built once, delta0
-    being the constant detuning or 0 for ``sine_field``; each call adds
-    the exchange, the rotation (sine drive only) and the photon row to
+    being the constant detuning or 0 under a test field; each call adds
+    the exchange, the rotation (test field only) and the photon row to
     one product with it.
     """
     g = config.derived.gain_coupling
     kappa = config.cavity.kappa
-    sine = modulation.kind == "sine_field"
+    sine = modulation.signal is not None
     a0 = np.zeros((10, 10))
     a0[:9, :9] = rate_matrix(config, 0.0, 0.0 if sine else modulation.delta0)
 
@@ -462,7 +447,7 @@ def step_response(config: ModelConfig, delta_before: float,
     ss_before = solve_steady_state(before)
     ss_after = solve_steady_state(after)
     n_i = seed_n if seed_n is not None else max(ss_before.n, DEFAULT_SEED_N)
-    if not 0.0 < n_i < math.inf:
+    if not (_is_number(n_i) and 0.0 < n_i < math.inf):
         raise InvalidConfigError("seed_n must be finite and > 0")
     n_f = ss_after.n
     span = n_f - n_i
@@ -513,9 +498,7 @@ def step_response(config: ModelConfig, delta_before: float,
     stride = 1 << extensions
     series = _sanitize(t[::stride], states[::stride])
     return ResponseResult(t_63=t_63, t_90=t_90, n_initial=n_i, n_final=n_f,
-                          delta_before=delta_before,
-                          delta_after=delta_after, settled=settled,
-                          series=series, work=work)
+                          settled=settled, series=series, work=work)
 
 
 def _singlet_cycle_time(config: ModelConfig) -> float:
@@ -545,8 +528,6 @@ def ac_response(config: ModelConfig, bias_field: float,
                                  "least 10 periods, 8 samples per period")
     modulation = DriveModulation.sine_field(bias_field, amplitude_field,
                                             omega_signal)
-    if not amplitude_field > 0.0:
-        raise InvalidConfigError("amplitude_field must be finite and > 0")
 
     biased = with_bias_field(config, bias_field)
     ss_bias = solve_steady_state(biased)

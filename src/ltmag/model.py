@@ -60,8 +60,18 @@ def _field(unit: str | None, valid, **kwargs):
 
 
 def _is_number(value) -> bool:
-    """A real number that is not a bool (numpy.bool_ is not numbers.Real)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number that is not a bool (numpy.bool_ is not numbers.Real)
+    and that float() converts: an int past the float range is not one.
+    A float, the common value, is tested first."""
+    if type(value) is float:
+        return True
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _dataclass_fields(cls) -> dict[str, type]:
@@ -219,6 +229,27 @@ class PhysicalConstants:
 
 DEFAULT_CONSTANTS = PhysicalConstants()
 
+# Demodulated noise above the shot level (dimensionless power factor),
+# representative of a lock-in read-out.
+DEFAULT_EXCESS_NOISE = 2.43
+
+
+@dataclass(frozen=True)
+class AcSignalModel:
+    """The a.c. test field B(t) = bias_field + amplitude_field *
+    cos(omega_signal t) that drives the detuning of ``ac_response`` and
+    sets the a.c. sensitivity.  ``excess_noise`` scales the shot noise of
+    the demodulated read-out (see ``sensitivity``); the time domain does
+    not use it."""
+
+    bias_field: float = _field("T", FINITE)
+    amplitude_field: float = _field("T", POSITIVE)
+    omega_signal: float = _field("rad/s", POSITIVE)
+    excess_noise: float = _field(None, AT_LEAST_ONE,
+                                 default=DEFAULT_EXCESS_NOISE)
+
+    __post_init__ = _check_fields
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -300,7 +331,7 @@ def output_power(n: float, config: ModelConfig) -> float:
     Every cavity loss event is counted as useful output:
     P = n * N_centers * kappa * h nu.
     """
-    if not (math.isfinite(n) and n >= 0.0):
+    if not (_is_number(n) and 0.0 <= n < math.inf):
         raise InvalidConfigError(
             f"photon number must be finite and >= 0, got {n!r}")
     d = config.derived
@@ -320,6 +351,8 @@ def with_pump(config: ModelConfig, pump: float) -> ModelConfig:
 
 def with_bias_field(config: ModelConfig, b_field: float) -> ModelConfig:
     """Copy of config with the detuning set from a bias field (T)."""
+    if not _is_number(b_field):
+        raise InvalidConfigError(f"b_field must be a number, got {b_field!r}")
     return with_drive(config,
                       delta=b_field_to_detuning(b_field, config.constants))
 

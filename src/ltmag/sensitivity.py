@@ -11,7 +11,9 @@ producing a demodulated photon amplitude n_S
     eta_ac = (B_S / n_S) * sqrt(n_mean * excess_noise / (N_centers * kappa))
 
 where ``excess_noise`` accounts for technical noise above the shot
-level in the demodulated band.
+level in the demodulated band.  The test field, with its excess noise,
+is one ``model.AcSignalModel``, the record that also drives the time
+domain's detuning (``dynamics.DriveModulation``).
 
 The slope dn/dB has two evaluators.  ``dc_sensitivity`` takes adaptive
 central differences with Richardson extrapolation (method
@@ -45,9 +47,8 @@ from .configio import get_param, set_param
 from .dynamics import ac_response
 from .errors import (BelowThresholdError, ConvergenceError,
                      InvalidConfigError, PhysicsDomainError)
-from .model import (AT_LEAST_ONE, FINITE, POSITIVE, ModelConfig,
-                    _check_fields, _field, b_field_to_detuning,
-                    with_bias_field)
+from .model import (AcSignalModel, ModelConfig, _is_number,
+                    b_field_to_detuning, with_bias_field)
 from .steady import (SteadyStateResult, solve_steady_state,
                      solve_steady_states)
 
@@ -55,10 +56,6 @@ METHOD_DC = "dc_finite_difference"
 METHOD_DC_IMPLICIT = "dc_implicit"
 METHOD_AC_TIME = "ac_timedomain"
 METHOD_AC_QUASISTATIC = "ac_quasistatic"
-
-# Demodulated noise above the shot level (dimensionless power factor),
-# representative of a lock-in read-out.
-DEFAULT_EXCESS_NOISE = 2.43
 
 _SLOPE_TARGET_REL = 1e-3
 _MAX_HALVINGS = 40
@@ -76,19 +73,6 @@ DEFAULT_B_WINDOW = (0.0, 300e-6)
 
 
 @dataclass(frozen=True)
-class AcSignalModel:
-    """Sinusoidal test-field specification for a.c. sensitivity."""
-
-    bias_field: float = _field("T", FINITE)
-    amplitude_field: float = _field("T", POSITIVE)
-    omega_signal: float = _field("rad/s", POSITIVE)
-    excess_noise: float = _field(None, AT_LEAST_ONE,
-                                 default=DEFAULT_EXCESS_NOISE)
-
-    __post_init__ = _check_fields
-
-
-@dataclass(frozen=True)
 class SensitivityResult:
     """Sensitivity at one operating point.
 
@@ -99,7 +83,10 @@ class SensitivityResult:
     Richardson error estimate for the finite-difference methods
     (``dc_finite_difference`` and ``ac_quasistatic``); implicit-slope
     results (``dc_implicit``) leave both None.  a.c. time-domain results
-    carry the demodulated amplitude in ``n_signal`` instead.
+    carry the demodulated amplitude in ``n_signal`` instead.  An a.c.
+    result does not repeat the caller's ``AcSignalModel``: ``b_field``
+    is its bias, and its amplitude, frequency and excess noise stay on
+    the signal.
     """
 
     eta: float
@@ -111,9 +98,6 @@ class SensitivityResult:
     fd_step: float | None = None
     fd_rel_error: float | None = None
     n_signal: float | None = None
-    omega_signal: float | None = None
-    amplitude_field: float | None = None
-    excess_noise: float | None = None
 
 
 @dataclass(frozen=True)
@@ -278,10 +262,7 @@ def ac_sensitivity(config: ModelConfig, signal: AcSignalModel, *,
     """
     if method == METHOD_AC_QUASISTATIC:
         base = replace(dc_sensitivity(config, signal.bias_field),
-                       method=METHOD_AC_QUASISTATIC,
-                       amplitude_field=signal.amplitude_field,
-                       omega_signal=signal.omega_signal,
-                       excess_noise=signal.excess_noise)
+                       method=METHOD_AC_QUASISTATIC)
         if base.diverged:
             return base
         n_signal = abs(base.slope_dn_db) * signal.amplitude_field
@@ -305,15 +286,13 @@ def sensitivity_from_harmonic(config: ModelConfig, signal: AcSignalModel,
         eta=_ac_eta(config, signal, harmonic.n_signal, harmonic.n_mean),
         b_field=signal.bias_field, n=harmonic.n_mean,
         slope_dn_db=harmonic.n_signal / signal.amplitude_field,
-        method=METHOD_AC_TIME, diverged=False, n_signal=harmonic.n_signal,
-        omega_signal=signal.omega_signal,
-        amplitude_field=signal.amplitude_field,
-        excess_noise=signal.excess_noise)
+        method=METHOD_AC_TIME, diverged=False, n_signal=harmonic.n_signal)
 
 
 def _check_window(b_min: float, b_max: float) -> None:
     """The field window of both searches: finite, with b_max > b_min."""
-    if not -math.inf < b_min < b_max < math.inf:
+    if not (_is_number(b_min) and _is_number(b_max)
+            and -math.inf < b_min < b_max < math.inf):
         raise InvalidConfigError(
             f"need b_max > b_min, both finite, got [{b_min!r}, {b_max!r}]")
 

@@ -77,7 +77,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateConfigError,
                      InvalidConfigError, NotLasableError)
-from .model import RATE_FIELDS, ModelConfig, with_drive, with_pump
+from .model import (RATE_FIELDS, ModelConfig, _is_number, with_drive,
+                    with_pump)
 
 BELOW_THRESHOLD = "below_threshold"
 LASING = "lasing"
@@ -323,7 +324,7 @@ def _checked_matrix(rates, pump12: float, pump45: float, omega: float,
 def _fixed_n(config: ModelConfig, n: float, delta: float) -> PopulationState:
     """The one fixed-n population solve of a sub-ensemble at a config's
     detuning ``delta``; raises as ``populations_at_fixed_n`` does."""
-    if not 0.0 <= n < math.inf:
+    if not (_is_number(n) and 0.0 <= n < math.inf):
         raise InvalidConfigError(
             f"need a finite photon number n >= 0, got n={n!r}")
     d = config.drive

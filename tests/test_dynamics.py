@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from ltmag import (ConvergenceError, DegenerateStepError, DriveModulation,
-                   InvalidConfigError, NoSignalError, OrientationModel,
-                   StiffnessError, ac_response, derive_constants, integrate,
+from ltmag import (AcSignalModel, ConvergenceError, DegenerateStepError,
+                   DriveModulation, InvalidConfigError, NoSignalError,
+                   OrientationModel, StiffnessError, ac_response,
+                   derive_constants, integrate,
                    output_power, preset, solve_steady_state, step_response,
                    with_bias_field, with_drive, with_pump)
 from ltmag import dynamics, steady
@@ -526,19 +527,59 @@ def test_sine_field_rejects_bad_omega(omega):
         DriveModulation.sine_field(1e-4, 1e-9, omega)
 
 
+# A dict under "signal" holds the arguments of the test field's own
+# AcSignalModel, which must be built inside the check
 @pytest.mark.parametrize("fields", [
-    dict(kind="pulse"),
-    dict(kind="constant", delta0=math.nan),
-    dict(kind="constant", delta0=-math.inf),
-    dict(kind="sine_field", bias_field=math.nan, amplitude_field=1e-9,
-         omega_signal=2e5),
-    dict(kind="sine_field", bias_field=1e-4, amplitude_field=math.inf,
-         omega_signal=2e5),
-    dict(kind="sine_field", bias_field=1e-4, amplitude_field=1e-9),
+    dict(signal="sine_field"),
+    dict(delta0=math.nan),
+    dict(delta0=-math.inf),
+    dict(signal=dict(bias_field=math.nan, amplitude_field=1e-9,
+                     omega_signal=2e5)),
+    dict(signal=dict(bias_field=1e-4, amplitude_field=math.inf,
+                     omega_signal=2e5)),
+    dict(signal=dict(bias_field=1e-4, amplitude_field=1e-9,
+                     omega_signal=0.0)),
 ])
 def test_modulation_rejects_bad_fields(fields):
     with pytest.raises(InvalidConfigError):
+        if isinstance(fields.get("signal"), dict):
+            fields = dict(fields, signal=AcSignalModel(**fields["signal"]))
         DriveModulation(**fields)
+
+
+# (bias, amplitude, omega) of a test field, and whether it is accepted
+_SIGNALS = [
+    ((1e-4, 1e-9, 2e5), True),
+    ((-1e-4, 1e-9, 2e5), True),
+    ((0.0, 1e-9, 2e5), True),
+    ((1e-4, 1e-9, 1), True),
+    ((1e-4, 0.0, 2e5), False),
+    ((1e-4, -1e-9, 2e5), False),
+    ((1e-4, 1e-9, 0.0), False),
+    ((1e-4, 1e-9, -2e5), False),
+    ((math.nan, 1e-9, 2e5), False),
+    ((1e-4, math.inf, 2e5), False),
+    ((1e-4, 1e-9, math.nan), False),
+    (("1e-4", 1e-9, 2e5), False),
+    ((1e-4, 10**400, 2e5), False),
+]
+
+
+def _rejection(build, *args):
+    """The message of the InvalidConfigError ``build(*args)`` raises, or
+    None when it accepts the arguments."""
+    try:
+        build(*args)
+    except InvalidConfigError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("signal, accepted", _SIGNALS)
+def test_sine_field_accepts_what_its_signal_accepts(signal, accepted):
+    message = _rejection(AcSignalModel, *signal)
+    assert (message is None) == accepted
+    assert _rejection(DriveModulation.sine_field, *signal) == message
 
 
 def test_non_finite_trajectory_raises(baseline_config):

@@ -10,8 +10,11 @@ import pytest
 from ltmag import (AcSignalModel, CavityGeometry, DriveModulation,
                    DriveSettings, InvalidConfigError, LevelRates,
                    OrientationModel, SweepAxis, SweepSpec,
-                   b_field_to_detuning, config_digest, derive_constants,
-                   detuning_to_b_field, output_power, preset, rate_matrix)
+                   b_field_to_detuning, best_eta_over_field, config_digest,
+                   dc_sensitivity, derive_constants, detuning_to_b_field,
+                   find_bias_point, net_gain, output_power,
+                   populations_at_fixed_n, preset, rate_matrix,
+                   step_response, with_bias_field)
 from ltmag.configio import _UNITS, set_param
 
 
@@ -173,13 +176,13 @@ def test_invalid_drive_and_orientation():
 
 
 # Values of the wrong type for any field of any record: text that is
-# neither a number nor a token, None, Python's and numpy's booleans and
-# a list
-_WRONG_TYPED = ("x", None, True, np.True_, [1.0])
+# neither a number nor a token, None, Python's and numpy's booleans, a
+# list and ints past the float range, which float() cannot convert
+_WRONG_TYPED = ("x", None, True, np.True_, [1.0], 10**400, -10**400)
 
 # The fields whose default, and so a valid value, is None
 _NONE_VALID = {("ModelConfig", "gain_coupling_override"),
-               ("SweepSpec", "axis2")}
+               ("SweepSpec", "axis2"), ("DriveModulation", "signal")}
 
 _BASE = preset("baseline")
 _RECORDS = (_BASE.rates, _BASE.cavity, _BASE.drive, _BASE.orientation,
@@ -202,6 +205,33 @@ def test_every_field_rejects_wrong_typed_values(record):
                 continue
             with pytest.raises(InvalidConfigError):
                 dataclasses.replace(record, **{f.name: value})
+
+
+_HS = preset("high_sensitivity")
+
+# Calls with an argument that is not a field of a checked record, given
+# a value of the wrong type or past the float range
+_BAD_CALLS = {
+    "step_response.seed_n": lambda: step_response(_BASE, 0.0, 1e8,
+                                                  seed_n="1"),
+    "step_response.seed_n_past_range": lambda: step_response(
+        _BASE, 0.0, 1e8, seed_n=10**400),
+    "dc_sensitivity": lambda: dc_sensitivity(_HS, "1e-4"),
+    "dc_sensitivity_past_range": lambda: dc_sensitivity(_HS, 10**400),
+    "with_bias_field": lambda: with_bias_field(_BASE, "1e-4"),
+    "find_bias_point": lambda: find_bias_point(_HS, "1e-4", 3e-4),
+    "best_eta_over_field": lambda: best_eta_over_field(_HS, 1e-4, None),
+    "populations_at_fixed_n": lambda: populations_at_fixed_n(_BASE, "1"),
+    "net_gain": lambda: net_gain(_BASE, None),
+    "net_gain_past_range": lambda: net_gain(_BASE, 10**400),
+    "output_power": lambda: output_power("1", _BASE),
+}
+
+
+@pytest.mark.parametrize("call", list(_BAD_CALLS))
+def test_call_arguments_outside_a_record_are_config_errors(call):
+    with pytest.raises(InvalidConfigError):
+        _BAD_CALLS[call]()
 
 
 def test_every_registry_path_rejects_wrong_typed_values():

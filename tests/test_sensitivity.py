@@ -66,7 +66,9 @@ def test_quasistatic_ac_at_diverged_point(baseline_config):
     assert res.eta == math.inf
     assert res.method == METHOD_AC_QUASISTATIC
     assert res.n_signal is None
-    assert res.excess_noise == signal.excess_noise
+    # the d.c. result at the bias, under the quasistatic method's name
+    assert res == dataclasses.replace(dc_sensitivity(baseline_config, 0.0),
+                                      method=METHOD_AC_QUASISTATIC)
 
 
 def test_dc_curve_marks_dark_points_absent(high_sens_config):
@@ -197,6 +199,8 @@ def test_ac_sensitivity_rejects_unknown_method(high_sens_config):
 
 
 def test_ac_signal_validation():
+    # one record, defined in model and named by sensitivity too
+    assert sensitivity.AcSignalModel is AcSignalModel
     with pytest.raises(InvalidConfigError):
         AcSignalModel(bias_field=BIAS, amplitude_field=0.0,
                       omega_signal=2e5)

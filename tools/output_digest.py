@@ -110,7 +110,11 @@ with tempfile.TemporaryDirectory() as tmp:
             ("sweep_output", "sweep", "--axis1", "pump:0:1e6:3",
              "--outputs", "nope"),
             ("response", "response", "--delta-before", "0",
-             "--delta-after", "0")):
+             "--delta-after", "0"),
+            ("ac_amplitude", "ac", "--preset", "high_sensitivity",
+             "--bias", "1.64e-4", "--amplitude", "0", "--omega", "2e5"),
+            ("ac_omega", "ac", "--preset", "high_sensitivity",
+             "--bias", "1.64e-4", "--amplitude", "1e-9", "--omega", "0")):
         run(f"error.{label}", *argv, stream="stderr")
 
 print("total", total.hexdigest())
