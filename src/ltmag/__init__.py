@@ -19,10 +19,11 @@ from .errors import (BelowThresholdError, ConvergenceError,
                      InvalidConfigError, LtmagError, NoSignalError,
                      NotLasableError, PhysicsDomainError, StiffnessError)
 from .model import (DEFAULT_CONSTANTS, CavityGeometry, DerivedQuantities,
-                    DriveSettings, LevelRates, ModelConfig, OrientationModel,
-                    PRESET_NAMES, PhysicalConstants, b_field_to_detuning,
-                    derive_constants, detuning_to_b_field, output_power,
-                    preset, with_bias_field, with_drive, with_pump)
+                    DriveSettings, GainSettings, LevelRates, ModelConfig,
+                    OrientationModel, PRESET_NAMES, PhysicalConstants,
+                    b_field_to_detuning, derive_constants, detuning_to_b_field,
+                    output_power, preset, with_bias_field, with_drive,
+                    with_pump)
 from .steady import (BELOW_THRESHOLD, LASING, PopulationState,
                      SteadyStateResult, find_operating_point, net_gain,
                      populations_at_fixed_n, rate_matrix,

@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Every subcommand builds one unit-annotated table, which ``main`` prints
-(CSV by default, JSON with ``--format json``) to stdout or ``--out``.
+``main`` resolves each run's config once, from ``--preset`` or ``--config``
+(else baseline, or an experiment's own preset) and then each ``--set``;
+every subcommand builds one unit-annotated table from it, which ``main``
+prints (CSV by default, JSON with ``--format json``) to stdout or ``--out``.
 ``experiment`` produces several tables and therefore writes files into
 an output directory.  A d.c. sensitivity curve is a ``b_field`` sweep
 with outputs ``n,dn_dB,eta_dc``; options left out keep the library's
@@ -25,7 +27,7 @@ from .configio import (_format_for, get_param, param_unit, provenance,
                        resolve_config, save_config, set_param)
 from .dynamics import ac_response, step_response
 from .errors import ConvergenceError, InvalidConfigError, LtmagError
-from .experiments import EXPERIMENT_NAMES, experiment
+from .experiments import _EXPERIMENTS, EXPERIMENT_NAMES, experiment
 from .model import output_power, PRESET_NAMES
 from .sensitivity import (AcSignalModel, DEFAULT_B_WINDOW,
                           METHOD_AC_QUASISTATIC, METHOD_AC_TIME,
@@ -66,10 +68,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                      help="output format (default csv)")
 
 
-def _config_from(args) -> "ModelConfig":
-    return resolve_config(args.preset, args.config, args.overrides)
-
-
 def _given(args, *names) -> dict:
     """The named ``default=argparse.SUPPRESS`` options that were given."""
     return {name: getattr(args, name) for name in names
@@ -95,8 +93,7 @@ def _provenance(args, config) -> dict[str, str]:
     return provenance(config)
 
 
-def _cmd_steady_state(args) -> OutputTable:
-    config = _config_from(args)
+def _cmd_steady_state(args, config) -> OutputTable:
     if args.b_field is not None:
         config = set_param(config, "b_field", args.b_field)
     elif args.delta is not None:
@@ -125,16 +122,14 @@ def _parse_axis(text: str) -> SweepAxis:
         raise InvalidConfigError(f"bad axis {text!r}: {exc}") from exc
 
 
-def _cmd_sweep(args) -> OutputTable:
-    config = _config_from(args)
+def _cmd_sweep(args, config) -> OutputTable:
     spec = SweepSpec(axis1=_parse_axis(args.axis1),
                      axis2=_parse_axis(args.axis2) if args.axis2 else None,
                      **_given(args, "outputs"))
     return run_sweep(config, spec, provenance=_provenance(args, config))
 
 
-def _cmd_response(args) -> OutputTable:
-    config = _config_from(args)
+def _cmd_response(args, config) -> OutputTable:
     res = step_response(config, args.delta_before, args.delta_after,
                         **_given(args, "seed_n"))
     if args.timeseries:
@@ -153,8 +148,7 @@ def _cmd_response(args) -> OutputTable:
         provenance=_provenance(args, config))
 
 
-def _cmd_ac(args) -> OutputTable:
-    config = _config_from(args)
+def _cmd_ac(args, config) -> OutputTable:
     hr = ac_response(config, args.bias, args.amplitude, args.omega,
                      **_given(args, "periods", "samples_per_period"))
     return OutputTable(
@@ -179,15 +173,13 @@ def _sens_row(res) -> tuple:
             res.diverged, res.method)
 
 
-def _cmd_sensitivity_dc(args) -> OutputTable:
-    config = _config_from(args)
+def _cmd_sensitivity_dc(args, config) -> OutputTable:
     return OutputTable(columns=_SENS_COLUMNS,
                        rows=[_sens_row(dc_sensitivity(config, args.b_field))],
                        provenance=_provenance(args, config))
 
 
-def _cmd_sensitivity_ac(args) -> OutputTable:
-    config = _config_from(args)
+def _cmd_sensitivity_ac(args, config) -> OutputTable:
     signal = AcSignalModel(bias_field=args.bias,
                            amplitude_field=args.amplitude,
                            omega_signal=args.omega,
@@ -200,8 +192,7 @@ def _cmd_sensitivity_ac(args) -> OutputTable:
         provenance=_provenance(args, config))
 
 
-def _cmd_operating_point(args) -> OutputTable:
-    config = _config_from(args)
+def _cmd_operating_point(args, config) -> OutputTable:
     pump = find_operating_point(config, omega=args.omega)
     omega = args.omega if args.omega is not None else config.drive.omega
     return OutputTable(
@@ -209,8 +200,7 @@ def _cmd_operating_point(args) -> OutputTable:
         rows=[(omega, pump)], provenance=_provenance(args, config))
 
 
-def _cmd_optimize(args) -> OutputTable:
-    config = _config_from(args)
+def _cmd_optimize(args, config) -> OutputTable:
     if args.save_config:
         _format_for(args.save_config)  # fail on the extension before searching
     outcome = optimize_sensitivity(
@@ -230,13 +220,8 @@ def _cmd_optimize(args) -> OutputTable:
                        provenance=_provenance(args, config))
 
 
-def _cmd_experiment(args) -> None:
-    if args.preset or args.config:
-        tables = experiment(args.name, config=_config_from(args))
-    else:
-        # fall back to the experiment's own preset, overrides still apply
-        tables = experiment(args.name, overrides=args.overrides)
-    _emit_experiment(tables, args)
+def _cmd_experiment(args, config) -> None:
+    _emit_experiment(experiment(args.name, config), args)
 
 
 def _emit_experiment(tables, args) -> None:
@@ -355,7 +340,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        table = args.func(args)
+        preset_name = args.preset
+        if args.command == "experiment" and not args.config:
+            preset_name = preset_name or _EXPERIMENTS[args.name][1]
+        table = args.func(args, resolve_config(preset_name, args.config,
+                                               args.overrides))
         if table is not None:  # experiment writes its own tables
             _emit(table, args)
         return 0

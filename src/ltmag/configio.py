@@ -16,8 +16,8 @@ dotted paths matching the section names (``drive.omega=3.67e6``).
 The schema is derived, not written out: its sections are ModelConfig's
 dataclass-typed fields, each section's fields and units are the ones
 its dataclass declares, in field order, and a section or field without
-a default must be present.  ``gain.coupling_override`` is the one path
-named here, because it is a ModelConfig field rather than a section.
+a default must be present.  A JSON ``null`` goes to its field's check,
+which accepts it only where None is the default.
 
 These paths, plus the derived ``b_field`` and ``pump``, form the one
 parameter registry (``param_unit``, ``get_param``, ``set_param``).
@@ -60,8 +60,6 @@ _SECTION_TYPES = _dataclass_fields(ModelConfig)
 # also the order of a config file
 _SCHEMA: dict[str, dict[str, str | None]] = {
     section: _units(cls) for section, cls in _SECTION_TYPES.items()}
-_SCHEMA["gain"] = {
-    "coupling_override": _units(ModelConfig)["gain_coupling_override"]}
 
 # The parameter registry: every readable and settable path and its unit.
 # b_field (stored as drive.delta) and pump (both branch pumps) are
@@ -85,8 +83,6 @@ def get_param(config: ModelConfig, path: str):
         return detuning_to_b_field(config.drive.delta, config.constants)
     if path == "pump":
         return config.drive.pump12
-    if path == "gain.coupling_override":
-        return config.gain_coupling_override
     section, _, name = path.partition(".")
     return getattr(getattr(config, section), name)
 
@@ -137,8 +133,6 @@ def set_param(config: ModelConfig, path: str, value) -> ModelConfig:
         return with_drive(config,
                           **drive_changes(path, value, config.constants))
     value = _convert(path, value)
-    if path == "gain.coupling_override":
-        return dataclasses.replace(config, gain_coupling_override=value)
     section, _, name = path.partition(".")
     part = dataclasses.replace(getattr(config, section), **{name: value})
     return dataclasses.replace(config, **{section: part})
@@ -161,7 +155,7 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 def _parse_value(section: str, name: str, payload) -> object:
     unit = _SCHEMA[section][name]
-    if unit == "str":
+    if unit == "str" or payload is None:
         return payload
     if not isinstance(payload, dict) or set(payload) != {"value", "unit"}:
         raise InvalidConfigError(
@@ -203,10 +197,7 @@ def config_from_dict(data: dict) -> ModelConfig:
         kwargs = {name: _parse_value(section, name, sec[name])
                   for name in sec}
         parts[section] = cls(**kwargs)
-    payload = data.get("gain", {}).get("coupling_override")
-    override = (None if payload is None
-                else _parse_value("gain", "coupling_override", payload))
-    return ModelConfig(gain_coupling_override=override, **parts)
+    return ModelConfig(**parts)
 
 
 def _ini_dump(config: ModelConfig) -> str:
@@ -296,10 +287,13 @@ def _format_for(path: str | os.PathLike) -> str:
 
 
 def apply_overrides(config: ModelConfig, overrides) -> ModelConfig:
-    """Apply an iterable of ``section.field=value`` strings in order."""
+    """Apply a list or tuple of ``section.field=value`` strings in order."""
+    if not isinstance(overrides, (list, tuple)):
+        raise InvalidConfigError(
+            f"overrides must be a list or tuple of str, got {overrides!r}")
     cfg = config
     for entry in overrides:
-        if "=" not in entry:
+        if not (isinstance(entry, str) and "=" in entry):
             raise InvalidConfigError(
                 f"override {entry!r} must look like section.field=value")
         key, _, value = entry.partition("=")
@@ -335,10 +329,6 @@ def resolve_config(preset_name: str | None, config_path: str | None,
     """Preset or file, then overrides; used by the command-line front end."""
     if preset_name and config_path:
         raise InvalidConfigError("give either a preset or a config file")
-    if config_path:
-        cfg = load_config(config_path)
-    else:
-        cfg = preset(preset_name or "baseline")
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
-    return cfg
+    cfg = (load_config(config_path) if config_path
+           else preset(preset_name or "baseline"))
+    return apply_overrides(cfg, overrides)

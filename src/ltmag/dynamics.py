@@ -81,12 +81,16 @@ _OUTPUT_POINTS = 2001
 class DriveModulation:
     """Time dependence of the microwave detuning: the constant ``delta0``,
     or, when ``signal`` is set, the detuning of its test field B(t)
-    (``delta0`` then goes unused)."""
+    (``delta0`` must then be 0)."""
 
     delta0: float = _field("rad/s", FINITE, default=0.0)
     signal: AcSignalModel | None = None
 
-    __post_init__ = _check_fields
+    def __post_init__(self):
+        _check_fields(self)
+        if self.signal is not None and self.delta0 != 0.0:
+            raise InvalidConfigError(
+                f"delta0 must be 0 beside a signal, got {self.delta0!r}")
 
     @classmethod
     def constant(cls, delta: float) -> "DriveModulation":

@@ -4,7 +4,7 @@ Each experiment is a named, fixed recipe (grid, preset, outputs) so that
 results are comparable across runs and machines; the names are stable
 identifiers used by the command line.  All experiments return a dict of
 named OutputTables, each headed by ``configio.provenance`` with the
-experiment's name.
+experiment's name, and run on their own preset unless given a config.
 
 * ``fig1b``  output vs pump rate, on resonance and detuned (baseline)
 * ``fig2a``  output map over detuning x pump (baseline)
@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .configio import apply_overrides, provenance
+from .configio import provenance
 from .dynamics import ac_response
 from .errors import InvalidConfigError
 from .model import (ModelConfig, detuning_to_b_field, output_power, preset,
@@ -143,8 +143,8 @@ _EXPERIMENTS = {
 EXPERIMENT_NAMES = tuple(sorted(_EXPERIMENTS))
 
 
-def experiment(name: str, config: ModelConfig | None = None,
-               overrides=()) -> dict[str, OutputTable]:
+def experiment(name: str,
+               config: ModelConfig | None = None) -> dict[str, OutputTable]:
     """Run a named study; ``config`` defaults to the experiment's preset."""
     if name not in _EXPERIMENTS:
         raise InvalidConfigError(
@@ -152,6 +152,4 @@ def experiment(name: str, config: ModelConfig | None = None,
             f"{', '.join(EXPERIMENT_NAMES)}")
     fn, preset_name = _EXPERIMENTS[name]
     cfg = config if config is not None else preset(preset_name)
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
     return fn(cfg, provenance(cfg, experiment=name))

@@ -8,8 +8,8 @@ and detuning delta mixes the two ground states (1 and 4) through the
 coherence rho14.  The cavity photon number per center, n, couples to the
 2<->3 and 5<->6 transitions with stimulated rate G * n.
 
-A ModelConfig holds five sections: level rates, cavity, drive,
-orientation and physical constants (SI, CODATA 2018 where applicable).
+A ModelConfig holds six sections: level rates, cavity, drive,
+orientation, physical constants (SI, CODATA 2018 where applicable) and gain.
 Each field declares its unit and the values it accepts once, on the
 dataclass (``_field``); ``_check_fields`` rejects any other value on
 construction, and ``configio`` builds the config file schema and the
@@ -252,6 +252,15 @@ class AcSignalModel:
 
 
 @dataclass(frozen=True)
+class GainSettings:
+    """A stimulated coupling G that, when set, replaces the geometry's."""
+
+    coupling_override: float | None = _field("rad/s", POSITIVE, default=None)
+
+    __post_init__ = _check_fields
+
+
+@dataclass(frozen=True)
 class ModelConfig:
     """Complete, immutable description of one simulated device."""
 
@@ -260,10 +269,7 @@ class ModelConfig:
     drive: DriveSettings
     orientation: OrientationModel = field(default_factory=OrientationModel)
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
-    # When set, solvers use this stimulated coupling G instead of the
-    # value computed from the cavity geometry.
-    gain_coupling_override: float | None = _field("rad/s", POSITIVE,
-                                                  default=None)
+    gain: GainSettings = field(default_factory=GainSettings)
 
     __post_init__ = _check_fields
 
@@ -293,7 +299,7 @@ def derive_constants(config: ModelConfig) -> DerivedQuantities:
         G = 3 nu L23 lambda_med^3 N / (4 pi^2 dnu V_cavity)
 
     with lambda_med the wavelength inside the medium and dnu the emission
-    bandwidth in Hz.  ``gain_coupling_override``, when set, replaces it.
+    bandwidth in Hz.  ``gain.coupling_override``, when set, replaces it.
     """
     cav = config.cavity
     cst = config.constants
@@ -307,8 +313,8 @@ def derive_constants(config: ModelConfig) -> DerivedQuantities:
     return DerivedQuantities(
         n_centers=n_centers,
         photon_energy=cst.h * nu,
-        gain_coupling=(g_formula if config.gain_coupling_override is None
-                       else config.gain_coupling_override),
+        gain_coupling=(g_formula if config.gain.coupling_override is None
+                       else config.gain.coupling_override),
         quality_factor=2.0 * math.pi * nu / cav.kappa,
     )
 

@@ -459,9 +459,14 @@ def l27_robustness(config: ModelConfig,
     deviation for a ratio is measured against the L27 = 0 curve on the
     points where both are finite.  Ratio 0 reproduces the base curve
     identically.  ``max_rel_dev`` is +inf for a ratio with no common
-    lasing points left.  Raises InvalidConfigError unless ``b_grid`` is
-    a one-dimensional sequence of fields.
+    lasing points left.  Raises InvalidConfigError unless ``ratios`` is
+    a tuple or list of numbers and ``b_grid`` a one-dimensional sequence
+    of fields.
     """
+    if not (isinstance(ratios, (tuple, list))
+            and all(_is_number(ratio) for ratio in ratios)):
+        raise InvalidConfigError(
+            f"ratios must be a tuple or list of numbers, got {ratios!r}")
     if b_grid is None:
         b_grid = np.linspace(-300e-6, 300e-6, 61)
     b_grid = _field_grid(b_grid)

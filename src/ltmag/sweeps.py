@@ -6,7 +6,8 @@ a dotted config path (``drive.delta``, ``drive.pump12``, ``cavity.kappa``,
 detuning from a bias field in tesla) and ``pump`` (both branch pump
 rates together).  With two axes the second one varies fastest; two
 axes that set the same config value (``pump`` and ``drive.pump12``,
-``b_field`` and ``drive.delta``, or one path twice) are rejected.  The
+``b_field`` and ``drive.delta``, or one path twice) are rejected, as
+is an output named twice.  The
 d.c. outputs ``dn_dB`` and ``eta_dc`` share one implicit slope per
 point, so a ``b_field`` axis gives ``dc_sensitivity_curve``'s values
 exactly (with ``n`` = 0.0 and both cells absent at dark points).
@@ -104,6 +105,9 @@ class SweepSpec:
                 raise InvalidConfigError(
                     f"unknown sweep output {name!r}; "
                     f"available: {sorted(OUTPUTS)}")
+        if len(set(self.outputs)) < len(self.outputs):
+            raise InvalidConfigError(
+                f"sweep outputs name one twice: {self.outputs!r}")
         if self.axis2 and _writes(self.axis1.path) & _writes(self.axis2.path):
             raise InvalidConfigError(
                 f"sweep axes {self.axis1.path!r} and {self.axis2.path!r} "

@@ -8,8 +8,8 @@ import pytest
 from ltmag import (BelowThresholdError, ConvergenceError,
                    InvalidConfigError, LtmagError, NotLasableError,
                    OutputTable, PhysicsDomainError, StiffnessError,
-                   experiment, find_operating_point, preset, save_config,
-                   with_drive)
+                   apply_overrides, experiment, find_operating_point, preset,
+                   save_config, with_drive)
 from ltmag import cli
 from ltmag.cli import main
 
@@ -161,7 +161,8 @@ def test_sweep_invalid_grid_values_are_config_errors(capsys, axis):
 @pytest.mark.parametrize("argv", [
     ("--axis1", "pump:0:1e6:0"), ("--axis1", "pump:0:1e6:3:cubic"),
     ("--axis1", "pump:0:1e6:3", "--outputs", ","),
-    ("--axis1", "pump:0:1e6:3", "--outputs", "n,nope")])
+    ("--axis1", "pump:0:1e6:3", "--outputs", "n,nope"),
+    ("--axis1", "pump:1e6:2e6:2", "--outputs", "n,n")])
 def test_sweep_rejected_axis_or_outputs_is_one_error_line(capsys, argv):
     _one_error_line(*_run(capsys, "sweep", *argv))
 
@@ -446,3 +447,43 @@ def test_experiment_with_config_file_matches_library(tmp_path, capsys):
     assert code == 0 and err == ""
     assert out == _experiment_stdout(experiment("fig1b", config=cfg))
     assert out != _experiment_stdout(experiment("fig1b"))
+
+
+# The arguments of one run of each subcommand, on the high_sensitivity
+# preset, which no subcommand falls back to
+_EVERY_SUBCOMMAND = {
+    "steady-state": ("--b-field", "1.64e-4"),
+    "sweep": ("--axis1", "b_field:1e-4:2e-4:3", "--outputs", "n,eta_dc"),
+    "response": ("--delta-before", "1e8", "--delta-after", "0"),
+    "ac": ("--bias", "1.64e-4", "--amplitude", "1e-9", "--omega", "2e5"),
+    "sensitivity-dc": ("--b-field", "1.64e-4"),
+    "sensitivity-ac": ("--bias", "1.64e-4", "--amplitude", "1e-9",
+                       "--omega", "2e5", "--method", "ac_quasistatic"),
+    "operating-point": (),
+    "optimize": ("--vary", "pump", "--max-evaluations", "4",
+                 "--bounds-decades", "0.1"),
+    "experiment": ("--name", "fig1b"),
+}
+
+
+@pytest.mark.parametrize("command", list(_EVERY_SUBCOMMAND))
+def test_config_file_prints_what_its_preset_prints(tmp_path, capsys,
+                                                   command):
+    path = tmp_path / "hs.ini"
+    save_config(preset("high_sensitivity"), path)
+    argv = (command, *_EVERY_SUBCOMMAND[command])
+    by_file = _run(capsys, *argv, "--config", str(path))
+    by_preset = _run(capsys, *argv, "--preset", "high_sensitivity")
+    assert by_file[0] == 0 and by_file[2] == ""
+    assert by_file[1] == by_preset[1].replace(
+        "# preset = high_sensitivity\n", "")
+    assert by_file[1] != _run(capsys, *argv)[1]
+
+
+def test_experiment_without_preset_runs_on_its_own(capsys):
+    code, out, err = _run(capsys, "experiment", "--name", "fig3a",
+                          "--set", "drive.omega=6e6")
+    assert code == 0 and err == ""
+    assert out == _experiment_stdout(experiment(
+        "fig3a", apply_overrides(preset("high_sensitivity"),
+                                 ["drive.omega=6e6"])))

@@ -6,9 +6,10 @@ import math
 
 import pytest
 
-from ltmag import (InvalidConfigError, apply_overrides, b_field_to_detuning,
-                   config_digest, config_from_dict, config_to_dict,
-                   load_config, preset, resolve_config, save_config)
+from ltmag import (GainSettings, InvalidConfigError, apply_overrides,
+                   b_field_to_detuning, config_digest, config_from_dict,
+                   config_to_dict, load_config, preset, resolve_config,
+                   save_config)
 from ltmag.cli import main
 from ltmag.configio import _UNITS, get_param, param_unit, set_param
 from ltmag.model import MIN_DRIVE_RATE
@@ -31,11 +32,26 @@ def test_save_load_round_trip(tmp_path, high_sens_config, ext):
 
 
 def test_round_trip_preserves_override(tmp_path, baseline_config):
-    cfg = dataclasses.replace(baseline_config, gain_coupling_override=2.5e8)
+    cfg = set_param(baseline_config, "gain.coupling_override", 2.5e8)
     for name in ("a.json", "a.ini"):
         path = tmp_path / name
         save_config(cfg, path)
-        assert load_config(path).gain_coupling_override == 2.5e8
+        assert load_config(path).gain.coupling_override == 2.5e8
+
+
+def test_null_gain_override_loads_as_none(tmp_path, baseline_config):
+    cfg = set_param(baseline_config, "gain.coupling_override", 2.5e8)
+    doc = config_to_dict(cfg)
+    doc["gain"]["coupling_override"] = None
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(doc))
+    assert load_config(path) == baseline_config
+    path = tmp_path / "a.ini"
+    save_config(cfg, path)
+    text = path.read_text()
+    assert "coupling_override = 250000000.0 rad/s\n" in text
+    path.write_text(text.replace("250000000.0 rad/s", "none"))
+    assert load_config(path) == baseline_config
 
 
 def test_dict_round_trip(baseline_config):
@@ -126,9 +142,9 @@ def test_override_mode_and_gain(baseline_config):
                           ["orientation.mode=four_orientation",
                            "gain.coupling_override=1e8"])
     assert cfg.orientation.mode == "four_orientation"
-    assert cfg.gain_coupling_override == 1e8
+    assert cfg.gain.coupling_override == 1e8
     cleared = apply_overrides(cfg, ["gain.coupling_override=none"])
-    assert cleared.gain_coupling_override is None
+    assert cleared.gain.coupling_override is None
 
 
 def test_override_rejects_bad_paths(baseline_config):
@@ -191,6 +207,8 @@ _MALFORMED = {
               r"mode must be one of \(.*\), got 5"),
     "payload": (".json", _json(lambda d: d["cavity"].update(kappa=3e6)),
                 r"must be \{'value': x"),
+    "null": (".json", _json(lambda d: d["cavity"].update(kappa=None)),
+             r"kappa must be finite and > 0, got None"),
     "document": (".json", "[1, 2]", "document must be an object"),
     "section": (".json", _json(lambda d: d.pop("drive")),
                 r"missing config section \[drive\]"),
@@ -228,8 +246,8 @@ def test_resolve_config_precedence(tmp_path, high_sens_config):
 
 
 def test_integer_gain_override_digest_survives_round_trip(baseline_config):
-    cfg = dataclasses.replace(baseline_config,
-                              gain_coupling_override=250000000)
+    cfg = dataclasses.replace(
+        baseline_config, gain=GainSettings(coupling_override=250000000))
     back = config_from_dict(config_to_dict(cfg))
     assert config_digest(back) == config_digest(cfg)
 
@@ -268,7 +286,7 @@ def test_registry_get_and_set(baseline_config):
     cfg = set_param(cfg, "gain.coupling_override", 3e8)
     assert get_param(cfg, "gain.coupling_override") == 3e8
     cfg = set_param(cfg, "gain.coupling_override", "None")
-    assert cfg.gain_coupling_override is None
+    assert cfg.gain.coupling_override is None
     cfg = set_param(cfg, "orientation.mode", "four_orientation")
     assert get_param(cfg, "orientation.mode") == "four_orientation"
     with pytest.raises(InvalidConfigError):

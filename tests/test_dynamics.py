@@ -539,6 +539,9 @@ def test_sine_field_rejects_bad_omega(omega):
                      omega_signal=2e5)),
     dict(signal=dict(bias_field=1e-4, amplitude_field=1e-9,
                      omega_signal=0.0)),
+    # the run would ignore a detuning given beside a test field
+    dict(delta0=1e8, signal=dict(bias_field=1e-4, amplitude_field=1e-9,
+                                 omega_signal=2e5)),
 ])
 def test_modulation_rejects_bad_fields(fields):
     with pytest.raises(InvalidConfigError):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ltmag import (EXPERIMENT_NAMES, ConvergenceError, InvalidConfigError,
-                   experiment, find_operating_point, preset,
+                   apply_overrides, experiment, find_operating_point, preset,
                    solve_steady_state, with_drive, with_pump)
 from ltmag import steady
+from ltmag.cli import main
 
 
 def test_experiment_registry():
@@ -141,6 +142,10 @@ def test_fig4_robustness_summary():
     assert all(row[1] is None for row in alt.rows)
 
 
-def test_experiment_accepts_overrides():
-    tables = experiment("fig1b", overrides=["drive.delta=0"])
-    assert "on_resonance" in tables
+def test_experiment_accepts_overrides(capsys):
+    cfg = apply_overrides(preset("baseline"), ["drive.delta=0"])
+    assert main(["experiment", "--name", "fig1b",
+                 "--set", "drive.delta=0"]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"## {key}\n{table.to_csv()}"
+        for key, table in experiment("fig1b", cfg).items())

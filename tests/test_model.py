@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from ltmag import (AcSignalModel, CavityGeometry, DriveModulation,
-                   DriveSettings, InvalidConfigError, LevelRates,
-                   OrientationModel, SweepAxis, SweepSpec,
-                   b_field_to_detuning, best_eta_over_field, config_digest,
-                   dc_sensitivity, derive_constants, detuning_to_b_field,
-                   find_bias_point, net_gain, output_power,
-                   populations_at_fixed_n, preset, rate_matrix,
-                   step_response, with_bias_field)
+                   DriveSettings, GainSettings, InvalidConfigError,
+                   LevelRates, OrientationModel, SweepAxis, SweepSpec,
+                   apply_overrides, b_field_to_detuning, best_eta_over_field,
+                   config_digest, dc_sensitivity, derive_constants,
+                   detuning_to_b_field, find_bias_point, l27_robustness,
+                   net_gain, output_power, populations_at_fixed_n, preset,
+                   rate_matrix, resolve_config, step_response,
+                   with_bias_field)
 from ltmag.configio import _UNITS, set_param
 
 
@@ -71,15 +72,16 @@ def test_gain_coupling_scales_linearly_with_density(baseline_config):
 
 
 def test_gain_coupling_override(baseline_config):
-    lit = dataclasses.replace(baseline_config, gain_coupling_override=3.08e8)
+    assert baseline_config.gain == GainSettings(coupling_override=None)
+    lit = dataclasses.replace(baseline_config,
+                              gain=GainSettings(coupling_override=3.08e8))
     d = derive_constants(lit)
     assert d.gain_coupling == 3.08e8
     # the geometry formula's value, which the override replaces
-    formula = derive_constants(
-        dataclasses.replace(lit, gain_coupling_override=None))
+    formula = derive_constants(dataclasses.replace(lit, gain=GainSettings()))
     assert formula.gain_coupling == pytest.approx(3.116447e8, rel=1e-6)
     with pytest.raises(InvalidConfigError):
-        dataclasses.replace(baseline_config, gain_coupling_override=-1.0)
+        GainSettings(coupling_override=-1.0)
 
 
 def test_derived_is_cached_on_the_config():
@@ -181,12 +183,12 @@ def test_invalid_drive_and_orientation():
 _WRONG_TYPED = ("x", None, True, np.True_, [1.0], 10**400, -10**400)
 
 # The fields whose default, and so a valid value, is None
-_NONE_VALID = {("ModelConfig", "gain_coupling_override"),
+_NONE_VALID = {("GainSettings", "coupling_override"),
                ("SweepSpec", "axis2"), ("DriveModulation", "signal")}
 
 _BASE = preset("baseline")
 _RECORDS = (_BASE.rates, _BASE.cavity, _BASE.drive, _BASE.orientation,
-            _BASE.constants, _BASE,
+            _BASE.constants, _BASE.gain, _BASE,
             AcSignalModel(bias_field=164e-6, amplitude_field=1e-9,
                           omega_signal=2e5),
             DriveModulation.sine_field(1e-4, 1e-9, 2e5),
@@ -225,6 +227,17 @@ _BAD_CALLS = {
     "net_gain": lambda: net_gain(_BASE, None),
     "net_gain_past_range": lambda: net_gain(_BASE, 10**400),
     "output_power": lambda: output_power("1", _BASE),
+    "apply_overrides.int": lambda: apply_overrides(_BASE, [5]),
+    "apply_overrides.none": lambda: apply_overrides(_BASE, [None]),
+    "apply_overrides.bytes": lambda: apply_overrides(
+        _BASE, [b"cavity.kappa=1e6"]),
+    "apply_overrides.bare_str": lambda: apply_overrides(
+        _BASE, "cavity.kappa=1e6"),
+    "resolve_config.int": lambda: resolve_config(None, None, [5]),
+    "l27_robustness.none": lambda: l27_robustness(_HS, ratios=(None,),
+                                                  b_grid=[2e-4]),
+    "l27_robustness.scalar": lambda: l27_robustness(_HS, ratios=0.1,
+                                                    b_grid=[2e-4]),
 }
 
 

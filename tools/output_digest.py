@@ -7,7 +7,8 @@ Run from a checkout as
 It prints one ``label sha256`` line per item, then a ``total`` line
 hashing every item in order.  The items are every table of the
 pre-registered experiments as CSV and as JSON, a fixed set of
-command-line runs (exit code and stdout), the reprs of the library's
+command-line runs, at least one of each subcommand (exit code and
+stdout, and the text of a file the run writes), the reprs of the library's
 steady-state, threshold, sensitivity and field-search results, both
 presets' config files as JSON and INI with their ``config_digest``, and
 a fixed set of invalid command-line runs (``error.*``: exit code and
@@ -36,12 +37,18 @@ def put(label, text):
     print(label, hashlib.sha256(data).hexdigest())
 
 
-def run(label, *argv, stream="stdout"):
+def run(label, *argv, stream="stdout", written=None):
+    """Hash the exit code and ``stream`` of one command-line run, then
+    the text of ``written``, a file that the run writes, when given."""
     out = {"stdout": io.StringIO(), "stderr": io.StringIO()}
     with contextlib.redirect_stdout(out["stdout"]), \
             contextlib.redirect_stderr(out["stderr"]):
         code = cli.main(list(argv))
-    put(label, f"{code}\n{out[stream].getvalue()}")
+    text = f"{code}\n{out[stream].getvalue()}"
+    if written is not None:
+        with open(written, encoding="utf-8") as fp:
+            text += fp.read()
+    put(label, text)
 
 
 for name in experiments.EXPERIMENT_NAMES:
@@ -62,6 +69,17 @@ for fmt in ("csv", "json"):
     run(f"cli.response.{fmt}", "response", "--delta-before", "1e8",
         "--delta-after", "0", "--format", fmt)
     run(f"cli.operating-point.{fmt}", "operating-point", "--format", fmt)
+hs_args = ("--preset", "high_sensitivity", "--bias", "1.64e-4",
+           "--amplitude", "1e-9", "--omega", "2e5")
+run("cli.ac", "ac", *hs_args)
+run("cli.sensitivity-ac.quasistatic", "sensitivity-ac", *hs_args,
+    "--method", "ac_quasistatic")
+run("cli.operating-point.omega", "operating-point", "--omega", "5e6",
+    "--set", "cavity.kappa=4e6")
+run("cli.optimize", "optimize", "--preset", "high_sensitivity", "--vary",
+    "pump", "--max-evaluations", "4", "--bounds-decades", "0.1")
+run("cli.experiment.fig2b.set", "experiment", "--name", "fig2b", "--set",
+    "drive.omega=4e6")
 
 base, hs = model.preset("baseline"), model.preset("high_sensitivity")
 four = dataclasses.replace(
@@ -96,6 +114,16 @@ with tempfile.TemporaryDirectory() as tmp:
                 put(f"config.{name}.{ext}", fp.read())
         put(f"config.{name}.digest", configio.config_digest(cfg))
 
+    lit = os.path.join(tmp, "lit.ini")
+    configio.save_config(
+        configio.set_param(model.preset("baseline"), "gain.coupling_override",
+                           3.08e8), lit)
+    run("cli.experiment.fig1b.config", "experiment", "--name", "fig1b",
+        "--config", lit)
+    series = os.path.join(tmp, "series.csv")
+    run("cli.response.timeseries", "response", "--delta-before", "1e8",
+        "--delta-after", "0", "--timeseries", series, written=series)
+
     mode5 = os.path.join(tmp, "mode5.json")
     doc = configio.config_to_dict(base)
     doc["orientation"]["mode"] = 5
@@ -114,7 +142,9 @@ with tempfile.TemporaryDirectory() as tmp:
             ("ac_amplitude", "ac", "--preset", "high_sensitivity",
              "--bias", "1.64e-4", "--amplitude", "0", "--omega", "2e5"),
             ("ac_omega", "ac", "--preset", "high_sensitivity",
-             "--bias", "1.64e-4", "--amplitude", "1e-9", "--omega", "0")):
+             "--bias", "1.64e-4", "--amplitude", "1e-9", "--omega", "0"),
+            ("sweep_output_twice", "sweep", "--axis1", "pump:1e6:2e6:2",
+             "--outputs", "n,n")):
         run(f"error.{label}", *argv, stream="stderr")
 
 print("total", total.hexdigest())
