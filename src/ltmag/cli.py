@@ -50,11 +50,10 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidConfigError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, default="baseline") -> None:
     group = parser.add_argument_group("configuration")
     group.add_argument("--preset", choices=PRESET_NAMES,
-                       help="named device configuration "
-                            "(default: baseline)")
+                       help=f"named device configuration (default: {default})")
     group.add_argument("--config", metavar="PATH",
                        help="config file (.ini/.cfg or .json); "
                             "mutually exclusive with --preset")
@@ -329,7 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("experiment", help="run a pre-registered study")
-    _add_common(p)
+    studies = {}  # preset -> the studies that run on it by default
+    for name, (_, preset_name) in sorted(_EXPERIMENTS.items()):
+        studies.setdefault(preset_name, []).append(name)
+    _add_common(p, "; ".join(f"{preset_name} for {', '.join(names)}"
+                             for preset_name, names in studies.items()))
     p.add_argument("--name", required=True, choices=EXPERIMENT_NAMES)
     p.set_defaults(func=_cmd_experiment)
 

@@ -114,6 +114,13 @@ _DRIVE_FIELDS = {"drive.pump12": ("pump12",), "drive.pump45": ("pump45",),
 DRIVE_PATHS = frozenset(_DRIVE_FIELDS)
 
 
+def _set_twice(paths) -> bool:
+    """Whether two of ``paths`` set one config value: a drive path sets
+    its DriveSettings fields, any other path itself."""
+    values = [v for path in paths for v in _DRIVE_FIELDS.get(path, (path,))]
+    return len(set(values)) < len(values)
+
+
 def drive_changes(path: str, value, constants: PhysicalConstants) -> dict:
     """The DriveSettings fields that setting the drive path ``path`` (one
     of ``DRIVE_PATHS``) to ``value`` changes; a ``b_field`` is converted

@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
-from .configio import get_param, set_param
+from .configio import _set_twice, get_param, set_param
 from .dynamics import ac_response
 from .errors import (BelowThresholdError, ConvergenceError,
                      InvalidConfigError, PhysicsDomainError)
@@ -289,12 +290,13 @@ def sensitivity_from_harmonic(config: ModelConfig, signal: AcSignalModel,
         method=METHOD_AC_TIME, diverged=False, n_signal=harmonic.n_signal)
 
 
-def _check_window(b_min: float, b_max: float) -> None:
-    """The field window of both searches: finite, with b_max > b_min."""
-    if not (_is_number(b_min) and _is_number(b_max)
-            and -math.inf < b_min < b_max < math.inf):
-        raise InvalidConfigError(
-            f"need b_max > b_min, both finite, got [{b_min!r}, {b_max!r}]")
+def _check_window(window) -> None:
+    """A field window: a pair (b_min, b_max), finite, b_max > b_min."""
+    if not (isinstance(window, (tuple, list)) and len(window) == 2
+            and all(map(_is_number, window))
+            and -math.inf < window[0] < window[1] < math.inf):
+        raise InvalidConfigError("need a window (b_min, b_max) with "
+                                 f"b_max > b_min, both finite, got {window!r}")
 
 
 def find_bias_point(config: ModelConfig, b_min: float,
@@ -309,7 +311,7 @@ def find_bias_point(config: ModelConfig, b_min: float,
     positive field.  Raises InvalidConfigError unless the window is
     finite with b_max > b_min.
     """
-    _check_window(b_min, b_max)
+    _check_window((b_min, b_max))
     lo, hi = float(b_min), float(b_max)
     points = _BIAS_COARSE_POINTS
     for _ in range(_BIAS_REFINE_ROUNDS):
@@ -344,7 +346,7 @@ def best_eta_over_field(config: ModelConfig, b_min: float,
     InvalidConfigError unless the window is finite with b_max > b_min,
     and BelowThresholdError when nothing in the window lases.
     """
-    _check_window(b_min, b_max)
+    _check_window((b_min, b_max))
 
     def etas_at(grid):
         return [math.inf if res is None else res.eta
@@ -397,10 +399,23 @@ def optimize_sensitivity(config: ModelConfig, *,
     around the starting values, using Nelder-Mead (derivative-free; the
     objective has kinks where the lasing window changes).  Out-of-bounds
     proposals are clipped and penalized.  The search is deterministic and
-    the returned point is never worse than the start.
+    the returned point is never worse than the start.  Every argument is
+    checked (InvalidConfigError) before the first search.
     """
-    if not vary:
-        raise InvalidConfigError("optimize needs at least one knob to vary")
+    if not (isinstance(vary, (tuple, list)) and vary
+            and all(isinstance(path, str) for path in vary)
+            and not _set_twice(vary)):
+        raise InvalidConfigError(
+            "vary must be a non-empty tuple or list of paths that set "
+            f"distinct config values, got {vary!r}")
+    if not (_is_number(bounds_decades) and 0.0 < bounds_decades < math.inf):
+        raise InvalidConfigError(
+            f"bounds_decades must be finite and > 0, got {bounds_decades!r}")
+    if isinstance(max_evaluations, bool) or not (
+            isinstance(max_evaluations, Integral) and max_evaluations >= 1):
+        raise InvalidConfigError(
+            f"max_evaluations must be an int >= 1, got {max_evaluations!r}")
+    _check_window(b_window)
     for path in vary:
         value = get_param(config, path)
         if path in ("b_field", "drive.delta") or not (

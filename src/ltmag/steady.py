@@ -55,15 +55,14 @@ last bit of ``rate_matrix``) and the occupation bounds, and the net gain
 at the root must lie within 1e-8 * kappa of zero, which checks the
 closed form independently.
 
-``_steady_states`` does the same for a chunk of grid points at once: it
-factors the chunk's distinct devices in one stacked ``np.linalg.solve``
-with the same refinement step, and each point takes its detuning update
-and the algebra above on arrays, in the order of the single-point path.
-A point that fails a check above is left uncertified, and so is a
-four_orientation point, one with A <= 0 or a singular K, one at
-0 < g0 <= 1e-8 * kappa, one with a non-finite matrix or solution, and
-every point of a stack whose solve raises LinAlgError.  The grid
-evaluator ``solve_steady_states`` solves those with ``solve_steady_state``.
+``_steady_states`` does the same for a chunk of grid points: one stacked
+``np.linalg.solve`` of their distinct devices, with the same refinement
+step, then the single solve's functions on arrays of points, so each
+result it certifies equals ``solve_steady_state``'s bit for bit.  The
+grid evaluator ``solve_steady_states`` solves the rest alone: points
+that fail a check above, four_orientation points, points with A <= 0, a
+singular K, 0 < g0 <= 1e-8 * kappa or a non-finite matrix or solution,
+and a whole stack whose solve raises LinAlgError.
 """
 
 from __future__ import annotations
@@ -77,8 +76,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateConfigError,
                      InvalidConfigError, NotLasableError)
-from .model import (RATE_FIELDS, ModelConfig, _is_number, with_drive,
-                    with_pump)
+from .model import ModelConfig, _is_number, with_drive, with_pump
 
 BELOW_THRESHOLD = "below_threshold"
 LASING = "lasing"
@@ -251,14 +249,17 @@ def _shifted(a: np.ndarray, gn: float, delta: float) -> np.ndarray:
     return a
 
 
+def _device_rate(r, pump12: float, pump45: float, omega: float) -> float:
+    """The largest of a device's level rates, pumps and Rabi rate."""
+    return max(r.L21, r.L23, r.L31, r.L54, r.L56, r.L64, r.L57, r.L71,
+               r.L74, r.L27, r.gamma14, pump12, pump45, omega)
+
+
 def _max_rate(config: ModelConfig, n: float) -> float:
-    r = config.rates
     d = config.drive
-    rates = [r.L21, r.L23, r.L31, r.L54, r.L56, r.L64, r.L57, r.L71,
-             r.L74, r.L27, r.gamma14, d.pump12, d.pump45, d.omega,
-             abs(d.delta), config.cavity.kappa,
-             config.derived.gain_coupling * n]
-    return max(rates)
+    return max(_device_rate(config.rates, d.pump12, d.pump45, d.omega),
+               abs(d.delta), config.cavity.kappa,
+               config.derived.gain_coupling * n)
 
 
 # Right-hand sides of the n = 0 solve: the trace vector (alone, A v = 0
@@ -330,22 +331,21 @@ def _fixed_n(config: ModelConfig, n: float, delta: float) -> PopulationState:
     d = config.drive
     a = _checked_matrix(config.rates, d.pump12, d.pump45, d.omega, n,
                         config.derived.gain_coupling * n, delta)
-    return _checked_state(config, n, delta, a,
-                          _solve_linear(a, _TRACE_RHS))[0]
+    v = _solve_linear(a, _TRACE_RHS)
+    return _checked_state(n, delta, v.tolist(),
+                          float(abs(a @ v).max()) / _max_rate(config, n))
 
 
-def _checked_state(config: ModelConfig, n: float, delta: float,
-                   a: np.ndarray, v: np.ndarray) -> tuple:
-    """The population state of ``v``, a solution for the rate matrix
-    ``a`` at (n, delta), and its residual max|a v| relative to
-    ``_max_rate``; raises ConvergenceError above tolerance or where
-    ``v`` is not finite."""
-    residual = float(abs(a @ v).max()) / _max_rate(config, n)
+def _checked_state(n: float, delta: float, v: list,
+                   residual: float) -> PopulationState:
+    """The population state of ``v`` at (n, delta), whose max|A v| /
+    ``_max_rate`` is ``residual``; raises ConvergenceError above
+    tolerance (where ``v`` is not finite too) or outside the bounds."""
     if not residual <= _LINEAR_RESIDUAL_RTOL:  # NaN fails too
         raise ConvergenceError(
             "fixed-n linear solve residual above tolerance",
             detail={"residual": residual, "n": n, "delta": delta})
-    return PopulationState(*v.tolist()), residual
+    return PopulationState(*v)
 
 
 def populations_at_fixed_n(config: ModelConfig, n: float) -> PopulationState:
@@ -410,6 +410,25 @@ def _device(rates, pump12: float, pump45: float, omega: float) -> tuple:
 _NO_UPDATE = ((0.0,) * 5,) * 2
 
 
+def _detuning_update(delta, wx, r7, r8, xp):
+    """(det K, Q, W^T X(delta)) of the module docstring, from W^T X0
+    ``wx`` and X0's rows 7, 8; on floats (``xp`` is ``math``; None where
+    K is singular) or on arrays over points (``numpy``, under
+    ``np.errstate``; the caller masks det K), as ``_photon_root``."""
+    # K = I + delta J X0[7:9, 3:5], J = [[0, -1], [1, 0]]
+    k00, k01 = 1.0 - delta * r8[3], -delta * r8[4]
+    k10, k11 = delta * r7[3], 1.0 + delta * r7[4]
+    det = k00 * k11 - k01 * k10
+    if xp is math and not (det != 0.0 and math.isfinite(det)):
+        return None
+    # Q = -delta K^-1 J X0[7:9], with J X0[7:9] = [-X0[8]; X0[7]]
+    h = -delta / det
+    q0 = [h * (-k11 * v - k01 * u) for u, v in zip(r7, r8)]
+    q1 = [h * (k10 * v + k00 * u) for u, v in zip(r7, r8)]
+    return det, (q0, q1), [[w + row[3] * u + row[4] * v
+                            for w, u, v in zip(row, q0, q1)] for row in wx]
+
+
 def _zero_n_solution(config: ModelConfig, delta: float) -> tuple:
     """The n = 0 solve of one sub-ensemble at detuning ``delta``:
     (A(0, 0), X, Q, W^T X(delta)) with X(delta) = X + X[:, 3:5] Q.
@@ -420,19 +439,11 @@ def _zero_n_solution(config: ModelConfig, delta: float) -> tuple:
     """
     d = config.drive
     a, x, wx, (r7, r8) = _device(config.rates, d.pump12, d.pump45, d.omega)
-    # K = I + delta J X0[7:9, 3:5], J = [[0, -1], [1, 0]]
-    k00, k01 = 1.0 - delta * r8[3], -delta * r8[4]
-    k10, k11 = delta * r7[3], 1.0 + delta * r7[4]
-    det = k00 * k11 - k01 * k10
-    if not (det != 0.0 and math.isfinite(det)):
+    update = _detuning_update(delta, wx, r7, r8, math)
+    if update is None:
         x = _solve_linear(_shifted(a, 0.0, delta), _ZERO_N_RHS)
         return a, x, _NO_UPDATE, _w_rows(x)
-    # Q = -delta K^-1 J X0[7:9], with J X0[7:9] = [-X0[8]; X0[7]]
-    h = -delta / det
-    q0 = [h * (-k11 * v - k01 * u) for u, v in zip(r7, r8)]
-    q1 = [h * (k10 * v + k00 * u) for u, v in zip(r7, r8)]
-    return a, x, (q0, q1), [[w + row[3] * u + row[4] * v
-                             for w, u, v in zip(row, q0, q1)] for row in wx]
+    return a, x, *update[1:]
 
 
 def _closed_form_gain(config: ModelConfig, wxs):
@@ -589,47 +600,62 @@ def _gain_root(gain) -> float:
                        maxiter=200)
 
 
-def _woodbury_solver(s, c00, c01, c10, c11):
-    """p -> (I - s C)^-1 p for the 2x2 matrix C, on floats or arrays."""
+def _at_n(g, wg, s, x, q, wx, a, rate, xp):
+    """One sub-ensemble at s = G n, from its ``_zero_n_solution`` X, Q
+    and W^T X(delta) (see the module docstring): the populations v, the
+    residual max|A v| / ``rate`` for A(n, delta) ``a``, the gain term
+    G (v2 - v3 + v5 - v6) and (dg/dn, dg/d delta) times ``wg`` =
+    weight * G.  On floats (``xp`` is ``math``) v is a list; on arrays
+    over points (``numpy``, under ``np.errstate``) v is 9 rows, and the
+    stacked products give the bits of the per-point ones."""
+    (z0, c00, c01, f00, f01), (z1, c10, c11, f10, f11) = wx
     det = (1.0 - s * c00) * (1.0 - s * c11) - s * s * c01 * c10
 
-    def solve_2x2(p0, p1):
+    def solve_2x2(p0, p1):  # (I - s C)^-1 p
         return (((1.0 - s * c11) * p0 + s * c01 * p1) / det,
                 (s * c10 * p0 + (1.0 - s * c00) * p1) / det)
 
-    return solve_2x2
+    y0, y1 = solve_2x2(z0, z1)
+    # v = X(delta) p = X (p + [0, 0, 0, Q p]), p = [1, s y0, s y1, 0, 0]
+    (q0, q1), p1, p2 = q, s * y0, s * y1
+    p = [1.0, p1, p2, q0[0] + q0[1] * p1 + q0[2] * p2,
+         q1[0] + q1[1] * p1 + q1[2] * p2]
+    if xp is math:
+        v = x @ np.array(p)
+        residual = float(abs(a @ v).max()) / rate
+        v = v.tolist()
+    else:
+        p[0] = np.ones_like(p1)
+        v = (x @ np.stack(p, -1)[..., None])[..., 0]
+        residual = np.abs((a @ v[..., None])[..., 0]).max(axis=1) / rate
+        v = v.T
+    t0, t1 = v[1] - v[2], v[4] - v[5]
+    r0, r1 = solve_2x2(t0, t1)
+    u0, u1 = v[8], -v[7]
+    d0, d1 = solve_2x2(f00 * u0 + f01 * u1, f10 * u0 + f11 * u1)
+    return v, residual, g * (t0 + t1), (
+        wg * g * ((c00 + c10) * r0 + (c01 + c11) * r1), wg * (d0 + d1))
 
 
 def _states(config: ModelConfig, n: float, solutions):
     """Populations, net gain, largest residual and gain partials at
     photon number n, from the n = 0 solutions of ``_zero_n_solution``
-    (see the module docstring).  Raises as ``populations_at_fixed_n``
-    does."""
+    (see the module docstring); dg/d delta is the aligned
+    sub-ensemble's.  Raises as ``populations_at_fixed_n`` does."""
     g = config.derived.gain_coupling
     s = g * n
+    rate = _max_rate(config, n)
     states = []
-    total = residual = dg_dn = dg_dd = 0.0
-    for k, ((weight, delta), (a, x, (q0, q1), wx)) in enumerate(
-            zip(_ensembles(config), solutions)):
-        (z0, c00, c01, f00, f01), (z1, c10, c11, f10, f11) = wx
-        solve_2x2 = _woodbury_solver(s, c00, c01, c10, c11)
-        y0, y1 = solve_2x2(z0, z1)
-        # v = X(delta) p = X (p + [0, 0, 0, Q p]), p = [1, s y0, s y1, 0, 0]
-        p1, p2 = s * y0, s * y1
-        state, r = _checked_state(
-            config, n, delta, _shifted(a, s, delta),
-            x @ np.array((1.0, p1, p2, q0[0] + q0[1] * p1 + q0[2] * p2,
-                          q1[0] + q1[1] * p1 + q1[2] * p2)))
-        states.append(state)
+    total = residual = dg_dn = 0.0
+    for (weight, delta), (a, x, q, wx) in zip(_ensembles(config), solutions):
+        v, r, gain, (dn, dd) = _at_n(g, weight * g, s, x, q, wx,
+                                     _shifted(a, s, delta), rate, math)
+        states.append(_checked_state(n, delta, v, r))
         residual = max(residual, r)
-        t0, t1 = state.rho22 - state.rho33, state.rho55 - state.rho66
-        total += weight * (g * (t0 + t1))
-        r0, r1 = solve_2x2(t0, t1)
-        dg_dn += weight * g * g * ((c00 + c10) * r0 + (c01 + c11) * r1)
-        if k == 0:
-            u0, u1 = state.rho14_im, -state.rho14_re
-            d0, d1 = solve_2x2(f00 * u0 + f01 * u1, f10 * u0 + f11 * u1)
-            dg_dd = weight * g * (d0 + d1)
+        total += weight * gain
+        dg_dn += dn
+        if len(states) == 1:
+            dg_dd = dd
     return (tuple(states), total - config.cavity.kappa, residual,
             (dg_dn, dg_dd))
 
@@ -678,9 +704,9 @@ def solve_steady_state(config: ModelConfig) -> SteadyStateResult:
 def _steady_states(points) -> list[SteadyStateResult | None]:
     """``solve_steady_state`` of many (config, drive) points, from one
     stacked n = 0 solve of their distinct devices (keyed as ``_device``
-    is) and the rest of the module docstring's algebra on arrays.  None
-    marks a point that this does not certify, for the caller to solve
-    with ``solve_steady_state``.
+    is) and the functions of the single solve on arrays.  None marks a
+    point that this does not certify, for the caller to solve with
+    ``solve_steady_state``.
     """
     results = [None] * len(points)
     index, devices, where, scalars = [], {}, [], []
@@ -699,8 +725,7 @@ def _steady_states(points) -> list[SteadyStateResult | None]:
         x = _refined_solve(_trace_system(a), _ZERO_N_RHS)
     except np.linalg.LinAlgError:
         return results
-    top = np.array([max(*(getattr(r, f) for f in RATE_FIELDS), *drive)
-                    for r, *drive in devices])
+    top = np.array([_device_rate(*k) for k in devices])
     # from here on, one row per point
     ok = (finite & np.isfinite(x).all(axis=(1, 2)))[where]
     x, a, top = x[where], a[where], top[where]
@@ -709,61 +734,36 @@ def _steady_states(points) -> list[SteadyStateResult | None]:
     rate0 = np.maximum(top, np.maximum(np.abs(delta), kappa))  # _max_rate
     slack = PopulationState._BOUND_SLACK
 
-    def checked(v, s):
-        # residual of A(n) v = A(0, delta) v - s W W^T v, checks, net gain
-        t0, t1 = v[:, 1] - v[:, 2], v[:, 4] - v[:, 5]
-        av = np.einsum("kij,kj->ki", a, v)
-        av[:, [1, 2, 4, 5]] -= s[:, None] * np.stack([t0, -t0, t1, -t1], 1)
-        residual = np.abs(av).max(axis=1) / np.maximum(rate0, s)
-        occ = v[:, :7]
+    def at_n(s):
+        # _at_n of every point at s = G n, and the checks of _checked_state
+        v, residual, gain, partials = _at_n(
+            g, g, s, x, q, wx, a - s[:, None, None] * _WWT,
+            np.maximum(rate0, s), np)
         passed = ((residual <= _LINEAR_RESIDUAL_RTOL)
-                  & (occ >= -slack).all(axis=1)
-                  & (occ <= 1.0 + slack).all(axis=1)
-                  & (v[:, 7] ** 2 + v[:, 8] ** 2 <= 0.25 + slack))
-        return residual, passed, g * (t0 + t1) - kappa
+                  & (v[:7] >= -slack).all(axis=0)
+                  & (v[:7] <= 1.0 + slack).all(axis=0)
+                  & (v[7] ** 2 + v[8] ** 2 <= 0.25 + slack))
+        return v, residual, gain - kappa, partials, passed
 
     with np.errstate(all="ignore"):
-        # Q = [q0; q1] and W^T X(delta) as ``_zero_n_solution`` takes them
-        r7, r8, d = x[:, 7], x[:, 8], delta[:, None]
-        k00, k01 = 1.0 - d * r8[:, 3:4], -d * r8[:, 4:5]
-        k10, k11 = d * r7[:, 3:4], 1.0 + d * r7[:, 4:5]
-        det = k00 * k11 - k01 * k10
-        ok &= (det[:, 0] != 0.0) & np.isfinite(det[:, 0])
-        q0 = -d / det * (-k11 * r8 - k01 * r7)
-        q1 = -d / det * (k10 * r8 + k00 * r7)
-        wx = x[:, [1, 4]] - x[:, [2, 5]]
-        wx = np.moveaxis(wx + wx[:, :, 3:4] * q0[:, None]
-                         + wx[:, :, 4:5] * q1[:, None], 0, -1)
-        (z0, c00, c01, f00, f01), (z1, c10, c11, f10, f11) = wx
-        # X(delta) e1, X(delta) W
-        x = (x[:, :, :3] + x[:, :, 3:4] * q0[:, None, :3]
-             + x[:, :, 4:5] * q1[:, None, :3])
-        v0 = x[:, :, 0]
-        residual, passed, gain = checked(v0, np.zeros(len(index)))
+        det, q, wx = _detuning_update(
+            delta, (x[:, [1, 4]] - x[:, [2, 5]]).transpose(1, 2, 0),
+            x[:, 7].T, x[:, 8].T, np)
+        ok &= (det != 0.0) & np.isfinite(det)
+        *_, gain, _, passed = at_n(np.zeros(len(index)))
         ok &= passed
         lasing = gain > 0.0
         qa, n = _photon_root(g, kappa, wx, np)
         n = np.where(lasing, n, 0.0)
         ok &= ~lasing | ((gain > _GAIN_RESIDUAL_RTOL * kappa) & (qa > 0.0)
                          & (n > 0.0) & (n < _BRACKET_CAP / 4.0))
-        s = g * n
-        solve_2x2 = _woodbury_solver(s, c00, c01, c10, c11)
-        y0, y1 = solve_2x2(z0, z1)
-        v = v0 + s[:, None] * (y0[:, None] * x[:, :, 1]
-                               + y1[:, None] * x[:, :, 2])
-        residual_n, passed, gain_n = checked(v, s)
-        ok &= ~lasing | (passed & (np.abs(gain_n)
-                                   <= _GAIN_RESIDUAL_RTOL * kappa))
-        r0, r1 = solve_2x2(v[:, 1] - v[:, 2], v[:, 4] - v[:, 5])
-        dg_dn = g * g * ((c00 + c10) * r0 + (c01 + c11) * r1)
-        u0, u1 = v[:, 8], -v[:, 7]
-        d0, d1 = solve_2x2(f00 * u0 + f01 * u1, f10 * u0 + f11 * u1)
-        dg_dd = g * (d0 + d1)
-    states = np.where(lasing[:, None], v, v0).tolist()
-    residual = np.where(lasing, residual_n, residual).tolist()
-    gain = np.where(lasing, gain_n, gain).tolist()
-    n, lasing = n.tolist(), lasing.tolist()
-    dg_dn, dg_dd = dg_dn.tolist(), dg_dd.tolist()
+        # at n = 0 this repeats the step above, bit for bit
+        v, residual, gain, (dg_dn, dg_dd), passed = at_n(g * n)
+        ok &= passed & (~lasing
+                        | (np.abs(gain) <= _GAIN_RESIDUAL_RTOL * kappa))
+    states = v.T.tolist()
+    n, lasing, gain, residual, dg_dn, dg_dd = (
+        y.tolist() for y in (n, lasing, gain, residual, dg_dn, dg_dd))
     for k in np.flatnonzero(ok).tolist():
         results[index[k]] = SteadyStateResult(
             n=n[k], branch=LASING if lasing[k] else BELOW_THRESHOLD,

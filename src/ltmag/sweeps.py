@@ -31,8 +31,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .configio import (_DRIVE_FIELDS, DRIVE_PATHS, drive_changes,
-                       param_unit, set_param)
+from .configio import (DRIVE_PATHS, _set_twice, drive_changes, param_unit,
+                       set_param)
 from .configio import provenance as config_provenance
 from .errors import InvalidConfigError
 from .model import (FINITE, ModelConfig, _check_fields, _field,
@@ -108,16 +108,10 @@ class SweepSpec:
         if len(set(self.outputs)) < len(self.outputs):
             raise InvalidConfigError(
                 f"sweep outputs name one twice: {self.outputs!r}")
-        if self.axis2 and _writes(self.axis1.path) & _writes(self.axis2.path):
+        if self.axis2 and _set_twice((self.axis1.path, self.axis2.path)):
             raise InvalidConfigError(
                 f"sweep axes {self.axis1.path!r} and {self.axis2.path!r} "
                 "set the same config value")
-
-
-def _writes(path: str) -> set[str]:
-    """The config values an axis on ``path`` sets: the DriveSettings
-    fields of a drive path, any other path itself."""
-    return set(_DRIVE_FIELDS.get(path, (path,)))
 
 
 def _points(config: ModelConfig, grid):

@@ -416,6 +416,34 @@ def test_optimize_unwritable_save_config_is_one_error_line(tmp_path,
                           str(tmp_path / "missing" / "x.json")))
 
 
+@pytest.mark.parametrize("flag, value", [("--bounds-decades", "-1"),
+                                         ("--max-evaluations", "0"),
+                                         ("--vary", "pump,drive.pump45")])
+def test_optimize_bad_argument_is_one_error_line(capsys, flag, value):
+    _one_error_line(*_run(capsys, "optimize", "--preset", "high_sensitivity",
+                          flag, value))
+
+
+def _preset_help(capsys, command):
+    """The ``--preset`` line of a subcommand's help, on one line."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    start = text.index("named device")
+    return text[start:text.index(" --config", start)]
+
+
+def test_experiment_help_names_each_study_preset(capsys):
+    assert _preset_help(capsys, "experiment") == (
+        "named device configuration (default: baseline for fig1b, fig2a, "
+        "fig2b; high_sensitivity for fig3a, fig3b, fig4)")
+
+
+def test_steady_state_help_keeps_the_baseline_default(capsys):
+    assert _preset_help(capsys, "steady-state") \
+        == "named device configuration (default: baseline)"
+
+
 def test_optimize_checks_save_config_extension_before_searching(
         tmp_path, capsys, monkeypatch):
     def search(*args, **kwargs):

@@ -13,9 +13,9 @@ from ltmag import (AcSignalModel, CavityGeometry, DriveModulation,
                    apply_overrides, b_field_to_detuning, best_eta_over_field,
                    config_digest, dc_sensitivity, derive_constants,
                    detuning_to_b_field, find_bias_point, l27_robustness,
-                   net_gain, output_power, populations_at_fixed_n, preset,
-                   rate_matrix, resolve_config, step_response,
-                   with_bias_field)
+                   net_gain, optimize_sensitivity, output_power,
+                   populations_at_fixed_n, preset, rate_matrix,
+                   resolve_config, step_response, with_bias_field)
 from ltmag.configio import _UNITS, set_param
 
 
@@ -238,6 +238,16 @@ _BAD_CALLS = {
                                                   b_grid=[2e-4]),
     "l27_robustness.scalar": lambda: l27_robustness(_HS, ratios=0.1,
                                                     b_grid=[2e-4]),
+    **{f"optimize_sensitivity.{name}={value!r}": (
+        lambda name=name, value=value: optimize_sensitivity(
+            _HS, **{name: value}))
+       for name, value in (
+           ("max_evaluations", "5"), ("max_evaluations", True),
+           ("max_evaluations", 0), ("bounds_decades", "1"),
+           ("bounds_decades", -1.0), ("bounds_decades", math.nan),
+           ("vary", "pump"), ("vary", ("pump", "pump")),
+           ("vary", ("pump", "drive.pump12")),
+           ("b_window", (1e-4,)), ("b_window", None))},
 }
 
 

@@ -323,6 +323,32 @@ def test_optimize_sensitivity_rejects_unknown_knob(high_sens_config):
         optimize_sensitivity(high_sens_config, vary=())
 
 
+def test_optimize_objective_scores_log_eta_plus_the_bound_penalty(
+        high_sens_config, monkeypatch):
+    import scipy.optimize
+
+    captured = []
+
+    def minimize(objective, start, **kwargs):
+        captured.append(objective)
+        return SimpleNamespace(success=False)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", minimize)
+    window = (100e-6, 300e-6)
+    optimize_sensitivity(high_sens_config, vary=("pump",), bounds_decades=0.1,
+                         b_window=window)
+    (objective,) = captured
+    start = math.log10(high_sens_config.drive.pump12)
+    inside = np.array([start + 0.05])
+    eta, _ = best_eta_over_field(
+        with_pump(high_sens_config, float(10.0 ** inside[0])), *window)
+    assert objective(inside) == math.log10(eta)
+    # 0.5 decade past the upper bound: the clipped point's score plus 0.5^2
+    edge = np.array([start + 0.1])
+    assert objective(edge + 0.5) == pytest.approx(objective(edge) + 0.25,
+                                                  rel=0.0, abs=1e-12)
+
+
 def test_optimize_sensitivity_rejects_zero_start(high_sens_config):
     with pytest.raises(InvalidConfigError):
         optimize_sensitivity(with_drive(high_sens_config, omega=0.0),

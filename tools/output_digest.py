@@ -9,7 +9,8 @@ hashing every item in order.  The items are every table of the
 pre-registered experiments as CSV and as JSON, a fixed set of
 command-line runs, at least one of each subcommand (exit code and
 stdout, and the text of a file the run writes), the reprs of the library's
-steady-state, threshold, sensitivity and field-search results, both
+steady-state, threshold, sensitivity and field-search results (and of the
+grid evaluator's on one fixed grid), both
 presets' config files as JSON and INI with their ``config_digest``, and
 a fixed set of invalid command-line runs (``error.*``: exit code and
 stderr), so that a changed error message shows too.
@@ -103,6 +104,28 @@ put("repr.populations_at_fixed_n",
     repr(steady.populations_at_fixed_n(base, 1e-3)))
 put("repr.net_gain.single", repr(steady.net_gain(base, 1e-3)))
 put("repr.net_gain.four", repr(steady.net_gain(four, 1e-4)))
+
+# The grid of the fixed example of test_steady.py's
+# test_grid_evaluator_equals_the_single_solve: five (mode, detuning, pump)
+# cases, dark, lasing, at threshold and four_orientation, cycled over
+# CHUNK_POINTS + 3 points, the k-th taking (k + 1) / size of its detuning
+modes = {"single_orientation": base, "four_orientation": four}
+pumps = {"dark": 0.0, "threshold": steady.find_operating_point(base),
+         "nominal": base.drive.pump12}
+cases = [("single_orientation", 1e8, "nominal"),
+         ("single_orientation", -3e7, "dark"),
+         ("single_orientation", 0.0, "threshold"),
+         ("four_orientation", 5e7, "nominal"),
+         ("single_orientation", -1.2e8, 2e6)]
+size = steady.CHUNK_POINTS + 3
+grid = []
+for k in range(size):
+    mode, delta, pump = cases[k % len(cases)]
+    pump = pumps.get(pump, pump)
+    grid.append((modes[mode], dataclasses.replace(
+        modes[mode].drive, pump12=pump, pump45=pump,
+        delta=delta * (k + 1) / size)))
+put("repr.solve_steady_states", repr(list(steady.solve_steady_states(grid))))
 
 with tempfile.TemporaryDirectory() as tmp:
     for name in model.PRESET_NAMES:
