@@ -307,7 +307,12 @@ def derive_constants(config: ModelConfig) -> DerivedQuantities:
                  * cav.medium_volume * cav.nv_fraction)
     nu = cst.c / cav.vacuum_wavelength
     wavelength_med = cav.vacuum_wavelength / cav.refractive_index
-    g_formula = (3.0 * nu * config.rates.L23 * wavelength_med ** 3 * n_centers
+    try:
+        cubed = wavelength_med ** 3
+    except OverflowError:
+        raise InvalidConfigError("(vacuum_wavelength / refractive_index) ** 3 "
+                                 f"overflows, got {wavelength_med!r} m") from None
+    g_formula = (3.0 * nu * config.rates.L23 * cubed * n_centers
                  / (4.0 * math.pi ** 2 * cav.emission_bandwidth
                     * cav.cavity_volume))
     return DerivedQuantities(
@@ -345,9 +350,16 @@ def output_power(n: float, config: ModelConfig) -> float:
 
 
 def with_drive(config: ModelConfig, **changes) -> ModelConfig:
-    """Copy of config with DriveSettings fields replaced."""
-    return dataclasses.replace(
-        config, drive=dataclasses.replace(config.drive, **changes))
+    """Copy of config with DriveSettings fields replaced.  It shares the
+    parent's ``derived``, which depends on the device only, where the
+    parent has computed it."""
+    copy = ModelConfig(rates=config.rates, cavity=config.cavity,
+                       drive=dataclasses.replace(config.drive, **changes),
+                       orientation=config.orientation,
+                       constants=config.constants, gain=config.gain)
+    if "derived" in config.__dict__:
+        copy.__dict__["derived"] = config.derived
+    return copy
 
 
 def with_pump(config: ModelConfig, pump: float) -> ModelConfig:

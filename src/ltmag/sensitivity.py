@@ -140,6 +140,7 @@ def _slope_dn_db(config: ModelConfig, b_field: float):
     measured slope is too small to distinguish from root-solver noise.
     """
     h = max(1e-3 * abs(b_field), 1e-9)
+    config.derived  # computed once, shared by every stencil point's copy
     for _ in range(_MAX_HALVINGS):
         n_m2, n_m1, n_p1, n_p2 = (
             solve_steady_state(with_bias_field(config, b_field + s)).n

@@ -70,7 +70,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -302,10 +302,10 @@ def _solve_linear(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         v = _refined_solve(m, rhs)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(m, rhs, rcond=None)[0]
-    finite = np.all(np.isfinite(v), axis=0)
-    if not np.all(finite):
-        v = np.where(finite, v, np.linalg.lstsq(m, rhs, rcond=None)[0])
-    return v
+    if np.isfinite(v).all():
+        return v
+    return np.where(np.isfinite(v).all(axis=0), v,
+                    np.linalg.lstsq(m, rhs, rcond=None)[0])
 
 
 def _checked_matrix(rates, pump12: float, pump45: float, omega: float,
@@ -316,7 +316,7 @@ def _checked_matrix(rates, pump12: float, pump45: float, omega: float,
         raise DegenerateConfigError("all transition rates and drives are "
                                     "zero; occupations are undetermined")
     a = _shifted(_device_matrix(rates, pump12, pump45, omega), gn, delta)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ConvergenceError("rate matrix is not finite",
                                detail={"n": n, "delta": delta})
     return a
@@ -446,16 +446,20 @@ def _zero_n_solution(config: ModelConfig, delta: float) -> tuple:
     return a, x, *update[1:]
 
 
+def _gain_coefficients(wx) -> tuple:
+    """(a, b, p, q) of a sub-ensemble's gain G (a + b s) / (1 + p s + q s^2),
+    s = G n, from its W^T X(delta) ``wx``; on floats or on arrays."""
+    (z0, c00, c01, *_), (z1, c10, c11, *_) = wx
+    return (z0 + z1, (c10 - c11) * z0 + (c01 - c00) * z1, -(c00 + c11),
+            c00 * c11 - c01 * c10)
+
+
 def _closed_form_gain(config: ModelConfig, wxs):
     """Net gain as a function of n from W^T X(delta) of each
     sub-ensemble's n = 0 solution (see the module docstring)."""
     g = config.derived.gain_coupling
-    terms = []
-    for (weight, _), ((z0, c00, c01, *_), (z1, c10, c11, *_)) in zip(
-            _ensembles(config), wxs):
-        terms.append((weight * g, z0 + z1,
-                      (c10 - c11) * z0 + (c01 - c00) * z1,
-                      -(c00 + c11), c00 * c11 - c01 * c10))
+    terms = [(weight * g, *_gain_coefficients(wx))
+             for (weight, _), wx in zip(_ensembles(config), wxs)]
     kappa = config.cavity.kappa
 
     def gain(n):
@@ -475,10 +479,8 @@ def _photon_root(g, kappa, wx, xp):
     ``math``) or on arrays (``numpy``, under ``np.errstate``).  With
     A > 0 and c < 0 (g0 > 0) n is the one positive root; on floats it is
     nan where A or the discriminant is not positive."""
-    (z0, c00, c01, *_), (z1, c10, c11, *_) = wx
-    qa = kappa * (c00 * c11 - c01 * c10)
-    qb = kappa * -(c00 + c11) - g * ((c10 - c11) * z0 + (c01 - c00) * z1)
-    qc = kappa - g * (z0 + z1)
+    a, b, p, q = _gain_coefficients(wx)
+    qa, qb, qc = kappa * q, kappa * p - g * b, kappa - g * a
     disc = qb * qb - 4.0 * qa * qc
     if xp is math and not (qa > 0.0 and disc > 0.0):
         return qa, math.nan
@@ -621,8 +623,8 @@ def _at_n(g, wg, s, x, q, wx, a, rate, xp):
     p = [1.0, p1, p2, q0[0] + q0[1] * p1 + q0[2] * p2,
          q1[0] + q1[1] * p1 + q1[2] * p2]
     if xp is math:
-        v = x @ np.array(p)
-        residual = float(abs(a @ v).max()) / rate
+        v = x.dot(p)
+        residual = float(np.abs(a.dot(v)).max()) / rate
         v = v.tolist()
     else:
         p[0] = np.ones_like(p1)
@@ -790,7 +792,7 @@ def solve_steady_states(points):
         for (config, drive), ss in zip(chunk, batch):
             if ss is None:
                 try:
-                    ss = solve_steady_state(replace(config, drive=drive))
+                    ss = solve_steady_state(with_drive(config, **vars(drive)))
                 except ConvergenceError:
                     pass
             yield ss
@@ -807,10 +809,10 @@ def threshold_pump(config: ModelConfig, delta: float | None = None) -> float:
     """
     if delta is not None:
         config = with_drive(config, delta=delta)
+    config.derived  # computed once, shared by every pump's copy
 
     def g(pump):
-        cfg = with_pump(config, pump)
-        return net_gain(cfg, 0.0)
+        return net_gain(with_pump(config, pump), 0.0)
 
     g_lo = g(0.0)
     if g_lo > 0.0:

@@ -388,6 +388,14 @@ def _one_error_line(code, out, err):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_overflowing_derived_constant_is_one_error_line(capsys):
+    # a valid wavelength whose cube in the gain coupling overflows
+    code, out, err = _run(capsys, "steady-state", "--set",
+                          "cavity.vacuum_wavelength=1e300")
+    _one_error_line(code, out, err)
+    assert "(vacuum_wavelength / refractive_index) ** 3 overflows" in err
+
+
 def test_steady_state_unwritable_out_is_one_error_line(tmp_path, capsys):
     _one_error_line(*_run(capsys, "steady-state", "--out",
                           str(tmp_path / "missing" / "x.csv")))

@@ -7,16 +7,22 @@ import pickle
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ltmag import (AcSignalModel, CavityGeometry, DriveModulation,
                    DriveSettings, GainSettings, InvalidConfigError,
-                   LevelRates, OrientationModel, SweepAxis, SweepSpec,
-                   apply_overrides, b_field_to_detuning, best_eta_over_field,
-                   config_digest, dc_sensitivity, derive_constants,
-                   detuning_to_b_field, find_bias_point, l27_robustness,
-                   net_gain, optimize_sensitivity, output_power,
+                   LevelRates, ModelConfig, OrientationModel, SweepAxis,
+                   SweepSpec, apply_overrides, b_field_to_detuning,
+                   best_eta_over_field, config_digest, dc_sensitivity,
+                   derive_constants, detuning_to_b_field, find_bias_point,
+                   find_operating_point, l27_robustness, net_gain,
+                   optimize_sensitivity, output_power,
                    populations_at_fixed_n, preset, rate_matrix,
-                   resolve_config, step_response, with_bias_field)
+                   resolve_config, solve_steady_state, step_response,
+                   with_bias_field, with_drive, with_pump)
 from ltmag.configio import _UNITS, set_param
+from ltmag.model import PRESET_NAMES
 
 
 def test_baseline_preset_rates(baseline_config):
@@ -211,9 +217,18 @@ def test_every_field_rejects_wrong_typed_values(record):
 
 _HS = preset("high_sensitivity")
 
+# A valid wavelength whose cube in the medium, in the gain coupling,
+# overflows the float range
+_FAR = set_param(_BASE, "cavity.vacuum_wavelength", 1e300)
+
 # Calls with an argument that is not a field of a checked record, given
-# a value of the wrong type or past the float range
+# a value of the wrong type or past the float range, and calls that
+# derive a config's constants past the float range
 _BAD_CALLS = {
+    "derived.overflow": lambda: _FAR.derived,
+    "derive_constants.overflow": lambda: derive_constants(_FAR),
+    "solve_steady_state.overflow": lambda: solve_steady_state(_FAR),
+    "output_power.overflow": lambda: output_power(1.0, _FAR),
     "step_response.seed_n": lambda: step_response(_BASE, 0.0, 1e8,
                                                   seed_n="1"),
     "step_response.seed_n_past_range": lambda: step_response(
@@ -262,3 +277,88 @@ def test_every_registry_path_rejects_wrong_typed_values():
         for value in _WRONG_TYPED:
             with pytest.raises(InvalidConfigError):
                 set_param(_BASE, path, value)
+
+
+def _built(config, **drive):
+    """``config`` with the DriveSettings fields ``drive`` replaced, built
+    field by field, so that it holds no derived quantities."""
+    d = config.drive
+    return ModelConfig(
+        rates=config.rates, cavity=config.cavity,
+        drive=DriveSettings(pump12=drive.get("pump12", d.pump12),
+                            pump45=drive.get("pump45", d.pump45),
+                            omega=drive.get("omega", d.omega),
+                            delta=drive.get("delta", d.delta)),
+        orientation=config.orientation, constants=config.constants,
+        gain=config.gain)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_drive_copies_equal_a_config_built_field_by_field(name):
+    cfg = preset(name)
+    b = 1.5e-4
+    assert with_drive(cfg, omega=2e6, delta=-3e7) == _built(
+        cfg, omega=2e6, delta=-3e7)
+    assert with_pump(cfg, 2e6) == _built(cfg, pump12=2e6, pump45=2e6)
+    assert with_bias_field(cfg, b) == _built(
+        cfg, delta=b_field_to_detuning(b, cfg.constants))
+    assert set_param(cfg, "drive.pump45", 3e6) == _built(cfg, pump45=3e6)
+    # every section but the drive is the parent's own, whatever sections
+    # ModelConfig declares
+    copy = with_drive(cfg, delta=2e7)
+    assert copy == dataclasses.replace(
+        cfg, drive=dataclasses.replace(cfg.drive, delta=2e7))
+    for f in dataclasses.fields(ModelConfig):
+        if f.name != "drive":
+            assert getattr(copy, f.name) is getattr(cfg, f.name)
+
+
+def test_drive_copies_share_the_parent_s_derived_quantities():
+    parent = preset("baseline")
+    copy = with_pump(parent, 2e6)
+    # a parent that holds none hands none over, and the copy computes its
+    # own only when read
+    assert "derived" not in parent.__dict__
+    assert "derived" not in copy.__dict__
+    assert copy.derived == derive_constants(copy)
+    assert "derived" not in parent.__dict__
+    derived = parent.derived
+    for copy in (with_drive(parent, omega=1e6, delta=2e7),
+                 with_pump(parent, 3e6), with_bias_field(parent, 1e-4),
+                 set_param(parent, "pump", 5e5),
+                 with_pump(with_bias_field(parent, -2e-4), 0.0)):
+        assert copy.derived is derived
+        assert copy.derived == derive_constants(copy)
+    # so copying a config whose constants overflow stays legal
+    far = with_pump(_FAR, 2e6)
+    with pytest.raises(InvalidConfigError):
+        far.derived
+
+
+def _outcome(call, *args):
+    """``call(*args)``, or the type and message of the error it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(PRESET_NAMES),
+       mode=st.sampled_from(["single_orientation", "four_orientation"]),
+       pump=st.just(0.0) | st.floats(1e5, 4e7),
+       omega=st.just(0.0) | st.floats(1e5, 1e7),
+       delta=st.floats(-1.5e8, 1.5e8), n=st.floats(0.0, 1.0))
+def test_drive_copies_solve_as_configs_built_fresh(name, mode, pump, omega,
+                                                   delta, n):
+    parent = dataclasses.replace(preset(name),
+                                 orientation=OrientationModel(mode=mode))
+    parent.derived
+    copy = with_drive(with_pump(parent, pump), omega=omega, delta=delta)
+    fresh = _built(parent, pump12=pump, pump45=pump, omega=omega,
+                   delta=delta)
+    assert copy.derived is parent.derived
+    assert "derived" not in fresh.__dict__
+    for call, args in ((net_gain, (n,)), (solve_steady_state, ()),
+                       (find_operating_point, ())):
+        assert _outcome(call, copy, *args) == _outcome(call, fresh, *args)

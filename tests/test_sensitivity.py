@@ -15,8 +15,8 @@ from ltmag import (AcSignalModel, BelowThresholdError, ConvergenceError,
                    PhysicsDomainError, detuning_to_b_field, preset,
                    ac_sensitivity, best_eta_over_field,
                    dc_sensitivity, dc_sensitivity_curve, find_bias_point,
-                   l27_robustness, optimize_sensitivity, with_bias_field,
-                   with_drive, with_pump)
+                   find_operating_point, l27_robustness, optimize_sensitivity,
+                   with_bias_field, with_drive, with_pump)
 from ltmag import sensitivity, steady
 
 BIAS = 164e-6
@@ -379,3 +379,41 @@ def test_l27_large_ratio_kills_lasing(high_sens_config):
     assert rep.common_points[0.1] == 0
     assert rep.max_rel_dev[0.1] == math.inf
 
+
+
+def test_work_counts_of_the_threshold_and_the_slope(baseline_config,
+                                                    high_sens_config,
+                                                    monkeypatch):
+    # linear solves and steady solves per call: a speed-up that keeps
+    # these counts comes from less overhead, not from less work
+    solves, steadies = [], []
+    real_solve, real_steady = steady._solve_linear, steady.solve_steady_state
+
+    def solve(a, rhs):
+        solves.append(rhs.shape)
+        return real_solve(a, rhs)
+
+    def steady_state(config):
+        steadies.append(config.drive.delta)
+        return real_steady(config)
+
+    monkeypatch.setattr(steady, "_solve_linear", solve)
+    monkeypatch.setattr(sensitivity, "solve_steady_state", steady_state)
+    four = dataclasses.replace(
+        baseline_config, orientation=OrientationModel(mode="four_orientation"))
+    # one fixed-n solve per sub-ensemble and pump the threshold tries;
+    # Brent's iteration count moves with the Rabi rate
+    for config, omega, count in ((baseline_config, None, 16),
+                                 (four, None, 30), (four, 6e6, 32)):
+        solves.clear()
+        find_operating_point(config, omega)
+        assert len(solves) == count
+    steady._device.cache_clear()
+    for cold in (True, False):
+        solves.clear()
+        steadies.clear()
+        result = dc_sensitivity(high_sens_config, 2e-4)
+        assert result.fd_step == 1e-3 * 2e-4  # no halving
+        assert len(solves) == cold
+        # the bias point, then the four points of the stencil
+        assert len(steadies) == 5

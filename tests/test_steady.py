@@ -503,16 +503,41 @@ def test_singular_detuning_update_falls_back_to_a_direct_solve(
                           expected[[1, 4]] - expected[[2, 5]])
 
 
+# a NaN in the cached X, in the trace column, in a column of W or in the
+# row of Re rho14, makes the residual NaN, which must fail its check
+@pytest.mark.parametrize("entry", [(1, 0), (4, 2), (7, 0)])
 def test_non_finite_solution_fails_the_residual_check(baseline_config,
-                                                     monkeypatch):
+                                                     monkeypatch, entry):
     d = baseline_config.drive
     a, x, wx, rows = steady._device(baseline_config.rates, d.pump12,
                                     d.pump45, d.omega)
     x = x.copy()
-    x[1, 0] = math.nan
+    x[entry] = math.nan
     monkeypatch.setattr(steady, "_device", lambda *key: (a, x, wx, rows))
-    with pytest.raises(ConvergenceError, match="residual"):
+    with pytest.raises(ConvergenceError, match="residual") as info:
         solve_steady_state(baseline_config)
+    assert math.isnan(info.value.detail["residual"])
+
+
+@pytest.mark.parametrize("name", ["baseline", "high_sensitivity"])
+def test_overflowed_stimulated_rate_gives_inf_not_nan(name):
+    cfg = preset(name)
+    a = steady.rate_matrix(cfg, 1e300, 0.0)
+    exchange = steady._WWT != 0.0
+    # G n overflows: -inf on the four diagonal entries, +inf off them
+    assert a[exchange].tolist() == [-math.inf, math.inf, math.inf,
+                                    -math.inf] * 2
+    assert np.array_equal(a[~exchange],
+                          steady.rate_matrix(cfg, 0.0, 0.0)[~exchange])
+    # without pump and drive, -pump12, -2 omega and -omega are -0.0; a
+    # stimulated rate of either sign leaves them, and every other entry
+    # off the exchange, as they are, signed zeros too
+    dark = with_drive(cfg, pump12=0.0, pump45=0.0, omega=0.0)
+    at_zero = steady.rate_matrix(dark, 0.0, 0.0)[~exchange]
+    assert np.signbit(at_zero).any()
+    for n in (1e300, 1e-3, -1e-3):
+        assert (steady.rate_matrix(dark, n, 0.0)[~exchange].tobytes()
+                == at_zero.tobytes())
 
 
 def test_overflowing_rates_raise_a_typed_error(baseline_config):

@@ -10,7 +10,7 @@ pre-registered experiments as CSV and as JSON, a fixed set of
 command-line runs, at least one of each subcommand (exit code and
 stdout, and the text of a file the run writes), the reprs of the library's
 steady-state, threshold, sensitivity and field-search results (and of the
-grid evaluator's on one fixed grid), both
+grid evaluator's on one fixed grid, and of one overflowed rate matrix), both
 presets' config files as JSON and INI with their ``config_digest``, and
 a fixed set of invalid command-line runs (``error.*``: exit code and
 stderr), so that a changed error message shows too.
@@ -90,6 +90,8 @@ put("repr.solve_steady_state.single",
 put("repr.solve_steady_state.four", repr(steady.solve_steady_state(four)))
 put("repr.dc_sensitivity", repr(s.dc_sensitivity(hs, 164e-6)))
 put("repr.find_operating_point", repr(steady.find_operating_point(base)))
+put("repr.find_operating_point.four",
+    repr(steady.find_operating_point(four)))
 put("repr.threshold_pump.0", repr(steady.threshold_pump(base)))
 put("repr.threshold_pump.5e7", repr(steady.threshold_pump(base, 5e7)))
 put("repr.find_bias_point.100_300",
@@ -104,6 +106,9 @@ put("repr.populations_at_fixed_n",
     repr(steady.populations_at_fixed_n(base, 1e-3)))
 put("repr.net_gain.single", repr(steady.net_gain(base, 1e-3)))
 put("repr.net_gain.four", repr(steady.net_gain(four, 1e-4)))
+# G n overflows: +-inf at the exchange entries, not nan
+put("repr.rate_matrix.overflow",
+    repr(steady.rate_matrix(base, 1e300, 0.0).tolist()))
 
 # The grid of the fixed example of test_steady.py's
 # test_grid_evaluator_equals_the_single_solve: five (mode, detuning, pump)
