@@ -28,9 +28,8 @@ from .steady import (BELOW_THRESHOLD, LASING, PopulationState,
                      SteadyStateResult, find_operating_point, net_gain,
                      populations_at_fixed_n, rate_matrix,
                      solve_steady_state, threshold_pump)
-from .dynamics import (DriveModulation, HarmonicResult, ResponseResult,
-                       TimeSeries, ac_response, integrate, jacobian, rhs,
-                       step_response)
+from .dynamics import (HarmonicResult, ResponseResult, TimeSeries,
+                       ac_response, integrate, jacobian, rhs, step_response)
 from .sensitivity import (AcSignalModel, METHOD_AC_QUASISTATIC,
                           METHOD_AC_TIME, METHOD_DC, METHOD_DC_IMPLICIT,
                           OptimizationOutcome,

@@ -148,8 +148,7 @@ def _cmd_response(args, config) -> OutputTable:
 
 
 def _cmd_ac(args, config) -> OutputTable:
-    hr = ac_response(config, args.bias, args.amplitude, args.omega,
-                     **_given(args, "periods", "samples_per_period"))
+    hr = ac_response(config, args.bias, args.amplitude, args.omega)
     return OutputTable(
         columns=(Column("omega", "rad/s"), Column("bias_field", "T"),
                  Column("amplitude_field", "T"), Column("n_mean", "1"),
@@ -278,9 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias", type=float, required=True, help="T")
     p.add_argument("--amplitude", type=float, required=True, help="T")
     p.add_argument("--omega", type=float, required=True, help="rad/s")
-    p.add_argument("--periods", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--samples-per-period", type=int,
-                   default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_ac)
 
     p = sub.add_parser("sensitivity-dc",

@@ -43,8 +43,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateStepError,
                      InvalidConfigError, NoSignalError, StiffnessError)
-from .model import (FINITE, AcSignalModel, ModelConfig, _check_fields,
-                    _field, _is_number, b_field_to_detuning,
+from .model import (AcSignalModel, ModelConfig, _is_number,
                     with_bias_field, with_drive)
 from .steady import (_WWT, POPULATION_NAMES, PopulationState, _brent_root,
                      _max_rate, rate_matrix, solve_steady_state)
@@ -76,38 +75,8 @@ _FIRST_STEP_RATES = 10.0
 # (first horizon) / (_OUTPUT_POINTS - 1)
 _OUTPUT_POINTS = 2001
 
-
-@dataclass(frozen=True)
-class DriveModulation:
-    """Time dependence of the microwave detuning: the constant ``delta0``,
-    or, when ``signal`` is set, the detuning of its test field B(t)
-    (``delta0`` must then be 0)."""
-
-    delta0: float = _field("rad/s", FINITE, default=0.0)
-    signal: AcSignalModel | None = None
-
-    def __post_init__(self):
-        _check_fields(self)
-        if self.signal is not None and self.delta0 != 0.0:
-            raise InvalidConfigError(
-                f"delta0 must be 0 beside a signal, got {self.delta0!r}")
-
-    @classmethod
-    def constant(cls, delta: float) -> "DriveModulation":
-        return cls(delta0=delta)
-
-    @classmethod
-    def sine_field(cls, bias_field: float, amplitude_field: float,
-                   omega_signal: float) -> "DriveModulation":
-        return cls(signal=AcSignalModel(bias_field, amplitude_field,
-                                        omega_signal))
-
-    def detuning(self, t: float, config: ModelConfig) -> float:
-        s = self.signal
-        if s is None:
-            return self.delta0
-        b = s.bias_field + s.amplitude_field * math.cos(s.omega_signal * t)
-        return b_field_to_detuning(b, config.constants)
+# signal periods an a.c. response demodulates, and samples per period
+_AC_PERIODS, _AC_SAMPLES_PER_PERIOD = 10, 64
 
 
 @dataclass(frozen=True)
@@ -192,21 +161,24 @@ def _require_single_orientation(config: ModelConfig, what: str) -> None:
 _WWT = np.pad(_WWT, (0, 1))
 
 
-def _system(config: ModelConfig, modulation: DriveModulation):
-    """The ``(rhs, jacobian)`` pair of one run, as functions of (t, y).
+def _system(config: ModelConfig, signal: AcSignalModel | None):
+    """The ``(rhs, jacobian)`` pair of one run, as functions of (t, y),
+    at the config's detuning or, when ``signal`` is not None, at its test
+    field's (``AcSignalModel.detuning``).
 
     A(n, delta) = A(0, delta0) - G n W W^T + (delta - delta0) D, with
     W W^T the stimulated exchange (``_WWT``, see ``steady``) and D the
     rotation of (Re, Im) rho14.  A(0, delta0) is built once, delta0
-    being the constant detuning or 0 under a test field; each call adds
-    the exchange, the rotation (test field only) and the photon row to
-    one product with it.
+    being ``config.drive.delta``, or 0 under a test field; each call
+    adds the exchange, the rotation (test field only) and the photon row
+    to one product with it.
     """
     g = config.derived.gain_coupling
     kappa = config.cavity.kappa
-    sine = modulation.signal is not None
+    constants = config.constants
+    sine = signal is not None
     a0 = np.zeros((10, 10))
-    a0[:9, :9] = rate_matrix(config, 0.0, 0.0 if sine else modulation.delta0)
+    a0[:9, :9] = rate_matrix(config, 0.0, 0.0 if sine else config.drive.delta)
 
     def f(t, y):
         _, y1, y2, _, y4, y5, _, y7, y8, n = y.tolist()
@@ -217,7 +189,7 @@ def _system(config: ModelConfig, modulation: DriveModulation):
         dy[4] -= gn * d56
         dy[5] += gn * d56
         if sine:
-            delta = modulation.detuning(t, config)
+            delta = signal.detuning(t, constants)
             dy[7] -= delta * y8
             dy[8] += delta * y7
         dy[9] = (g * (d23 + d56) - kappa) * n
@@ -228,7 +200,7 @@ def _system(config: ModelConfig, modulation: DriveModulation):
         d23, d56, gn = y1 - y2, y4 - y5, g * n
         j = a0 - gn * _WWT
         if sine:
-            delta = modulation.detuning(t, config)
+            delta = signal.detuning(t, constants)
             j[7, 8] -= delta
             j[8, 7] += delta
         # d/dn of the stimulated exchange terms, and the photon row
@@ -242,19 +214,17 @@ def _system(config: ModelConfig, modulation: DriveModulation):
     return f, jac
 
 
-def rhs(t: float, y: np.ndarray, config: ModelConfig,
-        modulation: DriveModulation) -> np.ndarray:
+def rhs(t: float, y: np.ndarray, config: ModelConfig) -> np.ndarray:
     """Full right-hand side at time t, as integrated (``_system``).
 
     The occupation block conserves the trace exactly and dn/dt vanishes
     identically at n = 0.
     """
-    return _system(config, modulation)[0](t, y)
+    return _system(config, None)[0](t, y)
 
 
-def jacobian(t: float, y: np.ndarray, config: ModelConfig,
-             modulation: DriveModulation) -> np.ndarray:
-    return _system(config, modulation)[1](t, y)
+def jacobian(t: float, y: np.ndarray, config: ModelConfig) -> np.ndarray:
+    return _system(config, None)[1](t, y)
 
 
 def _sanitize(t: np.ndarray, states: np.ndarray) -> TimeSeries:
@@ -307,11 +277,11 @@ def solve_ivp(*args, **kwargs):
 
 @contextlib.contextmanager
 def _lsoda(config: ModelConfig, y0: np.ndarray, t0: float,
-           modulation: DriveModulation, *, atol: float,
+           signal: AcSignalModel | None, *, atol: float,
            max_step: float = 0.0):
-    """One continuous LSODA run of the full system from (t0, y0), with
-    the analytic Jacobian, for ``_advance`` to continue; ``max_step`` 0
-    means unbounded.
+    """One continuous LSODA run of the full system (``_system``) from
+    (t0, y0), with the analytic Jacobian, for ``_advance`` to continue;
+    ``max_step`` 0 means unbounded.
 
     The first step is 10 / ``steady._max_rate`` at y0.  LSODA starts in
     Adams mode, and a steady start gives it almost nothing to size a
@@ -324,7 +294,7 @@ def _lsoda(config: ModelConfig, y0: np.ndarray, t0: float,
     """
     from scipy.integrate import ode
 
-    solver = ode(*_system(config, modulation)).set_integrator(
+    solver = ode(*_system(config, signal)).set_integrator(
         "lsoda", rtol=_RTOL, atol=atol, max_step=max_step,
         first_step=_FIRST_STEP_RATES / _max_rate(config, y0[9]),
         nsteps=_MAX_STEPS)
@@ -370,9 +340,9 @@ def _advance(solver, t: float, *, one_step: bool = False) -> np.ndarray:
 
 
 def integrate(config: ModelConfig, y0: np.ndarray,
-              t_span: tuple[float, float],
-              modulation: DriveModulation) -> TimeSeries:
-    """Integrate the full system over t_span and validate the trajectory.
+              t_span: tuple[float, float]) -> TimeSeries:
+    """Integrate the full system at the config's detuning over t_span and
+    validate the trajectory.
 
     Rows are at the integrator's own steps; the last step ends exactly on
     t_span[1].
@@ -384,7 +354,7 @@ def integrate(config: ModelConfig, y0: np.ndarray,
     if not t0 < t1:
         raise InvalidConfigError("t_span must run forward in time")
     ts, ys = [t0], [np.asarray(y0, dtype=float)]
-    with _lsoda(config, y0, t0, modulation, atol=_ATOL) as solver:
+    with _lsoda(config, y0, t0, None, atol=_ATOL) as solver:
         while solver.t < t1:
             ys.append(_advance(solver, t1, one_step=True))
             ts.append(solver.t)
@@ -471,8 +441,7 @@ def step_response(config: ModelConfig, delta_before: float,
     targets = (n_i + (1.0 - math.exp(-1.0)) * span, n_i + 0.9 * span)
     states = y0[None, :]
     steps_before = 0
-    with _lsoda(after, y0, 0.0, DriveModulation.constant(delta_after),
-                atol=_ATOL) as solver:
+    with _lsoda(after, y0, 0.0, None, atol=_ATOL) as solver:
         for extensions in range(_MAX_DOUBLINGS):
             # checkpoint j sits at h0 * (j / per_h0), so the last one of
             # this extension is the horizon h0 * 2**extensions exactly
@@ -513,25 +482,18 @@ def _singlet_cycle_time(config: ModelConfig) -> float:
 
 
 def ac_response(config: ModelConfig, bias_field: float,
-                amplitude_field: float, omega_signal: float, *,
-                periods: int = 10,
-                samples_per_period: int = 64) -> HarmonicResult:
+                amplitude_field: float, omega_signal: float) -> HarmonicResult:
     """Response to a small sinusoidal field on top of a bias field.
 
     Integrates through a transient of max(5 periods, 10 relaxation times),
     rounded up to whole periods so the sampling grid stays phase aligned,
-    then demodulates exactly ``periods`` periods (at least 10) by
-    quadrature sums at the signal frequency.  ``distortion`` collects the
-    relative weight of higher harmonics of the signal frequency.
+    then demodulates ``_AC_PERIODS`` periods of ``_AC_SAMPLES_PER_PERIOD``
+    samples each by quadrature sums at the signal frequency.
+    ``distortion`` collects the relative weight of higher harmonics of the
+    signal frequency.
     """
     _require_single_orientation(config, "ac_response")
-    if not (isinstance(periods, (int, np.integer)) and periods >= 10
-            and isinstance(samples_per_period, (int, np.integer))
-            and samples_per_period >= 8):
-        raise InvalidConfigError("demodulation needs whole numbers of at "
-                                 "least 10 periods, 8 samples per period")
-    modulation = DriveModulation.sine_field(bias_field, amplitude_field,
-                                            omega_signal)
+    signal = AcSignalModel(bias_field, amplitude_field, omega_signal)
 
     biased = with_bias_field(config, bias_field)
     ss_bias = solve_steady_state(biased)
@@ -546,13 +508,14 @@ def ac_response(config: ModelConfig, bias_field: float,
     t_relax = _singlet_cycle_time(config)
     transient = max(5.0 * period, 10.0 * t_relax)
     transient = math.ceil(transient / period - 1e-12) * period
-    n_samples = periods * samples_per_period
+    n_samples = _AC_PERIODS * _AC_SAMPLES_PER_PERIOD
 
     seed = max(ss_bias.n, DEFAULT_SEED_N)
     y0 = state_from_populations(ss_bias.aligned, seed)
-    t_k = transient + np.arange(n_samples) * (periods * period / n_samples)
-    with _lsoda(config, y0, 0.0, modulation, atol=_AC_ATOL,
-                max_step=period / samples_per_period) as solver:
+    t_k = transient + np.arange(n_samples) * (
+        _AC_PERIODS * period / n_samples)
+    with _lsoda(config, y0, 0.0, signal, atol=_AC_ATOL,
+                max_step=period / _AC_SAMPLES_PER_PERIOD) as solver:
         n_k = np.array([_advance(solver, t)[9] for t in t_k])
         work = {**_work(solver), "checkpoints": n_samples, "extensions": 0}
     if float(np.max(n_k)) <= 10.0 * _AC_ATOL:
@@ -560,13 +523,13 @@ def ac_response(config: ModelConfig, bias_field: float,
 
     spectrum = np.fft.rfft(n_k)
     n_mean = float(spectrum[0].real) / n_samples
-    c1 = 2.0 * spectrum[periods] / n_samples
+    c1 = 2.0 * spectrum[_AC_PERIODS] / n_samples
     n_signal = float(np.abs(c1))
     phase = float(np.angle(c1))
     harm_power = 0.0
     h = 2
-    while h * periods < n_samples // 2:
-        harm_power += float(np.abs(2.0 * spectrum[h * periods]
+    while h * _AC_PERIODS < n_samples // 2:
+        harm_power += float(np.abs(2.0 * spectrum[h * _AC_PERIODS]
                                    / n_samples)) ** 2
         h += 1
     distortion = math.sqrt(harm_power) / n_signal if n_signal > 0.0 else 0.0

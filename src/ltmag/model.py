@@ -237,10 +237,10 @@ DEFAULT_EXCESS_NOISE = 2.43
 @dataclass(frozen=True)
 class AcSignalModel:
     """The a.c. test field B(t) = bias_field + amplitude_field *
-    cos(omega_signal t) that drives the detuning of ``ac_response`` and
-    sets the a.c. sensitivity.  ``excess_noise`` scales the shot noise of
-    the demodulated read-out (see ``sensitivity``); the time domain does
-    not use it."""
+    cos(omega_signal t), whose detuning (``detuning``) replaces the
+    config's in ``ac_response``, and which sets the a.c. sensitivity.
+    ``excess_noise`` scales the shot noise of the demodulated read-out
+    (see ``sensitivity``); the time domain does not use it."""
 
     bias_field: float = _field("T", FINITE)
     amplitude_field: float = _field("T", POSITIVE)
@@ -249,6 +249,13 @@ class AcSignalModel:
                                  default=DEFAULT_EXCESS_NOISE)
 
     __post_init__ = _check_fields
+
+    def detuning(self, t: float, constants: PhysicalConstants) -> float:
+        """Spin detuning (rad/s) of the field B(t) at time t."""
+        return b_field_to_detuning(
+            self.bias_field
+            + self.amplitude_field * math.cos(self.omega_signal * t),
+            constants)
 
 
 @dataclass(frozen=True)
@@ -284,12 +291,16 @@ class ModelConfig:
 @dataclass(frozen=True)
 class DerivedQuantities:
     """Quantities computed from a ModelConfig's device, never its drive,
-    and cached on the config; every drive of one device shares them."""
+    and cached on the config; every drive of one device shares them.  A
+    device whose products leave the float range is rejected."""
 
-    n_centers: float              # usable centers in the medium
-    photon_energy: float          # J, h c / vacuum_wavelength
-    gain_coupling: float          # G used by solvers (rad/s)
-    quality_factor: float         # 2 pi nu / kappa
+    n_centers: float = _field(None, POSITIVE)  # usable centers in the medium
+    photon_energy: float = _field("J", FINITE)  # h c / vacuum_wavelength
+    gain_coupling: float = _field("rad/s", NONNEGATIVE)  # G used by solvers
+    quality_factor: float = _field(None, FINITE)  # 2 pi nu / kappa
+
+    __post_init__ = _check_fields
+
 
 def derive_constants(config: ModelConfig) -> DerivedQuantities:
     """Compute ensemble size, gain coupling, and related scalars.
@@ -353,8 +364,13 @@ def with_drive(config: ModelConfig, **changes) -> ModelConfig:
     """Copy of config with DriveSettings fields replaced.  It shares the
     parent's ``derived``, which depends on the device only, where the
     parent has computed it."""
-    copy = ModelConfig(rates=config.rates, cavity=config.cavity,
-                       drive=dataclasses.replace(config.drive, **changes),
+    try:
+        drive = dataclasses.replace(config.drive, **changes)
+    except TypeError:  # a name that is not a field
+        unknown = sorted(set(changes).difference(vars(config.drive)))
+        raise InvalidConfigError(
+            f"DriveSettings has no field {', '.join(unknown)}") from None
+    copy = ModelConfig(rates=config.rates, cavity=config.cavity, drive=drive,
                        orientation=config.orientation,
                        constants=config.constants, gain=config.gain)
     if "derived" in config.__dict__:

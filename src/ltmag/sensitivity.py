@@ -12,8 +12,8 @@ producing a demodulated photon amplitude n_S
 
 where ``excess_noise`` accounts for technical noise above the shot
 level in the demodulated band.  The test field, with its excess noise,
-is one ``model.AcSignalModel``, the record that also drives the time
-domain's detuning (``dynamics.DriveModulation``).
+is one ``model.AcSignalModel``, whose detuning also drives
+``dynamics.ac_response``.
 
 The slope dn/dB has two evaluators.  ``dc_sensitivity`` takes adaptive
 central differences with Richardson extrapolation (method

@@ -12,9 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from ltmag import (AcSignalModel, BELOW_THRESHOLD, DriveModulation, LASING,
-                   NotLasableError, ac_response, ac_sensitivity,
-                   dc_sensitivity, dc_sensitivity_curve, derive_constants,
+from ltmag import (AcSignalModel, BELOW_THRESHOLD, LASING, NotLasableError,
+                   ac_response, ac_sensitivity, dc_sensitivity,
+                   dc_sensitivity_curve, derive_constants,
                    find_operating_point, integrate, l27_robustness,
                    output_power, preset, solve_steady_state, step_response,
                    threshold_pump, with_drive, with_pump)
@@ -153,9 +153,8 @@ def test_criterion_8_property_suite(high_sens_config):
             assert abs(ss.n - mirrored.n) <= 1e-10 * ss.n
 
         # ODE relaxation returns to the algebraic steady state
-        mod = DriveModulation.constant(delta)
         y_star = state_from_populations(ss.aligned, ss.n)
-        jac = jacobian(0.0, y_star, cfg, mod)
+        jac = jacobian(0.0, y_star, cfg)
         decay = np.sort(-np.linalg.eigvals(jac).real)
         # decay[0] is the conserved-trace zero mode; the next one sets
         # the relaxation horizon
@@ -164,7 +163,7 @@ def test_criterion_8_property_suite(high_sens_config):
         y0 = y_star.copy()
         y0[:7] = 0.99 * y0[:7] + 0.01 / 7.0
         y0[9] *= 1.02
-        series = integrate(cfg, y0, (0.0, 25.0 / slow), mod)
+        series = integrate(cfg, y0, (0.0, 25.0 / slow))
         assert series.trace_drift() <= 1e-9
         end = series.states[-1]
         assert abs(end[9] - ss.n) <= 1e-6 * ss.n

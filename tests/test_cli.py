@@ -91,6 +91,17 @@ def test_bad_set_values_are_config_errors(capsys):
         assert code == 1 and out == "" and err.startswith("error:")
 
 
+def test_device_without_centers_is_a_config_error(capsys):
+    # valid fields whose product, the number of centers, underflows to 0
+    code, out, err = _run(capsys, "sensitivity-dc", "--preset",
+                          "high_sensitivity", "--b-field", "2e-4",
+                          "--set", "cavity.medium_volume=1e-300",
+                          "--set", "constants.carbon_site_density=1e-300",
+                          "--set", "gain.coupling_override=8.7e11")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_tiny_drive_rate_is_a_config_error(capsys):
     code, out, err = _run(capsys, "steady-state", "--set",
                           "drive.omega=1e-308")

@@ -15,9 +15,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from ltmag import (AcSignalModel, ConvergenceError, DegenerateStepError,
-                   DriveModulation, InvalidConfigError, NoSignalError,
-                   OrientationModel, StiffnessError, ac_response,
-                   derive_constants, integrate,
+                   InvalidConfigError, NoSignalError, OrientationModel,
+                   StiffnessError, ac_response, derive_constants, integrate,
                    output_power, preset, solve_steady_state, step_response,
                    with_bias_field, with_drive, with_pump)
 from ltmag import dynamics, steady
@@ -40,8 +39,7 @@ def test_rhs_vanishes_at_steady_state(baseline_config):
     d = derive_constants(baseline_config)
     for delta in (0.0, 1e8):
         y = _steady_state_vector(baseline_config, delta)
-        mod = DriveModulation.constant(delta)
-        dy = rhs(0.0, y, baseline_config, mod)
+        dy = rhs(0.0, y, with_drive(baseline_config, delta=delta))
         scale = max(baseline_config.rates.L31, d.gain_coupling)
         assert np.max(np.abs(dy)) < 1e-9 * scale
 
@@ -49,29 +47,29 @@ def test_rhs_vanishes_at_steady_state(baseline_config):
 def test_occupation_derivatives_sum_to_zero(baseline_config):
     # trace conservation is built into the rate matrix, not corrected after
     rng = np.random.default_rng(7)
-    mod = DriveModulation.constant(4e7)
+    cfg = with_drive(baseline_config, delta=4e7)
     for _ in range(5):
         occ = rng.random(7)
         occ /= occ.sum()
         y = np.concatenate([occ, rng.normal(0, 0.1, 2), [rng.random()]])
-        dy = rhs(0.0, y, baseline_config, mod)
+        dy = rhs(0.0, y, cfg)
         assert abs(np.sum(dy[:7])) < 1e-12 * np.max(np.abs(dy[:7]))
 
 
 def test_dark_cavity_stays_dark(baseline_config):
     y = np.zeros(10)
     y[0] = y[3] = 0.5
-    dy = rhs(0.0, y, baseline_config, DriveModulation.constant(0.0))
+    dy = rhs(0.0, y, baseline_config)
     assert dy[9] == 0.0
 
 
 def test_jacobian_matches_finite_differences(baseline_config):
-    mod = DriveModulation.constant(3e7)
+    cfg = with_drive(baseline_config, delta=3e7)
     rng = np.random.default_rng(11)
     occ = rng.random(7)
     occ /= occ.sum()
     y0 = np.concatenate([occ, [0.01, -0.02], [0.03]])
-    jac = jacobian(0.0, y0, baseline_config, mod)
+    jac = jacobian(0.0, y0, cfg)
     eps = 1e-7
     for j in range(10):
         yp = y0.copy()
@@ -79,18 +77,20 @@ def test_jacobian_matches_finite_differences(baseline_config):
         step = eps * max(1.0, abs(y0[j]))
         yp[j] += step
         ym[j] -= step
-        col = (rhs(0.0, yp, baseline_config, mod)
-               - rhs(0.0, ym, baseline_config, mod)) / (2 * step)
+        col = (rhs(0.0, yp, cfg) - rhs(0.0, ym, cfg)) / (2 * step)
         assert np.allclose(jac[:, j], col, rtol=1e-6,
                            atol=1e-6 * np.max(np.abs(jac)))
 
 
-def _dense_system(t, y, config, modulation):
+def _dense_system(t, y, config, signal):
     """Right-hand side and Jacobian from the whole ``rate_matrix`` at
     (n, delta(t)), built anew on every call: the oracle of the affine
-    system that ``dynamics._system`` builds once per run."""
+    system that ``dynamics._system`` builds once per run.  delta(t) is
+    the config's detuning, or the test field ``signal``'s when given."""
     g = config.derived.gain_coupling
-    a = steady.rate_matrix(config, y[9], modulation.detuning(t, config))
+    delta = (config.drive.delta if signal is None
+             else signal.detuning(t, config.constants))
+    a = steady.rate_matrix(config, y[9], delta)
     d23, d56 = y[1] - y[2], y[4] - y[5]
     net = g * (d23 + d56) - config.cavity.kappa
     dy = np.append(a @ y[:9], net * y[9])
@@ -118,12 +118,11 @@ _PROPERTY = dict(deadline=None, derandomize=True, database=None)
 def test_affine_system_matches_rate_matrix(name, sine, occupations,
                                            coherence, n, t, delta, field,
                                            amplitude, omega):
-    config = preset(name)
-    mod = (DriveModulation.sine_field(field, amplitude, omega) if sine
-           else DriveModulation.constant(delta))
+    config = preset(name) if sine else with_drive(preset(name), delta=delta)
+    signal = AcSignalModel(field, amplitude, omega) if sine else None
     y = np.array([*occupations, *coherence, n])
-    f, jac = dynamics._system(config, mod)
-    dy, dense_jac, scale = _dense_system(t, y, config, mod)
+    f, jac = dynamics._system(config, signal)
+    dy, dense_jac, scale = _dense_system(t, y, config, signal)
     ours = f(t, y)
     assert np.all(np.abs(ours[:9] - dy[:9]) <= 1e-14 * scale)
     # the photon row and every Jacobian entry are the same floating-point
@@ -131,15 +130,16 @@ def test_affine_system_matches_rate_matrix(name, sine, occupations,
     assert ours[9] == dy[9]
     assert np.array_equal(jac(t, y), dense_jac)
     # the public functions are the integrator's closures
-    assert np.array_equal(rhs(t, y, config, mod), ours)
-    assert np.array_equal(jacobian(t, y, config, mod), jac(t, y))
+    if not sine:
+        assert np.array_equal(rhs(t, y, config), ours)
+        assert np.array_equal(jacobian(t, y, config), jac(t, y))
 
 
 def test_integrate_from_steady_state_is_flat(baseline_config):
     cfg = with_drive(baseline_config, delta=1e8)
     ss = solve_steady_state(cfg)
     y0 = state_from_populations(ss.aligned, ss.n)
-    series = integrate(cfg, y0, (0.0, 2e-5), DriveModulation.constant(1e8))
+    series = integrate(cfg, y0, (0.0, 2e-5))
     assert series.trace_drift() < 1e-9
     assert np.max(np.abs(series.n - ss.n)) < 1e-6 * ss.n
 
@@ -148,18 +148,17 @@ def test_integrate_rows_are_stock_lsoda_steps(baseline_config):
     # integrate's contract: one row per LSODA step, the last one ending on
     # t_span[1], as stock solve_ivp's LSODA gives them
     after = with_drive(baseline_config, delta=1e8)
-    mod = DriveModulation.constant(1e8)
     y0 = _steady_state_vector(baseline_config, 0.0)
-    series = integrate(after, y0, (0.0, 2e-7), mod)
+    series = integrate(after, y0, (0.0, 2e-7))
     sol = solve_ivp(rhs, (0.0, 2e-7), y0, method="LSODA", rtol=1e-10,
-                    atol=1e-14, jac=jacobian, args=(after, mod),
+                    atol=1e-14, jac=jacobian, args=(after,),
                     first_step=_first_step(after, y0))
     assert series.t[-1] == 2e-7
     assert np.array_equal(series.t, sol.t)
     assert np.allclose(series.states, sol.y.T, rtol=1e-12, atol=1e-18)
     for bad_span in ((2e-7, 0.0), (0.0, 0.0), (0.0, math.nan)):
         with pytest.raises(InvalidConfigError):
-            integrate(after, y0, bad_span, mod)
+            integrate(after, y0, bad_span)
 
 
 def test_step_response_frozen_values(baseline_config):
@@ -238,8 +237,7 @@ def _stock_step_oracle(config, delta_before, delta_after, horizon, method):
     y0 = state_from_populations(ss_before.aligned, seed)
     sol = solve_ivp(rhs, (0.0, horizon), y0, method=method, rtol=1e-10,
                     atol=1e-14, jac=jacobian, dense_output=True,
-                    first_step=_first_step(after, y0),
-                    args=(after, DriveModulation.constant(delta_after)))
+                    first_step=_first_step(after, y0), args=(after,))
     assert sol.success
     crossings = []
     for frac in (1.0 - math.exp(-1.0), 0.9):
@@ -251,11 +249,25 @@ def _stock_step_oracle(config, delta_before, delta_after, horizon, method):
     return crossings
 
 
+def _work(steps, nfev, njev, checkpoints, extensions):
+    return dict(steps=steps, nfev=nfev, njev=njev, nlu=njev,
+                checkpoints=checkpoints, extensions=extensions)
+
+
+# The integrator work of the benchmark's time-domain calls, exactly as
+# LSODA does it under scipy 1.17.1 (the version CI pins): a change to the
+# system or its run that moves one count moves the benchmark's work
+_STEP_WORK = {(0.0, 1e8): _work(27_289, 46_937, 2_123, 4_000, 1),
+              (1e8, 0.0): _work(3_679, 6_152, 298, 8_000, 2)}
+_AC_WORK = _work(1_291, 1_808, 106, 640, 0)
+
+
 @pytest.mark.parametrize("delta_before, delta_after",
                          [(0.0, 1e8), (1e8, 0.0)])
 def test_step_response_extensions_match_restart_oracle(
         baseline_config, delta_before, delta_after):
     res = step_response(baseline_config, delta_before, delta_after)
+    assert res.work == _STEP_WORK[delta_before, delta_after]
     # the run was extended at least once, and the series ends on the
     # final horizon, the first one doubled once per extension
     extensions = res.work["extensions"]
@@ -295,24 +307,24 @@ def test_step_response_logs_extensions_and_reports_them(baseline_config,
     assert detail["n_end"] < 1e-6
 
 
-def _stock_ac_oracle(config, ours, method, periods=10,
-                     samples_per_period=64):
+def _stock_ac_oracle(config, ours, method):
     """The demodulated response of ``ours``, from an ``ac_response``
-    call with ``periods`` and ``samples_per_period`` (its defaults here),
-    recomputed from one stock ``solve_ivp`` run over the same transient
-    and sampling grid."""
+    call, recomputed from one stock ``solve_ivp`` run of the system under
+    its test field over the same transient and sampling grid: 10 periods
+    of 64 samples."""
+    periods, samples_per_period = 10, 64
     ss = solve_steady_state(with_bias_field(config, ours.bias_field))
     y0 = state_from_populations(ss.aligned, max(ss.n, DEFAULT_SEED_N))
     period = 2.0 * math.pi / ours.omega_signal
     n_samples = periods * samples_per_period
     t_k = ours.transient_time + np.arange(n_samples) * (
         periods * period / n_samples)
-    mod = DriveModulation.sine_field(ours.bias_field, ours.amplitude_field,
-                                     ours.omega_signal)
-    sol = solve_ivp(rhs, (0.0, t_k[-1]), y0, method=method, rtol=1e-10,
-                    atol=1e-16, jac=jacobian, t_eval=t_k,
+    f, jac = dynamics._system(config, AcSignalModel(
+        ours.bias_field, ours.amplitude_field, ours.omega_signal))
+    sol = solve_ivp(f, (0.0, t_k[-1]), y0, method=method, rtol=1e-10,
+                    atol=1e-16, jac=jac, t_eval=t_k,
                     max_step=period / samples_per_period,
-                    first_step=_first_step(config, y0), args=(config, mod))
+                    first_step=_first_step(config, y0))
     assert sol.success
     spectrum = np.fft.rfft(sol.y[9])
     return (float(np.abs(2.0 * spectrum[periods] / n_samples)),
@@ -394,8 +406,7 @@ def test_step_budget_raises_stiffness_error(baseline_config,
 
     y0 = _steady_state_vector(baseline_config, 0.0)
     with pytest.raises(StiffnessError) as err:
-        integrate(with_drive(baseline_config, delta=1e8), y0, (0.0, 2e-5),
-                  DriveModulation.constant(1e8))
+        integrate(with_drive(baseline_config, delta=1e8), y0, (0.0, 2e-5))
     detail = err.value.detail
     assert detail["istate"] > 0 and detail["steps"] == 51
     assert 0.0 < detail["t_reached"] < 2e-5
@@ -439,7 +450,8 @@ def test_ac_response_frozen_values(high_sens_config):
     assert res.n_signal == pytest.approx(1.3764e-10, rel=0.01)
     assert res.n_mean > 0.0
     assert res.distortion < 1e-4
-    # the default demodulation grid: 10 periods of 64 samples
+    assert res.work == _AC_WORK
+    # the demodulation grid: 10 periods of 64 samples
     assert res.work["checkpoints"] == 10 * 64
     assert res.work["extensions"] == 0
     assert res.work["nfev"] >= res.work["steps"] > 0
@@ -486,18 +498,8 @@ def test_ac_response_with_no_sampled_output_raises(high_sens_config,
 def test_integrate_rejects_a_short_initial_state(baseline_config):
     y0 = _steady_state_vector(baseline_config, 1e8)
     with pytest.raises(InvalidConfigError, match="10 components"):
-        integrate(baseline_config, y0[:9], (0.0, 1e-6),
-                  DriveModulation.constant(1e8))
-
-
-def test_ac_response_validates_resolution(high_sens_config):
-    # whole numbers of at least 10 periods and 8 samples per period
-    for bad in ({"periods": 4}, {"periods": 10.5}, {"periods": math.inf},
-                {"samples_per_period": 4}, {"samples_per_period": 8.5},
-                {"samples_per_period": math.nan}):
-        with pytest.raises(InvalidConfigError):
-            ac_response(high_sens_config, bias_field=164e-6,
-                        amplitude_field=1e-9, omega_signal=2e5, **bad)
+        integrate(with_drive(baseline_config, delta=1e8), y0[:9],
+                  (0.0, 1e-6))
 
 
 @pytest.mark.parametrize("amplitude, omega", [
@@ -522,32 +524,25 @@ def test_step_response_rejects_bad_seed(baseline_config, seed):
 
 
 @pytest.mark.parametrize("omega", [0.0, math.nan, math.inf])
-def test_sine_field_rejects_bad_omega(omega):
+def test_sine_field_rejects_bad_omega(high_sens_config, omega):
     with pytest.raises(InvalidConfigError):
-        DriveModulation.sine_field(1e-4, 1e-9, omega)
+        ac_response(high_sens_config, 1e-4, 1e-9, omega)
 
 
-# A dict under "signal" holds the arguments of the test field's own
-# AcSignalModel, which must be built inside the check
+# The time domain's detuning: a step's detunings, which replace the
+# config's, and ac_response's test field, an AcSignalModel built from its
+# arguments; each call is given by its keyword arguments
 @pytest.mark.parametrize("fields", [
-    dict(signal="sine_field"),
-    dict(delta0=math.nan),
-    dict(delta0=-math.inf),
-    dict(signal=dict(bias_field=math.nan, amplitude_field=1e-9,
-                     omega_signal=2e5)),
-    dict(signal=dict(bias_field=1e-4, amplitude_field=math.inf,
-                     omega_signal=2e5)),
-    dict(signal=dict(bias_field=1e-4, amplitude_field=1e-9,
-                     omega_signal=0.0)),
-    # the run would ignore a detuning given beside a test field
-    dict(delta0=1e8, signal=dict(bias_field=1e-4, amplitude_field=1e-9,
-                                 omega_signal=2e5)),
+    dict(delta_before=0.0, delta_after=math.nan),
+    dict(delta_before=0.0, delta_after=-math.inf),
+    dict(bias_field=math.nan, amplitude_field=1e-9, omega_signal=2e5),
+    dict(bias_field=1e-4, amplitude_field=math.inf, omega_signal=2e5),
+    dict(bias_field=1e-4, amplitude_field=1e-9, omega_signal=0.0),
 ])
-def test_modulation_rejects_bad_fields(fields):
+def test_modulation_rejects_bad_fields(high_sens_config, fields):
+    call = ac_response if "omega_signal" in fields else step_response
     with pytest.raises(InvalidConfigError):
-        if isinstance(fields.get("signal"), dict):
-            fields = dict(fields, signal=AcSignalModel(**fields["signal"]))
-        DriveModulation(**fields)
+        call(high_sens_config, **fields)
 
 
 # (bias, amplitude, omega) of a test field, and whether it is accepted
@@ -579,28 +574,33 @@ def _rejection(build, *args):
 
 
 @pytest.mark.parametrize("signal, accepted", _SIGNALS)
-def test_sine_field_accepts_what_its_signal_accepts(signal, accepted):
+def test_sine_field_accepts_what_its_signal_accepts(high_sens_config, signal,
+                                                    accepted):
     message = _rejection(AcSignalModel, *signal)
     assert (message is None) == accepted
-    assert _rejection(DriveModulation.sine_field, *signal) == message
+    # ac_response builds its test field before any solve, so it rejects
+    # a field with AcSignalModel's own message
+    if not accepted:
+        assert _rejection(ac_response, high_sens_config, *signal) == message
 
 
 def test_non_finite_trajectory_raises(baseline_config):
-    ss = solve_steady_state(with_drive(baseline_config, delta=1e8))
+    cfg = with_drive(baseline_config, delta=1e8)
+    ss = solve_steady_state(cfg)
     y0 = state_from_populations(ss.aligned, ss.n)
     with pytest.raises(InvalidConfigError):
-        integrate(baseline_config, y0, (0.0, 1e-6),
-                  DriveModulation.constant(math.nan))
-    # a NaN detuning set past the constructor, and a NaN start, reach
-    # the trajectory check
-    nan_mod = DriveModulation.constant(0.0)
-    object.__setattr__(nan_mod, "delta0", math.nan)
+        integrate(with_drive(baseline_config, delta=math.nan), y0,
+                  (0.0, 1e-6))
+    # a NaN detuning set past the constructor, on a copied DriveSettings,
+    # and a NaN start reach the trajectory check
+    nan_drive = dataclasses.replace(baseline_config.drive)
+    object.__setattr__(nan_drive, "delta", math.nan)
     nan_start = y0.copy()
     nan_start[7] = math.nan
-    for y, mod in ((y0, nan_mod),
-                   (nan_start, DriveModulation.constant(1e8))):
+    for config, y in ((dataclasses.replace(baseline_config, drive=nan_drive),
+                       y0), (cfg, nan_start)):
         with pytest.raises(StiffnessError, match="not finite"):
-            integrate(baseline_config, y, (0.0, 1e-6), mod)
+            integrate(config, y, (0.0, 1e-6))
 
 
 # entries of the second sample of a two-sample trajectory (all population
@@ -648,7 +648,7 @@ def test_timeseries_csv_round_trip(baseline_config):
     cfg = with_drive(baseline_config, delta=1e8)
     ss = solve_steady_state(cfg)
     y0 = state_from_populations(ss.aligned, ss.n)
-    series = integrate(cfg, y0, (0.0, 1e-6), DriveModulation.constant(1e8))
+    series = integrate(cfg, y0, (0.0, 1e-6))
     text = series.to_csv(cfg)
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert lines[0] == ",".join(TIMESERIES_COLUMNS)
@@ -668,10 +668,9 @@ def test_timeseries_shape_error_is_typed():
 
 
 def test_modulation_kinds(baseline_config):
-    sine = DriveModulation.sine_field(bias_field=1e-4,
-                                      amplitude_field=1e-6,
-                                      omega_signal=2e5)
-    d0 = sine.detuning(0.0, baseline_config)
-    d_half = sine.detuning(np.pi / 2e5, baseline_config)
+    sine = AcSignalModel(bias_field=1e-4, amplitude_field=1e-6,
+                         omega_signal=2e5)
+    d0 = sine.detuning(0.0, baseline_config.constants)
+    d_half = sine.detuning(np.pi / 2e5, baseline_config.constants)
     ratio = d0 / d_half
     assert ratio == pytest.approx((1e-4 + 1e-6) / (1e-4 - 1e-6), rel=1e-9)

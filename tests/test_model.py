@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltmag import (AcSignalModel, CavityGeometry, DriveModulation,
-                   DriveSettings, GainSettings, InvalidConfigError,
-                   LevelRates, ModelConfig, OrientationModel, SweepAxis,
-                   SweepSpec, apply_overrides, b_field_to_detuning,
+from ltmag import (AcSignalModel, CavityGeometry, DriveSettings,
+                   GainSettings, InvalidConfigError, LevelRates,
+                   ModelConfig, OrientationModel, SweepAxis, SweepSpec,
+                   apply_overrides, b_field_to_detuning,
                    best_eta_over_field, config_digest, dc_sensitivity,
-                   derive_constants, detuning_to_b_field, find_bias_point,
-                   find_operating_point, l27_robustness, net_gain,
-                   optimize_sensitivity, output_power,
+                   dc_sensitivity_curve, derive_constants,
+                   detuning_to_b_field, find_bias_point, find_operating_point,
+                   l27_robustness, net_gain, optimize_sensitivity,
+                   output_power,
                    populations_at_fixed_n, preset, rate_matrix,
                    resolve_config, solve_steady_state, step_response,
                    with_bias_field, with_drive, with_pump)
@@ -190,14 +191,13 @@ _WRONG_TYPED = ("x", None, True, np.True_, [1.0], 10**400, -10**400)
 
 # The fields whose default, and so a valid value, is None
 _NONE_VALID = {("GainSettings", "coupling_override"),
-               ("SweepSpec", "axis2"), ("DriveModulation", "signal")}
+               ("SweepSpec", "axis2")}
 
 _BASE = preset("baseline")
 _RECORDS = (_BASE.rates, _BASE.cavity, _BASE.drive, _BASE.orientation,
             _BASE.constants, _BASE.gain, _BASE,
             AcSignalModel(bias_field=164e-6, amplitude_field=1e-9,
                           omega_signal=2e5),
-            DriveModulation.sine_field(1e-4, 1e-9, 2e5),
             SweepAxis("pump", 0.0, 1e6, 3),
             SweepSpec(SweepAxis("pump", 0.0, 1e6, 3)))
 
@@ -221,14 +221,31 @@ _HS = preset("high_sensitivity")
 # overflows the float range
 _FAR = set_param(_BASE, "cavity.vacuum_wavelength", 1e300)
 
+# Valid fields whose product, the number of centers, overflows the float
+# range or underflows to 0 (the gain override keeps G finite and > 0)
+_CROWDED = set_param(_BASE, "cavity.medium_volume", 1e300)
+_EMPTY = apply_overrides(_HS, ["cavity.medium_volume=1e-300",
+                               "constants.carbon_site_density=1e-300",
+                               "gain.coupling_override=8.7e11"])
+
 # Calls with an argument that is not a field of a checked record, given
-# a value of the wrong type or past the float range, and calls that
-# derive a config's constants past the float range
+# a value of the wrong type or past the float range, calls that derive a
+# config's constants past the float range, and a drive copy that names a
+# field DriveSettings does not have
 _BAD_CALLS = {
     "derived.overflow": lambda: _FAR.derived,
     "derive_constants.overflow": lambda: derive_constants(_FAR),
     "solve_steady_state.overflow": lambda: solve_steady_state(_FAR),
     "output_power.overflow": lambda: output_power(1.0, _FAR),
+    "derived.n_centers_overflow": lambda: _CROWDED.derived,
+    "solve_steady_state.n_centers_overflow": lambda: solve_steady_state(
+        _CROWDED),
+    "output_power.n_centers_overflow": lambda: output_power(1.0, _CROWDED),
+    "dc_sensitivity.n_centers_underflow": lambda: dc_sensitivity(_EMPTY,
+                                                                 2e-4),
+    "dc_sensitivity_curve.n_centers_underflow": lambda: dc_sensitivity_curve(
+        _EMPTY, [2e-4]),
+    "with_drive.unknown_field": lambda: with_drive(_BASE, pump=1e6),
     "step_response.seed_n": lambda: step_response(_BASE, 0.0, 1e8,
                                                   seed_n="1"),
     "step_response.seed_n_past_range": lambda: step_response(
