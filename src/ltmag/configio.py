@@ -35,9 +35,9 @@ import os
 
 from . import __about__
 from .errors import InvalidConfigError
-from .model import (ModelConfig, PhysicalConstants, _dataclass_fields,
-                    _is_number, b_field_to_detuning, detuning_to_b_field,
-                    preset, with_drive)
+from .model import (ModelConfig, PhysicalConstants, _check,
+                    _dataclass_fields, _is_number, b_field_to_detuning,
+                    detuning_to_b_field, one_of, preset, with_drive)
 
 
 def _units(cls) -> dict[str, str | None]:
@@ -136,6 +136,7 @@ def set_param(config: ModelConfig, path: str, value) -> ModelConfig:
 
     Numbers may be given as strings; ``"none"`` clears the gain override.
     """
+    param_unit(path)  # an unknown path, hashable or not, is an error first
     if path in DRIVE_PATHS:
         return with_drive(config,
                           **drive_changes(path, value, config.constants))
@@ -284,25 +285,21 @@ def load_config(path: str | os.PathLike) -> ModelConfig:
 
 def _format_for(path: str | os.PathLike) -> str:
     ext = os.path.splitext(os.fspath(path))[1].lower()
-    if ext == ".json":
-        return "json"
-    if ext in (".ini", ".cfg", ".conf", ".txt"):
-        return "ini"
-    raise InvalidConfigError(
-        f"cannot infer config format from extension {ext!r}; "
-        "use .json or .ini/.cfg/.conf/.txt")
+    _check("config file extension", ext,
+           one_of(".json", ".ini", ".cfg", ".conf", ".txt"))
+    return "json" if ext == ".json" else "ini"
+
+
+_OVERRIDES = (lambda v: isinstance(v, (list, tuple)) and all(
+    isinstance(entry, str) and "=" in entry for entry in v),
+    "a list or tuple of section.field=value strings")
 
 
 def apply_overrides(config: ModelConfig, overrides) -> ModelConfig:
     """Apply a list or tuple of ``section.field=value`` strings in order."""
-    if not isinstance(overrides, (list, tuple)):
-        raise InvalidConfigError(
-            f"overrides must be a list or tuple of str, got {overrides!r}")
+    _check("overrides", overrides, _OVERRIDES)
     cfg = config
     for entry in overrides:
-        if not (isinstance(entry, str) and "=" in entry):
-            raise InvalidConfigError(
-                f"override {entry!r} must look like section.field=value")
         key, _, value = entry.partition("=")
         key = key.strip()
         # the derived paths have no section and are not overridable

@@ -43,8 +43,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateStepError,
                      InvalidConfigError, NoSignalError, StiffnessError)
-from .model import (AcSignalModel, ModelConfig, _is_number,
-                    with_bias_field, with_drive)
+from .model import (POSITIVE, AcSignalModel, ModelConfig, _check, _is_number,
+                    window, with_bias_field, with_drive)
 from .steady import (_WWT, POPULATION_NAMES, PopulationState, _brent_root,
                      _max_rate, rate_matrix, solve_steady_state)
 from .tables import Column, OutputTable
@@ -77,6 +77,11 @@ _OUTPUT_POINTS = 2001
 
 # signal periods an a.c. response demodulates, and samples per period
 _AC_PERIODS, _AC_SAMPLES_PER_PERIOD = 10, 64
+
+# An initial state: ten real numbers in the module docstring's layout
+_STATE = (lambda y: isinstance(y, (tuple, list, np.ndarray))
+          and getattr(y, "ndim", 1) == 1 and len(y) == 10
+          and all(map(_is_number, y)), "10 components, each a real number")
 
 
 @dataclass(frozen=True)
@@ -283,14 +288,16 @@ def _lsoda(config: ModelConfig, y0: np.ndarray, t0: float,
     (t0, y0), with the analytic Jacobian, for ``_advance`` to continue;
     ``max_step`` 0 means unbounded.
 
-    The first step is 10 / ``steady._max_rate`` at y0.  LSODA starts in
-    Adams mode, and a steady start gives it almost nothing to size a
-    step on, so too short a first step can trap it there: from LSODA's
-    own, ``ac_response(high_sensitivity, 170e-6, 1e-9, 2e6)`` took
-    500,000 Adams steps without one Jacobian; from 1 / max rate, 9 of
-    156 calls ``ac_response(high_sensitivity, b, 1e-9, w)`` near
-    164 uT still did (to t = 2.8e-7 s), and which ones depended on the
-    last bits of the steady start.  From 10 / max rate none does.
+    The first step is 10 / ``steady._max_rate`` at y0, which reads
+    ``config.drive.delta``: under a test field, ``config`` is its bias
+    field's (``ac_response``).  LSODA starts in Adams mode, and a steady
+    start gives it almost nothing to size a step on, so too short a
+    first step can trap it there: from LSODA's own,
+    ``ac_response(high_sensitivity, 170e-6, 1e-9, 2e6)`` took 500,000
+    Adams steps without one Jacobian; from 1 / max rate, 9 of 156 calls
+    ``ac_response(high_sensitivity, b, 1e-9, w)`` near 164 uT still did
+    (to t = 2.8e-7 s), and which ones depended on the last bits of the
+    steady start.  From 10 / max rate none does.
     """
     from scipy.integrate import ode
 
@@ -345,14 +352,13 @@ def integrate(config: ModelConfig, y0: np.ndarray,
     validate the trajectory.
 
     Rows are at the integrator's own steps; the last step ends exactly on
-    t_span[1].
+    t_span[1].  Raises InvalidConfigError unless y0 is ten numbers and
+    t_span a finite (t0, t1) with t0 < t1.
     """
     _require_single_orientation(config, "integrate")
-    if len(y0) != 10:
-        raise InvalidConfigError("initial state must have 10 components")
+    _check("y0", y0, _STATE)
+    _check("t_span", t_span, window("t0", "t1"))
     t0, t1 = (float(t) for t in t_span)
-    if not t0 < t1:
-        raise InvalidConfigError("t_span must run forward in time")
     ts, ys = [t0], [np.asarray(y0, dtype=float)]
     with _lsoda(config, y0, t0, None, atol=_ATOL) as solver:
         while solver.t < t1:
@@ -421,8 +427,7 @@ def step_response(config: ModelConfig, delta_before: float,
     ss_before = solve_steady_state(before)
     ss_after = solve_steady_state(after)
     n_i = seed_n if seed_n is not None else max(ss_before.n, DEFAULT_SEED_N)
-    if not (_is_number(n_i) and 0.0 < n_i < math.inf):
-        raise InvalidConfigError("seed_n must be finite and > 0")
+    _check("seed_n", n_i, POSITIVE)
     n_f = ss_after.n
     span = n_f - n_i
     if abs(span) <= 1e-9 * max(abs(n_f), abs(n_i)):
@@ -490,7 +495,8 @@ def ac_response(config: ModelConfig, bias_field: float,
     then demodulates ``_AC_PERIODS`` periods of ``_AC_SAMPLES_PER_PERIOD``
     samples each by quadrature sums at the signal frequency.
     ``distortion`` collects the relative weight of higher harmonics of the
-    signal frequency.
+    signal frequency.  The run, its first step (``_lsoda``) included,
+    is the bias field's, so ``config.drive.delta`` has no effect.
     """
     _require_single_orientation(config, "ac_response")
     signal = AcSignalModel(bias_field, amplitude_field, omega_signal)
@@ -514,7 +520,7 @@ def ac_response(config: ModelConfig, bias_field: float,
     y0 = state_from_populations(ss_bias.aligned, seed)
     t_k = transient + np.arange(n_samples) * (
         _AC_PERIODS * period / n_samples)
-    with _lsoda(config, y0, 0.0, signal, atol=_AC_ATOL,
+    with _lsoda(biased, y0, 0.0, signal, atol=_AC_ATOL,
                 max_step=period / _AC_SAMPLES_PER_PERIOD) as solver:
         n_k = np.array([_advance(solver, t)[9] for t in t_k])
         work = {**_work(solver), "checkpoints": n_samples, "extensions": 0}

@@ -25,9 +25,8 @@ import numpy as np
 
 from .configio import provenance
 from .dynamics import ac_response
-from .errors import InvalidConfigError
-from .model import (ModelConfig, detuning_to_b_field, output_power, preset,
-                    with_drive, with_pump)
+from .model import (ModelConfig, _check, detuning_to_b_field, one_of,
+                    output_power, preset, with_drive, with_pump)
 from .sensitivity import (AcSignalModel, METHOD_AC_QUASISTATIC,
                           ac_sensitivity, dc_sensitivity_curve,
                           l27_robustness, sensitivity_from_harmonic)
@@ -146,10 +145,7 @@ EXPERIMENT_NAMES = tuple(sorted(_EXPERIMENTS))
 def experiment(name: str,
                config: ModelConfig | None = None) -> dict[str, OutputTable]:
     """Run a named study; ``config`` defaults to the experiment's preset."""
-    if name not in _EXPERIMENTS:
-        raise InvalidConfigError(
-            f"unknown experiment {name!r}; available: "
-            f"{', '.join(EXPERIMENT_NAMES)}")
+    _check("experiment", name, one_of(*EXPERIMENT_NAMES))
     fn, preset_name = _EXPERIMENTS[name]
     cfg = config if config is not None else preset(preset_name)
     return fn(cfg, provenance(cfg, experiment=name))

@@ -11,9 +11,12 @@ coherence rho14.  The cavity photon number per center, n, couples to the
 A ModelConfig holds six sections: level rates, cavity, drive,
 orientation, physical constants (SI, CODATA 2018 where applicable) and gain.
 Each field declares its unit and the values it accepts once, on the
-dataclass (``_field``); ``_check_fields`` rejects any other value on
-construction, and ``configio`` builds the config file schema and the
-parameter registry from these declarations.
+dataclass (``_field``), as a rule such as ``FINITE``: a (test, phrase)
+pair whose test checks the value's type too.  ``_check_fields`` applies
+the rules on construction, and public calls apply them to their other
+arguments through ``_check``, which raises InvalidConfigError as
+``<name> must be <phrase>, got <value>``; ``configio`` builds the config
+file schema and the parameter registry from these declarations.
 
 Unit conventions
 ----------------
@@ -42,20 +45,43 @@ from .errors import InvalidConfigError
 # solve gives occupations outside [0, 1] or overflows.
 MIN_DRIVE_RATE = 1e-300
 
-# The values a field accepts: a (test, phrase) pair; NaN fails each test
-FINITE = (math.isfinite, "finite")
-NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
-POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
-AT_LEAST_ONE = (lambda v: 1.0 <= v < math.inf, "finite and >= 1")
-FRACTION = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-DRIVE_RATE = (lambda v: v == 0.0 or MIN_DRIVE_RATE <= v < math.inf,
+# The values a field or a call argument accepts: a (test, phrase) pair,
+# whose test checks the value's type as well; NaN fails each test.  A
+# number rule takes a real number (``_is_number``), a float without a call.
+FINITE = (lambda v: (type(v) is float or _is_number(v)) and math.isfinite(v),
+          "finite")
+NONNEGATIVE = (lambda v: (type(v) is float or _is_number(v))
+               and 0.0 <= v < math.inf, "finite and >= 0")
+POSITIVE = (lambda v: (type(v) is float or _is_number(v))
+            and 0.0 < v < math.inf, "finite and > 0")
+AT_LEAST_ONE = (lambda v: (type(v) is float or _is_number(v))
+                and 1.0 <= v < math.inf, "finite and >= 1")
+FRACTION = (lambda v: (type(v) is float or _is_number(v)) and 0.0 < v <= 1.0,
+            "in (0, 1]")
+DRIVE_RATE = (lambda v: (type(v) is float or _is_number(v))
+              and (v == 0.0 or MIN_DRIVE_RATE <= v < math.inf),
               f"0 or finite and >= {MIN_DRIVE_RATE:g} rad/s")
+WHOLE = (lambda v: isinstance(v, numbers.Integral) and _is_number(v)
+         and v >= 1, "a whole number >= 1")
+
+
+def one_of(*names: str) -> tuple:
+    """The rule of a token that is one of ``names``."""
+    return (lambda v: isinstance(v, str) and v in names, f"one of {names}")
+
+
+def window(low: str, high: str) -> tuple:
+    """The rule of a finite interval, a pair (low, high) with low < high."""
+    return (lambda v: isinstance(v, (tuple, list)) and len(v) == 2
+            and all(map(_is_number, v))
+            and -math.inf < v[0] < v[1] < math.inf,
+            f"a pair ({low}, {high}) of finite numbers with {high} > {low}")
 
 
 def _field(unit: str | None, valid, **kwargs):
     """A config field with its unit and the values it accepts: None marks
-    a dimensionless number, "str" a token; ``valid`` is a (test, phrase)
-    pair such as those above.  ``kwargs`` go to ``dataclasses.field``."""
+    a dimensionless number, "str" a token; ``valid`` is a rule such as
+    those above.  ``kwargs`` go to ``dataclasses.field``."""
     return field(metadata={"unit": unit, "valid": valid}, **kwargs)
 
 
@@ -74,6 +100,14 @@ def _is_number(value) -> bool:
     return True
 
 
+def _check(name: str, value, valid) -> None:
+    """Raise InvalidConfigError unless ``value``, the field or argument
+    ``name``, passes the rule ``valid``, such as those above."""
+    test, phrase = valid
+    if not test(value):
+        raise InvalidConfigError(f"{name} must be {phrase}, got {value!r}")
+
+
 def _dataclass_fields(cls) -> dict[str, type]:
     """Name -> dataclass of each field of ``cls`` annotated with one (or
     with one or None): ModelConfig's sections, SweepSpec's axes."""
@@ -86,39 +120,31 @@ def _dataclass_fields(cls) -> dict[str, type]:
 
 @functools.cache
 def _checks(cls) -> tuple:
-    """(name, test, phrase, type test, None accepted) of each field of
-    ``cls`` that declares its values (``_field``) or is annotated with a
-    dataclass, whose instances it takes."""
+    """(name, test, rule, None accepted) of each field of ``cls`` that
+    declares its rule (``_field``) or is annotated with a dataclass,
+    whose instances it takes."""
     sections = _dataclass_fields(cls)
     checks = []
     for f in fields(cls):
         if "valid" in f.metadata:
-            test, phrase = f.metadata["valid"]
-            is_type = (_is_number if f.metadata["unit"] != "str"
-                       else lambda v: isinstance(v, str))
+            valid = f.metadata["valid"]
         elif f.name in sections:
-            test = is_type = sections[f.name].__instancecheck__
-            phrase = f"of type {sections[f.name].__name__}"
+            valid = (sections[f.name].__instancecheck__,
+                     f"of type {sections[f.name].__name__}")
         else:
             continue
-        checks.append((f.name, test, phrase, is_type, f.default is None))
+        checks.append((f.name, valid[0], valid, f.default is None))
     return tuple(checks)
 
 
 def _check_fields(self) -> None:
-    """The ``__post_init__`` of a dataclass of ``_field``s: raises
-    InvalidConfigError for the first value that its field does not
-    accept.  A number field takes a real number that is not a bool, a
-    token field a str and a field annotated with a dataclass (a
-    ModelConfig section, a sweep axis) an instance of it; the value must
-    also pass the field's test.  None is accepted, untested, only where
-    it is the default.  A float, the common value, goes straight to the
-    test, which for a token or a dataclass field rejects it."""
-    for name, test, phrase, is_type, nullable in _checks(type(self)):
+    """The ``__post_init__`` of a dataclass of ``_field``s: ``_check``
+    raises for the first value that its rule rejects.  None passes only
+    where it is the default; any other passing value costs one test."""
+    for name, test, valid, nullable in _checks(type(self)):
         value = getattr(self, name)
-        if not (test(value) if type(value) is float else
-                value is None and nullable or is_type(value) and test(value)):
-            raise InvalidConfigError(f"{name} must be {phrase}, got {value!r}")
+        if not (test(value) or value is None and nullable):
+            _check(name, value, valid)
 
 
 @dataclass(frozen=True)
@@ -193,8 +219,7 @@ class OrientationModel:
     remainder far off resonance at ``off_axis_detuning``.
     """
 
-    mode: str = _field("str", (ORIENTATION_MODES.__contains__,
-                               f"one of {ORIENTATION_MODES}"),
+    mode: str = _field("str", one_of(*ORIENTATION_MODES),
                        default="single_orientation")
     aligned_fraction: float = _field(None, FRACTION, default=0.25)
     off_axis_detuning: float = _field("rad/s", FINITE, default=1.0e9)
@@ -226,8 +251,6 @@ class PhysicalConstants:
         """
         return self.hbar / (self.g_electron * self.mu_bohr)
 
-
-DEFAULT_CONSTANTS = PhysicalConstants()
 
 # Demodulated noise above the shot level (dimensionless power factor),
 # representative of a lock-in read-out.
@@ -335,14 +358,12 @@ def derive_constants(config: ModelConfig) -> DerivedQuantities:
     )
 
 
-def b_field_to_detuning(b_field: float,
-                        constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def b_field_to_detuning(b_field: float, constants: PhysicalConstants) -> float:
     """Microwave detuning (rad/s) produced by a bias field along the axis."""
     return b_field / constants.field_per_detuning
 
 
-def detuning_to_b_field(delta: float,
-                        constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def detuning_to_b_field(delta: float, constants: PhysicalConstants) -> float:
     """Inverse of :func:`b_field_to_detuning`."""
     return delta * constants.field_per_detuning
 
@@ -353,9 +374,7 @@ def output_power(n: float, config: ModelConfig) -> float:
     Every cavity loss event is counted as useful output:
     P = n * N_centers * kappa * h nu.
     """
-    if not (_is_number(n) and 0.0 <= n < math.inf):
-        raise InvalidConfigError(
-            f"photon number must be finite and >= 0, got {n!r}")
+    _check("n", n, NONNEGATIVE)
     d = config.derived
     return n * d.n_centers * config.cavity.kappa * d.photon_energy
 
@@ -385,8 +404,7 @@ def with_pump(config: ModelConfig, pump: float) -> ModelConfig:
 
 def with_bias_field(config: ModelConfig, b_field: float) -> ModelConfig:
     """Copy of config with the detuning set from a bias field (T)."""
-    if not _is_number(b_field):
-        raise InvalidConfigError(f"b_field must be a number, got {b_field!r}")
+    _check("b_field", b_field, FINITE)
     return with_drive(config,
                       delta=b_field_to_detuning(b_field, config.constants))
 
@@ -415,6 +433,8 @@ _BASELINE_DRIVE = DriveSettings(pump12=1.06e6, pump45=1.06e6,
                                 omega=3.67e6, delta=0.0)
 
 
+PRESET_NAMES = ("baseline", "high_sensitivity")
+
 def preset(name: str) -> ModelConfig:
     """Named device configurations.
 
@@ -425,18 +445,13 @@ def preset(name: str) -> ModelConfig:
     lossy cavity, harder pump; the regime for field sensing near the
     lasing edge.
     """
+    _check("preset", name, one_of(*PRESET_NAMES))
     if name == "baseline":
         return ModelConfig(rates=_BASELINE_RATES, cavity=_BASELINE_CAVITY,
                            drive=_BASELINE_DRIVE)
-    if name == "high_sensitivity":
-        rates = dataclasses.replace(_BASELINE_RATES, gamma14=1.0 / 0.181e-6)
-        cavity = dataclasses.replace(_BASELINE_CAVITY,
-                                     kappa=63.1e9, nv_concentration=16e-6)
-        drive = DriveSettings(pump12=10.4e6, pump45=10.4e6,
-                              omega=6.14e6, delta=0.0)
-        return ModelConfig(rates=rates, cavity=cavity, drive=drive)
-    raise InvalidConfigError(
-        f"unknown preset {name!r}; expected 'baseline' or 'high_sensitivity'")
-
-
-PRESET_NAMES = ("baseline", "high_sensitivity")
+    rates = dataclasses.replace(_BASELINE_RATES, gamma14=1.0 / 0.181e-6)
+    cavity = dataclasses.replace(_BASELINE_CAVITY,
+                                 kappa=63.1e9, nv_concentration=16e-6)
+    drive = DriveSettings(pump12=10.4e6, pump45=10.4e6,
+                          omega=6.14e6, delta=0.0)
+    return ModelConfig(rates=rates, cavity=cavity, drive=drive)

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -48,8 +47,9 @@ from .configio import _set_twice, get_param, set_param
 from .dynamics import ac_response
 from .errors import (BelowThresholdError, ConvergenceError,
                      InvalidConfigError, PhysicsDomainError)
-from .model import (AcSignalModel, ModelConfig, _is_number,
-                    b_field_to_detuning, with_bias_field)
+from .model import (POSITIVE, WHOLE, AcSignalModel, ModelConfig, _check,
+                    _is_number, b_field_to_detuning, one_of, window,
+                    with_bias_field)
 from .steady import (SteadyStateResult, solve_steady_state,
                      solve_steady_states)
 
@@ -69,8 +69,17 @@ _GOLDEN_ITERS = 16
 # best_eta_over_field's coarse grid
 _ETA_GRID_POINTS = 25
 
-# field window that optimize_sensitivity searches for the best bias (T)
+# field window that optimize_sensitivity searches for the best bias (T),
+# and the rule of every field window
 DEFAULT_B_WINDOW = (0.0, 300e-6)
+FIELD_WINDOW = window("b_min", "b_max")
+
+# The rules of optimize_sensitivity's knobs and l27_robustness's ratios
+_VARY = (lambda v: isinstance(v, (tuple, list)) and len(v) > 0
+         and all(isinstance(path, str) for path in v) and not _set_twice(v),
+         "a non-empty tuple or list of paths that set distinct config values")
+_RATIOS = (lambda v: isinstance(v, (tuple, list)) and all(map(_is_number, v)),
+           "a tuple or list of numbers")
 
 
 @dataclass(frozen=True)
@@ -262,6 +271,7 @@ def ac_sensitivity(config: ModelConfig, signal: AcSignalModel, *,
     by |dn/dB| * B_S, valid when the signal period is long compared with
     the laser response time.
     """
+    _check("method", method, one_of(METHOD_AC_TIME, METHOD_AC_QUASISTATIC))
     if method == METHOD_AC_QUASISTATIC:
         base = replace(dc_sensitivity(config, signal.bias_field),
                        method=METHOD_AC_QUASISTATIC)
@@ -270,10 +280,6 @@ def ac_sensitivity(config: ModelConfig, signal: AcSignalModel, *,
         n_signal = abs(base.slope_dn_db) * signal.amplitude_field
         return replace(base, eta=_ac_eta(config, signal, n_signal, base.n),
                        n_signal=n_signal)
-    if method != METHOD_AC_TIME:
-        raise InvalidConfigError(
-            f"unknown a.c. method {method!r}; expected "
-            f"{METHOD_AC_TIME!r} or {METHOD_AC_QUASISTATIC!r}")
     hr = ac_response(config, signal.bias_field, signal.amplitude_field,
                      signal.omega_signal)
     return sensitivity_from_harmonic(config, signal, hr)
@@ -291,15 +297,6 @@ def sensitivity_from_harmonic(config: ModelConfig, signal: AcSignalModel,
         method=METHOD_AC_TIME, diverged=False, n_signal=harmonic.n_signal)
 
 
-def _check_window(window) -> None:
-    """A field window: a pair (b_min, b_max), finite, b_max > b_min."""
-    if not (isinstance(window, (tuple, list)) and len(window) == 2
-            and all(map(_is_number, window))
-            and -math.inf < window[0] < window[1] < math.inf):
-        raise InvalidConfigError("need a window (b_min, b_max) with "
-                                 f"b_max > b_min, both finite, got {window!r}")
-
-
 def find_bias_point(config: ModelConfig, b_min: float,
                     b_max: float) -> SensitivityResult:
     """Bias field maximizing |dn/dB| inside [b_min, b_max], and
@@ -312,7 +309,7 @@ def find_bias_point(config: ModelConfig, b_min: float,
     positive field.  Raises InvalidConfigError unless the window is
     finite with b_max > b_min.
     """
-    _check_window((b_min, b_max))
+    _check("field window", (b_min, b_max), FIELD_WINDOW)
     lo, hi = float(b_min), float(b_max)
     points = _BIAS_COARSE_POINTS
     for _ in range(_BIAS_REFINE_ROUNDS):
@@ -347,7 +344,7 @@ def best_eta_over_field(config: ModelConfig, b_min: float,
     InvalidConfigError unless the window is finite with b_max > b_min,
     and BelowThresholdError when nothing in the window lases.
     """
-    _check_window((b_min, b_max))
+    _check("field window", (b_min, b_max), FIELD_WINDOW)
 
     def etas_at(grid):
         return [math.inf if res is None else res.eta
@@ -403,20 +400,10 @@ def optimize_sensitivity(config: ModelConfig, *,
     the returned point is never worse than the start.  Every argument is
     checked (InvalidConfigError) before the first search.
     """
-    if not (isinstance(vary, (tuple, list)) and vary
-            and all(isinstance(path, str) for path in vary)
-            and not _set_twice(vary)):
-        raise InvalidConfigError(
-            "vary must be a non-empty tuple or list of paths that set "
-            f"distinct config values, got {vary!r}")
-    if not (_is_number(bounds_decades) and 0.0 < bounds_decades < math.inf):
-        raise InvalidConfigError(
-            f"bounds_decades must be finite and > 0, got {bounds_decades!r}")
-    if isinstance(max_evaluations, bool) or not (
-            isinstance(max_evaluations, Integral) and max_evaluations >= 1):
-        raise InvalidConfigError(
-            f"max_evaluations must be an int >= 1, got {max_evaluations!r}")
-    _check_window(b_window)
+    _check("vary", vary, _VARY)
+    _check("bounds_decades", bounds_decades, POSITIVE)
+    _check("max_evaluations", max_evaluations, WHOLE)
+    _check("b_window", b_window, FIELD_WINDOW)
     for path in vary:
         value = get_param(config, path)
         if path in ("b_field", "drive.delta") or not (
@@ -479,10 +466,7 @@ def l27_robustness(config: ModelConfig,
     a tuple or list of numbers and ``b_grid`` a one-dimensional sequence
     of fields.
     """
-    if not (isinstance(ratios, (tuple, list))
-            and all(_is_number(ratio) for ratio in ratios)):
-        raise InvalidConfigError(
-            f"ratios must be a tuple or list of numbers, got {ratios!r}")
+    _check("ratios", ratios, _RATIOS)
     if b_grid is None:
         b_grid = np.linspace(-300e-6, 300e-6, 61)
     b_grid = _field_grid(b_grid)

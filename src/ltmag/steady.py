@@ -74,9 +74,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (ConvergenceError, DegenerateConfigError,
-                     InvalidConfigError, NotLasableError)
-from .model import ModelConfig, _is_number, with_drive, with_pump
+from .errors import ConvergenceError, DegenerateConfigError, NotLasableError
+from .model import (FINITE, NONNEGATIVE, ModelConfig, _check, with_drive,
+                    with_pump)
 
 BELOW_THRESHOLD = "below_threshold"
 LASING = "lasing"
@@ -179,8 +179,11 @@ def rate_matrix(config: ModelConfig, n: float, delta: float) -> np.ndarray:
     v = [rho11, rho22, rho33, rho44, rho55, rho66, rho77,
          Re rho14, Im rho14].  The occupation block conserves the trace
     by construction (every loss term reappears as a gain elsewhere), and
-    the coherence rows do not feed back into the trace.
+    the coherence rows do not feed back into the trace.  Raises
+    InvalidConfigError unless n and delta are finite numbers.
     """
+    _check("n", n, FINITE)
+    _check("delta", delta, FINITE)
     d = config.drive
     return _shifted(_device_matrix(config.rates, d.pump12, d.pump45, d.omega),
                     config.derived.gain_coupling * n, delta)
@@ -325,9 +328,7 @@ def _checked_matrix(rates, pump12: float, pump45: float, omega: float,
 def _fixed_n(config: ModelConfig, n: float, delta: float) -> PopulationState:
     """The one fixed-n population solve of a sub-ensemble at a config's
     detuning ``delta``; raises as ``populations_at_fixed_n`` does."""
-    if not (_is_number(n) and 0.0 <= n < math.inf):
-        raise InvalidConfigError(
-            f"need a finite photon number n >= 0, got n={n!r}")
+    _check("n", n, NONNEGATIVE)
     d = config.drive
     a = _checked_matrix(config.rates, d.pump12, d.pump45, d.omega, n,
                         config.derived.gain_coupling * n, delta)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import reduce
-from numbers import Integral
 
 import numpy as np
 
@@ -35,8 +34,8 @@ from .configio import (DRIVE_PATHS, _set_twice, drive_changes, param_unit,
                        set_param)
 from .configio import provenance as config_provenance
 from .errors import InvalidConfigError
-from .model import (FINITE, ModelConfig, _check_fields, _field,
-                    detuning_to_b_field, output_power)
+from .model import (FINITE, WHOLE, ModelConfig, _check_fields, _field,
+                    detuning_to_b_field, one_of, output_power)
 from .sensitivity import _dc_at_state
 from .steady import POPULATION_NAMES, solve_steady_states
 from .tables import Column, OutputTable
@@ -52,6 +51,12 @@ OUTPUTS: dict[str, tuple[Column, ...]] = {
     "eta_dc": (Column("eta_dc", "T/sqrt(Hz)"),),
 }
 
+# A sweep's outputs: names of OUTPUTS, none twice
+_OUTPUT_NAMES = (lambda v: isinstance(v, (tuple, list)) and all(
+    isinstance(name, str) and name in OUTPUTS for name in v)
+    and 0 < len(set(v)) == len(v),
+    f"a non-empty tuple or list of distinct names of {tuple(OUTPUTS)}")
+
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -61,10 +66,8 @@ class SweepAxis:
     path: str
     start: float = _field(None, FINITE)
     stop: float = _field(None, FINITE)
-    points: int = _field(None, (lambda v: isinstance(v, Integral) and v >= 1,
-                                "a whole number >= 1"))
-    scale: str = _field("str", (("linear", "log").__contains__,
-                                "linear or log"), default="linear")
+    points: int = _field(None, WHOLE)
+    scale: str = _field("str", one_of("linear", "log"), default="linear")
 
     def __post_init__(self):
         _check_fields(self)
@@ -92,22 +95,11 @@ def _axis_unit(path: str) -> str:
 class SweepSpec:
     axis1: SweepAxis
     axis2: SweepAxis | None = None
-    outputs: tuple[str, ...] = ("n", "P_out")
+    outputs: tuple[str, ...] = _field("str", _OUTPUT_NAMES,
+                                      default=("n", "P_out"))
 
     def __post_init__(self):
         _check_fields(self)
-        if not (isinstance(self.outputs, (tuple, list)) and self.outputs):
-            raise InvalidConfigError(
-                "sweep outputs must be a non-empty tuple or list of names, "
-                f"got {self.outputs!r}")
-        for name in self.outputs:
-            if not (isinstance(name, str) and name in OUTPUTS):
-                raise InvalidConfigError(
-                    f"unknown sweep output {name!r}; "
-                    f"available: {sorted(OUTPUTS)}")
-        if len(set(self.outputs)) < len(self.outputs):
-            raise InvalidConfigError(
-                f"sweep outputs name one twice: {self.outputs!r}")
         if self.axis2 and _set_twice((self.axis1.path, self.axis2.path)):
             raise InvalidConfigError(
                 f"sweep axes {self.axis1.path!r} and {self.axis2.path!r} "

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import InvalidConfigError
+from .model import _check, one_of
 
 Cell = float | int | str | None
 
@@ -128,11 +129,8 @@ class OutputTable:
                    provenance=provenance)
 
     def render(self, fmt: str) -> str:
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "json":
-            return self.to_json()
-        raise InvalidConfigError(f"unknown output format {fmt!r}")
+        _check("format", fmt, one_of("csv", "json"))
+        return self.to_csv() if fmt == "csv" else self.to_json()
 
 
 def _cell_to_text(cell: Cell) -> str:

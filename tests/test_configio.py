@@ -281,7 +281,7 @@ def test_registry_get_and_set(baseline_config):
     assert cfg.drive.pump12 == cfg.drive.pump45 == get_param(cfg, "pump")
     assert get_param(cfg, "pump") == 2e6
     cfg = set_param(baseline_config, "b_field", 1e-4)
-    assert cfg.drive.delta == b_field_to_detuning(1e-4)
+    assert cfg.drive.delta == b_field_to_detuning(1e-4, cfg.constants)
     assert get_param(cfg, "b_field") == pytest.approx(1e-4, rel=1e-15)
     cfg = set_param(cfg, "gain.coupling_override", 3e8)
     assert get_param(cfg, "gain.coupling_override") == 3e8

@@ -156,7 +156,8 @@ def test_integrate_rows_are_stock_lsoda_steps(baseline_config):
     assert series.t[-1] == 2e-7
     assert np.array_equal(series.t, sol.t)
     assert np.allclose(series.states, sol.y.T, rtol=1e-12, atol=1e-18)
-    for bad_span in ((2e-7, 0.0), (0.0, 0.0), (0.0, math.nan)):
+    for bad_span in ((2e-7, 0.0), (0.0, 0.0), (0.0, math.nan),
+                     (0.0, math.inf)):
         with pytest.raises(InvalidConfigError):
             integrate(after, y0, bad_span)
 
@@ -283,6 +284,16 @@ def test_step_response_extensions_match_restart_oracle(
                                     delta_after, horizon, "LSODA")
     assert res.t_63 == pytest.approx(t_63, rel=1e-9)
     assert res.t_90 == pytest.approx(t_90, rel=1e-9)
+
+
+def test_ac_response_ignores_the_config_detuning(high_sens_config):
+    # the test field sets the detuning, so a far detuned config, whose
+    # detuning is the largest rate, runs as its own preset does: from the
+    # same first step, to the same work and bits
+    far = with_drive(high_sens_config, delta=1e14)
+    res = ac_response(far, 164e-6, 1e-9, 2e5)
+    assert res.work == _AC_WORK
+    assert res == ac_response(high_sens_config, 164e-6, 1e-9, 2e5)
 
 
 def test_step_response_logs_extensions_and_reports_them(baseline_config,
@@ -592,15 +603,17 @@ def test_non_finite_trajectory_raises(baseline_config):
         integrate(with_drive(baseline_config, delta=math.nan), y0,
                   (0.0, 1e-6))
     # a NaN detuning set past the constructor, on a copied DriveSettings,
-    # and a NaN start reach the trajectory check
+    # stops at the rate matrix's argument check; a NaN start reaches the
+    # trajectory check
     nan_drive = dataclasses.replace(baseline_config.drive)
     object.__setattr__(nan_drive, "delta", math.nan)
+    with pytest.raises(InvalidConfigError, match="delta must be finite"):
+        integrate(dataclasses.replace(baseline_config, drive=nan_drive), y0,
+                  (0.0, 1e-6))
     nan_start = y0.copy()
     nan_start[7] = math.nan
-    for config, y in ((dataclasses.replace(baseline_config, drive=nan_drive),
-                       y0), (cfg, nan_start)):
-        with pytest.raises(StiffnessError, match="not finite"):
-            integrate(config, y, (0.0, 1e-6))
+    with pytest.raises(StiffnessError, match="not finite"):
+        integrate(cfg, nan_start, (0.0, 1e-6))
 
 
 # entries of the second sample of a two-sample trajectory (all population

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from ltmag import (AcSignalModel, CavityGeometry, DriveSettings,
                    GainSettings, InvalidConfigError, LevelRates,
-                   ModelConfig, OrientationModel, SweepAxis, SweepSpec,
-                   apply_overrides, b_field_to_detuning,
-                   best_eta_over_field, config_digest, dc_sensitivity,
-                   dc_sensitivity_curve, derive_constants,
-                   detuning_to_b_field, find_bias_point, find_operating_point,
-                   l27_robustness, net_gain, optimize_sensitivity,
-                   output_power,
+                   ModelConfig, OrientationModel, OutputTable, SweepAxis,
+                   SweepSpec, ac_sensitivity, apply_overrides,
+                   b_field_to_detuning, best_eta_over_field, config_digest,
+                   dc_sensitivity, dc_sensitivity_curve, derive_constants,
+                   detuning_to_b_field, experiment, find_bias_point,
+                   find_operating_point, integrate, l27_robustness, net_gain,
+                   optimize_sensitivity, output_power,
                    populations_at_fixed_n, preset, rate_matrix,
                    resolve_config, solve_steady_state, step_response,
                    with_bias_field, with_drive, with_pump)
@@ -280,13 +280,59 @@ _BAD_CALLS = {
            ("vary", "pump"), ("vary", ("pump", "pump")),
            ("vary", ("pump", "drive.pump12")),
            ("b_window", (1e-4,)), ("b_window", None))},
+    "rate_matrix.n": lambda: rate_matrix(_BASE, "1", 0),
+    "rate_matrix.delta_past_range": lambda: rate_matrix(_BASE, 0, 10**400),
+    "rate_matrix.n_infinite": lambda: rate_matrix(_BASE, math.inf, 0),
+    "rate_matrix.delta_nan": lambda: rate_matrix(_BASE, 0.0, math.nan),
+    "integrate.y0": lambda: integrate(_BASE, 5.0, (0, 1e-7)),
+    "integrate.t_span": lambda: integrate(_BASE, _Y0, (None, 1e-7)),
+    "experiment.unhashable": lambda: experiment([1.0]),
+    "set_param.unhashable": lambda: set_param(_BASE, ["x"], 1.0),
 }
+
+# A valid start for ``integrate``: all population in level 1, no photons
+_Y0 = [1.0] + [0.0] * 9
 
 
 @pytest.mark.parametrize("call", list(_BAD_CALLS))
 def test_call_arguments_outside_a_record_are_config_errors(call):
     with pytest.raises(InvalidConfigError):
         _BAD_CALLS[call]()
+
+
+# Call arguments checked by a declared rule, each with valid values for
+# the call's other arguments
+_ARGUMENTS = {
+    "rate_matrix.n": lambda v: rate_matrix(_BASE, v, 0.0),
+    "rate_matrix.delta": lambda v: rate_matrix(_BASE, 0.0, v),
+    "populations_at_fixed_n.n": lambda v: populations_at_fixed_n(_BASE, v),
+    "output_power.n": lambda v: output_power(v, _BASE),
+    "with_bias_field.b_field": lambda v: with_bias_field(_BASE, v),
+    "step_response.seed_n": lambda v: step_response(_BASE, 0.0, 1e8,
+                                                    seed_n=v),
+    "integrate.y0": lambda v: integrate(_BASE, v, (0.0, 1e-7)),
+    "integrate.t_span": lambda v: integrate(_BASE, _Y0, v),
+    "find_bias_point.b_max": lambda v: find_bias_point(_HS, 1e-4, v),
+    "ac_sensitivity.method": lambda v: ac_sensitivity(
+        _HS, AcSignalModel(164e-6, 1e-9, 2e5), method=v),
+    "optimize_sensitivity.vary": lambda v: optimize_sensitivity(_HS,
+                                                                vary=v),
+    "optimize_sensitivity.max_evaluations": lambda v: optimize_sensitivity(
+        _HS, max_evaluations=v),
+    "experiment.name": experiment,
+    "preset.name": preset,
+    "apply_overrides.overrides": lambda v: apply_overrides(_BASE, v),
+    "OutputTable.render.fmt": lambda v: OutputTable(columns=()).render(v),
+}
+
+
+@pytest.mark.parametrize("call", list(_ARGUMENTS))
+def test_every_call_argument_rejects_wrong_typed_values(call):
+    for value in _WRONG_TYPED:
+        if (call, value) == ("step_response.seed_n", None):
+            continue  # the default: the photon number of the start
+        with pytest.raises(InvalidConfigError):
+            _ARGUMENTS[call](value)
 
 
 def test_every_registry_path_rejects_wrong_typed_values():
