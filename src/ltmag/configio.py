@@ -283,7 +283,12 @@ def load_config(path: str | os.PathLike) -> ModelConfig:
     return config_from_dict(data)
 
 
+# A config file's path
+_PATH = (lambda v: isinstance(v, (str, os.PathLike)), "a str or os.PathLike")
+
+
 def _format_for(path: str | os.PathLike) -> str:
+    _check("config path", path, _PATH)
     ext = os.path.splitext(os.fspath(path))[1].lower()
     _check("config file extension", ext,
            one_of(".json", ".ini", ".cfg", ".conf", ".txt"))

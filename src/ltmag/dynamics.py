@@ -84,6 +84,10 @@ _STATE = (lambda y: isinstance(y, (tuple, list, np.ndarray))
           and all(map(_is_number, y)), "10 components, each a real number")
 
 
+# A TimeSeries field
+_ARRAY = (lambda v: isinstance(v, np.ndarray), "a numpy array")
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Sampled trajectory; rows of ``states`` follow the state layout."""
@@ -92,9 +96,11 @@ class TimeSeries:
     states: np.ndarray
 
     def __post_init__(self):
-        if self.states.ndim != 2 or self.states.shape[1] != 10 \
-                or self.states.shape[0] != self.t.shape[0]:
-            raise InvalidConfigError("states must have shape (len(t), 10)")
+        _check("t", self.t, _ARRAY)
+        _check("states", self.states, _ARRAY)
+        if self.t.ndim != 1 or self.states.shape != (len(self.t), 10):
+            raise InvalidConfigError("t must be one-dimensional and states "
+                                     "of shape (len(t), 10)")
 
     @property
     def occupations(self) -> np.ndarray:

@@ -13,8 +13,9 @@ experiment's name, and run on their own preset unless given a config.
 * ``fig3b``  a.c. sensitivity vs signal frequency at a fixed bias
 * ``fig4``   sensitivity-curve robustness to the weak crossing L27
 
-Every grid goes through ``steady.solve_steady_states``; a point whose
-solve does not converge leaves its value cells absent.
+Every grid goes through the grid evaluator, as a sweep or through its
+adapter ``steady.solve_steady_states``; a point whose solve does not
+converge leaves its value cells absent.
 """
 
 from __future__ import annotations

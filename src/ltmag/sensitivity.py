@@ -19,7 +19,7 @@ The slope dn/dB has two evaluators.  ``dc_sensitivity`` takes adaptive
 central differences with Richardson extrapolation (method
 ``dc_finite_difference``).  Every field scan (the d.c. curve, both field
 searches, the sweeps' ``dn_dB`` and ``eta_dc`` cells) solves its steady
-states through the grid evaluator ``steady.solve_steady_states`` and
+states through the grid evaluator (``steady._solve_columns``) and
 takes the implicit slope (``dc_implicit``): the net gain g(n, delta)
 vanishes at a lasing root, so dn/d delta = -(dg/d delta) / (dg/dn),
 with both partials taken from the steady state's own n = 0 solve in
@@ -50,8 +50,7 @@ from .errors import (BelowThresholdError, ConvergenceError,
 from .model import (POSITIVE, WHOLE, AcSignalModel, ModelConfig, _check,
                     _is_number, b_field_to_detuning, one_of, window,
                     with_bias_field)
-from .steady import (SteadyStateResult, solve_steady_state,
-                     solve_steady_states)
+from .steady import solve_steady_state, solve_steady_states
 
 METHOD_DC = "dc_finite_difference"
 METHOD_DC_IMPLICIT = "dc_implicit"
@@ -211,21 +210,21 @@ def dc_sensitivity(config: ModelConfig, b_field: float) -> SensitivityResult:
                       rel_err is None, fd_step=step, fd_rel_error=rel_err)
 
 
-def _dc_at_state(point: ModelConfig, ss: SteadyStateResult, b_field: float
-                 ) -> SensitivityResult | None:
+def _dc_at_state(point: ModelConfig, n: float, gain_partials,
+                 b_field: float) -> SensitivityResult | None:
     """Implicit-slope d.c. sensitivity at an already solved steady state
-    ``ss`` of ``point``, or None where it is dark or its gain does not
-    fall with n (dg/dn < 0 at every true lasing root).
+    of ``point``, its photon number ``n`` and ``gain_partials``, or None
+    where it is dark (no partials) or its gain does not fall with n
+    (dg/dn < 0 at every true lasing root).
 
-    dn/dB = -(dg/d delta) / (dg/dn) / (field per detuning) from
-    ``ss.gain_partials``.  The slope is exactly 0.0 at a symmetry point,
-    which is then reported as diverged.
+    dn/dB = -(dg/d delta) / (dg/dn) / (field per detuning).  The slope is
+    exactly 0.0 at a symmetry point, which is then reported as diverged.
     """
-    if ss.gain_partials is None or not ss.gain_partials[0] < 0.0:
+    if gain_partials is None or not gain_partials[0] < 0.0:
         return None
-    dg_dn, dg_dd = ss.gain_partials
+    dg_dn, dg_dd = gain_partials
     slope = -dg_dd / dg_dn / point.constants.field_per_detuning
-    return _dc_result(point, b_field, ss.n, slope, METHOD_DC_IMPLICIT,
+    return _dc_result(point, b_field, n, slope, METHOD_DC_IMPLICIT,
                       slope == 0.0)
 
 
@@ -258,7 +257,8 @@ def dc_sensitivity_curve(config: ModelConfig, b_grid
     b_grid = _field_grid(b_grid).tolist()
     points = ((config, replace(config.drive, delta=b_field_to_detuning(
         b, config.constants))) for b in b_grid)
-    return [None if ss is None else _dc_at_state(config, ss, b)
+    return [None if ss is None
+            else _dc_at_state(config, ss.n, ss.gain_partials, b)
             for b, ss in zip(b_grid, solve_steady_states(points))]
 
 

@@ -55,14 +55,17 @@ last bit of ``rate_matrix``) and the occupation bounds, and the net gain
 at the root must lie within 1e-8 * kappa of zero, which checks the
 closed form independently.
 
-``_steady_states`` does the same for a chunk of grid points: one stacked
-``np.linalg.solve`` of their distinct devices, with the same refinement
-step, then the single solve's functions on arrays of points, so each
-result it certifies equals ``solve_steady_state``'s bit for bit.  The
-grid evaluator ``solve_steady_states`` solves the rest alone: points
-that fail a check above, four_orientation points, points with A <= 0, a
-singular K, 0 < g0 <= 1e-8 * kappa or a non-finite matrix or solution,
-and a whole stack whose solve raises LinAlgError.
+``_steady_states`` does the same for a chunk of grid points held as
+columns (configs, each point's index into them and its drive): one
+stacked ``np.linalg.solve`` of their distinct devices, with the same
+refinement step, then the single solve's functions on arrays of points,
+so each result it certifies equals ``solve_steady_state``'s bit for bit.
+Its results stay columns (``StateColumns``).  The grid evaluator
+``_solve_columns`` solves the rest alone: points that fail a check
+above, four_orientation points, points with A <= 0, a singular K,
+0 < g0 <= 1e-8 * kappa or a non-finite matrix or solution, and a whole
+stack whose solve raises LinAlgError.  ``solve_steady_states`` is its
+adapter for (config, drive) pairs, one SteadyStateResult per point.
 """
 
 from __future__ import annotations
@@ -71,12 +74,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateConfigError, NotLasableError
-from .model import (FINITE, NONNEGATIVE, ModelConfig, _check, with_drive,
-                    with_pump)
+from .model import (FINITE, NONNEGATIVE, DriveSettings, ModelConfig, _check,
+                    with_drive, with_pump)
 
 BELOW_THRESHOLD = "below_threshold"
 LASING = "lasing"
@@ -92,6 +96,10 @@ _BRACKET_CAP = 1e12
 # Points per stack of ``solve_steady_states``: stacked whole, the
 # 2,501-point fig2a map peaked 7.3 MiB higher in RSS than in chunks.
 CHUNK_POINTS = 256
+
+# A grid point's drive as a record of ``DriveSettings``' fields, the
+# drive column of the grid evaluator
+DRIVE_DTYPE = np.dtype([(f.name, float) for f in fields(DriveSettings)])
 
 # Devices (rates, pumps and Rabi rate) whose n = 0 factorization
 # ``_device`` keeps for ``solve_steady_state``.
@@ -704,35 +712,72 @@ def solve_steady_state(config: ModelConfig) -> SteadyStateResult:
                              gain_partials=partials)
 
 
-def _steady_states(points) -> list[SteadyStateResult | None]:
-    """``solve_steady_state`` of many (config, drive) points, from one
-    stacked n = 0 solve of their distinct devices (keyed as ``_device``
-    is) and the functions of the single solve on arrays.  None marks a
-    point that this does not certify, for the caller to solve with
-    ``solve_steady_state``.
+class StateColumns(NamedTuple):
+    """Steady states of a grid's points as columns, point i in entry i.
+
+    ``ok`` marks the points that have a steady state, whose ``lasing``
+    says its branch; ``populations`` (9 rows, in the order of
+    ``POPULATION_NAMES``) is the aligned sub-ensemble's and ``dg_dn`` and
+    ``dg_dd`` are its ``gain_partials``, which hold at lasing points only.
+    Other entries are NaN or False.
     """
-    results = [None] * len(points)
-    index, devices, where, scalars = [], {}, [], []
-    for i, (c, d) in enumerate(points):
-        if c.orientation.mode == "single_orientation":
-            index.append(i)
-            key = (c.rates, d.pump12, d.pump45, d.omega)
-            where.append(devices.setdefault(key, len(devices)))
-            scalars.append((d.delta, c.derived.gain_coupling, c.cavity.kappa))
-    if not index:
-        return results
-    a = np.array([_shifted(_device_matrix(*k), 0.0, 0.0) for k in devices])
+
+    ok: np.ndarray
+    n: np.ndarray
+    lasing: np.ndarray
+    net_gain: np.ndarray
+    residual: np.ndarray
+    populations: np.ndarray
+    dg_dn: np.ndarray
+    dg_dd: np.ndarray
+
+
+def _no_states(k: int) -> StateColumns:
+    """StateColumns of ``k`` points that have no steady state yet."""
+    def nan(*rows):
+        return np.full((*rows, k), np.nan)
+
+    return StateColumns(np.zeros(k, bool), nan(), np.zeros(k, bool), nan(),
+                        nan(), nan(9), nan(), nan())
+
+
+def _steady_states(configs, which, drive) -> StateColumns:
+    """``solve_steady_state`` of a chunk of grid points as columns, point
+    i being ``configs[which[i]]`` with the drive ``drive[i]`` (a record
+    of ``DRIVE_DTYPE``), from one stacked n = 0 solve of their distinct
+    devices (keyed as ``_device`` is) and the functions of the single
+    solve on arrays.  ``ok`` marks the points that this certifies; the
+    caller solves the rest with ``solve_steady_state``.
+    """
+    out = _no_states(len(which))
+    single = np.array([c.orientation.mode == "single_orientation"
+                       for c in configs])
+    index = np.flatnonzero(single[which])
+    if not index.size:
+        return out
+    rates = {}
+    rid = np.array([rates.setdefault(c.rates, len(rates)) for c in configs])
+    which, drive = which[index], drive[index]
+    devices = {}
+    where = [devices.setdefault(key, len(devices)) for key in zip(
+        rid[which].tolist(), *(drive[name].tolist()
+                               for name in ("pump12", "pump45", "omega")))]
+    rates = list(rates)
+    a = np.array([_shifted(_device_matrix(rates[r], *k), 0.0, 0.0)
+                  for r, *k in devices])
     finite = np.isfinite(a).all(axis=(1, 2))
     a[~finite] = np.eye(9)  # solved, never certified
     try:
         x = _refined_solve(_trace_system(a), _ZERO_N_RHS)
     except np.linalg.LinAlgError:
-        return results
-    top = np.array([_device_rate(*k) for k in devices])
+        return out
+    top = np.array([_device_rate(rates[r], *k) for r, *k in devices])
     # from here on, one row per point
     ok = (finite & np.isfinite(x).all(axis=(1, 2)))[where]
     x, a, top = x[where], a[where], top[where]
-    delta, g, kappa = np.array(scalars).T
+    delta = drive["delta"]
+    g = np.array([c.derived.gain_coupling for c in configs])[which]
+    kappa = np.array([c.cavity.kappa for c in configs])[which]
     a[:, 7, 8], a[:, 8, 7] = -delta, delta  # A(0, delta)
     rate0 = np.maximum(top, np.maximum(np.abs(delta), kappa))  # _max_rate
     slack = PopulationState._BOUND_SLACK
@@ -764,40 +809,110 @@ def _steady_states(points) -> list[SteadyStateResult | None]:
         v, residual, gain, (dg_dn, dg_dd), passed = at_n(g * n)
         ok &= passed & (~lasing
                         | (np.abs(gain) <= _GAIN_RESIDUAL_RTOL * kappa))
-    states = v.T.tolist()
-    n, lasing, gain, residual, dg_dn, dg_dd = (
-        y.tolist() for y in (n, lasing, gain, residual, dg_dn, dg_dd))
-    for k in np.flatnonzero(ok).tolist():
-        results[index[k]] = SteadyStateResult(
-            n=n[k], branch=LASING if lasing[k] else BELOW_THRESHOLD,
-            net_gain=gain[k], residual=residual[k],
-            populations=(PopulationState(*states[k]),),
-            gain_partials=(dg_dn[k], dg_dd[k]) if lasing[k] else None)
-    return results
+    for column, value in zip(out, (ok, n, lasing, gain, residual, v,
+                                   dg_dn, dg_dd)):
+        column[..., index] = value
+    return out
+
+
+def _put(states: StateColumns, i: int, ss: SteadyStateResult) -> None:
+    """Write the steady state ``ss`` into entry i of ``states``."""
+    states.ok[i], states.lasing[i] = True, ss.branch == LASING
+    states.n[i], states.net_gain[i], states.residual[i] = (
+        ss.n, ss.net_gain, ss.residual)
+    states.populations[:, i] = ss.aligned.as_array()
+    if ss.gain_partials is not None:
+        states.dg_dn[i], states.dg_dd[i] = ss.gain_partials
+
+
+def _solve_columns(configs, which, drive) -> tuple[StateColumns, dict]:
+    """The grid evaluator on columns: the StateColumns of every point,
+    point i being ``configs[which[i]]`` with the drive ``drive[i]``, and
+    {i: ``solve_steady_state``'s result, None where it raises
+    ConvergenceError} of each point solved alone; every other error
+    propagates.
+
+    Points go ``CHUNK_POINTS`` at a time into ``_steady_states``.  A
+    point it leaves uncertified, like a chunk of one (which solves faster
+    alone than as a stack of one), is built into its config and solved by
+    ``solve_steady_state``.
+    """
+    chunks, alone = [], {}
+    for start in range(0, len(which), CHUNK_POINTS):
+        # the chunk's own configs, so that its work does not grow with
+        # the grid's
+        part = which[start:start + CHUNK_POINTS]
+        used = sorted(set(part.tolist()))
+        local = np.searchsorted(used, part)
+        used = [configs[u] for u in used]
+        chunk = drive[start:start + CHUNK_POINTS]
+        states = (_steady_states(used, local, chunk) if len(chunk) > 1
+                  else _no_states(1))
+        for i in np.flatnonzero(~states.ok).tolist():
+            ss = _alone(used[local[i]],
+                        dict(zip(DRIVE_DTYPE.names, chunk[i].tolist())))
+            if ss is not None:
+                _put(states, i, ss)
+            alone[start + i] = ss
+        chunks.append(states)
+    if len(chunks) == 1:
+        return chunks[0], alone
+    return StateColumns(*(np.concatenate(c, axis=-1)
+                          for c in zip(*chunks))), alone
+
+
+def _alone(config: ModelConfig, drive: dict) -> SteadyStateResult | None:
+    """``solve_steady_state`` of ``config`` with the DriveSettings fields
+    ``drive``, or None where it raises ConvergenceError."""
+    try:
+        return solve_steady_state(with_drive(config, **drive))
+    except ConvergenceError:
+        return None
+
+
+def _point_columns(points) -> tuple:
+    """(configs, which, drive) of ``_solve_columns`` for a list of
+    (config, drive) points, a config counted once however often it
+    recurs."""
+    index = {}
+    which = np.array([index.setdefault(id(c), len(index)) for c, _ in points])
+    configs = list({id(c): c for c, _ in points}.values())
+    drive = np.array([(d.pump12, d.pump45, d.omega, d.delta)
+                      for _, d in points], DRIVE_DTYPE)
+    return configs, which, drive
 
 
 def solve_steady_states(points):
-    """The grid evaluator: yields ``solve_steady_state`` of each of
-    ``points``, an iterable of (config, drive) pairs, the DriveSettings
-    drive replacing the config's own, in order; None where that solve
-    raises ConvergenceError; every other error propagates.
+    """Yields ``solve_steady_state`` of each of ``points``, an iterable of
+    (config, drive) pairs, the DriveSettings drive replacing the config's
+    own, in order; None where that solve raises ConvergenceError; every
+    other error propagates.
 
-    Points are pulled ``CHUNK_POINTS`` at a time into ``_steady_states``.
-    A point it leaves uncertified, like a chunk of one (which solves
-    faster alone than as a stack of one), is built into its config and
-    solved by ``solve_steady_state``.
+    Points are pulled ``CHUNK_POINTS`` at a time into the grid evaluator
+    ``_solve_columns``; a point that it solves alone gives that result,
+    any other point a result built from its columns.  A chunk of one
+    skips the columns and goes straight to the solve it would get there.
     """
     points = iter(points)
     while chunk := list(itertools.islice(points, CHUNK_POINTS)):
-        batch = _steady_states(chunk) if len(chunk) > 1 else [None]
-        for (config, drive), ss in zip(chunk, batch):
-            if ss is None:
-                try:
-                    ss = solve_steady_state(with_drive(config, **vars(drive)))
-                except ConvergenceError:
-                    pass
-            yield ss
-        del chunk, batch  # hold one chunk of points while pulling the next
+        if len(chunk) == 1:
+            yield _alone(chunk[0][0], vars(chunk[0][1]))
+            continue
+        states, alone = _solve_columns(*_point_columns(chunk))
+        n, lasing, gain, residual, dg_dn, dg_dd = (y.tolist() for y in (
+            states.n, states.lasing, states.net_gain, states.residual,
+            states.dg_dn, states.dg_dd))
+        populations = states.populations.T.tolist()
+        del chunk, states  # hold one chunk of points while pulling the next
+        for i, v in enumerate(populations):
+            if i in alone:
+                yield alone[i]
+                continue
+            yield SteadyStateResult(
+                n=n[i], branch=LASING if lasing[i] else BELOW_THRESHOLD,
+                net_gain=gain[i], residual=residual[i],
+                populations=(PopulationState(*v),),
+                gain_partials=(dg_dn[i], dg_dd[i]) if lasing[i] else None)
 
 
 def threshold_pump(config: ModelConfig, delta: float | None = None) -> float:

@@ -12,14 +12,16 @@ d.c. outputs ``dn_dB`` and ``eta_dc`` share one implicit slope per
 point, so a ``b_field`` axis gives ``dc_sensitivity_curve``'s values
 exactly (with ``n`` = 0.0 and both cells absent at dark points).
 
-Every grid goes through ``steady.solve_steady_states``, which pulls the
-lazily built points one chunk at a time and factors each distinct
-device of a chunk once.  A point is the config of its non-drive
-assignments, rebuilt only where they change, and the DriveSettings of
-its drive assignments (``configio.DRIVE_PATHS``), applied after the
-others, so a ``b_field`` value is converted with the point's own
-constants.  Points whose solve does not converge keep their axis cells
-and leave the value cells absent.
+Every grid goes through the grid evaluator ``steady._solve_columns`` as
+columns: the configs of its non-drive assignments, one per distinct
+assignment, each point's index into them, and each point's drive
+(``steady.DRIVE_DTYPE``).  Each value of a drive axis
+(``configio.DRIVE_PATHS``) is converted and checked once, and applied
+after the other assignments, so a ``b_field`` value is converted with
+the point's own constants (once per config).  The rows are written
+from the evaluator's result columns, with no record per point.  Points
+whose solve does not converge keep their axis cells and leave the value
+cells absent.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from .configio import (DRIVE_PATHS, _set_twice, drive_changes, param_unit,
                        set_param)
 from .configio import provenance as config_provenance
 from .errors import InvalidConfigError
-from .model import (FINITE, WHOLE, ModelConfig, _check_fields, _field,
-                    detuning_to_b_field, one_of, output_power)
+from .model import FINITE, WHOLE, ModelConfig, _check_fields, _field, one_of
 from .sensitivity import _dc_at_state
-from .steady import POPULATION_NAMES, solve_steady_states
+from .steady import (BELOW_THRESHOLD, DRIVE_DTYPE, LASING, POPULATION_NAMES,
+                     _solve_columns)
 from .tables import Column, OutputTable
 
 # output name -> columns it contributes
@@ -106,48 +108,81 @@ class SweepSpec:
                 "set the same config value")
 
 
-def _points(config: ModelConfig, grid):
-    """(config, drive) of each grid point, a tuple of (path, value)
-    assignments (see the module docstring)."""
-    key = point = None
-    for assignments in grid:
-        other = [pv for pv in assignments if pv[0] not in DRIVE_PATHS]
-        if other != key:
-            key = other
-            point = reduce(lambda c, pv: set_param(c, *pv), other, config)
-        changes = {}
-        for path, value in assignments:
-            if path in DRIVE_PATHS:
-                changes.update(drive_changes(path, value, point.constants))
-        yield point, replace(point.drive, **changes)
+def _grid(config: ModelConfig, axes) -> tuple:
+    """The product of ``axes``, the last varying fastest, as the columns
+    (configs, which, drive) of ``steady._solve_columns``, with one list
+    of axis cells per axis (see the module docstring)."""
+    values = [axis.values().tolist() for axis in axes]
+    at = np.indices([len(v) for v in values]).reshape(len(axes), -1)
+    other = [k for k, axis in enumerate(axes)
+             if axis.path not in DRIVE_PATHS]
+    configs = [reduce(lambda c, kv: set_param(c, axes[kv[0]].path, kv[1]),
+                      zip(other, assignment), config)
+               for assignment in itertools.product(*(values[k]
+                                                     for k in other))]
+    which = np.zeros(at.shape[1], dtype=int)
+    for k in other:
+        which = which * len(values[k]) + at[k]
+    drive = np.empty(at.shape[1], DRIVE_DTYPE)
+    for name in DRIVE_DTYPE.names:
+        drive[name] = getattr(config.drive, name)
+    for k, axis in enumerate(axes):
+        if k in other:
+            continue
+        # each value converted and checked once, a field once per config,
+        # with its constants
+        sources, of = ((configs, which) if axis.path == "b_field"
+                       else ([config], 0))
+        changes = [[drive_changes(axis.path, v, c.constants)
+                    for v in values[k]] for c in sources]
+        for change in itertools.chain(*changes):
+            replace(config.drive, **change)  # the DriveSettings check
+        for name in changes[0][0]:
+            drive[name] = np.array([[change[name] for change in row]
+                                    for row in changes])[of, at[k]]
+    cells = [np.array(v)[i].tolist() for v, i in zip(values, at)]
+    return configs, which, drive, cells
 
 
-def _eval_point(config: ModelConfig, drive, ss, outputs) -> tuple:
-    """Value cells of one grid point, ``config`` with ``drive``, from its
-    steady state ``ss``; all absent where ``ss`` is None (the solve did
-    not converge)."""
-    if ss is None:
-        return (None,) * sum(len(OUTPUTS[name]) for name in outputs)
-    dc = (_dc_at_state(config, ss,
-                       detuning_to_b_field(drive.delta, config.constants))
-          if "dn_dB" in outputs or "eta_dc" in outputs else None)
+def _value_cells(configs, which, drive, states, outputs) -> list[list]:
+    """One list per value column of ``outputs`` from the StateColumns
+    ``states`` of the grid (see ``_grid``), whatever they hold at a point
+    without a steady state."""
+    n = states.n.tolist()
+    dc = [None] * len(n)
+    if "dn_dB" in outputs or "eta_dc" in outputs:
+        b_field, dg_dn, dg_dd = (y.tolist() for y in (
+            drive["delta"] * np.array([c.constants.field_per_detuning
+                                       for c in configs])[which],
+            states.dg_dn, states.dg_dd))
+        for i in np.flatnonzero(states.ok & states.lasing).tolist():
+            dc[i] = _dc_at_state(configs[which[i]], n[i],
+                                 (dg_dn[i], dg_dd[i]), b_field[i])
     cells: list = []
     for name in outputs:
         if name == "n":
-            cells.append(ss.n)
-        elif name == "P_out":
-            cells.append(output_power(ss.n, config))
+            cells.append(n)
+        elif name == "P_out":  # output_power's product, on arrays
+            d = [c.derived for c in configs]
+            with np.errstate(all="ignore"):
+                cells.append((states.n
+                              * np.array([x.n_centers for x in d])[which]
+                              * np.array([c.cavity.kappa
+                                          for c in configs])[which]
+                              * np.array([x.photon_energy for x in d])[which]
+                              ).tolist())
         elif name == "branch":
-            cells.append(ss.branch)
+            cells.append([LASING if x else BELOW_THRESHOLD
+                          for x in states.lasing.tolist()])
         elif name == "net_gain":
-            cells.append(ss.net_gain)
+            cells.append(states.net_gain.tolist())
         elif name == "populations":
-            cells.extend(ss.aligned.as_array().tolist())
+            cells.extend(states.populations.tolist())
         elif name == "dn_dB":
-            cells.append(None if dc is None else dc.slope_dn_db)
+            cells.append([None if r is None else r.slope_dn_db for r in dc])
         elif name == "eta_dc":
-            cells.append(None if dc is None else dc.eta)
-    return tuple(cells)
+            cells.append([None if r is None else r.eta for r in dc])
+    return cells
 
 
 def run_sweep(config: ModelConfig, spec: SweepSpec, *,
@@ -158,17 +193,17 @@ def run_sweep(config: ModelConfig, spec: SweepSpec, *,
     (built here when not given); the sweep adds its kind, axes and
     outputs."""
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 else [])
-    grids = [[(axis.path, float(v)) for v in axis.values()] for axis in axes]
     columns = [axis.column() for axis in axes]
     for name in spec.outputs:
         columns.extend(OUTPUTS[name])
 
-    grid, axis_cells = itertools.tee(itertools.product(*grids))
-    points, solved = itertools.tee(_points(config, grid))
-    rows = [tuple(value for _, value in assignments)
-            + _eval_point(*point, ss, spec.outputs)
-            for assignments, point, ss in zip(
-                axis_cells, points, solve_steady_states(solved))]
+    configs, which, drive, axis_cells = _grid(config, axes)
+    states, _ = _solve_columns(configs, which, drive)
+    value_cells = _value_cells(configs, which, drive, states, spec.outputs)
+    rows = list(zip(*axis_cells, *value_cells))
+    blank = (None,) * len(value_cells)
+    for i in np.flatnonzero(~states.ok).tolist():
+        rows[i] = rows[i][:len(axes)] + blank
 
     prov = dict(provenance or config_provenance(config), kind="sweep",
                 axes=" x ".join(a.path for a in axes),

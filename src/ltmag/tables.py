@@ -36,6 +36,14 @@ class Column:
 _HEADER_RE = re.compile(r"^(?P<name>.*?)(?:\s\[(?P<unit>[^\][]*)\])?$")
 
 
+# What an OutputTable takes as its columns and as its list of rows;
+# ``__post_init__`` checks each row's type and width
+_COLUMNS = (lambda v: isinstance(v, (tuple, list))
+            and all(isinstance(c, Column) for c in v),
+            "a tuple or list of Column")
+_ROWS = (lambda v: isinstance(v, (list, tuple)), "a list or tuple of rows")
+
+
 @dataclass
 class OutputTable:
     """Rectangular results with named, unit-annotated columns."""
@@ -45,12 +53,15 @@ class OutputTable:
     provenance: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check("columns", self.columns, _COLUMNS)
+        _check("rows", self.rows, _ROWS)
         self.columns = tuple(self.columns)
+        width, sequence = len(self.columns), (tuple, list)
         for row in self.rows:
-            if len(row) != len(self.columns):
+            if not isinstance(row, sequence) or len(row) != width:
                 raise InvalidConfigError(
-                    f"row has {len(row)} cells, table has "
-                    f"{len(self.columns)} columns")
+                    f"a row must be a tuple or list of {width} cells, one "
+                    f"per column, got {row!r}")
 
     def column_index(self, name: str) -> int:
         for i, col in enumerate(self.columns):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ltmag import (EXPERIMENT_NAMES, ConvergenceError, InvalidConfigError,
-                   apply_overrides, experiment, find_operating_point, preset,
-                   solve_steady_state, with_drive, with_pump)
+from ltmag import (EXPERIMENT_NAMES, ConvergenceError, DriveSettings,
+                   InvalidConfigError, apply_overrides, experiment,
+                   find_operating_point, preset, solve_steady_state,
+                   with_drive, with_pump)
 from ltmag import steady
 from ltmag.cli import main
 
@@ -55,6 +56,29 @@ def test_work_of_the_grid_studies(monkeypatch):
     counts.update(single=0, alone=0)
     experiment("fig2b")
     assert (counts["single"], counts["alone"]) == (20, 1)
+
+
+def test_fig2a_builds_no_record_per_point(monkeypatch):
+    # the map's 2,501 points travel as columns: one DriveSettings check per
+    # axis value (61 detunings, 41 pumps), and no SteadyStateResult or
+    # PopulationState, since the batch certifies every point
+    built = dict.fromkeys(("drive", "state", "populations"), 0)
+
+    def counted(cls, method, key):
+        real = getattr(cls, method)
+
+        def wrapper(self, *args, **kwargs):
+            built[key] += 1
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, method, wrapper)
+
+    counted(DriveSettings, "__post_init__", "drive")
+    counted(steady.SteadyStateResult, "__init__", "state")
+    counted(steady.PopulationState, "__init__", "populations")
+    rows = experiment("fig2a")["map"].rows
+    assert len(rows) == 61 * 41
+    assert built["drive"] <= 61 + 41
+    assert built["state"] == built["populations"] == 0
 
 
 def test_fig1b_threshold_kink():
@@ -115,9 +139,10 @@ def test_fig2b_profile_dip():
 def test_fig2b_unconverged_point_leaves_cells_absent(monkeypatch):
     real_batch, real = steady._steady_states, steady.solve_steady_state
 
-    def uncertified(points):
-        return [None if drive.delta == 0.0 else ss
-                for (_, drive), ss in zip(points, real_batch(points))]
+    def uncertified(configs, which, drive):
+        states = real_batch(configs, which, drive)
+        states.ok[drive["delta"] == 0.0] = False
+        return states
 
     def flaky(config):
         if config.drive.delta == 0.0:

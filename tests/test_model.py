@@ -22,7 +22,8 @@ from ltmag import (AcSignalModel, CavityGeometry, DriveSettings,
                    populations_at_fixed_n, preset, rate_matrix,
                    resolve_config, solve_steady_state, step_response,
                    with_bias_field, with_drive, with_pump)
-from ltmag.configio import _UNITS, set_param
+from ltmag.configio import _UNITS, load_config, save_config, set_param
+from ltmag.dynamics import TimeSeries
 from ltmag.model import PRESET_NAMES
 
 
@@ -288,6 +289,14 @@ _BAD_CALLS = {
     "integrate.t_span": lambda: integrate(_BASE, _Y0, (None, 1e-7)),
     "experiment.unhashable": lambda: experiment([1.0]),
     "set_param.unhashable": lambda: set_param(_BASE, ["x"], 1.0),
+    "save_config.path": lambda: save_config(_BASE, 5),
+    "load_config.path": lambda: load_config(None),
+    "OutputTable.columns": lambda: OutputTable(columns=5),
+    "OutputTable.rows": lambda: OutputTable(columns=(), rows=[5]),
+    "OutputTable.rows_not_a_list": lambda: OutputTable(columns=(), rows=5),
+    "TimeSeries.lists": lambda: TimeSeries(t=[0.0], states=[[0.0] * 10]),
+    "TimeSeries.scalar_t": lambda: TimeSeries(t=np.array(0.0),
+                                              states=np.zeros((1, 10))),
 }
 
 # A valid start for ``integrate``: all population in level 1, no photons
@@ -323,6 +332,8 @@ _ARGUMENTS = {
     "preset.name": preset,
     "apply_overrides.overrides": lambda v: apply_overrides(_BASE, v),
     "OutputTable.render.fmt": lambda v: OutputTable(columns=()).render(v),
+    "save_config.path": lambda v: save_config(_BASE, v),
+    "load_config.path": load_config,
 }
 
 

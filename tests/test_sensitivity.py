@@ -96,10 +96,11 @@ def test_dc_curve_marks_unconverged_points_absent(high_sens_config,
     failing = with_bias_field(high_sens_config, 200e-6).drive.delta
     alone = []
 
-    def uncertified(points):
+    def uncertified(configs, which, drive):
         # the batch leaves the failing point to the per-point solve
-        return [None if drive.delta == failing else ss
-                for (_, drive), ss in zip(points, real_batch(points))]
+        states = real_batch(configs, which, drive)
+        states.ok[drive["delta"] == failing] = False
+        return states
 
     def flaky(config):
         alone.append(config.drive.delta)

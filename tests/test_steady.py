@@ -608,9 +608,9 @@ def test_grid_evaluator_keeps_order_across_a_chunk_boundary(baseline_config,
     stacks, alone = [], []
     real_batch, real = steady._steady_states, steady.solve_steady_state
 
-    def batch(chunk):
-        stacks.append(len(chunk))
-        return real_batch(chunk)
+    def batch(configs, which, drive):
+        stacks.append(len(which))
+        return real_batch(configs, which, drive)
 
     def single(config):
         alone.append(config)
@@ -694,9 +694,11 @@ def test_fixed_grid_certifies_dark_and_lasing_points_in_the_batch():
     # and lasing points, and leaves the at-threshold and four_orientation
     # ones to solve_steady_state
     points = _grid("baseline", _FIXED_CASES, _FIXED_SIZE)
-    batch = steady._steady_states(points[:steady.CHUNK_POINTS])
-    kinds = {(ss.branch if ss is not None else None, k % len(_FIXED_CASES))
-             for k, ss in enumerate(batch)}
+    batch = steady._steady_states(
+        *steady._point_columns(points[:steady.CHUNK_POINTS]))
+    kinds = {((LASING if lasing else BELOW_THRESHOLD) if ok else None,
+              k % len(_FIXED_CASES))
+             for k, (ok, lasing) in enumerate(zip(batch.ok, batch.lasing))}
     assert kinds == {(LASING, 0), (BELOW_THRESHOLD, 1), (None, 2), (None, 3),
                      (LASING, 4)}
 
@@ -722,9 +724,10 @@ def test_grid_evaluator_gives_none_where_the_solve_fails(baseline_config,
     failing = points[count // 2][1].delta
     real_batch, real = steady._steady_states, steady.solve_steady_state
 
-    def uncertified(chunk):
-        return [None if d.delta == failing else ss
-                for (_, d), ss in zip(chunk, real_batch(chunk))]
+    def uncertified(configs, which, drive):
+        states = real_batch(configs, which, drive)
+        states.ok[drive["delta"] == failing] = False
+        return states
 
     def flaky(config):
         if config.drive.delta == failing:

@@ -15,8 +15,9 @@ from ltmag import (Column, ConvergenceError, InvalidConfigError,
                    dc_sensitivity_curve, find_operating_point, net_gain,
                    preset, run_sweep, solve_steady_state, with_drive,
                    with_pump)
-from ltmag import steady, sweeps
-from ltmag.configio import DRIVE_PATHS, param_unit, set_param
+from ltmag import DriveSettings, output_power, steady, sweeps
+from ltmag.configio import DRIVE_PATHS, get_param, param_unit, set_param
+from ltmag.sensitivity import _dc_at_state
 
 # Bounded, reproducible property runs: fixed example counts, no timing
 # deadline and no example database.
@@ -297,10 +298,11 @@ def test_sweep_unconverged_point_leaves_cells_absent(baseline_config,
     real = steady.solve_steady_state
     alone = []
 
-    def uncertified(points):
+    def uncertified(configs, which, drive):
         # the batch leaves the middle point to the per-point solve
-        return [None if drive.delta == 5e7 else ss
-                for (_, drive), ss in zip(points, real_batch(points))]
+        states = real_batch(configs, which, drive)
+        states.ok[drive["delta"] == 5e7] = False
+        return states
 
     def flaky(config):
         alone.append(config.drive.delta)
@@ -339,15 +341,21 @@ _POINT_VALUES = {"cavity.kappa": (1e6, 3e6), "pump": (1e6, 2e6),
 @pytest.mark.parametrize("paths", [
     ("cavity.kappa", "pump"), ("pump", "cavity.kappa"),
     ("pump", "drive.omega"), ("drive.omega", "b_field"),
-    ("constants.mu_bohr", "b_field"), ("b_field", "constants.mu_bohr")])
+    ("constants.mu_bohr", "b_field"), ("b_field", "constants.mu_bohr"),
+    ("cavity.kappa", "constants.mu_bohr"), ("b_field",), ("cavity.kappa",)])
 def test_sweep_points_equal_set_param_chains(baseline_config, paths):
     # a grid that run_sweep builds: SweepSpec accepts the pair of axes
-    SweepSpec(*(SweepAxis(path, *_POINT_VALUES[path], 2) for path in paths))
+    axes = [SweepAxis(path, *_POINT_VALUES[path], 2) for path in paths]
+    SweepSpec(*axes)
     grid = list(itertools.product(
         *[[(path, v) for v in _POINT_VALUES[path]] for path in paths]))
-    points = list(sweeps._points(baseline_config, grid))
-    for assignments, (config, drive) in zip(grid, points):
-        built = dataclasses.replace(config, drive=drive)
+    configs, which, drive, cells = sweeps._grid(baseline_config, axes)
+    assert len(which) == len(drive) == len(grid)
+    for k, assignments in enumerate(grid):
+        built = dataclasses.replace(
+            configs[which[k]],
+            drive=DriveSettings(**dict(zip(drive.dtype.names,
+                                           drive[k].tolist()))))
         chained = baseline_config
         for path, value in assignments:
             chained = set_param(chained, path, value)
@@ -356,18 +364,21 @@ def test_sweep_points_equal_set_param_chains(baseline_config, paths):
             # point's own constants
             chained = set_param(chained, "b_field", assignments[0][1])
         assert built == chained
-    # a config is rebuilt only where its non-drive assignments change
-    others = [[pv for pv in a if pv[0] not in DRIVE_PATHS]
-              for a in grid]
-    rebuilt = sum(1 for a, b in zip([None] + others, others) if a != b)
-    assert len({id(config) for config, _ in points}) == rebuilt
+        assert tuple(column[k] for column in cells) == tuple(
+            value for _, value in assignments)
+    # one config per distinct assignment of the non-drive paths
+    others = {tuple(pv for pv in a if pv[0] not in DRIVE_PATHS)
+              for a in grid}
+    assert len(configs) == len(others)
 
 
 # grid values that no point config may take: a pump below the drive-rate
-# floor, a negative Rabi rate, a field whose detuning overflows
+# floor, a negative Rabi rate, a field whose detuning overflows, a
+# negative cavity loss
 _INVALID_AXES = (SweepAxis("pump", 0.0, 2e-300, 5),
                  SweepAxis("drive.omega", -1e6, 1e6, 3),
-                 SweepAxis("b_field", 0.0, 1e300, 3))
+                 SweepAxis("b_field", 0.0, 1e300, 3),
+                 SweepAxis("cavity.kappa", -1e6, 1e6, 3))
 
 
 @pytest.mark.parametrize("axis", _INVALID_AXES, ids=lambda a: a.path)
@@ -400,12 +411,38 @@ _ORACLE_AXES = {
 }
 
 
-def _per_point_sweep(config, spec):
-    """``run_sweep`` with every point left to ``solve_steady_state``."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(steady, "_steady_states",
-                  lambda points: [None] * len(points))
-        return run_sweep(config, spec)
+def _per_point_rows(config, spec):
+    """The rows of ``run_sweep(config, spec)`` from a ``set_param`` chain
+    and a ``solve_steady_state`` per point, the drive paths set last."""
+    axes = [spec.axis1] + ([spec.axis2] if spec.axis2 else [])
+    rows = []
+    for values in itertools.product(*(a.values().tolist() for a in axes)):
+        point = config
+        for drive_paths in (False, True):
+            for axis, value in zip(axes, values):
+                if (axis.path in DRIVE_PATHS) == drive_paths:
+                    point = set_param(point, axis.path, value)
+        try:
+            ss = solve_steady_state(point)
+        except ConvergenceError:
+            ss = None
+        cells = []
+        dc = None if ss is None else _dc_at_state(
+            point, ss.n, ss.gain_partials, get_param(point, "b_field"))
+        for name in spec.outputs:
+            if ss is None:
+                cells.extend([None] * len(sweeps.OUTPUTS[name]))
+            elif name == "populations":
+                cells.extend(ss.aligned.as_array().tolist())
+            elif name in ("dn_dB", "eta_dc"):
+                cells.append(getattr(dc, "slope_dn_db" if name == "dn_dB"
+                                     else "eta", None))
+            else:
+                cells.append({"n": ss.n, "P_out": output_power(ss.n, point),
+                              "branch": ss.branch,
+                              "net_gain": ss.net_gain}[name])
+        rows.append((*values, *cells))
+    return rows
 
 
 @st.composite
@@ -461,11 +498,22 @@ def _oracle_grids(draw):
 @example(name="baseline", mode="single_orientation",
          spec=SweepSpec(SweepAxis("drive.omega", 0.0, 1e7, 5),
                         SweepAxis("pump", 0.0, 4e6, 9), _ALL_OUTPUTS))
+# a non-drive axis varying fastest across a chunk boundary: a chunk
+# holds points of 31 configs, and a field converts with each point's own
+# constants
+@example(name="baseline", mode="single_orientation",
+         spec=SweepSpec(SweepAxis("pump", 0.0, 4e6, 9),
+                        SweepAxis("cavity.kappa", 1e5, 1e8, 31, "log"),
+                        _ALL_OUTPUTS))
+@example(name="high_sensitivity", mode="single_orientation",
+         spec=SweepSpec(SweepAxis("b_field", -3e-4, 3e-4, 9),
+                        SweepAxis("constants.mu_bohr", 8e-24, 1e-23, 31),
+                        _ALL_OUTPUTS))
 def test_batched_rows_match_per_point_rows(name, mode, spec):
     config = dataclasses.replace(preset(name),
                                  orientation=OrientationModel(mode=mode))
     # the grid evaluator runs the single solve's own algebra
-    assert run_sweep(config, spec).rows == _per_point_sweep(config, spec).rows
+    assert run_sweep(config, spec).rows == _per_point_rows(config, spec)
 
 
 def test_batch_falls_back_per_point(baseline_config, monkeypatch):

@@ -62,6 +62,10 @@ run("cli.sweep.omega_pump", "sweep", "--axis1", "drive.omega:1e6:6e6:7",
 run("cli.sweep.b_field", "sweep", "--preset", "high_sensitivity",
     "--axis1", "b_field:-3e-4:3e-4:41", "--outputs", "n,dn_dB,eta_dc,P_out")
 run("cli.sweep.one_point_log", "sweep", "--axis1", "pump:2e6:2e6:1:log")
+# a non-drive axis: one config per kappa, over more than one chunk
+run("cli.sweep.kappa_pump", "sweep", "--set", "drive.delta=3e7",
+    "--axis1", "cavity.kappa:1e6:1e8:31:log", "--axis2", "pump:0:4e6:9",
+    "--outputs", "n,P_out,branch,net_gain,populations,dn_dB,eta_dc")
 for fmt in ("csv", "json"):
     run(f"cli.steady-state.{fmt}", "steady-state", "--delta", "3e7",
         "--format", fmt)
